@@ -39,8 +39,8 @@ identical steps.
 
 Since schema v5 the report additionally tracks the pluggable backend layer
 (:mod:`repro.sat.backend`): a backend-comparison scenario solves the small
-instances on the native CDCL, the DPLL oracle and the checked-in external
-DIMACS stub and requires identical verdicts and step counts everywhere,
+instances on the Python CDCL engine, the DPLL oracle and the checked-in
+external DIMACS stub and requires identical verdicts and step counts everywhere,
 and a core-guided scenario compares plain ``geometric-refine`` against its
 ``core_guided`` variant — same certified minimum, never more SAT calls,
 strictly fewer on at least one case.
@@ -493,7 +493,7 @@ def run_backend_bench(*, quick: bool = False) -> dict[str, object]:
         dag = load_workload(workload)
         options = EncodingOptions(max_moves_per_step=1 if single_move else None)
         lanes: list[tuple[str, str, "int | None"]] = [
-            ("cdcl", "cdcl", cap),
+            ("cdcl", "cdcl:native=0", cap),
             ("external-stub", STUB_BACKEND_SPEC, cap),
         ]
         if dpll_cap is not None:
@@ -556,13 +556,13 @@ SIMPLIFY_CNF_CASES: list[tuple[str, Callable[[], Cnf], bool]] = [
     ("rand3sat_v130", lambda: random_3sat(130, 598, seed=13), False),
 ]
 
-#: Ablation lanes: the default engine (every technique at its shipped
+#: Ablation lanes: the Python engine (every technique at its shipped
 #: setting) against one technique disabled at a time, plus the rephasing
 #: schedule that measured out negative on this suite (kept visible in the
 #: report precisely because it is *not* in the defaults; see
 #: EXPERIMENTS.md).
 SIMPLIFY_CONFIGS: list[tuple[str, str]] = [
-    ("full", "cdcl"),
+    ("full", "cdcl:native=0"),
     ("no_bve", "cdcl:bve=0"),
     ("no_vivify", "cdcl:vivify=0"),
     ("no_chrono", "cdcl:chrono=0"),

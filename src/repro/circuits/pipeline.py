@@ -49,6 +49,7 @@ from repro.pebbling.strategy import (
     strategy_from_payload,
     strategy_payload,
 )
+from repro.sat.backend import DEFAULT_BACKEND
 from repro.sat.cards import CardinalityEncoding
 from repro.workloads.registry import load_workload_network, load_workload_or_path
 
@@ -88,7 +89,7 @@ class CompilationReport:
     #: Backend spec that ran the SAT search (metadata only: the store's
     #: compile addresses are backend-invariant, so a cached report may
     #: name a different producer than the requester).
-    backend: str = "cdcl"
+    backend: str = DEFAULT_BACKEND
     strategy: PebblingStrategy | None = field(
         default=None, repr=False, compare=False
     )
@@ -177,7 +178,7 @@ class CompilationReport:
             solve_runtime=float(data["solve_runtime"]),
             runtime=float(data["runtime"]),
             search_complete=bool(data["search_complete"]),
-            backend=str(data.get("backend", "cdcl")),
+            backend=str(data.get("backend", DEFAULT_BACKEND)),
             strategy=strategy,
         )
 
@@ -534,7 +535,7 @@ def pareto_sweep(
     max_steps: int | None = None,
     cost_model: CostModel | None = None,
     store_path: str | None = None,
-    backend: str = "cdcl",
+    backend: str = DEFAULT_BACKEND,
 ) -> SweepReport:
     """Compile one workload at every budget and tabulate space vs. time.
 

@@ -95,6 +95,7 @@ from repro.pebbling import (
     tasks_from_suite,
 )
 from repro.pebbling.search import STRATEGY_NAMES
+from repro.sat.backend import DEFAULT_BACKEND
 from repro.sat.cards import CardinalityEncoding
 from repro.sat.dimacs import write_dimacs
 from repro.visualize import strategy_report
@@ -150,8 +151,10 @@ def _add_search_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", default="cdcl", metavar="SPEC",
-                        help="incremental-SAT backend spec: 'cdcl' (default), "
+    parser.add_argument("--backend", default=DEFAULT_BACKEND, metavar="SPEC",
+                        help=f"incremental-SAT backend spec: '{DEFAULT_BACKEND}' "
+                             "(default: the C core when it loads, else the "
+                             "Python engine), 'cdcl:native=0' (Python engine), "
                              "'dpll', 'external[:<command>]', or "
                              "'chaos:<seed>,...' for deterministic fault "
                              "injection (see 'repro-pebble backends')")
@@ -435,6 +438,15 @@ def _format_stats_line(attempts) -> str:
     if not parts:
         return "stats: (this backend reports no counters)"
     return "stats: " + " ".join(parts)
+
+
+def _format_engine_line(requested: str, engine: str) -> str:
+    """``engine: <spec that ran>`` for ``pebble --stats``, plus the
+    reason when the C core was wanted but the Python engine ran."""
+    from repro.sat.backend import backend_fallback_reason
+
+    reason = backend_fallback_reason(requested)
+    return f"engine: {engine}" + (f" (fallback: {reason})" if reason else "")
 
 
 def _retry_policy(retries: int):
@@ -741,6 +753,10 @@ def _run_backends(arguments: argparse.Namespace) -> int:
         return 0
     for row in rows:
         status = "available" if row["available"] else f"unavailable ({row['detail']})"
+        if row["available"] and row["resolves_to"] != row["name"]:
+            status += f" -> {row['resolves_to']}"
+        if row["fallback"]:
+            status += f" ({row['fallback']})"
         print(f"{row['name']:10s} {status:60s} {row['description']}")
     print("select with --backend SPEC on pebble/compile/sweep/pebble-batch/"
           "cache warm/serve; race with pebble-batch --race-backends")
@@ -815,6 +831,7 @@ def _dispatch(arguments: argparse.Namespace) -> int:
                 store.close()
         print(json.dumps(result.summary(), indent=2))
         if arguments.stats:
+            print(_format_engine_line(arguments.backend, result.backend))
             print(_format_stats_line(result.attempts))
         if result.found and arguments.grid:
             print()

@@ -47,7 +47,7 @@ class EncodingOptions:
     with these options (see :mod:`repro.sat.backend`); it never changes
     the emitted CNF or the game semantics, so the result store's content
     addresses deliberately ignore it.  An explicit ``backend=`` on the
-    solver wins over it; ``None`` means the native engine.
+    solver wins over it; ``None`` means the default (``cdcl``).
     """
 
     cardinality: CardinalityEncoding = CardinalityEncoding.SEQUENTIAL

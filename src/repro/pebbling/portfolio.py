@@ -44,7 +44,7 @@ from repro.pebbling.cancel import CancellationToken, resolve_token
 from repro.pebbling.encoding import EncodingOptions
 from repro.pebbling.search import strategy_from_name
 from repro.pebbling.solver import ReversiblePebblingSolver
-from repro.sat.backend import set_chaos_scope
+from repro.sat.backend import DEFAULT_BACKEND, set_chaos_scope
 from repro.sat.cards import CardinalityEncoding
 from repro.workloads.registry import (
     BatchEntry,
@@ -77,7 +77,7 @@ class PortfolioTask:
     max_steps: int | None = None
     initial_steps: int | None = None
     weighted: bool = False
-    backend: str = "cdcl"
+    backend: str = DEFAULT_BACKEND
     #: Cube-and-conquer width for this task's step search: ``0`` (the
     #: default) solves sequentially, ``N > 1`` splits the instance into an
     #: exhaustive cube cover raced through the shared bound board (see
@@ -214,10 +214,12 @@ class PortfolioHealth:
 class PortfolioRecord:
     """The merged result of one portfolio task.
 
-    ``backend`` names the spec that *produced* the payload (for a racing
-    task: the winning lane; for a cache-served task: the original
-    producer).  ``race`` holds the per-backend lane summaries of a
-    ``race_backends`` run, ``None`` for ordinary tasks.
+    ``backend`` names the engine that *produced* the payload, resolved
+    (bare ``cdcl`` reads ``cdcl:native=1`` or ``cdcl:native=0``; for a
+    cache-served task: the original producer).  A racing task's
+    ``backend`` is instead the winning lane's spec, the key into ``race``,
+    which holds the per-backend lane summaries (each naming its engine as
+    ``produced_by``); ``race`` is ``None`` for ordinary tasks.
     """
 
     task: PortfolioTask
@@ -889,9 +891,9 @@ def _merge_race(
         traceback=winner.traceback,
         partial=winner.partial,
         retries=winner.retries,
-        # The lane's own record names the actual producer; fall back to
-        # the lane spec for error lanes that never built a solver.
-        backend=winner.backend or backends[winner_index],
+        # The winning lane's spec, so ``race[backend]`` is its summary;
+        # the engine it resolved to is that summary's ``produced_by``.
+        backend=backends[winner_index],
         race={
             spec: _lane_summary(lane) for spec, lane in zip(backends, lanes)
         },
@@ -977,7 +979,7 @@ def tasks_from_suite(
     cardinality: str = "sequential",
     step_increment: int = 1,
     incremental: bool = True,
-    backend: str = "cdcl",
+    backend: str = DEFAULT_BACKEND,
     cubes: int = 0,
 ) -> list[PortfolioTask]:
     """Turn a named batch suite (or explicit entries) into portfolio tasks."""

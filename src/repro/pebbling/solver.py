@@ -14,7 +14,7 @@ paper's evaluation:
 
 Both loops support the incremental mode, which keeps a single incremental
 SAT backend (any :class:`~repro.sat.backend.IncrementalSatBackend`, the
-native CDCL engine by default) alive across step bounds: the clause
+C core by default when it loads) alive across step bounds: the clause
 frames come from one stateful :class:`~repro.pebbling.encoding.PebblingEncoder`
 (``extend_to`` emits only the new frames), the final-configuration
 constraint of each bound is guarded by an activation literal from
@@ -63,6 +63,7 @@ from repro.sat.backend import (
     IncrementalSatBackend,
     create_backend,
     require_backend,
+    resolve_backend,
 )
 from repro.sat.solver import Status
 
@@ -309,7 +310,11 @@ class ReversiblePebblingSolver:
         # ``EncodingOptions.backend``), or a raw ``solver_factory`` callable
         # accepting the ``CdclSolver`` constructor signature (the benchmark
         # harness injects the frozen legacy engine here to measure
-        # engine-vs-engine speedups on identical searches).
+        # engine-vs-engine speedups on identical searches).  A spec is
+        # resolved once, here, to the engine that will run (bare ``cdcl``
+        # becomes ``cdcl:native=1`` or ``cdcl:native=0``): every solver of
+        # the search, cube lanes included, builds from it and every result
+        # records it.
         if solver_factory is not None and (
             backend is not None or self.options.backend is not None
         ):
@@ -322,9 +327,9 @@ class ReversiblePebblingSolver:
             factory_name = getattr(solver_factory, "__name__", "custom")
             self.backend = f"factory:{factory_name}"
         else:
-            self.backend = require_backend(
+            self.backend = resolve_backend(require_backend(
                 backend or self.options.backend or DEFAULT_BACKEND
-            )
+            ))
         self._encoder = PebblingEncoder(dag, options=self.options)
 
     def _make_solver(self, cnf=None) -> IncrementalSatBackend:
@@ -898,8 +903,16 @@ class ReversiblePebblingSolver:
             assumptions = cube_literals + [
                 guard_of_bound[step] for step in sorted(ladder, reverse=True)
             ]
-            for clause in encoder.drain_new_clauses():
-                solver.add_clause(clause.literals)
+            # One batch per frame where the backend takes one (the C core:
+            # a single call instead of one per clause); the Python engine
+            # keeps its per-clause path.
+            fresh = [clause.literals for clause in encoder.drain_new_clauses()]
+            add_clauses = getattr(solver, "add_clauses", None)
+            if add_clauses is not None:
+                add_clauses(fresh)
+            else:
+                for literals in fresh:
+                    solver.add_clause(literals)
             # Pebble and guard variables are re-mentioned by every later
             # frame and assumption ladder; backends with root-level variable
             # elimination must never eliminate them.  The loop deliberately
@@ -1275,7 +1288,7 @@ def pebble_dag(
     """One-shot helper: pebble ``dag`` with at most ``max_pebbles`` pebbles.
 
     ``backend`` selects the incremental-SAT backend by registry spec (see
-    :mod:`repro.sat.backend`); the default is the native CDCL engine.
+    :mod:`repro.sat.backend`); the default runs the C core when it loads.
     """
     solver = ReversiblePebblingSolver(dag, options=options, backend=backend)
     return solver.solve(max_pebbles, time_limit=time_limit, **solve_kwargs)

@@ -29,6 +29,7 @@ from repro.sat.backend import (
     DpllBackend,
     ExternalDimacsBackend,
     IncrementalSatBackend,
+    backend_fallback_reason,
     backend_names,
     backend_unavailable_reason,
     chaos_scope,
@@ -36,6 +37,7 @@ from repro.sat.backend import (
     describe_backends,
     register_backend,
     require_backend,
+    resolve_backend,
     set_chaos_scope,
 )
 from repro.sat.cards import (
@@ -73,6 +75,7 @@ __all__ = [
     "TseitinEncoder",
     "VariablePool",
     "and_",
+    "backend_fallback_reason",
     "backend_names",
     "backend_unavailable_reason",
     "chaos_scope",
@@ -80,6 +83,7 @@ __all__ = [
     "describe_backends",
     "register_backend",
     "require_backend",
+    "resolve_backend",
     "set_chaos_scope",
     "at_least_k",
     "at_most_k",

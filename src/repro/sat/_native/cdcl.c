@@ -11,7 +11,9 @@
  *
  * Literals cross the ABI in DIMACS convention (nonzero int32, sign =
  * polarity); internally they are encoded as 2*var + (negative ? 1 : 0)
- * with 0-based variables, mirroring the Python solver's layout.
+ * with 0-based variables, mirroring the Python solver's layout.  Clauses
+ * arrive one per cdcl_add_clause call or, batched, as one buffer of
+ * zero-terminated clauses per cdcl_add_clauses call.
  *
  * The library is built on demand by repro.sat.native with
  * `cc -O2 -shared -fPIC`; keep this file free of non-libc dependencies.
@@ -88,7 +90,8 @@ typedef struct Solver {
     int32_t *conflict;         /* failed-assumption core (internal lits) */
     int32_t conflict_size;
 
-    /* counters */
+    /* counters: lifetime totals, except max_decision_level, which is
+     * the deepest level of the latest cdcl_solve call */
     int64_t decisions, propagations, conflicts, restarts;
     int64_t learned_clauses, deleted_clauses, max_decision_level;
 } Solver;
@@ -619,10 +622,33 @@ int32_t cdcl_add_clause(void *handle, const int32_t *dimacs, int32_t size) {
     return 1;
 }
 
+/* Batched transfer: `flat` holds n literals forming zero-terminated
+ * clauses, added in order exactly as by one cdcl_add_clause call each.
+ * Returns 1 while the formula is not contradictory at the root, 0 once it
+ * is, and -1 without adding anything when the buffer is malformed (its
+ * last clause is unterminated or a literal has no negation in int32). */
+int32_t cdcl_add_clauses(void *handle, const int32_t *flat, int64_t n) {
+    Solver *s = handle;
+    if (n > 0 && flat[n - 1] != 0)
+        return -1;
+    for (int64_t i = 0; i < n; i++)
+        if (flat[i] == INT32_MIN)
+            return -1;
+    int64_t start = 0;
+    for (int64_t i = 0; i < n; i++) {
+        if (flat[i] != 0)
+            continue;
+        cdcl_add_clause(s, flat + start, (int32_t)(i - start));
+        start = i + 1;
+    }
+    return s->ok;
+}
+
 int32_t cdcl_solve(void *handle, const int32_t *assumptions, int32_t num_assumptions,
                    int64_t conflict_limit, double time_limit) {
     Solver *s = handle;
     s->conflict_size = 0;
+    s->max_decision_level = 0;
     if (!s->ok)
         return RESULT_UNSAT;
     cancel_until(s, 0);
@@ -752,16 +778,14 @@ void cdcl_copy_failed(void *handle, int32_t *out) {
         out[i] = decode(s->conflict[i]);
 }
 
-int64_t cdcl_counter(void *handle, int32_t which) {
+/* Copies the seven counters, in the order repro.sat.native names them. */
+void cdcl_counters(void *handle, int64_t *out) {
     Solver *s = handle;
-    switch (which) {
-    case 0: return s->decisions;
-    case 1: return s->propagations;
-    case 2: return s->conflicts;
-    case 3: return s->restarts;
-    case 4: return s->learned_clauses;
-    case 5: return s->deleted_clauses;
-    case 6: return s->max_decision_level;
-    default: return 0;
-    }
+    out[0] = s->decisions;
+    out[1] = s->propagations;
+    out[2] = s->conflicts;
+    out[3] = s->restarts;
+    out[4] = s->learned_clauses;
+    out[5] = s->deleted_clauses;
+    out[6] = s->max_decision_level;
 }

@@ -9,11 +9,15 @@ implementations so the whole stack (solver → portfolio workers → service →
 CLI) can carry a backend across process boundaries as plain data:
 
 ``"cdcl[:key=value,...]"``
-    The native :class:`~repro.sat.solver.CdclSolver` — the production
-    engine, with real conflict-analysis assumption cores.  The optional
-    argument tunes the search without code changes
-    (``cdcl:restart_base=200,var_decay=0.95,seed=7``); see
-    :class:`CdclSpec` for the accepted keys.
+    The CDCL engine, with real conflict-analysis assumption cores.  Bare
+    ``cdcl`` runs the C core (:class:`~repro.sat.native.NativeCdclSolver`)
+    whenever it builds and loads on this host, and the pure-Python
+    :class:`~repro.sat.solver.CdclSolver` otherwise; :func:`resolve_backend`
+    names the one that runs (``cdcl:native=1`` / ``cdcl:native=0``) and
+    :func:`backend_fallback_reason` says why the C core did not.
+    ``native=0``/``native=1`` pick an engine explicitly, and a key only
+    the Python engine honours (``cdcl:bve=0``, ``var_decay=0.9``, ...)
+    selects it; see :class:`CdclSpec` for the accepted keys.
 
 ``"dpll"``
     The reference :class:`~repro.sat.solver.DpllSolver` wrapped as a
@@ -55,7 +59,7 @@ import subprocess
 import tempfile
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -64,7 +68,8 @@ from repro.sat.cnf import Cnf
 from repro.sat.dpll import DpllSolver
 from repro.sat.solver import CdclSolver, SolveResult, SolverStats, Status
 
-#: Spec used whenever a caller does not choose a backend explicitly.
+#: Spec used whenever a caller does not choose a backend explicitly: the
+#: fastest CDCL engine that loads here (see :func:`resolve_backend`).
 DEFAULT_BACKEND = "cdcl"
 
 #: Environment variable consulted by the argument-less ``external`` spec.
@@ -742,6 +747,12 @@ class CdclSpec:
     mapping onto :class:`~repro.sat.solver.CdclSolver` constructor knobs,
     so bench lanes and ``--race-backends`` can tune the engine from the
     command line: ``cdcl:restart_base=200,var_decay=0.95,seed=7``.
+
+    ``native`` picks the engine: ``None`` (the key is absent) means the C
+    core when it loads and the Python engine otherwise.  The C core
+    honours only ``restart_base`` and ``seed``, so a spec that sets any
+    other key runs the Python engine, and setting one together with
+    ``native=1`` is an error rather than a silently dropped knob.
     """
 
     #: Luby restart unit (conflicts before the first restart).
@@ -770,8 +781,9 @@ class CdclSpec:
     chrono: int = 100
     #: Base conflict interval of the rephasing schedule (0 disables).
     rephase: int = 0
-    #: Route to the ctypes-loaded native CDCL core (0/1).
-    native: bool = False
+    #: Engine: 1 = the ctypes-loaded C core, 0 = the Python engine,
+    #: absent = the C core when it loads.
+    native: bool | None = None
     #: Record per-phase time splits in ``stats.phase_times``.
     profile: bool = False
 
@@ -779,7 +791,39 @@ class CdclSpec:
                  "learned_limit_base", "glue_max", "inprocess_interval",
                  "bve_grow", "chrono", "rephase")
     _FLOAT_KEYS = ("var_decay", "clause_decay")
-    _BOOL_KEYS = ("bve", "vivify", "native", "profile")
+    #: ``native`` last, so a rendered spec ends by naming its engine.
+    _BOOL_KEYS = ("bve", "vivify", "profile", "native")
+    #: Keys the C core honours; every other key tunes the Python engine.
+    _NATIVE_KEYS = ("restart_base", "seed", "native")
+
+    def __post_init__(self) -> None:
+        tuned = [
+            key for key in self._keys()
+            if getattr(self, key) != getattr(type(self), key)
+        ]
+        object.__setattr__(self, "native", self._engine(self.native, tuned))
+
+    @classmethod
+    def _keys(cls) -> tuple[str, ...]:
+        return cls._INT_KEYS + cls._FLOAT_KEYS + cls._BOOL_KEYS
+
+    @classmethod
+    def _engine(cls, native: bool | None, tuned: Iterable[str]) -> bool | None:
+        """``native`` settled against the keys a spec sets.
+
+        A key only the Python engine honours selects that engine, and
+        is an error together with ``native=1``.  A parsed spec sets the
+        keys it names; a constructed one the fields off their default.
+        """
+        python_only = [key for key in tuned if key not in cls._NATIVE_KEYS]
+        if not python_only:
+            return native
+        if native:
+            raise SolverError(
+                f"cdcl: the C core (native=1) does not honour "
+                f"{', '.join(python_only)}; drop native=1 to run the Python engine"
+            )
+        return False
 
     @classmethod
     def parse(cls, argument: str | None) -> "CdclSpec":
@@ -793,7 +837,7 @@ class CdclSpec:
             if not equals:
                 raise SolverError(
                     f"cdcl: expected key=value, got {token!r}; valid keys: "
-                    f"{', '.join(cls._INT_KEYS + cls._FLOAT_KEYS + cls._BOOL_KEYS)}"
+                    f"{', '.join(cls._keys())}"
                 )
             if key in values:
                 raise SolverError(f"cdcl: {key!r} given twice in {argument!r}")
@@ -828,18 +872,27 @@ class CdclSpec:
             else:
                 raise SolverError(
                     f"cdcl: unknown key {key!r}; valid keys: "
-                    f"{', '.join(cls._INT_KEYS + cls._FLOAT_KEYS + cls._BOOL_KEYS)}"
+                    f"{', '.join(cls._keys())}"
                 )
+        values["native"] = cls._engine(values.get("native"), values)
         return cls(**values)  # type: ignore[arg-type]
 
     def render(self) -> str:
         """The canonical spec string (non-default options only)."""
         parts = []
-        for key in self._INT_KEYS + self._FLOAT_KEYS + self._BOOL_KEYS:
+        for key in self._keys():
             value = getattr(self, key)
             if value != getattr(type(self), key):
                 parts.append(f"{key}={int(value) if key in self._BOOL_KEYS else value}")
         return "cdcl:" + ",".join(parts) if parts else "cdcl"
+
+    def resolved(self) -> "CdclSpec":
+        """These options with ``native`` settled for this host."""
+        if self.native is not None:
+            return self
+        from repro.sat.native import native_unavailable_reason
+
+        return replace(self, native=native_unavailable_reason() is None)
 
     def build(self, conflict_limit: int | None = None) -> IncrementalSatBackend:
         """Construct the solver these options describe.
@@ -847,9 +900,10 @@ class CdclSpec:
         With ``native=1`` this returns the ctypes-loaded C core (the
         registry probe reports unavailability before this is reached,
         but direct callers get the same hard error — never a silent
-        fallback to the Python loop).
+        fallback to the Python loop).  Without a ``native`` key it
+        returns whichever engine :meth:`resolved` settles on.
         """
-        if self.native:
+        if self.resolved().native:
             from repro.sat.native import NativeCdclSolver
 
             return NativeCdclSolver(
@@ -903,8 +957,9 @@ register_backend(
     "cdcl",
     _make_cdcl,
     description=(
-        "native CDCL engine (watched literals, VSIDS, LBD clause DB, "
-        "assumption cores); tunable via 'cdcl:restart_base=N,var_decay=F,...'"
+        "CDCL engine with assumption cores: the C core when it loads, else "
+        "the Python engine; 'cdcl:native=0' forces Python, Python-only "
+        "knobs ('cdcl:bve=0,var_decay=F,...') select it"
     ),
     probe=_probe_cdcl,
 )
@@ -986,6 +1041,34 @@ def require_backend(spec: str) -> str:
     return spec
 
 
+def resolve_backend(spec: str) -> str:
+    """The spec of the engine ``spec`` runs on this host.
+
+    A ``cdcl`` spec comes back with its ``native`` key settled, in
+    canonical form: bare ``cdcl`` is ``cdcl:native=1`` when the C core
+    loads and ``cdcl:native=0`` otherwise.  Other specs come back as given.
+    """
+    name, argument = split_backend_spec(spec)
+    if name != "cdcl":
+        return spec
+    return CdclSpec.parse(argument).resolved().render()
+
+
+def backend_fallback_reason(spec: str) -> str | None:
+    """Why ``spec`` runs the Python engine though it did not ask to.
+
+    ``None`` unless ``spec`` leaves the CDCL engine to the host (bare
+    ``cdcl``, say) and the C core cannot load; then the loader's reason.
+    """
+    name, argument = split_backend_spec(spec)
+    if name != "cdcl" or CdclSpec.parse(argument).native is not None:
+        return None
+    from repro.sat.native import native_unavailable_reason
+
+    reason = native_unavailable_reason()
+    return None if reason is None else f"native core unavailable: {reason}"
+
+
 def create_backend(
     spec: str = DEFAULT_BACKEND, *, conflict_limit: int | None = None
 ) -> IncrementalSatBackend:
@@ -995,7 +1078,12 @@ def create_backend(
 
 
 def describe_backends() -> list[dict[str, object]]:
-    """Availability table for the CLI's ``backends`` subcommand."""
+    """Availability table for the CLI's ``backends`` subcommand.
+
+    ``resolves_to`` names the engine the bare spec runs here and
+    ``fallback`` why that is not the one it prefers (see
+    :func:`backend_fallback_reason`).
+    """
     rows: list[dict[str, object]] = []
     for name in backend_names():
         info = _REGISTRY[name]
@@ -1005,6 +1093,8 @@ def describe_backends() -> list[dict[str, object]]:
                 "name": name,
                 "available": reason is None,
                 "detail": reason,
+                "resolves_to": resolve_backend(name),
+                "fallback": backend_fallback_reason(name),
                 "description": info.description,
             }
         )

@@ -2,30 +2,34 @@
 
 The C source lives in ``_native/cdcl.c`` and is compiled on demand into
 ``_native/build/libcdcl-<hash>.so`` the first time the core is requested
-(``cc -O2 -shared -fPIC``; the hash covers the source, so editing the C
-file triggers a rebuild and stale libraries are simply ignored).  The
-build directory is gitignored — nothing binary is ever committed.
+(``cc -O2 -shared -fPIC``; the hash covers the source and the compiler
+flags, so editing the C file triggers a rebuild and stale libraries are
+simply ignored).  The build directory is gitignored — nothing binary is
+ever committed.
 
 Availability is an explicit, probeable property: :func:`native_unavailable_reason`
 returns ``None`` when the core is loadable and a human-readable reason
-(no compiler, compile error, load error) otherwise.  ``cdcl:native=1``
-surfaces that reason through the backend registry probe, and
-:class:`NativeCdclSolver` raises :class:`~repro.errors.SolverError` with
-the same message — there is deliberately no silent fallback to the
-Python loop, so a benchmark labelled "native" can never quietly measure
-the wrong engine.
+(no compiler, compile error, load error) otherwise.  Bare ``cdcl`` runs
+this core whenever that reason is ``None`` and the Python engine
+otherwise; ``cdcl:native=1`` surfaces the reason through the backend
+registry probe, and :class:`NativeCdclSolver` raises
+:class:`~repro.errors.SolverError` with the same message — an explicit
+``native=1`` never falls back, so a benchmark labelled "native" can never
+quietly measure the wrong engine.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import os
 import shutil
+import struct
 import subprocess
 import time
 from collections.abc import Iterable, Sequence
 from pathlib import Path
-from threading import Lock
+from threading import Lock, get_ident
 
 from repro.errors import SolverError
 from repro.sat.solver import SolveResult, SolverStats, Status
@@ -33,15 +37,19 @@ from repro.sat.solver import SolveResult, SolverStats, Status
 _SOURCE = Path(__file__).resolve().parent / "_native" / "cdcl.c"
 _BUILD_DIR = _SOURCE.parent / "build"
 _COMPILERS = ("cc", "gcc", "clang")
+_BASE_FLAGS = ("-O2", "-shared", "-fPIC", "-std=c11")
 
 _SAT = 1
 _UNSAT = -1
 _UNKNOWN = 0
 
+#: Counter order of ``cdcl_counters``.  All but ``max_decision_level`` are
+#: lifetime totals of the handle; that one is the latest solve's maximum.
 _COUNTER_NAMES = (
     "decisions", "propagations", "conflicts", "restarts",
     "learned_clauses", "deleted_clauses", "max_decision_level",
 )
+_CounterArray = ctypes.c_int64 * len(_COUNTER_NAMES)
 
 _lock = Lock()
 _lib: ctypes.CDLL | None = None
@@ -62,6 +70,12 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.cdcl_add_clause.argtypes = [
         ctypes.c_void_p, ctypes.POINTER(ctypes.c_int32), ctypes.c_int32,
     ]
+    # The flat buffer goes over as the bytes of one struct.pack call
+    # (passed without a copy); the C side reads it as int32_t[n].
+    lib.cdcl_add_clauses.restype = ctypes.c_int32
+    lib.cdcl_add_clauses.argtypes = [
+        ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int64,
+    ]
     lib.cdcl_solve.restype = ctypes.c_int32
     lib.cdcl_solve.argtypes = [
         ctypes.c_void_p, ctypes.POINTER(ctypes.c_int32), ctypes.c_int32,
@@ -77,33 +91,53 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.cdcl_copy_failed.argtypes = [
         ctypes.c_void_p, ctypes.POINTER(ctypes.c_int32),
     ]
-    lib.cdcl_counter.restype = ctypes.c_int64
-    lib.cdcl_counter.argtypes = [ctypes.c_void_p, ctypes.c_int32]
+    lib.cdcl_counters.restype = None
+    lib.cdcl_counters.argtypes = [ctypes.c_void_p, _CounterArray]
     return lib
 
 
-def _build_and_load() -> tuple[ctypes.CDLL | None, str | None]:
+def build_library(
+    *,
+    build_dir: Path = _BUILD_DIR,
+    flags: Sequence[str] = (),
+) -> tuple[Path | None, str | None]:
+    """Compile ``cdcl.c`` into ``build_dir`` unless that build exists.
+
+    Returns ``(path, None)``, or ``(None, reason)`` when there is no
+    compiler or the compile or rename fails.  The library is named
+    ``libcdcl-<hash>.so``, the hash covering the source and ``flags``,
+    so an instrumented build (extra ``flags`` such as
+    ``-fsanitize=address``) never shadows the default one.  Each caller
+    compiles to its own staging file and renames it into place, so
+    processes racing to build into an empty directory all succeed.
+    """
     if not _SOURCE.exists():
         return None, f"native source missing: {_SOURCE}"
-    source = _SOURCE.read_bytes()
-    digest = hashlib.sha256(source).hexdigest()[:12]
-    library = _BUILD_DIR / f"libcdcl-{digest}.so"
-    if not library.exists():
-        compiler = next(
-            (found for name in _COMPILERS if (found := shutil.which(name))),
-            None,
+    extra = tuple(flags)
+    fingerprint = _SOURCE.read_bytes() + "\0".join(extra).encode()
+    digest = hashlib.sha256(fingerprint).hexdigest()[:12]
+    library = Path(build_dir) / f"libcdcl-{digest}.so"
+    if library.exists():
+        return library, None
+    compiler = next(
+        (found for name in _COMPILERS if (found := shutil.which(name))),
+        None,
+    )
+    if compiler is None:
+        return None, (
+            "no C compiler found (tried: " + ", ".join(_COMPILERS) + ")"
         )
-        if compiler is None:
-            return None, (
-                "no C compiler found (tried: " + ", ".join(_COMPILERS) + ")"
-            )
-        _BUILD_DIR.mkdir(parents=True, exist_ok=True)
-        # Build to a temp name then rename: a crashed compile never leaves
-        # a half-written .so that a later load would trip over.
-        staging = library.with_suffix(".so.tmp")
+    staging: Path | None = None
+    try:
+        library.parent.mkdir(parents=True, exist_ok=True)
+        # Build to a private temp name then rename: a crashed compile never
+        # leaves a half-written .so behind, and concurrent builders never
+        # write to (or rename away) each other's output.
+        staging = library.with_name(
+            f"{library.name}.{os.getpid()}-{get_ident()}.tmp"
+        )
         command = [
-            compiler, "-O2", "-shared", "-fPIC", "-std=c11",
-            "-o", str(staging), str(_SOURCE),
+            compiler, *_BASE_FLAGS, *extra, "-o", str(staging), str(_SOURCE),
         ]
         proc = subprocess.run(command, capture_output=True, text=True)
         if proc.returncode != 0:
@@ -111,10 +145,28 @@ def _build_and_load() -> tuple[ctypes.CDLL | None, str | None]:
             head = detail[0] if detail else "no compiler output"
             return None, f"compile failed ({compiler}): {head}"
         staging.replace(library)
-    try:
-        return _configure(ctypes.CDLL(str(library))), None
+        staging = None
     except OSError as exc:
-        return None, f"failed to load {library.name}: {exc}"
+        return None, f"build of {library.name} failed: {exc}"
+    finally:
+        if staging is not None:
+            staging.unlink(missing_ok=True)
+    return library, None
+
+
+def load_library(path: Path) -> tuple[ctypes.CDLL | None, str | None]:
+    """Load and configure a built core: ``(library, None)`` or ``(None, reason)``."""
+    try:
+        return _configure(ctypes.CDLL(str(path))), None
+    except (OSError, AttributeError) as exc:
+        return None, f"failed to load {Path(path).name}: {exc}"
+
+
+def _build_and_load() -> tuple[ctypes.CDLL | None, str | None]:
+    library, reason = build_library()
+    if library is None:
+        return None, reason
+    return load_library(library)
 
 
 def _ensure_loaded() -> tuple[ctypes.CDLL | None, str | None]:
@@ -135,11 +187,14 @@ def native_unavailable_reason() -> str | None:
 class NativeCdclSolver:
     """The C core behind the :class:`IncrementalSatBackend` surface.
 
-    Selected with ``cdcl:native=1``.  Supports incremental clause
-    addition, assumptions with conflict-analysis cores, and conflict/time
-    budgets; it does not implement the Python engine's inprocessing
-    (``freeze`` is intentionally absent — the pebbling layer probes for
-    it with ``getattr``).
+    What bare ``cdcl`` runs whenever the core loads (and what
+    ``cdcl:native=1`` demands).  Supports incremental clause addition —
+    one clause per :meth:`add_clause` or a whole batch per
+    :meth:`add_clauses` — assumptions with conflict-analysis cores, and
+    conflict/time budgets; it does not implement the Python engine's
+    inprocessing (``freeze`` is intentionally absent — the pebbling layer
+    probes for it with ``getattr``).  ``library`` selects an already
+    loaded build (see :func:`build_library`); by default the shared one.
     """
 
     def __init__(
@@ -148,18 +203,24 @@ class NativeCdclSolver:
         conflict_limit: int | None = None,
         restart_base: int = 100,
         random_seed: int = 0,
+        library: ctypes.CDLL | None = None,
     ) -> None:
-        lib, reason = _ensure_loaded()
+        lib = library
         if lib is None:
-            raise SolverError(f"native core unavailable: {reason}")
+            lib, reason = _ensure_loaded()
+            if lib is None:
+                raise SolverError(f"native core unavailable: {reason}")
         self._lib = lib
         self._handle = lib.cdcl_new(random_seed & 0xFFFFFFFF, restart_base)
         if not self._handle:
             raise SolverError("native core allocation failed")
-        self._conflict_limit = conflict_limit
+        self.default_conflict_limit = conflict_limit
         self._declared = 0
         self._last_status: Status | None = None
         self._last_seconds = 0.0
+        # Lifetime totals as of the previous solve, and that solve's share.
+        self._totals = [0] * len(_COUNTER_NAMES)
+        self._last_counts = dict.fromkeys(_COUNTER_NAMES, 0)
 
     def __del__(self) -> None:  # pragma: no cover - interpreter shutdown
         handle = getattr(self, "_handle", None)
@@ -182,7 +243,7 @@ class NativeCdclSolver:
             if (
                 isinstance(literal, bool)
                 or not isinstance(literal, int)
-                or literal == 0
+                or not 0 < abs(literal) < 2**31
             ):
                 raise SolverError(f"invalid literal {literal!r}")
             clause.append(literal)
@@ -191,11 +252,39 @@ class NativeCdclSolver:
             self._lib.cdcl_add_clause(self._handle, array, len(clause))
         )
 
+    def add_clauses(self, clauses: Iterable[Sequence[int]]) -> bool:
+        """Add many clauses with one call into the core.
+
+        Same effect as :meth:`add_clause` on each clause in order, and the
+        same ``False`` once the formula is trivially unsat.  The batch is
+        validated once, before anything is added: every literal must be a
+        nonzero integer whose negation fits in int32, else
+        :class:`~repro.errors.SolverError`.
+        """
+        flat: list[int] = []
+        extend, terminate = flat.extend, flat.append
+        count = 0
+        for literals in clauses:
+            extend(literals)
+            terminate(0)
+            count += 1
+        if flat.count(0) != count:
+            raise SolverError("invalid literal 0 inside a clause of the batch")
+        try:
+            packed = struct.pack(f"={len(flat)}i", *flat)
+        except struct.error as exc:
+            raise SolverError(f"invalid literal in the clause batch: {exc}") from None
+        added = self._lib.cdcl_add_clauses(self._handle, packed, len(flat))
+        if added < 0:
+            raise SolverError(
+                f"invalid literal {-2**31} in the clause batch (no int32 negation)"
+            )
+        return bool(added)
+
     def add_cnf(self, cnf) -> None:
         while self.num_variables < cnf.num_variables:
             self.add_variable()
-        for clause in cnf.clauses:
-            self.add_clause(clause.literals)
+        self.add_clauses(clause.literals for clause in cnf.clauses)
 
     def solve(
         self,
@@ -212,7 +301,7 @@ class NativeCdclSolver:
             if literal == 0 or not isinstance(literal, int):
                 raise SolverError(f"invalid assumption literal {literal!r}")
         array = (ctypes.c_int32 * len(unique))(*unique)
-        budget = conflict_limit if conflict_limit is not None else self._conflict_limit
+        budget = conflict_limit if conflict_limit is not None else self.default_conflict_limit
         started = time.monotonic()
         verdict = self._lib.cdcl_solve(
             self._handle,
@@ -222,15 +311,13 @@ class NativeCdclSolver:
             -1.0 if time_limit is None else time_limit,
         )
         self._last_seconds = time.monotonic() - started
+        self._take_counts()
         if verdict == _SAT:
             self._last_status = Status.SATISFIABLE
             num_vars = self.num_variables
             buffer = (ctypes.c_int8 * num_vars)()
             self._lib.cdcl_copy_model(self._handle, buffer, num_vars)
-            model = {
-                variable: bool(buffer[variable - 1])
-                for variable in range(1, num_vars + 1)
-            }
+            model = dict(zip(range(1, num_vars + 1), map(bool, bytes(buffer))))
             return SolveResult(Status.SATISFIABLE, model, self._stats())
         if verdict == _UNSAT:
             self._last_status = Status.UNSATISFIABLE
@@ -249,25 +336,39 @@ class NativeCdclSolver:
         return [buffer[i] for i in range(size)]
 
     def counters(self) -> dict[str, float]:
+        """Counters of the last solve: the work done since the one before.
+
+        Like the Python engine's per-solve stats, so summing the counters
+        of every solve on one handle gives the handle's lifetime totals.
+        """
         if self._last_status is None:
             return {}
-        values = {
-            name: float(self._lib.cdcl_counter(self._handle, index))
-            for index, name in enumerate(_COUNTER_NAMES)
-        }
+        values = {name: float(count) for name, count in self._last_counts.items()}
         values["solve_time"] = self._last_seconds
         return values
 
+    def lifetime_counters(self) -> dict[str, int]:
+        """The handle's counters summed over its life so far.
+
+        ``max_decision_level`` is the exception: the latest solve's maximum.
+        """
+        totals = _CounterArray()
+        self._lib.cdcl_counters(self._handle, totals)
+        return dict(zip(_COUNTER_NAMES, totals))
+
     # -- helpers ----------------------------------------------------------
+    def _take_counts(self) -> None:
+        totals = _CounterArray()
+        self._lib.cdcl_counters(self._handle, totals)
+        current = list(totals)
+        self._last_counts = {
+            name: now if name == "max_decision_level" else now - before
+            for name, now, before in zip(_COUNTER_NAMES, current, self._totals)
+        }
+        self._totals = current
+
     def _stats(self) -> SolverStats:
-        stats = SolverStats()
-        stats.decisions = int(self._lib.cdcl_counter(self._handle, 0))
-        stats.propagations = int(self._lib.cdcl_counter(self._handle, 1))
-        stats.conflicts = int(self._lib.cdcl_counter(self._handle, 2))
-        stats.restarts = int(self._lib.cdcl_counter(self._handle, 3))
-        stats.learned_clauses = int(self._lib.cdcl_counter(self._handle, 4))
-        stats.deleted_clauses = int(self._lib.cdcl_counter(self._handle, 5))
-        stats.max_decision_level = int(self._lib.cdcl_counter(self._handle, 6))
+        stats = SolverStats(**self._last_counts)
         stats.solve_time = self._last_seconds
         return stats
 

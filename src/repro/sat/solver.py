@@ -307,7 +307,7 @@ class CdclSolver:
         the interval grows geometrically.
     """
 
-    #: Registry name under :mod:`repro.sat.backend` (the native backend).
+    #: Registry name under :mod:`repro.sat.backend` (``cdcl:native=0``).
     name = "cdcl"
 
     def __init__(

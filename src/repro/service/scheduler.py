@@ -47,6 +47,7 @@ from repro.pebbling.portfolio import (
     _execute_task,
 )
 from repro.pebbling.solver import ReversiblePebblingSolver
+from repro.sat.backend import DEFAULT_BACKEND, backend_fallback_reason, resolve_backend
 from repro.store.store import ResultStore
 from repro.workloads.registry import load_workload_network, load_workload_or_path
 
@@ -97,7 +98,7 @@ class JobRequest:
     #: of request identity for dedup, but NOT of the store's content
     #: address — cached results transfer across backends and record their
     #: producer in metadata.
-    backend: str = "cdcl"
+    backend: str = DEFAULT_BACKEND
     #: Per-request wall-clock budget in seconds, measured from submission.
     #: When it runs out the search is preempted *gracefully*: the SAT time
     #: limit is clamped to what is left, so the answer degrades to an
@@ -298,6 +299,13 @@ class PebblingService:
         self.retry = retry
         self.stats = ServiceStats()
         self._health = PortfolioHealth()
+        # Settled once, here (it may build the C core), so health() stays
+        # cheap; the engine cannot change within one process.
+        self._engine = {
+            "default": DEFAULT_BACKEND,
+            "resolves_to": resolve_backend(DEFAULT_BACKEND),
+            "fallback": backend_fallback_reason(DEFAULT_BACKEND),
+        }
         self._queue: asyncio.Queue[tuple[JobRequest, asyncio.Future, float]] = (
             asyncio.Queue()
         )
@@ -468,7 +476,9 @@ class PebblingService:
         (``sheds``/``preempted``/``partial_answers``/``retries``/
         ``pool_rebuilds``) were deprecated for one release and are gone:
         ``stats`` holds the exact service counters and ``metrics`` the
-        cross-layer registry.
+        cross-layer registry.  ``engine`` names the SAT engine a request
+        without its own backend runs (``resolves_to``) and, when that is
+        the Python fallback, why (``fallback``).
         """
         self._saturation_gauges()
         return {
@@ -476,6 +486,7 @@ class PebblingService:
             "in_flight": len(self._inflight),
             "workers": self.workers,
             "max_queue": self.max_queue,
+            "engine": dict(self._engine),
             "stats": self.stats.as_dict(),
             "metrics": _metrics.snapshot(),
         }

@@ -1,8 +1,9 @@
 """Backend threading through the pebbling engine.
 
-Verdict/step parity across the native, DPLL and stub-external backends on
-small instances, producer metadata on results, and the fail-fast
-validation that replaced the silent solver-factory fallback.
+Verdict/step parity across the default engine (the C core when it loads),
+the Python engine, DPLL and the stub-external backend on small instances,
+producer metadata on results, and the fail-fast validation that replaced
+the silent solver-factory fallback.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ from repro.errors import PebblingError, SolverError
 from repro.pebbling import EncodingOptions, PebblingOutcome, ReversiblePebblingSolver
 from repro.pebbling.search import GeometricRefine, LinearSearch
 from repro.pebbling.solver import pebble_dag
+from repro.sat.backend import resolve_backend
 from repro.workloads import load_workload
 from tests.external_stub_solver import stub_backend_spec
 
 STUB_SPEC = stub_backend_spec()
 
-ALL_BACKENDS = ["cdcl", "dpll", STUB_SPEC]
+ALL_BACKENDS = ["cdcl", "cdcl:native=0", "dpll", STUB_SPEC]
 
 
 class TestBackendSelection:
@@ -51,7 +53,7 @@ class TestBackendSelection:
             options=EncodingOptions(backend="dpll"),
             backend="cdcl",
         )
-        assert solver.backend == "cdcl"
+        assert solver.backend == resolve_backend("cdcl")
 
     def test_options_backend_must_be_string(self):
         from repro.sat.solver import CdclSolver
@@ -68,7 +70,7 @@ class TestBackendParity:
         ).solve(4, time_limit=120)
         assert result.outcome is PebblingOutcome.SOLUTION
         assert result.num_steps == 6
-        assert result.backend == backend
+        assert result.backend == resolve_backend(backend)
 
     def test_fig2_structurally_infeasible_budget(self, backend):
         result = ReversiblePebblingSolver(
@@ -122,9 +124,9 @@ class TestAttemptCounters:
             assert set(record.solver_stats) == {"solve_time"}
 
     def test_cdcl_reports_full_counter_set(self):
-        result = ReversiblePebblingSolver(load_workload("fig2")).solve(
-            4, time_limit=120
-        )
+        result = ReversiblePebblingSolver(
+            load_workload("fig2"), backend="cdcl:native=0"
+        ).solve(4, time_limit=120)
         for record in result.attempts:
             assert "blocker_hits" in record.solver_stats
 

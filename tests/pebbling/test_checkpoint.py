@@ -33,8 +33,10 @@ class TestResultPartials:
 
     @pytest.mark.parametrize("schedule", ["linear", "geometric", "geometric-refine"])
     def test_timeout_carries_a_checkpoint(self, and9_dag, schedule):
-        result = ReversiblePebblingSolver(and9_dag).solve(
-            4, strategy=schedule, time_limit=0.05
+        # A per-call conflict budget stops the search part-way on any
+        # engine and any host; a short time limit would not stop the C core.
+        result = ReversiblePebblingSolver(and9_dag, conflict_limit=20).solve(
+            4, strategy=schedule, time_limit=60
         )
         assert result.outcome is PebblingOutcome.TIMEOUT
         assert result.partial is not None
@@ -47,9 +49,11 @@ class TestResultPartials:
     def test_refuted_bounds_are_sound(self, and9_dag):
         # and9 with 4 pebbles is infeasible: every refuted bound the
         # checkpoint claims must be below the bound the search would try
-        # next, and no SAT witness may be reported.
-        result = ReversiblePebblingSolver(and9_dag).solve(
-            4, strategy="linear", time_limit=0.3
+        # next, and no SAT witness may be reported.  A per-call conflict
+        # budget stops the sweep part-way on any engine and any host (the
+        # C core finishes the whole sweep inside a 0.3 s time limit).
+        result = ReversiblePebblingSolver(and9_dag, conflict_limit=20).solve(
+            4, strategy="linear", time_limit=60
         )
         assert result.outcome is PebblingOutcome.TIMEOUT
         checkpoint = result.partial["checkpoint"]
@@ -75,8 +79,8 @@ class TestPartialSerialisation:
         assert result.to_json()["schema"] == 3
 
     def test_partial_round_trips_through_json(self, and9_dag):
-        result = ReversiblePebblingSolver(and9_dag).solve(
-            4, strategy="linear", time_limit=0.05
+        result = ReversiblePebblingSolver(and9_dag, conflict_limit=20).solve(
+            4, strategy="linear", time_limit=60
         )
         assert result.partial is not None
         restored = PebblingResult.from_json(result.to_json(), and9_dag)

@@ -25,6 +25,7 @@ from repro.sat.backend import (
     create_backend,
     describe_backends,
     require_backend,
+    resolve_backend,
     split_backend_spec,
 )
 from repro.sat.cnf import Cnf
@@ -98,7 +99,8 @@ class TestCdclSpec:
         assert spec.var_decay == 0.9
         assert spec.seed == 7
         rendered = spec.render()
-        assert rendered == "cdcl:restart_base=200,seed=7,var_decay=0.9"
+        # var_decay tunes only the Python engine, so the spec selects it.
+        assert rendered == "cdcl:restart_base=200,seed=7,var_decay=0.9,native=0"
         name, argument = split_backend_spec(rendered)
         assert name == "cdcl"
         assert CdclSpec.parse(argument) == spec
@@ -106,7 +108,7 @@ class TestCdclSpec:
     def test_profile_flag(self):
         assert CdclSpec.parse("profile=1").profile is True
         assert CdclSpec.parse("profile=0").profile is False
-        assert CdclSpec.parse("profile=1").render() == "cdcl:profile=1"
+        assert CdclSpec.parse("profile=1").render() == "cdcl:profile=1,native=0"
         with pytest.raises(SolverError, match="profile wants 0 or 1"):
             CdclSpec.parse("profile=2")
 
@@ -158,7 +160,7 @@ def _load_simple(backend: IncrementalSatBackend) -> None:
     backend.add_clause([-2, 3])
 
 
-@pytest.mark.parametrize("spec", ["cdcl", "dpll", STUB_SPEC])
+@pytest.mark.parametrize("spec", ["cdcl", "cdcl:native=0", "dpll", STUB_SPEC])
 class TestProtocolConformance:
     def test_solve_and_model(self, spec):
         backend = create_backend(spec)
@@ -207,8 +209,10 @@ class TestProtocolConformance:
         backend.solve()
         counters = backend.counters()
         assert "solve_time" in counters
-        if spec != "cdcl":
-            assert "blocker_hits" not in counters
+        # Only the Python engine tracks watcher blockers.
+        assert ("blocker_hits" in counters) == (
+            resolve_backend(spec) == "cdcl:native=0"
+        )
 
 
 class TestDpllCores:

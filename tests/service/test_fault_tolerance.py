@@ -131,7 +131,7 @@ class TestHealthAndRetries:
         health = _drive(scenario())
         assert set(health) == {
             "queue_depth", "in_flight", "workers", "max_queue",
-            "stats", "metrics",
+            "engine", "stats", "metrics",
         }
         assert health["queue_depth"] == 0
         assert health["in_flight"] == 0
