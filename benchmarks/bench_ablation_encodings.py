@@ -41,7 +41,7 @@ def _solve_time(dag, budget, *, encoding, incremental, schedule):
     options = EncodingOptions(cardinality=encoding)
     solver = ReversiblePebblingSolver(dag, options=options, incremental=incremental)
     started = time.monotonic()
-    result = solver.solve(budget, time_limit=90, step_schedule=schedule)
+    result = solver.solve(budget, time_limit=90, strategy=schedule)
     elapsed = time.monotonic() - started
     return result, elapsed
 

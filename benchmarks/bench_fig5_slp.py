@@ -35,7 +35,7 @@ def test_fig5_budget_sweep(benchmark, record):
         results = {}
         for budget in BUDGETS:
             outcome = pebble_dag(
-                dag, budget, time_limit=TIME_LIMIT_PER_BUDGET, step_schedule="geometric"
+                dag, budget, time_limit=TIME_LIMIT_PER_BUDGET, strategy="geometric"
             )
             if outcome.found:
                 results[budget] = outcome.strategy.remove_redundant_moves()

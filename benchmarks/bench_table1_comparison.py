@@ -56,7 +56,7 @@ def _run_row(name: str, scale: float) -> Row:
     solver = ReversiblePebblingSolver(dag)
     best, attempts = solver.minimize_pebbles(
         timeout_per_budget=TIMEOUT_PER_BUDGET,
-        step_schedule="geometric",
+        strategy="geometric",
         stop_after_failures=1,
     )
     runtime = sum(result.runtime for result in attempts)

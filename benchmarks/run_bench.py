@@ -3,11 +3,12 @@
 Runs a fixed instance set — the paper's Fig. 3/4 example DAG, SLP-derived
 sweeps, ISCAS/bench-style circuits from :mod:`repro.logic`, and a pair of
 pure-CNF stress instances — once with the frozen pre-overhaul engine
-(:mod:`benchmarks.legacy_solver`) and once with the current
-:class:`repro.sat.solver.CdclSolver`, through the *same* pebbling search
-loops.  It checks that SAT/UNSAT verdicts and pebbling step counts are
-identical on every instance and reports per-instance plus geometric-mean
-wall-clock speedups.
+(:mod:`benchmarks.legacy_solver`, registered as the ``legacy`` backend
+while the engine scenario runs) and once with the current Python engine
+(``cdcl:native=0``), through the *same* pebbling search loop.  It checks
+that SAT/UNSAT verdicts and pebbling step counts are identical on every
+instance and reports per-instance plus geometric-mean wall-clock
+speedups.
 
 Results are written to ``BENCH_<n>.json`` in the repository root (the next
 free ``n``), so every future PR has a perf trajectory to compare against;
@@ -106,6 +107,7 @@ for entry in (str(ROOT / "src"), str(ROOT / "benchmarks")):
 from legacy_solver import LegacyCdclSolver  # noqa: E402
 
 from repro.circuits.pipeline import compile_workload  # noqa: E402
+from repro.errors import SolverError  # noqa: E402
 from repro.pebbling.encoding import EncodingOptions  # noqa: E402
 from repro.pebbling.portfolio import (  # noqa: E402
     PortfolioHealth,
@@ -114,10 +116,9 @@ from repro.pebbling.portfolio import (  # noqa: E402
     tasks_from_suite,
 )
 from repro.pebbling.solver import ReversiblePebblingSolver  # noqa: E402
-from repro.sat.backend import create_backend  # noqa: E402
+from repro.sat.backend import create_backend, register_backend  # noqa: E402
 from repro.sat.cnf import Cnf  # noqa: E402
 from repro.sat.instances import pigeonhole, random_3sat  # noqa: E402
-from repro.sat.solver import CdclSolver  # noqa: E402
 from repro.pebbling.search import GeometricRefine  # noqa: E402
 from repro.store import ResultStore  # noqa: E402
 from repro.workloads import load_workload  # noqa: E402
@@ -140,22 +141,70 @@ STUB_BACKEND_SPEC = (
 # ---------------------------------------------------------------------------
 # instance definitions
 # ---------------------------------------------------------------------------
+#: The engines the engine scenario compares, by backend spec.
+LEGACY_BACKEND = "legacy"
+CURRENT_BACKEND = "cdcl:native=0"
+
+
+class LegacyBackend(LegacyCdclSolver):
+    """The frozen engine plus the two backend calls it predates.
+
+    Its core is the whole assumption set of the last call (sound, never
+    faster than a real core); its counters are the last call's stats.
+    """
+
+    name = LEGACY_BACKEND
+
+    def solve(self, assumptions=(), **limits):
+        self._assumptions = list(assumptions)
+        return super().solve(assumptions, **limits)
+
+    def failed_assumptions(self) -> list[int]:
+        return list(self._assumptions)
+
+    def counters(self) -> dict[str, float]:
+        return self.stats.as_dict()
+
+
+def register_legacy_backend() -> None:
+    """Make the frozen engine a registry backend, named like any other."""
+
+    def make(argument: str | None, conflict_limit: int | None) -> LegacyBackend:
+        if argument is not None:
+            raise SolverError(f"the legacy backend takes no argument, got {argument!r}")
+        return LegacyBackend(conflict_limit=conflict_limit)
+
+    register_backend(
+        LEGACY_BACKEND,
+        make,
+        description="frozen pre-overhaul CDCL engine (bench baseline)",
+    )
+
+
 @dataclass
 class Instance:
-    """One benchmark instance: a callable exercised under both engines."""
+    """One benchmark instance: a callable exercised under both engines.
+
+    ``run(spec, calls)`` solves the instance on the backend ``spec`` and,
+    given a ``calls`` list, appends the counters of every SAT call to it.
+    """
 
     name: str
     kind: str  # "pebbling" or "cnf"
     quick: bool  # part of the --quick smoke subset
-    run: Callable[[type], dict[str, object]] = field(repr=False, default=None)  # type: ignore[assignment]
+    run: Callable[..., dict[str, object]] = field(repr=False, default=None)  # type: ignore[assignment]
 
 
-def _cnf_instance(build: Callable[[], Cnf]) -> Callable[[type], dict[str, object]]:
-    def run(engine: type) -> dict[str, object]:
+def _cnf_instance(build: Callable[[], Cnf]) -> Callable[..., dict[str, object]]:
+    def run(spec: str, calls: list | None = None) -> dict[str, object]:
         cnf = build()
         started = time.perf_counter()
-        result = engine(cnf).solve()
+        backend = create_backend(spec)
+        backend.add_cnf(cnf)
+        result = backend.solve()
         elapsed = time.perf_counter() - started
+        if calls is not None:
+            calls.append(backend.counters())
         return {
             "seconds": elapsed,
             "verdict": result.status.value,
@@ -174,17 +223,17 @@ def _pebbling_instance(
     scale: float = 1.0,
     single_move: bool = False,
     time_limit: float = 120.0,
-    step_schedule: str = "linear",
-) -> Callable[[type], dict[str, object]]:
-    def run(engine: type) -> dict[str, object]:
+    schedule: str = "linear",
+) -> Callable[..., dict[str, object]]:
+    def run(spec: str, calls: list | None = None) -> dict[str, object]:
         dag = load_workload(workload, scale=scale)
         options = EncodingOptions(max_moves_per_step=1 if single_move else None)
-        solver = ReversiblePebblingSolver(dag, options=options, solver_factory=engine)
+        solver = ReversiblePebblingSolver(dag, options=options, backend=spec)
         started = time.perf_counter()
-        result = solver.solve(
-            pebbles, time_limit=time_limit, step_schedule=step_schedule
-        )
+        result = solver.solve(pebbles, time_limit=time_limit, strategy=schedule)
         elapsed = time.perf_counter() - started
+        if calls is not None:
+            calls.extend(record.solver_stats for record in result.attempts)
         return {
             "seconds": elapsed,
             "verdict": result.outcome.value,
@@ -550,29 +599,25 @@ SIMPLIFY_CASES: list[tuple[str, str, int, bool, "int | None", bool]] = [
 #: long enough that root-level inprocessing fires.  Pigeonhole is the
 #: BVE/vivification showcase (dense symmetric clauses, conflict-analysis
 #: heavy); random 3-SAT near the phase transition exercises chronological
-#: backtracking and the rephasing lane on an unstructured formula.
+#: backtracking on an unstructured formula.
 SIMPLIFY_CNF_CASES: list[tuple[str, Callable[[], Cnf], bool]] = [
     ("php_8_7", lambda: pigeonhole(8, 7), False),
     ("rand3sat_v130", lambda: random_3sat(130, 598, seed=13), False),
 ]
 
 #: Ablation lanes: the Python engine (every technique at its shipped
-#: setting) against one technique disabled at a time, plus the rephasing
-#: schedule that measured out negative on this suite (kept visible in the
-#: report precisely because it is *not* in the defaults; see
-#: EXPERIMENTS.md).
+#: setting) against one technique disabled at a time.
 SIMPLIFY_CONFIGS: list[tuple[str, str]] = [
     ("full", "cdcl:native=0"),
     ("no_bve", "cdcl:bve=0"),
     ("no_vivify", "cdcl:vivify=0"),
     ("no_chrono", "cdcl:chrono=0"),
-    ("rephase", "cdcl:rephase=2048"),
 ]
 
 #: Technique counters folded into each simplify row.
 SIMPLIFY_COUNTERS = (
     "eliminated_variables", "restored_variables", "bve_resolvents",
-    "vivified_clauses", "chrono_backtracks", "rephases",
+    "vivified_clauses", "chrono_backtracks",
 )
 
 
@@ -916,7 +961,7 @@ def run_chaos_bench(*, quick: bool = False) -> dict[str, object]:
 # ---------------------------------------------------------------------------
 # profile scenario: per-phase time splits on the current engine (schema v7)
 # ---------------------------------------------------------------------------
-#: The per-phase timers maintained by :class:`CdclSolver` in profile mode
+#: The per-phase timers the Python engine keeps in profile mode
 #: (``bve`` and ``vivify`` are sub-slices of ``inprocess``).
 PROFILE_PHASES = ("propagate", "analyze", "reduce", "inprocess", "bve", "vivify")
 
@@ -932,38 +977,11 @@ PROFILE_COUNTERS = (
     "subsumed_clauses", "strengthened_clauses", "root_simplified",
     "inprocessings",
     "eliminated_variables", "restored_variables", "bve_resolvents",
-    "vivified_clauses", "chrono_backtracks", "rephases",
+    "vivified_clauses", "chrono_backtracks",
 )
 
-
-def _profiled_engine() -> tuple[type, dict[str, float]]:
-    """A ``CdclSolver`` subclass that folds per-solve stats into one dict.
-
-    The pebbling searches build many solvers (one per step frame) and the
-    solver resets its stats on every ``solve`` call, so the accumulator
-    hooks the call itself: whatever the search loops do, every phase timer
-    and counter of every SAT call of the instance ends up in ``totals``.
-    """
-    totals: dict[str, float] = {phase: 0.0 for phase in PROFILE_PHASES}
-    totals.update({counter: 0 for counter in PROFILE_COUNTERS})
-    totals["solve_calls"] = 0
-
-    class ProfiledCdclSolver(CdclSolver):
-        def __init__(self, *args, **kwargs):
-            kwargs.setdefault("profile", True)
-            super().__init__(*args, **kwargs)
-
-        def solve(self, *args, **kwargs):
-            result = super().solve(*args, **kwargs)
-            stats = result.stats
-            totals["solve_calls"] += 1
-            for counter in PROFILE_COUNTERS:
-                totals[counter] += getattr(stats, counter)
-            for phase, seconds in (stats.phase_times or {}).items():
-                totals[phase] += seconds
-            return result
-
-    return ProfiledCdclSolver, totals
+#: The Python engine with its phase timers on.
+PROFILE_BACKEND = "cdcl:profile=1"
 
 
 def run_profile_bench(*, quick: bool = False) -> dict[str, object]:
@@ -982,10 +1000,17 @@ def run_profile_bench(*, quick: bool = False) -> dict[str, object]:
     rows: list[dict[str, object]] = []
     phases_present = True
     for instance in instances:
-        engine, totals = _profiled_engine()
+        calls: list[dict[str, float]] = []
         started = time.perf_counter()
-        outcome = instance.run(engine)
+        outcome = instance.run(PROFILE_BACKEND, calls)
         elapsed = time.perf_counter() - started
+        # Every SAT call reports its own counters and phase timers (the
+        # timers flattened to ``time_<phase>``); the row sums them.
+        totals: dict[str, float] = {"solve_calls": len(calls)}
+        for counter in PROFILE_COUNTERS:
+            totals[counter] = sum(call.get(counter, 0) for call in calls)
+        for phase in PROFILE_PHASES:
+            totals[phase] = sum(call.get(f"time_{phase}", 0.0) for call in calls)
         timed = sum(totals[phase] for phase in PROFILE_TOP_PHASES)
         phases = {
             phase: {
@@ -1468,10 +1493,10 @@ def run_obs_bench(*, quick: bool = False, repeat: int = 1) -> dict[str, object]:
 # ---------------------------------------------------------------------------
 # harness
 # ---------------------------------------------------------------------------
-def _best_of(run: Callable[[type], dict[str, object]], engine: type, repeat: int) -> dict[str, object]:
+def _best_of(run: Callable[..., dict[str, object]], spec: str, repeat: int) -> dict[str, object]:
     best: dict[str, object] | None = None
     for _ in range(max(1, repeat)):
-        outcome = run(engine)
+        outcome = run(spec)
         if best is None or outcome["seconds"] < best["seconds"]:
             best = outcome
     assert best is not None
@@ -1499,6 +1524,7 @@ def run_engine_bench(
     Returns the per-instance rows, the geometric-mean speedup over the
     timer-reliable instances, and whether every verdict/step count matched.
     """
+    register_legacy_backend()
     instances = [
         instance for instance in instance_set() if instance.quick or not quick
     ]
@@ -1506,8 +1532,8 @@ def run_engine_bench(
     speedups: list[float] = []
     all_match = True
     for instance in instances:
-        legacy = _best_of(instance.run, LegacyCdclSolver, repeat)
-        current = _best_of(instance.run, CdclSolver, repeat)
+        legacy = _best_of(instance.run, LEGACY_BACKEND, repeat)
+        current = _best_of(instance.run, CURRENT_BACKEND, repeat)
         match = (
             legacy["verdict"] == current["verdict"]
             and legacy["steps"] == current["steps"]

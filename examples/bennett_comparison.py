@@ -34,7 +34,7 @@ def main(timeout: float) -> None:
         baseline = eager_bennett_strategy(dag)
         solver = ReversiblePebblingSolver(dag)
         best, _ = solver.minimize_pebbles(
-            timeout_per_budget=timeout, step_schedule="geometric", stop_after_failures=1
+            timeout_per_budget=timeout, strategy="geometric", stop_after_failures=1
         )
         if best is None or best.strategy is None:
             print(f"{name:9s}  {dag.num_nodes:5d}  {baseline.max_pebbles}/{baseline.num_moves}"

@@ -29,7 +29,7 @@ def main(budgets: list[int]) -> None:
           f"{baseline.num_moves} operations\n")
 
     for budget in budgets:
-        result = pebble_dag(dag, budget, time_limit=120, step_schedule="geometric")
+        result = pebble_dag(dag, budget, time_limit=120, strategy="geometric")
         if not result.found:
             print(f"{budget:3d} ancillae: no strategy found within the time budget "
                   f"({result.outcome.value})")

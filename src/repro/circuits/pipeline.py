@@ -43,6 +43,7 @@ from repro.circuits.simulator import simulate_circuit
 from repro.logic.network import LogicNetwork
 from repro.pebbling.encoding import EncodingOptions
 from repro.pebbling.portfolio import PortfolioTask, run_portfolio
+from repro.pebbling.search import strategy_from_name
 from repro.pebbling.solver import ReversiblePebblingSolver
 from repro.pebbling.strategy import (
     PebblingStrategy,
@@ -360,8 +361,7 @@ def compile_dag(
     solver = ReversiblePebblingSolver(dag, options=options, backend=backend)
     result = solver.solve(
         pebbles,
-        strategy=schedule,
-        step_increment=step_increment,
+        strategy=strategy_from_name(schedule, step_increment=step_increment),
         time_limit=time_limit,
         max_steps=max_steps,
         store=store,

@@ -94,7 +94,7 @@ from repro.pebbling import (
     run_portfolio,
     tasks_from_suite,
 )
-from repro.pebbling.search import STRATEGY_NAMES
+from repro.pebbling.search import STRATEGY_NAMES, strategy_from_name
 from repro.sat.backend import DEFAULT_BACKEND
 from repro.sat.cards import CardinalityEncoding
 from repro.sat.dimacs import write_dimacs
@@ -425,7 +425,6 @@ def _format_stats_line(attempts) -> str:
         "subsumed_clauses", "strengthened_clauses", "root_simplified",
         "inprocessings", "eliminated_variables", "restored_variables",
         "bve_resolvents", "vivified_clauses", "chrono_backtracks",
-        "rephases",
     ]
     parts = [f"{key}={int(totals[key])}" for key in ordered if key in totals]
     parts.extend(
@@ -820,8 +819,9 @@ def _dispatch(arguments: argparse.Namespace) -> int:
             result = solver.solve(
                 arguments.pebbles,
                 time_limit=arguments.timeout,
-                step_schedule=arguments.schedule,
-                step_increment=arguments.step_increment,
+                strategy=strategy_from_name(
+                    arguments.schedule, step_increment=arguments.step_increment
+                ),
                 store=store,
                 cubes=arguments.cubes if arguments.cubes > 1 else None,
                 cube_jobs=arguments.jobs,
@@ -867,8 +867,9 @@ def _dispatch(arguments: argparse.Namespace) -> int:
         )
         best, attempts = solver.minimize_pebbles(
             timeout_per_budget=arguments.timeout,
-            step_schedule=arguments.schedule,
-            step_increment=arguments.step_increment,
+            strategy=strategy_from_name(
+                arguments.schedule, step_increment=arguments.step_increment
+            ),
         )
         print(f"nodes                 : {dag.num_nodes}")
         print(f"bennett pebbles/moves : {eager.max_pebbles} / {eager.num_moves}")

@@ -7,8 +7,8 @@ a scratch directory whose *existence* is the flag.  Creating a file is
 atomic on every platform we run on, ``os.path.exists`` is a single cheap
 ``stat`` call, and the token pickles into pool workers as a plain string.
 
-Lanes poll the token between SAT calls (see
-``ReversiblePebblingSolver._solve_incremental``) and between retry
+Lanes poll the token between SAT calls and while a time-sliced call waits
+(see ``ReversiblePebblingSolver._query_loop``), and between retry
 attempts (``portfolio._execute_task``); once the first lane completes —
 or the cube layer certifies a global minimum — the winner cancels the
 token and every sibling stops at its next check instead of running to
@@ -19,6 +19,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+
+#: First time slice of a SAT query issued under a cancellation token;
+#: slices double on every retry, so non-resumable backends waste at most
+#: one final slice of rework while the lane keeps reacting to its
+#: siblings mid-query.
+POLL_SLICE = 0.5
 
 
 @dataclass(frozen=True)

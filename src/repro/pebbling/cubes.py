@@ -18,6 +18,12 @@ learn:
   certified SAT bounds mid-flight; search cursors poll it between SAT
   calls via :meth:`~repro.pebbling.search.SearchCursor.observe` and skip
   work another lane already killed;
+* :class:`CubeLane` is one lane's half of the board protocol, plugged
+  into the solver's single Problem-1 loop: it pins the cube's literals,
+  folds board facts into the cursor, publishes every verdict (promoting
+  refutations that never used the cube to the global row), closes a
+  contradictory cube, and cancels the siblings once the minimum is
+  pinned;
 * :func:`run_cube_search` orchestrates the lanes, watches the board, and
   raises the shared :class:`~repro.pebbling.cancel.CancellationToken`
   the moment some lane's witness plus the pooled refutations *certify*
@@ -56,13 +62,13 @@ from repro.dag.graph import Dag
 from repro.errors import PebblingError
 from repro.obs import metrics as _metrics
 from repro.obs import trace as obs_trace
-from repro.pebbling.cancel import CancellationToken, resolve_token
+from repro.pebbling.cancel import POLL_SLICE, CancellationToken, resolve_token
 from repro.pebbling.encoding import EncodingOptions
 from repro.pebbling.search import (
     LinearSearch,
+    SearchCursor,
     SearchStrategy,
     StripedClimb,
-    resolve_search_strategy,
 )
 
 #: Bump when the board's schema or aggregation semantics change; a board
@@ -515,6 +521,134 @@ def instance_key(dag: Dag, options: EncodingOptions, budget: int) -> str:
 
 
 # ---------------------------------------------------------------------------
+# one lane inside the Problem-1 loop
+# ---------------------------------------------------------------------------
+class CubeLane:
+    """One cube lane's side of the board protocol, driven by the search loop.
+
+    The solver's Problem-1 loop consults a lane at three points: before
+    each query and while a time-sliced query waits (:meth:`observe`), and
+    after each verdict (:meth:`witnessed`, :meth:`refuted`).  Before the
+    first query :meth:`pin` fixes the cube's early-frame pebble variables
+    as assumptions of every query.  ``hits`` counts the bounds a sibling's
+    board facts settled for this lane.
+    """
+
+    def __init__(
+        self,
+        cube: Cube,
+        channel: BoardChannel,
+        token: CancellationToken,
+        max_steps: int,
+    ) -> None:
+        self.cube = cube
+        self.channel = channel
+        self.token = token
+        self.max_steps = max_steps
+        self.literals: list[int] = []
+        self.hits = 0
+
+    def pin(self, oracle) -> None:
+        """Assume the cube's literals ahead of the guard ladder in every query."""
+        if not self.cube.assignments:
+            return
+        oracle.encoder.extend_to(max(step for _, step, _ in self.cube.assignments))
+        self.literals = [
+            oracle.encoder.variable(node, step) * (1 if value else -1)
+            for node, step, value in self.cube.assignments
+        ]
+        oracle.pinned = self.literals
+
+    def observe(self, cursor: SearchCursor, bound: int) -> int | None:
+        """Fold the board's facts into ``cursor``; return the bound to probe."""
+        view = self.channel.poll()
+        if view.empty:
+            return bound
+        observed = cursor.observe(refuted=view.refuted, known_sat=view.known_sat)
+        if observed != bound:
+            # A sibling lane killed (or answered) this bound; observe() is
+            # idempotent, so one skip per fact.
+            self.hits += 1
+            obs_trace.event("board.hit", bound=bound, observed=observed)
+        return observed
+
+    def witnessed(self, steps: int) -> None:
+        """Publish this lane's best witness; cancel the siblings once pinned."""
+        # A witness under cube assumptions is a witness for the whole
+        # instance (the cube only *restricts* it).
+        self.channel.publish_sat(steps)
+        view = self.channel.poll()
+        if (
+            view.known_sat is not None
+            and view.refuted is not None
+            and view.refuted >= view.known_sat - 1
+        ):
+            # Pooled refutations meet the shared witness: the global
+            # minimum is pinned, stop every sibling lane still probing.
+            self.token.cancel()
+
+    def refuted(
+        self,
+        oracle,
+        refuted: int,
+        core: list[int] | None,
+        *,
+        elapsed: float,
+        remaining: float | None,
+    ) -> tuple[bool, dict[int, bool] | None]:
+        """Publish an UNSAT verdict through ``refuted``; say whether the lane ends.
+
+        Returns ``(closed, model)``.  A lane closes when its cube is
+        contradictory at every bound, or when the cube-free recheck of
+        ``refuted`` is satisfiable — then ``model`` witnesses ``refuted``
+        steps for the whole instance, and with this lane's cube refuted
+        through that bound nothing is left for it to probe.
+        """
+        # Until the core proves otherwise, a cube lane's refutation is
+        # only valid under its cube assumptions.
+        used_cube = bool(self.literals)
+        if core is not None and self.literals:
+            pinned = set(self.literals)
+            used_cube = any(literal in pinned for literal in core)
+            if core and all(literal in pinned for literal in core):
+                # The refutation used no final-configuration guard: the cube
+                # itself is contradictory at every bound.  Close the lane for
+                # its whole range so the board's min-over-cubes aggregation
+                # never waits on it.
+                self.channel.publish_refuted(self.max_steps)
+                return True, None
+        if used_cube:
+            # The core leaned on the cube, but the refutation is often
+            # cube-free anyway: re-ask the same bound without the cube
+            # literals.  The incremental engine answers from its learned
+            # clauses (measured at milliseconds), and the slice cap bounds
+            # the rare unlucky recheck.  UNSAT promotes the bound to the
+            # instance-global row; SAT hands this lane a witness for the
+            # whole instance that its own cube excludes.
+            limit = max(POLL_SLICE, 0.5 * elapsed)
+            if remaining is not None:
+                limit = min(limit, remaining)
+            if limit > 0:
+                recheck = oracle.backend.solve(
+                    [oracle.guard(refuted)],
+                    time_limit=limit,
+                    conflict_limit=oracle.conflict_limit,
+                )
+                if recheck.is_sat:
+                    self.channel.publish_refuted(refuted)
+                    return True, recheck.model
+                if not recheck.is_unknown:
+                    used_cube = False
+        # Valid under this lane's assumptions; the channel routes it to the
+        # per-cube row — or straight to the global row when the refutation
+        # used no cube literal (the proof never touched the split, so it
+        # holds for the unsplit instance and every sibling can skip the
+        # bound instead of re-proving it).
+        self.channel.publish_refuted(refuted, assumption_free=not used_cube)
+        return False, None
+
+
+# ---------------------------------------------------------------------------
 # lane execution and the merged search
 # ---------------------------------------------------------------------------
 def _cube_lane_worker(payload: dict) -> tuple:
@@ -535,16 +669,18 @@ def _cube_lane_worker(payload: dict) -> tuple:
                     conflict_limit=payload["conflict_limit"],
                     backend=payload["backend"],
                 )
-                result = solver.solve(
+                token = CancellationToken(payload["cancel_path"])
+                result = solver._search(
                     payload["budget"],
-                    strategy=payload["search"],
+                    payload["search"],
                     initial_steps=payload["initial_steps"],
                     max_steps=payload["max_steps"],
                     time_limit=payload["time_limit"],
                     step_floor=payload["step_floor"],
-                    cube=payload["cube"],
-                    board=payload["channel"],
-                    cancel=payload["cancel_path"],
+                    cancel=token,
+                    lane=CubeLane(
+                        payload["cube"], payload["channel"], token, payload["max_steps"]
+                    ),
                 )
                 lane_span.set(
                     outcome=result.outcome.value,
@@ -652,10 +788,10 @@ def run_cube_search(
 
     ``solver`` is a configured
     :class:`~repro.pebbling.solver.ReversiblePebblingSolver`; each lane
-    rebuilds an identical one in its worker process (registry backend
-    specs pickle, raw solver factories do not and are rejected).  The
-    merged :class:`~repro.pebbling.solver.PebblingResult` reports the
-    best witness across lanes; its ``minimal`` flag is set from the
+    rebuilds an identical one in its worker process from its picklable
+    backend spec.  The merged
+    :class:`~repro.pebbling.solver.PebblingResult` reports the best
+    witness across lanes; its ``minimal`` flag is set from the
     *board certificate* — some lane witnessed ``K`` and the pooled
     refutations cover every bound below ``K`` — which is exactly the
     condition under which the first winner cancels the remaining lanes.
@@ -667,10 +803,7 @@ def run_cube_search(
     inline in publication order, still through the shared board and
     token, which keeps cube runs reproducible in tests.
     """
-    from repro.pebbling.solver import (
-        PebblingOutcome,
-        PebblingResult,
-    )
+    from repro.pebbling.solver import PebblingOutcome
 
     if not solver.incremental:
         raise PebblingError(
@@ -678,40 +811,20 @@ def run_cube_search(
             "assumptions ride the final-guard ladder); incremental=False "
             "is only kept for the ablation benchmark"
         )
-    if solver.solver_factory is not None:
-        raise PebblingError(
-            "cube lanes rebuild their solver from the registry backend "
-            "spec; raw solver factories do not cross process boundaries"
-        )
     if jobs < 1:
         raise PebblingError("jobs must be >= 1")
-    search = resolve_search_strategy(search)
-    if search.needs_monotone_steps and solver.options.forbid_idle_steps:
-        raise PebblingError(
-            f"the {search.name!r} schedule requires idle steps to be allowed"
-        )
+    search = solver._schedule(search)
     started = time.monotonic()
-    if max_pebbles < solver.minimum_pebbles_lower_bound():
-        result = PebblingResult(
-            solver.dag.name,
-            max_pebbles,
-            PebblingOutcome.INFEASIBLE,
-            weighted=solver.options.weighted,
-            backend=solver.backend,
-        )
-        result.complete = True
-        result.runtime = time.monotonic() - started
-        return result
-    if max_steps is None:
-        max_steps = max(16, 4 * solver.dag.num_nodes * solver.dag.num_nodes)
-    floor = solver.default_initial_steps(max_pebbles=max_pebbles)
-    if step_floor is not None:
-        floor = max(floor, step_floor)
-    initial = initial_steps or floor
-    if isinstance(cubes, CubeSet):
-        cube_set = cubes
-    else:
-        cube_set = generate_cubes(
+    steps = solver._step_range(
+        max_pebbles,
+        initial_steps=initial_steps,
+        max_steps=max_steps,
+        step_floor=step_floor,
+    )
+    cube_set = None
+    if steps is not None:
+        floor, initial, max_steps = steps
+        cube_set = cubes if isinstance(cubes, CubeSet) else generate_cubes(
             solver.dag,
             int(cubes),
             options=solver.options,
@@ -719,11 +832,12 @@ def run_cube_search(
             floor=floor,
             ceiling=max_steps,
         )
-    if len(cube_set) <= 1:
-        # Degenerate split (tiny DAG, count 1): nothing to race.
-        return solver.solve(
+    if cube_set is None or len(cube_set) <= 1:
+        # An infeasible budget or a degenerate split (tiny DAG, count 1):
+        # nothing to race.
+        return solver._search(
             max_pebbles,
-            strategy=search,
+            search,
             initial_steps=initial_steps,
             max_steps=max_steps,
             time_limit=time_limit,
@@ -904,13 +1018,10 @@ def run_cube_search(
         outcome = PebblingOutcome.CANCELLED
     else:
         outcome = PebblingOutcome.TIMEOUT
-    merged = PebblingResult(
-        solver.dag.name,
+    merged = solver._result(
         max_pebbles,
         outcome,
         strategy=winner.strategy if winner is not None else None,
-        weighted=solver.options.weighted,
-        backend=solver.backend,
     )
     for result in ok_lanes:
         merged.attempts.extend(result.attempts)

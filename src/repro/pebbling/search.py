@@ -581,7 +581,7 @@ DEFAULT_CORE_LOOKAHEAD = 4
 
 
 def strategy_from_name(name: str, *, step_increment: int | None = None) -> SearchStrategy:
-    """Build a strategy from its CLI/legacy name.
+    """Build a strategy from its CLI name.
 
     ``step_increment`` only makes sense for the linear schedule; passing it
     with any other name raises, instead of the historical behaviour of
@@ -606,34 +606,19 @@ def strategy_from_name(name: str, *, step_increment: int | None = None) -> Searc
     if name == "core-refine":
         return GeometricRefine(core_guided=True, core_lookahead=DEFAULT_CORE_LOOKAHEAD)
     raise PebblingError(
-        f"step_schedule must be one of {', '.join(map(repr, STRATEGY_NAMES))}"
+        f"strategy must be one of {', '.join(map(repr, STRATEGY_NAMES))}"
     )
 
 
 def resolve_search_strategy(
     strategy: SearchStrategy | str | None = None,
-    *,
-    step_schedule: str | None = None,
-    step_increment: int | None = None,
 ) -> SearchStrategy:
-    """Resolve the solver's search-schedule arguments to one strategy object.
+    """The strategy object behind the solver's ``strategy=`` argument.
 
-    Exactly one of ``strategy`` (an object or a name) and the legacy
-    ``step_schedule`` string may be given; combining them, or combining a
-    non-linear schedule with ``step_increment``, raises
-    :class:`~repro.errors.PebblingError` — validation lives here, once,
-    instead of being duplicated across the solver's search loops.
+    A :class:`SearchStrategy` passes through, a name goes through
+    :func:`strategy_from_name`, and ``None`` means the paper's linear
+    schedule.
     """
-    if strategy is not None and step_schedule is not None:
-        raise PebblingError("pass either strategy= or step_schedule=, not both")
     if isinstance(strategy, SearchStrategy):
-        if step_increment is not None:
-            raise PebblingError(
-                "step_increment cannot be combined with a SearchStrategy object; "
-                "configure the strategy instead"
-            )
         return strategy
-    name = strategy if isinstance(strategy, str) else step_schedule
-    if name is None:
-        name = "linear"
-    return strategy_from_name(name, step_increment=step_increment)
+    return strategy_from_name(strategy or "linear")

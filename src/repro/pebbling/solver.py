@@ -1,8 +1,8 @@
-"""SAT-driven reversible pebbling (Problems 1 and 2 of the paper).
+"""SAT-driven reversible pebbling (Problem 1 of the paper and its Table I loop).
 
 :class:`ReversiblePebblingSolver` wraps the encoding of
-:mod:`repro.pebbling.encoding` with the two search loops used in the
-paper's evaluation:
+:mod:`repro.pebbling.encoding` with the search used in the paper's
+evaluation:
 
 * :meth:`ReversiblePebblingSolver.solve` — Problem 1: given a pebble budget
   ``P``, find a strategy with the minimum number of steps by asking the SAT
@@ -12,21 +12,25 @@ paper's evaluation:
   for Table I: find the smallest ``P`` for which a strategy can be found
   within a per-budget timeout.
 
-Both loops support the incremental mode, which keeps a single incremental
-SAT backend (any :class:`~repro.sat.backend.IncrementalSatBackend`, the
-C core by default when it loads) alive across step bounds: the clause
-frames come from one stateful :class:`~repro.pebbling.encoding.PebblingEncoder`
-(``extend_to`` emits only the new frames), the final-configuration
-constraint of each bound is guarded by an activation literal from
-``final_guard`` and selected with assumptions, so learned clauses are
-reused when moving between bounds.  Core-aware search strategies assume a
-*ladder* of bound guards per query and use the backend's failed-assumption
-core to skip provably-UNSAT bounds (see :mod:`repro.pebbling.search`).
-The non-incremental mode re-encodes from scratch for every ``K`` (the
-paper's plain approach) and is kept for the ablation benchmark.  How the
-step bound evolves between SAT calls is a pluggable
-:class:`~repro.pebbling.search.SearchStrategy`; which oracle answers is a
-pluggable, picklable backend spec (see :mod:`repro.sat.backend`).
+Problem 1 is one loop over a small *oracle* that answers "is there a
+strategy with this many steps?".  The *live* oracle (the default,
+``incremental=True``) keeps one incremental SAT backend (any
+:class:`~repro.sat.backend.IncrementalSatBackend`, the C core by default
+when it loads) alive across step bounds: the clause frames come from one
+stateful :class:`~repro.pebbling.encoding.PebblingEncoder` (``extend_to``
+emits only the new frames), the final-configuration constraint of each
+bound is guarded by an activation literal from ``final_guard`` and
+selected with assumptions, so learned clauses are reused when moving
+between bounds.  Core-aware search strategies assume a *ladder* of bound
+guards per query and use the backend's failed-assumption core to skip
+provably-UNSAT bounds (see :mod:`repro.pebbling.search`).  The *fresh*
+oracle (``incremental=False``) re-encodes from scratch for every ``K``
+(the paper's plain approach) and is kept for the ablation benchmark.
+How the step bound evolves between SAT calls is a pluggable
+:class:`~repro.pebbling.search.SearchStrategy`; which engine answers is a
+picklable backend spec from the registry (see :mod:`repro.sat.backend`).
+Cube-and-conquer lanes plug into the same loop through a lane object from
+:mod:`repro.pebbling.cubes`; a sequential search carries none of that.
 """
 
 from __future__ import annotations
@@ -34,14 +38,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 from repro.errors import PebblingError
 from repro.dag.graph import Dag
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.pebbling.bennett import eager_bennett_strategy
-from repro.pebbling.cancel import resolve_token
+from repro.pebbling.cancel import POLL_SLICE, resolve_token
 from repro.pebbling.encoding import (
     EncodingOptions,
     PebblingEncoder,
@@ -65,13 +68,7 @@ from repro.sat.backend import (
     require_backend,
     resolve_backend,
 )
-from repro.sat.solver import Status
-
-#: First time slice of a SAT query issued under a cancellation token or a
-#: shared bound board; slices double on every retry, so non-resumable
-#: backends waste at most one final slice of rework while the lane keeps
-#: reacting to siblings mid-query.
-_CANCEL_POLL_SLICE = 0.5
+from repro.sat.solver import SolveResult, Status
 
 
 class PebblingOutcome(Enum):
@@ -287,6 +284,165 @@ class PebblingResult:
         )
 
 
+class _FreshOracle:
+    """Answers each step bound from a fresh encoding and a fresh backend.
+
+    The paper's plain approach, kept for the ablation benchmark
+    (``incremental=False``): a query settles exactly its own bound, so a
+    core-guided ladder degrades to probing the ladder's lowest bound.
+    """
+
+    def __init__(self, owner: "ReversiblePebblingSolver", max_pebbles: int) -> None:
+        self._owner = owner
+        self._max_pebbles = max_pebbles
+        self._encoding = None
+        self.backend: IncrementalSatBackend | None = None
+
+    def pose(self, ladder: list[int]) -> list[int]:
+        """Encode the query for ``ladder``; return the bounds it settles."""
+        bound = ladder[0]
+        self._encoding = self._owner._encoder.encode(
+            max_pebbles=self._max_pebbles, num_steps=bound
+        )
+        self.backend = self._owner._make_solver(self._encoding.cnf)
+        return [bound]
+
+    def solve(self, time_limit: float | None) -> SolveResult:
+        return self.backend.solve(
+            time_limit=time_limit, conflict_limit=self._owner.conflict_limit
+        )
+
+    def core(self) -> list[int] | None:
+        return None
+
+    def refuted(self, bound: int, core: list[int] | None) -> int:
+        return bound
+
+    def retire(self, refuted: int) -> None:
+        pass
+
+    def decode(self, model: dict[int, bool], bound: int) -> list[set]:
+        return self._encoding.configurations_from_model(model)
+
+
+class _LiveOracle:
+    """One frame encoder feeding one incremental backend across all bounds.
+
+    ``extend_to`` emits the new frames, ``final_guard`` the per-bound
+    activation literal, and each query hands the backend exactly the
+    fresh clauses.  ``pinned`` literals (a cube lane's split, see
+    :mod:`repro.pebbling.cubes`) ride ahead of the guard ladder in every
+    query.
+    """
+
+    def __init__(self, owner: "ReversiblePebblingSolver", max_pebbles: int) -> None:
+        self.encoder = PebblingEncoder(
+            owner.dag, max_pebbles=max_pebbles, options=owner.options
+        )
+        self.backend = owner._make_solver()
+        self.conflict_limit = owner.conflict_limit
+        self.pinned: list[int] = []
+        self._guards: dict[int, int] = {}
+        self._bounds: dict[int, int] = {}
+        self._retired: set[int] = set()
+        self._assumptions: list[int] = []
+
+    def guard(self, bound: int) -> int:
+        """The activation literal of ``bound`` (already posed)."""
+        return self._guards[bound]
+
+    def pose(self, ladder: list[int]) -> list[int]:
+        """Encode ``ladder``'s frames and guards and hand them over."""
+        # Refinement queries below the encoded frontier are sound: the
+        # later frames stay satisfiable by freezing the final
+        # configuration (idle steps are always legal on this path —
+        # solve() rejects refining strategies under forbid_idle_steps).
+        self.encoder.extend_to(max(ladder))
+        for step in ladder:
+            if step not in self._guards:
+                guard = self.encoder.final_guard(step)
+                self._guards[step] = guard
+                self._bounds[guard] = step
+        # Highest bound first: the solver places assumptions in order, so
+        # the refutation tends to bind at the *loosest* infeasible guard
+        # it meets — and a core whose lowest bound is m > bound proves
+        # every bound <= m infeasible at once.  (Ascending order almost
+        # always binds at the probed bound itself, making the core
+        # information-free; measured in EXPERIMENTS.md.)
+        self._assumptions = self.pinned + [
+            self._guards[step] for step in sorted(ladder, reverse=True)
+        ]
+        # One batch per frame where the backend takes one (the C core: a
+        # single call instead of one per clause); the Python engine keeps
+        # its per-clause path.
+        fresh = [clause.literals for clause in self.encoder.drain_new_clauses()]
+        add_clauses = getattr(self.backend, "add_clauses", None)
+        if add_clauses is not None:
+            add_clauses(fresh)
+        else:
+            for literals in fresh:
+                self.backend.add_clause(literals)
+        # Pebble and guard variables are re-mentioned by every later frame
+        # and assumption ladder; backends with root-level variable
+        # elimination must never eliminate them.  The loop deliberately
+        # does NOT call backend.simplify() between bounds: explicit
+        # inter-bound passes measured a net slowdown on this suite — BVE
+        # trades the encoder's short structured clauses for fatter
+        # resolvents over the (frozen) pebble variables, and the per-bound
+        # queries are too short to amortise the swap (see EXPERIMENTS.md,
+        # schema v10).  The solver's own conflict-counted inprocessing
+        # trigger still fires on long queries, which is why the freeze
+        # discipline matters here.
+        freeze = getattr(self.backend, "freeze", None)
+        if freeze is not None:
+            fresh_variables = self.encoder.drain_new_named_variables()
+            if fresh_variables:
+                freeze(fresh_variables)
+        return ladder
+
+    def solve(self, time_limit: float | None) -> SolveResult:
+        return self.backend.solve(
+            self._assumptions,
+            time_limit=time_limit,
+            conflict_limit=self.conflict_limit,
+        )
+
+    def core(self) -> list[int] | None:
+        """The failed assumptions of an UNSAT answer (``None``: single guard)."""
+        if len(self._assumptions) <= 1:
+            return None
+        return self.backend.failed_assumptions()
+
+    def refuted(self, bound: int, core: list[int] | None) -> int:
+        """The largest bound an UNSAT answer refutes.
+
+        The lowest guard surviving in the core is a *harder* bound proven
+        infeasible, so by step monotonicity everything up to it is.  An
+        empty core means the frames alone are contradictory (impossible
+        for this encoding, but a backend bug must fail towards "only the
+        probed bound is refuted").
+        """
+        bounds = [
+            self._bounds[literal] for literal in core or () if literal in self._bounds
+        ]
+        return min(bounds) if bounds else bound
+
+    def retire(self, refuted: int) -> None:
+        """Assert the negation of every guard at or below ``refuted``.
+
+        Those guards will never be assumed again; as units they let the
+        solver simplify the stale final-configuration clauses away at level
+        0 instead of dragging them through every later propagation.
+        """
+        for step in sorted(self._guards):
+            if step <= refuted and step not in self._retired:
+                self.backend.add_clause([-self._guards[step]])
+                self._retired.add(step)
+
+    def decode(self, model: dict[int, bool], bound: int) -> list[set]:
+        return self.encoder.configurations_from_model(model, num_steps=bound)
+
+
 class ReversiblePebblingSolver:
     """Finds reversible pebbling strategies for one DAG via SAT."""
 
@@ -297,7 +453,6 @@ class ReversiblePebblingSolver:
         options: EncodingOptions | None = None,
         incremental: bool = True,
         conflict_limit: int | None = None,
-        solver_factory: Callable[..., IncrementalSatBackend] | None = None,
         backend: str | None = None,
     ) -> None:
         dag.validate()
@@ -305,58 +460,39 @@ class ReversiblePebblingSolver:
         self.options = options or EncodingOptions()
         self.incremental = incremental
         self.conflict_limit = conflict_limit
-        # Exactly one way to choose the oracle: a registry ``backend`` spec
-        # (picklable, the normal path — explicit argument wins over
-        # ``EncodingOptions.backend``), or a raw ``solver_factory`` callable
-        # accepting the ``CdclSolver`` constructor signature (the benchmark
-        # harness injects the frozen legacy engine here to measure
-        # engine-vs-engine speedups on identical searches).  A spec is
-        # resolved once, here, to the engine that will run (bare ``cdcl``
-        # becomes ``cdcl:native=1`` or ``cdcl:native=0``): every solver of
-        # the search, cube lanes included, builds from it and every result
+        # The oracle is named by a registry spec (picklable; an explicit
+        # argument wins over ``EncodingOptions.backend``), resolved once,
+        # here, to the engine that will run (bare ``cdcl`` becomes
+        # ``cdcl:native=1`` or ``cdcl:native=0``): every solver of the
+        # search, cube lanes included, builds from it and every result
         # records it.
-        if solver_factory is not None and (
-            backend is not None or self.options.backend is not None
-        ):
-            raise PebblingError(
-                "pass either solver_factory= or a backend spec "
-                "(backend= / EncodingOptions.backend), not both"
-            )
-        self.solver_factory = solver_factory
-        if solver_factory is not None:
-            factory_name = getattr(solver_factory, "__name__", "custom")
-            self.backend = f"factory:{factory_name}"
-        else:
-            self.backend = resolve_backend(require_backend(
-                backend or self.options.backend or DEFAULT_BACKEND
-            ))
+        self.backend = resolve_backend(require_backend(
+            backend or self.options.backend or DEFAULT_BACKEND
+        ))
         self._encoder = PebblingEncoder(dag, options=self.options)
 
     def _make_solver(self, cnf=None) -> IncrementalSatBackend:
-        """A fresh oracle for one search (optionally preloaded with a CNF)."""
-        if self.solver_factory is not None:
-            if cnf is not None:
-                return self.solver_factory(cnf, conflict_limit=self.conflict_limit)
-            return self.solver_factory(conflict_limit=self.conflict_limit)
+        """A fresh engine of the resolved spec, optionally preloaded with a CNF.
+
+        Every engine a search uses is built here.
+        """
         solver = create_backend(self.backend, conflict_limit=self.conflict_limit)
         if cnf is not None:
             solver.add_cnf(cnf)
         return solver
 
-    @staticmethod
-    def _reported_counters(solver, result) -> dict[str, float]:
-        """The counter dict a backend reports for one solve call.
-
-        Backends expose :meth:`~repro.sat.backend.IncrementalSatBackend.counters`
-        with exactly the statistics they track; raw factories (the frozen
-        legacy engine) fall back to the full CDCL counter dict.
-        """
-        counters = getattr(solver, "counters", None)
-        if counters is not None:
-            reported = counters()
-            if reported:
-                return dict(reported)
-        return result.stats.as_dict()
+    def _result(
+        self, max_pebbles: int, outcome: PebblingOutcome, **fields
+    ) -> PebblingResult:
+        """An empty result of this solver's game and engine."""
+        return PebblingResult(
+            self.dag.name,
+            max_pebbles,
+            outcome,
+            weighted=self.options.weighted,
+            backend=self.backend,
+            **fields,
+        )
 
     # ------------------------------------------------------------------
     # feasibility bounds
@@ -408,40 +544,57 @@ class ReversiblePebblingSolver:
             lower = stats.depth + (1 if stats.num_nodes > stats.num_outputs else 0)
         return max(1, lower)
 
-    # ------------------------------------------------------------------
-    # Problem 2: fixed number of steps
-    # ------------------------------------------------------------------
-    def solve_fixed(
+    def _schedule(self, strategy: SearchStrategy | str | None) -> SearchStrategy:
+        """Resolve ``strategy`` and check it suits this game."""
+        search = resolve_search_strategy(strategy)
+        if search.needs_monotone_steps and self.options.forbid_idle_steps:
+            # With idle steps forbidden, a K-step strategy cannot always be
+            # padded to K+1 steps, so step-satisfiability is not monotone in
+            # K (e.g. single-move strategies fix the parity of K): bracket
+            # refinement would certify wrong minima and core ladders would
+            # return wrong verdicts outright.
+            raise PebblingError(
+                f"the {search.name!r} schedule requires idle steps to be "
+                "allowed (forbid_idle_steps makes step-satisfiability "
+                "non-monotone); use the plain linear schedule instead"
+            )
+        return search
+
+    def _step_range(
         self,
-        *,
         max_pebbles: int,
-        num_steps: int,
-        time_limit: float | None = None,
-    ) -> tuple[Status, PebblingStrategy | None, AttemptRecord]:
-        """Ask the SAT oracle whether a ``num_steps``-step strategy exists."""
-        encoding = self._encoder.encode(max_pebbles=max_pebbles, num_steps=num_steps)
-        solver = self._make_solver(encoding.cnf)
-        started = time.monotonic()
-        result = solver.solve(time_limit=time_limit, conflict_limit=self.conflict_limit)
-        elapsed = time.monotonic() - started
-        record = AttemptRecord(
-            max_pebbles=max_pebbles,
-            num_steps=num_steps,
-            status=result.status,
-            runtime=elapsed,
-            conflicts=result.stats.conflicts,
-            solver_stats=self._reported_counters(solver, result),
-        )
-        if not result.is_sat:
-            return result.status, None, record
-        assert result.model is not None
-        configurations = encoding.configurations_from_model(result.model)
-        strategy = PebblingStrategy(
-            self.dag,
-            configurations,
-            max_moves_per_step=self.options.max_moves_per_step,
-        )
-        return result.status, strategy, record
+        *,
+        initial_steps: int | None = None,
+        max_steps: int | None = None,
+        step_floor: int | None = None,
+        warm=None,
+    ) -> tuple[int, int, int] | None:
+        """``(floor, initial, max_steps)`` of one search.
+
+        ``None`` when ``max_pebbles`` is below the structural minimum.
+        ``floor`` is the structural step floor raised by the trusted
+        ``step_floor`` and a warm start's certified floor; a warm start's
+        witness also caps ``max_steps``.
+        """
+        if max_pebbles < self.minimum_pebbles_lower_bound():
+            return None
+        if max_steps is None:
+            # 4 |V|^2 is far beyond any minimal strategy we can extract and
+            # only acts as a runaway guard.
+            max_steps = max(16, 4 * self.dag.num_nodes * self.dag.num_nodes)
+        floor = self.default_initial_steps(max_pebbles=max_pebbles)
+        if step_floor is not None:
+            floor = max(floor, step_floor)
+        if warm is not None:
+            if warm.step_floor is not None:
+                floor = max(floor, warm.step_floor)
+            if warm.step_ceiling is not None:
+                # A cached witness at this (or a tighter) budget proves
+                # ``step_ceiling`` transitions suffice, so the runaway guard
+                # can shrink to it — overshooting schedules then jump
+                # straight to a known-achievable bound.
+                max_steps = min(max_steps, max(warm.step_ceiling, floor))
+        return floor, initial_steps or floor, max_steps
 
     # ------------------------------------------------------------------
     # Problem 1: minimum steps for a pebble budget
@@ -451,8 +604,6 @@ class ReversiblePebblingSolver:
         max_pebbles: int,
         *,
         initial_steps: int | None = None,
-        step_increment: int | None = None,
-        step_schedule: str | None = None,
         strategy: SearchStrategy | str | None = None,
         max_steps: int | None = None,
         time_limit: float | None = None,
@@ -460,8 +611,6 @@ class ReversiblePebblingSolver:
         store=None,
         cubes=None,
         cube_jobs: int = 1,
-        cube=None,
-        board=None,
         cancel=None,
     ) -> PebblingResult:
         """Find a strategy with at most ``max_pebbles`` pebbles.
@@ -480,13 +629,11 @@ class ReversiblePebblingSolver:
         ``strategy`` selects how the step bound evolves — a
         :class:`~repro.pebbling.search.SearchStrategy` object or one of the
         names ``"linear"`` (the paper's Problem 1 loop, step-minimal),
-        ``"geometric"`` (×1.5 after every UNSAT answer, fewer SAT calls) and
+        ``"geometric"`` (×1.5 after every UNSAT answer, fewer SAT calls),
         ``"geometric-refine"`` (geometric overshoot, then binary refinement
-        back down to the minimal ``K``).  The legacy ``step_schedule`` /
-        ``step_increment`` keywords are still accepted; meaningless
-        combinations (a non-linear schedule with ``step_increment``, or both
-        ``strategy`` and ``step_schedule``) now raise instead of being
-        silently ignored.
+        back down to the minimal ``K``) and the core-guided
+        ``"linear-core"`` / ``"core-refine"``.  A linear schedule with a
+        coarser step is ``strategy_from_name("linear", step_increment=d)``.
 
         ``step_floor`` is a *trusted* lower bound on the step count: the
         caller asserts no strategy with fewer transitions exists for this
@@ -511,30 +658,16 @@ class ReversiblePebblingSolver:
         result answers the same question as a sequential search, so the
         two are interchangeable cache entries.
 
-        ``cube`` / ``board`` / ``cancel`` are the lane-side half of that
-        machinery (one cube's assumptions, this lane's board channel, and
-        the first-winner cancellation token); callers other than
-        :func:`run_cube_search` and the portfolio race normally only pass
-        ``cancel``.
+        ``cancel`` is a first-winner
+        :class:`~repro.pebbling.cancel.CancellationToken` (or its path):
+        the search stops at its next check once a sibling race lane or
+        cube lane has answered.
         """
         if max_pebbles < 1:
             raise PebblingError("max_pebbles must be >= 1")
-        search = resolve_search_strategy(
-            strategy, step_schedule=step_schedule, step_increment=step_increment
-        )
-        if search.needs_monotone_steps and self.options.forbid_idle_steps:
-            # With idle steps forbidden, a K-step strategy cannot always be
-            # padded to K+1 steps, so step-satisfiability is not monotone in
-            # K (e.g. single-move strategies fix the parity of K): bracket
-            # refinement would certify wrong minima and core ladders would
-            # return wrong verdicts outright.
-            raise PebblingError(
-                f"the {search.name!r} schedule requires idle steps to be "
-                "allowed (forbid_idle_steps makes step-satisfiability "
-                "non-monotone); use the plain linear schedule instead"
-            )
+        search = self._schedule(strategy)
         # The cache key is built from the *requested* parameters, before any
-        # defaulting or warm-start tightening below mutates them.
+        # defaulting or warm-start tightening mutates them.
         request = {
             "budget": max_pebbles,
             "options": self.options,
@@ -544,51 +677,6 @@ class ReversiblePebblingSolver:
             "max_steps": max_steps,
             "step_floor": step_floor,
         }
-        if (cube is not None or board is not None) and not self.incremental:
-            raise PebblingError(
-                "cube assumptions and the bound board need the incremental "
-                "engine (they ride the assumption interface)"
-            )
-        if cube is not None and store is not None:
-            # A lane's answer is conditioned on its cube — caching it under
-            # the unsplit request key would poison the store.
-            store = None
-        if cubes is not None:
-            from repro.pebbling.cubes import run_cube_search
-
-            if store is not None:
-                cached = store.get_pebble(self.dag, **request)
-                if cached is not None:
-                    return self._cache_answer(cached)
-            with _trace.span(
-                "cubes.run",
-                dag=self.dag.name,
-                budget=max_pebbles,
-                backend=self.backend,
-                schedule=search.name,
-            ) as cube_span:
-                merged = run_cube_search(
-                    self,
-                    max_pebbles,
-                    cubes=cubes,
-                    jobs=cube_jobs,
-                    search=search,
-                    initial_steps=initial_steps,
-                    max_steps=max_steps,
-                    time_limit=time_limit,
-                    step_floor=step_floor,
-                    cancel=cancel,
-                )
-                cube_span.set(
-                    outcome=merged.outcome.value,
-                    sat_calls=len(merged.attempts),
-                    certified=merged.minimal,
-                    shared_bound_hits=merged.shared_bound_hits,
-                )
-            if store is not None and merged.complete:
-                store.put_pebble(self.dag, merged, **request)
-            return merged
-        token = resolve_token(cancel)
         warm = None
         if store is not None:
             cached = store.get_pebble(self.dag, **request)
@@ -603,7 +691,8 @@ class ReversiblePebblingSolver:
             # floor would shift the grid and change (worsen) the returned
             # step count for the *same* request, and the ceiling clamp
             # could make their grid jump past the only in-budget bound.
-            if search.certifies_minimality:
+            # Cube lanes pin their own brackets and take no warm start.
+            if search.certifies_minimality and cubes is None:
                 warm = store.warm_start(
                     self.dag, budget=max_pebbles, options=self.options
                 )
@@ -615,42 +704,86 @@ class ReversiblePebblingSolver:
                         step_floor=warm.step_floor,
                         step_ceiling=warm.step_ceiling,
                     )
+        if cubes is not None:
+            from repro.pebbling.cubes import run_cube_search
+
+            with _trace.span(
+                "cubes.run",
+                dag=self.dag.name,
+                budget=max_pebbles,
+                backend=self.backend,
+                schedule=search.name,
+            ) as cube_span:
+                result = run_cube_search(
+                    self,
+                    max_pebbles,
+                    cubes=cubes,
+                    jobs=cube_jobs,
+                    search=search,
+                    initial_steps=initial_steps,
+                    max_steps=max_steps,
+                    time_limit=time_limit,
+                    step_floor=step_floor,
+                    cancel=cancel,
+                )
+                cube_span.set(
+                    outcome=result.outcome.value,
+                    sat_calls=len(result.attempts),
+                    certified=result.minimal,
+                    shared_bound_hits=result.shared_bound_hits,
+                )
+        else:
+            result = self._search(
+                max_pebbles,
+                search,
+                initial_steps=initial_steps,
+                max_steps=max_steps,
+                time_limit=time_limit,
+                step_floor=step_floor,
+                warm=warm,
+                cancel=cancel,
+            )
+        if store is not None and result.complete:
+            store.put_pebble(self.dag, result, **request)
+        return result
+
+    def _search(
+        self,
+        max_pebbles: int,
+        search: SearchStrategy,
+        *,
+        initial_steps: int | None = None,
+        max_steps: int | None = None,
+        time_limit: float | None = None,
+        step_floor: int | None = None,
+        warm=None,
+        cancel=None,
+        lane=None,
+    ) -> PebblingResult:
+        """One Problem-1 search without store or split: :meth:`solve`'s engine.
+
+        ``lane`` is a cube lane (:class:`~repro.pebbling.cubes.CubeLane`)
+        when :func:`~repro.pebbling.cubes.run_cube_search` runs this search
+        as one lane of a split.
+        """
+        token = resolve_token(cancel)
         started = time.monotonic()
-        result = PebblingResult(
-            self.dag.name,
+        steps = self._step_range(
             max_pebbles,
-            PebblingOutcome.TIMEOUT,
-            weighted=self.options.weighted,
-            backend=self.backend,
+            initial_steps=initial_steps,
+            max_steps=max_steps,
+            step_floor=step_floor,
+            warm=warm,
         )
-
-        if max_pebbles < self.minimum_pebbles_lower_bound():
-            result.outcome = PebblingOutcome.INFEASIBLE
-            result.complete = True
+        if steps is None:
+            result = self._result(
+                max_pebbles, PebblingOutcome.INFEASIBLE, complete=True
+            )
             result.runtime = time.monotonic() - started
-            if store is not None:
-                store.put_pebble(self.dag, result, **request)
             return result
-
-        if max_steps is None:
-            # 4 |V|^2 is far beyond any minimal strategy we can extract and
-            # only acts as a runaway guard.
-            max_steps = max(16, 4 * self.dag.num_nodes * self.dag.num_nodes)
-        floor = self.default_initial_steps(max_pebbles=max_pebbles)
-        if step_floor is not None:
-            floor = max(floor, step_floor)
-        if warm is not None:
-            if warm.step_floor is not None:
-                floor = max(floor, warm.step_floor)
-            if warm.step_ceiling is not None:
-                # A cached witness at this (or a tighter) budget proves
-                # ``step_ceiling`` transitions suffice, so the runaway guard
-                # can shrink to it — overshooting schedules then jump
-                # straight to a known-achievable bound.
-                max_steps = min(max_steps, max(warm.step_ceiling, floor))
-        initial = initial_steps or floor
+        floor, initial, max_steps = steps
         cursor = search.start(initial, min(floor, initial), max_steps)
-
+        result = self._result(max_pebbles, PebblingOutcome.TIMEOUT)
         with _trace.span(
             "pebble.solve",
             dag=self.dag.name,
@@ -658,30 +791,25 @@ class ReversiblePebblingSolver:
             schedule=search.name,
             backend=self.backend,
             incremental=self.incremental,
-            cube=cube is not None,
+            cube=lane is not None,
         ) as solve_span:
-            if self.incremental:
-                outcome = self._solve_incremental(
-                    result,
-                    max_pebbles,
-                    cursor,
-                    max_steps,
-                    time_limit,
-                    started,
-                    cube=cube,
-                    board=board,
-                    token=token,
-                )
-            else:
-                outcome = self._solve_monolithic(
-                    result, max_pebbles, cursor, max_steps, time_limit, started, token
-                )
+            oracle = (
+                _LiveOracle(self, max_pebbles)
+                if self.incremental
+                else _FreshOracle(self, max_pebbles)
+            )
+            if lane is not None:
+                lane.pin(oracle)
+            result.outcome = self._query_loop(
+                result, cursor, oracle, max_steps, time_limit, started, token, lane
+            )
+            if lane is not None:
+                result.shared_bound_hits = lane.hits
             solve_span.set(
-                outcome=outcome.value,
+                outcome=result.outcome.value,
                 sat_calls=len(result.attempts),
                 shared_bound_hits=result.shared_bound_hits,
             )
-        result.outcome = outcome
         if not result.complete:
             # Preempted (time limit / spurious UNKNOWN): hand back the
             # search's progress so the caller gets an anytime answer — a
@@ -707,8 +835,6 @@ class ReversiblePebblingSolver:
             and (initial <= floor or isinstance(search, GeometricRefine))
         )
         result.runtime = time.monotonic() - started
-        if store is not None and result.complete:
-            store.put_pebble(self.dag, result, **request)
         return result
 
     def _strategy_budget(self, strategy: PebblingStrategy) -> int:
@@ -736,115 +862,29 @@ class ReversiblePebblingSolver:
             )
         return cached
 
-    @staticmethod
-    def _keep_best(
-        best: PebblingStrategy | None, candidate: PebblingStrategy
-    ) -> PebblingStrategy:
-        if best is None or candidate.num_steps <= best.num_steps:
-            return candidate
-        return best
-
-    def _solve_monolithic(
+    def _query_loop(
         self,
         result: PebblingResult,
-        max_pebbles: int,
         cursor: SearchCursor,
+        oracle: "_FreshOracle | _LiveOracle",
         max_steps: int,
         time_limit: float | None,
         started: float,
-        token=None,
+        token,
+        lane,
     ) -> PebblingOutcome:
-        best: PebblingStrategy | None = None
-        bound: int | None = cursor.bound
-        while bound is not None and bound <= max_steps:
-            if token is not None and token.cancelled():
-                if _trace.active():
-                    _trace.event("solve.cancelled", bound=bound, witness=best is not None)
-                _metrics.counter("repro_cancellations_total").inc()
-                result.strategy = best
-                return (
-                    PebblingOutcome.SOLUTION if best else PebblingOutcome.CANCELLED
-                )
-            remaining = self._remaining(time_limit, started)
-            if remaining is not None and remaining <= 0:
-                result.strategy = best
-                return (
-                    PebblingOutcome.SOLUTION if best else PebblingOutcome.TIMEOUT
-                )
-            with _trace.span(
-                "sat.call", bound=bound, budget=max_pebbles, backend=self.backend
-            ) as call_span:
-                status, strategy, record = self.solve_fixed(
-                    max_pebbles=max_pebbles, num_steps=bound, time_limit=remaining
-                )
-                call_span.set(verdict=status.value, conflicts=record.conflicts)
-            result.attempts.append(record)
-            _metrics.counter("repro_sat_calls_total").inc()
-            _metrics.histogram("repro_sat_call_seconds").observe(record.runtime)
-            if status is Status.SATISFIABLE and strategy is not None:
-                best = self._keep_best(best, strategy)
-                bound = cursor.advance(True)
-            elif status is Status.UNKNOWN:
-                result.strategy = best
-                return (
-                    PebblingOutcome.SOLUTION if best else PebblingOutcome.TIMEOUT
-                )
-            else:
-                bound = cursor.advance(False)
-        result.strategy = best
-        result.complete = True
-        if best is not None:
-            return PebblingOutcome.SOLUTION
-        return PebblingOutcome.STEP_LIMIT
+        """Ask ``oracle`` about the cursor's bounds until the search ends.
 
-    # -- incremental engine ------------------------------------------------
-    def _solve_incremental(
-        self,
-        result: PebblingResult,
-        max_pebbles: int,
-        cursor: SearchCursor,
-        max_steps: int,
-        time_limit: float | None,
-        started: float,
-        *,
-        cube=None,
-        board=None,
-        token=None,
-    ) -> PebblingOutcome:
-        """Drive the search over one live solver fed by the frame encoder.
+        Core-aware cursors publish a *ladder* of bounds per query; the live
+        oracle assumes their guards together (sound under step
+        monotonicity, which :meth:`_schedule` validated), so the query is
+        SAT exactly when the lowest laddered bound is feasible, and an UNSAT
+        core fast-forwards the cursor past every bound it refutes.
 
-        All pebbling clauses come from a single stateful
-        :class:`PebblingEncoder`: ``extend_to`` emits the new frames,
-        ``final_guard`` the per-bound activation literal, and
-        ``drain_new_clauses`` hands exactly the fresh clauses to the
-        incremental SAT backend.
-
-        Core-aware cursors publish a *ladder* of bounds per query; their
-        guards are assumed together (sound under step monotonicity, which
-        ``solve()`` validated).  The query is then SAT exactly when the
-        lowest laddered bound is feasible, and on UNSAT the backend's
-        failed-assumption core names the guards its refutation used — the
-        lowest surviving guard is a *harder* bound proven infeasible, so
-        the cursor fast-forwards past everything up to it.
-
-        In a cube-and-conquer lane, ``cube`` fixes early-frame pebble
-        variables via extra assumptions, ``board`` is the lane's channel
-        onto the shared bound board (polled before every query through
-        :meth:`~repro.pebbling.search.SearchCursor.observe`, published to
-        after every verdict), and ``token`` stops the lane once a sibling
-        has certified the global answer.
+        A cube ``lane`` is consulted before each query and while a
+        time-sliced query waits (its board may settle the bound), and after
+        each verdict (it publishes the verdict, and may end the lane).
         """
-        encoder = PebblingEncoder(
-            self.dag, max_pebbles=max_pebbles, options=self.options
-        )
-        solver = self._make_solver()
-        guard_of_bound: dict[int, int] = {}
-        bound_of_guard: dict[int, int] = {}
-        negated: set[int] = set()
-        cube_literals: list[int] = []
-        cube_frame = 0
-        if cube is not None and cube.assignments:
-            cube_frame = max(step for _, step, _ in cube.assignments)
         best: PebblingStrategy | None = None
         bound: int | None = cursor.bound
         while bound is not None and bound <= max_steps:
@@ -853,102 +893,36 @@ class ReversiblePebblingSolver:
                     _trace.event("solve.cancelled", bound=bound, witness=best is not None)
                 _metrics.counter("repro_cancellations_total").inc()
                 result.strategy = best
-                return (
-                    PebblingOutcome.SOLUTION if best else PebblingOutcome.CANCELLED
-                )
-            if board is not None:
-                view = board.poll()
-                if view.refuted is not None or view.known_sat is not None:
-                    observed = cursor.observe(
-                        refuted=view.refuted, known_sat=view.known_sat
-                    )
-                    if observed != bound:
-                        # A sibling lane killed (or answered) this bound;
-                        # observe() is idempotent, so one skip per fact.
-                        result.shared_bound_hits += 1
-                        _trace.event("board.hit", bound=bound, observed=observed)
-                        bound = observed
-                        continue
+                return PebblingOutcome.SOLUTION if best else PebblingOutcome.CANCELLED
+            if lane is not None:
+                observed = lane.observe(cursor, bound)
+                if observed != bound:
+                    bound = observed
+                    continue
             remaining = self._remaining(time_limit, started)
             if remaining is not None and remaining <= 0:
                 result.strategy = best
-                return (
-                    PebblingOutcome.SOLUTION if best else PebblingOutcome.TIMEOUT
-                )
-            # Refinement queries below the encoded frontier are sound here:
-            # the later frames stay satisfiable by freezing the final
-            # configuration (idle steps are always legal on this path —
-            # solve() rejects refining strategies under forbid_idle_steps).
-            ladder = [step for step in cursor.ladder() if step <= max_steps]
-            if not ladder:
-                ladder = [bound]
-            encoder.extend_to(max(max(ladder), cube_frame))
-            if cube_frame and not cube_literals:
-                cube_literals = [
-                    encoder.variable(node, step) * (1 if value else -1)
-                    for node, step, value in cube.assignments
-                ]
-            for step in ladder:
-                if step not in guard_of_bound:
-                    guard = encoder.final_guard(step)
-                    guard_of_bound[step] = guard
-                    bound_of_guard[guard] = step
-            # Highest bound first: the solver places assumptions in order,
-            # so the refutation tends to bind at the *loosest* infeasible
-            # guard it meets — and a core whose lowest bound is m > bound
-            # proves every bound <= m infeasible at once.  (Ascending order
-            # almost always binds at the probed bound itself, making the
-            # core information-free; measured in EXPERIMENTS.md.)  Cube
-            # literals ride along in every query of the lane.
-            assumptions = cube_literals + [
-                guard_of_bound[step] for step in sorted(ladder, reverse=True)
-            ]
-            # One batch per frame where the backend takes one (the C core:
-            # a single call instead of one per clause); the Python engine
-            # keeps its per-clause path.
-            fresh = [clause.literals for clause in encoder.drain_new_clauses()]
-            add_clauses = getattr(solver, "add_clauses", None)
-            if add_clauses is not None:
-                add_clauses(fresh)
-            else:
-                for literals in fresh:
-                    solver.add_clause(literals)
-            # Pebble and guard variables are re-mentioned by every later
-            # frame and assumption ladder; backends with root-level variable
-            # elimination must never eliminate them.  The loop deliberately
-            # does NOT call solver.simplify() between bounds: explicit
-            # inter-bound passes measured a net slowdown on this suite —
-            # BVE trades the encoder's short structured clauses for fatter
-            # resolvents over the (frozen) pebble variables, and the
-            # per-bound queries are too short to amortise the swap (see
-            # EXPERIMENTS.md, schema v10).  The solver's own
-            # conflict-counted inprocessing trigger still fires on long
-            # queries, which is why the freeze discipline matters here.
-            freeze = getattr(solver, "freeze", None)
-            if freeze is not None:
-                fresh_variables = encoder.drain_new_named_variables()
-                if fresh_variables:
-                    freeze(fresh_variables)
-            call_started = time.monotonic()
-            # With a shared board or a cancellation token, long queries run
-            # in growing time slices so the lane reacts mid-call: a slice
-            # that expires polls the token and the board, then re-issues
-            # the same query.  The native incremental engine resumes from
-            # its learned clauses, so a retry costs almost nothing; for
-            # backends that restart from scratch the doubling bounds the
-            # total rework by the cost of the final slice.
-            chunked = (
-                (board is not None or token is not None)
-                and self.conflict_limit is None
+                return PebblingOutcome.SOLUTION if best else PebblingOutcome.TIMEOUT
+            ladder = oracle.pose(
+                [step for step in cursor.ladder() if step <= max_steps] or [bound]
             )
-            slice_budget = _CANCEL_POLL_SLICE
-            interrupted = False
             probed = bound
+            call_started = time.monotonic()
+            # Under a cancellation token long queries run in doubling time
+            # slices so the search reacts mid-call: a slice that expires
+            # checks the token and the lane's board, then re-issues the same
+            # query.  The incremental engines resume from their learned
+            # clauses, so a retry costs almost nothing; for backends that
+            # restart from scratch the doubling bounds the total rework by
+            # the cost of the final slice.
+            chunked = token is not None and self.conflict_limit is None
+            slice_budget = POLL_SLICE
+            interrupted = False
             core: list[int] | None = None
             with _trace.span(
                 "sat.call",
                 bound=probed,
-                budget=max_pebbles,
+                budget=result.max_pebbles,
                 backend=self.backend,
                 ladder=len(ladder),
             ) as call_span:
@@ -960,214 +934,93 @@ class ReversiblePebblingSolver:
                             if remaining is None
                             else min(remaining, slice_budget)
                         )
-                    sat_result = solver.solve(
-                        assumptions,
-                        time_limit=call_limit,
-                        conflict_limit=self.conflict_limit,
-                    )
-                    if not chunked or not sat_result.is_unknown:
+                    answer = oracle.solve(call_limit)
+                    if not chunked or not answer.is_unknown:
                         break
                     remaining = self._remaining(time_limit, started)
                     if remaining is not None and remaining <= 0:
                         break  # genuine timeout, handled as UNKNOWN below
-                    if token is not None and token.cancelled():
+                    if token.cancelled():
                         interrupted = True
                         break
-                    if board is not None:
-                        view = board.poll()
-                        if view.refuted is not None or view.known_sat is not None:
-                            observed = cursor.observe(
-                                refuted=view.refuted, known_sat=view.known_sat
-                            )
-                            if observed != bound:
-                                # A sibling settled this bound while we were
-                                # inside the query: abandon the call.
-                                result.shared_bound_hits += 1
-                                _trace.event(
-                                    "board.hit", bound=probed, observed=observed
-                                )
-                                bound = observed
-                                interrupted = True
-                                break
+                    if lane is not None:
+                        bound = lane.observe(cursor, probed)
+                        if bound != probed:
+                            interrupted = True  # a sibling settled the bound
+                            break
                     slice_budget *= 2
                 elapsed = time.monotonic() - call_started
-                if (
-                    not interrupted
-                    and sat_result.status is Status.UNSATISFIABLE
-                    and len(assumptions) > 1
-                ):
+                if not interrupted and answer.is_unsat:
                     # The span charges core extraction to the call that paid
                     # for it (the minimising backend probes the solver here).
-                    extract = getattr(solver, "failed_assumptions", None)
-                    core = extract() if extract is not None else list(assumptions)
-                    call_span.set(core_size=len(core))
+                    core = oracle.core()
+                    if core is not None:
+                        call_span.set(core_size=len(core))
                 call_span.set(
-                    verdict=sat_result.status.value,
-                    conflicts=sat_result.stats.conflicts,
+                    verdict=answer.status.value,
+                    conflicts=answer.stats.conflicts,
                     interrupted=interrupted,
                 )
                 result.attempts.append(
                     AttemptRecord(
-                        max_pebbles=max_pebbles,
+                        max_pebbles=result.max_pebbles,
                         num_steps=probed,
-                        status=sat_result.status,
+                        status=answer.status,
                         runtime=elapsed,
-                        conflicts=sat_result.stats.conflicts,
-                        solver_stats=self._reported_counters(solver, sat_result),
+                        conflicts=answer.stats.conflicts,
+                        solver_stats=dict(oracle.backend.counters()),
                     )
                 )
             _metrics.counter("repro_sat_calls_total").inc()
             _metrics.histogram("repro_sat_call_seconds").observe(elapsed)
             if interrupted:
                 continue
-            if sat_result.is_sat:
-                assert sat_result.model is not None
-                configurations = encoder.configurations_from_model(
-                    sat_result.model, num_steps=bound
-                )
+            if answer.is_unknown:
+                result.strategy = best
+                return PebblingOutcome.SOLUTION if best else PebblingOutcome.TIMEOUT
+            model, witnessed = None, bound
+            if answer.is_sat:
+                model = answer.model
+                bound = cursor.advance_core(True)
+            else:
+                refuted = oracle.refuted(bound, core)
+                closed = False
+                if lane is not None:
+                    closed, model = lane.refuted(
+                        oracle,
+                        refuted,
+                        core,
+                        elapsed=elapsed,
+                        remaining=self._remaining(time_limit, started),
+                    )
+                    witnessed = refuted
+                if closed:
+                    bound = None
+                else:
+                    oracle.retire(refuted)
+                    bound = cursor.advance_core(False, refuted)
+            if model is not None:
                 best = self._keep_best(
                     best,
                     PebblingStrategy(
                         self.dag,
-                        configurations,
+                        oracle.decode(model, witnessed),
                         max_moves_per_step=self.options.max_moves_per_step,
                     ),
                 )
-                if board is not None and best is not None:
-                    # A witness under cube assumptions is a witness for
-                    # the whole instance (the cube only *restricts* it).
-                    board.publish_sat(best.num_steps)
-                    if token is not None:
-                        view = board.poll()
-                        if (
-                            view.known_sat is not None
-                            and view.refuted is not None
-                            and view.refuted >= view.known_sat - 1
-                        ):
-                            # Pooled refutations meet the shared witness:
-                            # the global minimum is pinned, stop every
-                            # sibling lane still probing.
-                            token.cancel()
-                bound = cursor.advance_core(True)
-            elif sat_result.is_unknown:
-                result.strategy = best
-                return (
-                    PebblingOutcome.SOLUTION if best else PebblingOutcome.TIMEOUT
-                )
-            else:
-                refuted = bound
-                # Until the core proves otherwise, a cube lane's refutation
-                # is only valid under its cube assumptions.
-                core_used_cube = bool(cube_literals)
-                if core is not None:
-                    # Backends without real core extraction (the external
-                    # DIMACS path, raw factories) degrade to the trivial
-                    # full-assumption core — sound, never faster.  The core
-                    # itself was extracted inside the ``sat.call`` span.
-                    core_bounds = [
-                        bound_of_guard[literal]
-                        for literal in core
-                        if literal in bound_of_guard
-                    ]
-                    if cube_literals:
-                        lane_literals = set(cube_literals)
-                        core_used_cube = any(
-                            literal in lane_literals for literal in core
-                        )
-                    if cube_literals and not core_bounds and core:
-                        # The refutation used no final-configuration guard:
-                        # the cube itself is contradictory at every bound.
-                        # Close the lane for its whole range so the board's
-                        # min-over-cubes aggregation never waits on it.
-                        if board is not None:
-                            board.publish_refuted(max_steps)
-                        result.strategy = best
-                        result.complete = True
-                        return PebblingOutcome.STEP_LIMIT
-                    # An empty core means the frames alone are contradictory
-                    # (impossible for this encoding, but a backend bug must
-                    # fail towards "only the probed bound is refuted").
-                    refuted = min(core_bounds) if core_bounds else bound
-                if board is not None and cube_literals and core_used_cube:
-                    # The core leaned on the cube, but the refutation is
-                    # often cube-free anyway: re-ask the same bound without
-                    # the cube literals.  The incremental engine answers
-                    # from its learned clauses (measured at milliseconds),
-                    # and the slice cap bounds the rare unlucky recheck.
-                    # UNSAT promotes the bound to the instance-global row;
-                    # SAT hands this lane a witness for the whole instance
-                    # that its own cube excludes.
-                    recheck_limit = max(_CANCEL_POLL_SLICE, 0.5 * elapsed)
-                    remaining = self._remaining(time_limit, started)
-                    if remaining is not None:
-                        recheck_limit = min(recheck_limit, remaining)
-                    if recheck_limit > 0:
-                        recheck = solver.solve(
-                            [guard_of_bound[refuted]],
-                            time_limit=recheck_limit,
-                            conflict_limit=self.conflict_limit,
-                        )
-                        if recheck.is_sat:
-                            assert recheck.model is not None
-                            configurations = encoder.configurations_from_model(
-                                recheck.model, num_steps=refuted
-                            )
-                            best = self._keep_best(
-                                best,
-                                PebblingStrategy(
-                                    self.dag,
-                                    configurations,
-                                    max_moves_per_step=(
-                                        self.options.max_moves_per_step
-                                    ),
-                                ),
-                            )
-                            board.publish_refuted(refuted)
-                            if best is not None:
-                                board.publish_sat(best.num_steps)
-                                if token is not None:
-                                    view = board.poll()
-                                    if (
-                                        view.known_sat is not None
-                                        and view.refuted is not None
-                                        and view.refuted >= view.known_sat - 1
-                                    ):
-                                        token.cancel()
-                            # The lane's own cube stays refuted through
-                            # ``refuted``; with the adopted witness there
-                            # too, the cursor closes unless the bracket
-                            # still has room below.
-                            bound = cursor.advance_core(False, refuted)
-                            if bound is not None:
-                                bound = cursor.observe(known_sat=refuted)
-                            continue
-                        if not recheck.is_unknown:
-                            core_used_cube = False
-                # Every guard at or below the refuted bound will never be
-                # assumed again.  Asserting the negations as units lets the
-                # solver simplify the stale final-configuration clauses away
-                # at level 0 instead of dragging them through every later
-                # propagation.
-                for step in sorted(guard_of_bound):
-                    if step <= refuted and step not in negated:
-                        solver.add_clause([-guard_of_bound[step]])
-                        negated.add(step)
-                if board is not None:
-                    # Valid under this lane's assumptions; the channel
-                    # routes it to the per-cube row — or straight to the
-                    # global row when the UNSAT core used no cube literal
-                    # (the proof never touched the split, so it holds for
-                    # the unsplit instance and every sibling can skip the
-                    # bound instead of re-proving it).
-                    board.publish_refuted(
-                        refuted, assumption_free=not core_used_cube
-                    )
-                bound = cursor.advance_core(False, refuted)
+                if lane is not None:
+                    lane.witnessed(best.num_steps)
         result.strategy = best
         result.complete = True
-        if best is not None:
-            return PebblingOutcome.SOLUTION
-        return PebblingOutcome.STEP_LIMIT
+        return PebblingOutcome.SOLUTION if best else PebblingOutcome.STEP_LIMIT
+
+    @staticmethod
+    def _keep_best(
+        best: PebblingStrategy | None, candidate: PebblingStrategy
+    ) -> PebblingStrategy:
+        if best is None or candidate.num_steps <= best.num_steps:
+            return candidate
+        return best
 
     # ------------------------------------------------------------------
     # Table I outer loop: minimise the number of pebbles
@@ -1179,8 +1032,6 @@ class ReversiblePebblingSolver:
         lower_bound: int | None = None,
         timeout_per_budget: float | None = 120.0,
         max_steps: int | None = None,
-        step_increment: int | None = None,
-        step_schedule: str | None = None,
         strategy: SearchStrategy | str | None = None,
         stop_after_failures: int = 1,
         warm_start: bool = True,
@@ -1220,10 +1071,8 @@ class ReversiblePebblingSolver:
 
         Returns ``(best_result, all_results)``.
         """
-        # Resolve (and validate) the search schedule once for the whole scan.
-        search = resolve_search_strategy(
-            strategy, step_schedule=step_schedule, step_increment=step_increment
-        )
+        # Resolve the search schedule once for the whole scan.
+        search = resolve_search_strategy(strategy)
         baseline = eager_bennett_strategy(self.dag)
         baseline_budget = self._strategy_budget(baseline)
         if upper_bound is None:
@@ -1239,12 +1088,8 @@ class ReversiblePebblingSolver:
         if upper_bound >= baseline_budget:
             # The eager Bennett strategy is already a witness for the loosest
             # budget; no SAT call needed for it.
-            best = PebblingResult(
-                self.dag.name,
-                upper_bound,
-                PebblingOutcome.SOLUTION,
-                strategy=baseline,
-                weighted=self.options.weighted,
+            best = self._result(
+                upper_bound, PebblingOutcome.SOLUTION, strategy=baseline
             )
             steps_hint = baseline.num_steps
             first_budget = baseline_budget - 1

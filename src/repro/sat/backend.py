@@ -779,8 +779,6 @@ class CdclSpec:
     vivify: bool = True
     #: Chronological-backtracking jump-distance threshold (0 disables).
     chrono: int = 100
-    #: Base conflict interval of the rephasing schedule (0 disables).
-    rephase: int = 0
     #: Engine: 1 = the ctypes-loaded C core, 0 = the Python engine,
     #: absent = the C core when it loads.
     native: bool | None = None
@@ -789,7 +787,7 @@ class CdclSpec:
 
     _INT_KEYS = ("restart_base", "seed", "reduce_min_learned",
                  "learned_limit_base", "glue_max", "inprocess_interval",
-                 "bve_grow", "chrono", "rephase")
+                 "bve_grow", "chrono")
     _FLOAT_KEYS = ("var_decay", "clause_decay")
     #: ``native`` last, so a rendered spec ends by naming its engine.
     _BOOL_KEYS = ("bve", "vivify", "profile", "native")
@@ -852,7 +850,7 @@ class CdclSpec:
                     raise SolverError(f"cdcl: restart_base must be >= 1, got {parsed}")
                 if key in ("reduce_min_learned", "learned_limit_base",
                            "glue_max", "inprocess_interval", "bve_grow",
-                           "chrono", "rephase") and parsed < 0:
+                           "chrono") and parsed < 0:
                     raise SolverError(f"cdcl: {key} must be >= 0, got {parsed}")
                 values[key] = parsed
             elif key in cls._FLOAT_KEYS:
@@ -925,7 +923,6 @@ class CdclSpec:
             bve_grow=self.bve_grow,
             vivify=self.vivify,
             chrono=self.chrono,
-            rephase=self.rephase,
             profile=self.profile,
         )
 

@@ -27,9 +27,6 @@ The solver implements the standard modern architecture:
 * chronological backtracking: conflicts whose assertion level is far
   below the conflict level backtrack a single level instead (the
   learned clause is still asserting there),
-* rephasing schedules: the saved phases are periodically reset to the
-  best-trail snapshot, inverted, original, or random targets on a
-  geometrically growing conflict cadence,
 * incremental solving under assumptions,
 * conflict and time budgets so callers can implement timeouts
   (the paper stops each pebbling instance after a wall-clock budget);
@@ -133,7 +130,6 @@ class SolverStats:
     bve_resolvents: int = 0
     vivified_clauses: int = 0
     chrono_backtracks: int = 0
-    rephases: int = 0
     phase_times: dict[str, float] | None = None
 
     def as_dict(self) -> dict[str, float]:
@@ -167,7 +163,6 @@ class SolverStats:
             "bve_resolvents": self.bve_resolvents,
             "vivified_clauses": self.vivified_clauses,
             "chrono_backtracks": self.chrono_backtracks,
-            "rephases": self.rephases,
         }
         if self.phase_times is not None:
             for phase_name, seconds in self.phase_times.items():
@@ -226,9 +221,6 @@ _BVE_CLAUSE_LIMIT = 24
 
 #: Learned clauses with LBD above this are not worth vivifying.
 _VIVIFY_LBD_LIMIT = 6
-
-#: Rephasing mode cycle; ``best`` resets to the deepest-trail snapshot.
-_REPHASE_CYCLE = ("best", "invert", "best", "random", "best", "original")
 
 
 def _encode(literal: int) -> int:
@@ -300,11 +292,6 @@ class CdclSolver:
         conflict whose assertion level is more than ``chrono`` levels
         below the conflict level backtracks a single level instead.
         ``0`` disables.
-    ``rephase``
-        base conflict interval of the rephasing schedule (``0``
-        disables): every interval the saved phases are reset to the
-        best-trail snapshot / inverted / original / random targets, and
-        the interval grows geometrically.
     """
 
     #: Registry name under :mod:`repro.sat.backend` (``cdcl:native=0``).
@@ -328,7 +315,6 @@ class CdclSolver:
         bve_grow: int = 0,
         vivify: bool = True,
         chrono: int = 100,
-        rephase: int = 0,
         profile: bool = False,
     ) -> None:
         capacity = _INITIAL_VAR_CAPACITY
@@ -405,14 +391,6 @@ class CdclSolver:
         self._frozen = bytearray(capacity)
         self._elim_stack: list[tuple[int, list[list[int]], list[list[int]]]] = []
         self._current_assumption_vars: frozenset[int] | set[int] = frozenset()
-        # Rephasing state: the saved-phase snapshot of the deepest trail
-        # seen since the last rephase, and the geometric schedule.
-        self._rephase_base = rephase
-        self._rephase_interval = rephase
-        self._rephase_next = rephase
-        self._rephase_count = 0
-        self._best_trail = 0
-        self._best_phase: list[int] = [0] * capacity
         self._profile = profile
         self._ok = True
         self._pending_units: list[int] = []
@@ -457,7 +435,6 @@ class CdclSolver:
         self._seen.extend(bytes(grow))
         self._eliminated.extend(bytes(grow))
         self._frozen.extend(bytes(grow))
-        self._best_phase.extend([0] * grow)
         self._heap_pos.extend((-1,) * grow)
         self._trail.extend((0,) * grow)
         self._watches.extend([] for _ in range(2 * grow))
@@ -1676,41 +1653,6 @@ class CdclSolver:
         return True
 
     # ------------------------------------------------------------------
-    # rephasing
-    # ------------------------------------------------------------------
-    def _apply_rephase(self) -> None:
-        """Reset saved phases per the schedule and restart the cadence."""
-        mode = _REPHASE_CYCLE[self._rephase_count % len(_REPHASE_CYCLE)]
-        phase = self._phase
-        count = self._num_vars + 1
-        if mode == "best":
-            if self._best_trail > 0:
-                phase[1:count] = self._best_phase[1:count]
-        elif mode == "invert":
-            for variable in range(1, count):
-                phase[variable] ^= 1
-        elif mode == "original":
-            for variable in range(1, count):
-                phase[variable] = 0
-        else:  # random
-            random = self._random
-            for variable in range(1, count):
-                phase[variable] = 1 if random() < 0.5 else 0
-        self._rephase_count += 1
-        self._rephase_interval = int(self._rephase_interval * 1.5) + 1
-        self._rephase_next = self._total_conflicts + self._rephase_interval
-        self._best_trail = 0
-        self.stats.rephases += 1
-        if _trace.active():
-            _trace.event(
-                "solver.rephase",
-                mode=mode,
-                count=self._rephase_count,
-                next_interval=self._rephase_interval,
-                conflicts=self._total_conflicts,
-            )
-
-    # ------------------------------------------------------------------
     # explicit simplification entry point
     # ------------------------------------------------------------------
     def simplify(self, budget: float = _INPROCESS_BUDGET) -> bool:
@@ -1962,20 +1904,12 @@ class CdclSolver:
                     self._learned_limit = int(self._learned_limit * 1.3) + 1
                 continue
 
-            if self._rephase_base > 0 and self._trail_size > self._best_trail:
-                # Deepest trail since the last rephase: snapshot the saved
-                # phases as the "best" target.
-                self._best_trail = self._trail_size
-                self._best_phase[:] = self._phase
-
             if conflicts_since_restart >= conflicts_until_restart:
                 restart_count += 1
                 stats.restarts += 1
                 conflicts_since_restart = 0
                 conflicts_until_restart = self._restart_base * luby(restart_count + 1)
                 self._backtrack(0)
-                if self._rephase_base > 0 and self._total_conflicts >= self._rephase_next:
-                    self._apply_rephase()
                 if _trace.active():
                     _trace.event(
                         "solver.restart",

@@ -33,14 +33,6 @@ class TestBackendSelection:
         with pytest.raises(SolverError, match="not usable on this host"):
             ReversiblePebblingSolver(load_workload("fig2"), backend="external")
 
-    def test_backend_and_factory_conflict(self):
-        from repro.sat.solver import CdclSolver
-
-        with pytest.raises(PebblingError, match="not both"):
-            ReversiblePebblingSolver(
-                load_workload("fig2"), backend="dpll", solver_factory=CdclSolver
-            )
-
     def test_options_backend_is_default(self):
         solver = ReversiblePebblingSolver(
             load_workload("fig2"), options=EncodingOptions(backend="dpll")

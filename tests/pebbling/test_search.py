@@ -143,21 +143,10 @@ class TestValidation:
         with pytest.raises(PebblingError):
             strategy_from_name("geometric-refine", step_increment=3)
 
-    def test_resolve_rejects_conflicting_arguments(self):
-        with pytest.raises(PebblingError):
-            resolve_search_strategy("linear", step_schedule="linear")
-        with pytest.raises(PebblingError):
-            resolve_search_strategy(LinearSearch(), step_increment=2)
-
     def test_resolve_defaults_to_linear(self):
         strategy = resolve_search_strategy(None)
         assert isinstance(strategy, LinearSearch)
         assert strategy.step_increment == 1
-
-    def test_solver_rejects_geometric_with_step_increment(self, fig2_dag):
-        solver = ReversiblePebblingSolver(fig2_dag)
-        with pytest.raises(PebblingError):
-            solver.solve(4, step_schedule="geometric", step_increment=2)
 
 
 class TestSolverIntegration:

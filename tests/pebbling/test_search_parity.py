@@ -1,0 +1,161 @@
+"""Golden search trajectories of the Problem-1 loop.
+
+Every row pins what one search did, not just what it answered: the
+outcome, the step count, the number of SAT calls and whether the step
+count is certified minimal.  The table covers each named schedule with
+the live incremental oracle and with a fresh encoding per bound; the
+cube rows pin the lane protocol (board hits, the winning lane, the lanes
+the first winner cancelled) on inline lanes, which run in a fixed order
+and are therefore deterministic.  Both engines must reproduce every row
+exactly: they reach the same verdicts by different conflicts.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.pebbling import EncodingOptions, ReversiblePebblingSolver
+from repro.sat.backend import DEFAULT_BACKEND, resolve_backend
+from repro.workloads import load_workload
+
+ENGINES = sorted({resolve_backend(DEFAULT_BACKEND), "cdcl:native=0"})
+
+SCHEDULES = ("linear", "geometric", "geometric-refine", "linear-core", "core-refine")
+
+#: (workload, budget, single_move, max_steps) -> schedule ->
+#: (outcome, steps, SAT calls, minimal) for incremental=True, then False.
+GOLDEN = {
+    ("fig2", 3, False, 40): {
+        "linear": [("step-limit", None, 37, False), ("step-limit", None, 37, False)],
+        "geometric": [("step-limit", None, 6, False), ("step-limit", None, 6, False)],
+        "geometric-refine": [("step-limit", None, 7, False), ("step-limit", None, 7, False)],
+        "linear-core": [("step-limit", None, 36, False), ("step-limit", None, 37, False)],
+        "core-refine": [("step-limit", None, 7, False), ("step-limit", None, 7, False)],
+    },
+    ("fig2", 4, False, None): {
+        "linear": [("solution", 6, 3, True), ("solution", 6, 3, True)],
+        "geometric": [("solution", 6, 2, False), ("solution", 6, 2, False)],
+        "geometric-refine": [("solution", 6, 3, True), ("solution", 6, 3, True)],
+        "linear-core": [("solution", 6, 2, True), ("solution", 6, 3, True)],
+        "core-refine": [("solution", 6, 3, True), ("solution", 6, 3, True)],
+    },
+    ("c17", 3, False, 40): {
+        "linear": [("step-limit", None, 37, False), ("step-limit", None, 37, False)],
+        "geometric": [("step-limit", None, 6, False), ("step-limit", None, 6, False)],
+        "geometric-refine": [("step-limit", None, 7, False), ("step-limit", None, 7, False)],
+        "linear-core": [("step-limit", None, 8, False), ("step-limit", None, 37, False)],
+        "core-refine": [("step-limit", None, 4, False), ("step-limit", None, 7, False)],
+    },
+    ("c17", 4, False, None): {
+        "linear": [("solution", 8, 5, True), ("solution", 8, 5, True)],
+        "geometric": [("solution", 9, 3, False), ("solution", 8, 3, False)],
+        "geometric-refine": [("solution", 8, 5, True), ("solution", 8, 5, True)],
+        "linear-core": [("solution", 8, 3, True), ("solution", 8, 5, True)],
+        "core-refine": [("solution", 8, 4, True), ("solution", 8, 5, True)],
+    },
+    ("and9", 5, False, None): {
+        "linear": [("solution", 10, 6, True), ("solution", 10, 6, True)],
+        "geometric": [("solution", 10, 3, False), ("solution", 10, 3, False)],
+        "geometric-refine": [("solution", 10, 4, True), ("solution", 10, 4, True)],
+        "linear-core": [("solution", 10, 3, True), ("solution", 10, 6, True)],
+        "core-refine": [("solution", 10, 4, True), ("solution", 10, 4, True)],
+    },
+    ("and9", 6, False, None): {
+        "linear": [("solution", 8, 4, True), ("solution", 8, 4, True)],
+        "geometric": [("solution", 10, 3, False), ("solution", 8, 3, False)],
+        "geometric-refine": [("solution", 8, 5, True), ("solution", 8, 5, True)],
+        "linear-core": [("solution", 8, 2, True), ("solution", 8, 4, True)],
+        "core-refine": [("solution", 8, 4, True), ("solution", 8, 5, True)],
+    },
+    ("hadamard", 6, False, None): {
+        "linear": [("solution", 4, 2, True), ("solution", 4, 2, True)],
+        "geometric": [("solution", 4, 2, False), ("solution", 4, 2, False)],
+        "geometric-refine": [("solution", 4, 2, True), ("solution", 4, 2, True)],
+        "linear-core": [("solution", 4, 2, True), ("solution", 4, 2, True)],
+        "core-refine": [("solution", 4, 2, True), ("solution", 4, 2, True)],
+    },
+    ("and9", 5, True, None): {
+        "linear": [("solution", 21, 7, True), ("solution", 21, 7, True)],
+        "geometric": [("solution", 21, 2, False), ("solution", 21, 2, False)],
+        "geometric-refine": [("solution", 21, 5, True), ("solution", 21, 5, True)],
+        "linear-core": [("solution", 21, 7, True), ("solution", 21, 7, True)],
+        "core-refine": [("solution", 21, 5, True), ("solution", 21, 5, True)],
+    },
+}
+
+#: (workload, budget, max_steps) -> (outcome, steps, minimal, SAT calls,
+#: shared_bound_hits, winning lane, cancelled lanes) of a 4-cube search
+#: with its lanes run inline.
+GOLDEN_CUBES = {
+    ("fig2", 4, None): ("solution", 6, True, 3, 0, 0, [1, 2, 3]),
+    ("c17", 4, None): ("solution", 8, True, 6, 0, 0, [1, 2, 3]),
+    # Lanes 0 and 1 close as dead cubes: their cube literals alone refute
+    # every bound.
+    ("and9", 5, None): ("solution", 10, True, 7, 0, 2, [3]),
+    ("c17", 3, 40): ("step-limit", None, False, 11, 3, None, []),
+    ("and9", 4, 40): ("step-limit", None, False, 11, 1, None, []),
+}
+
+
+def _table_rows():
+    for (workload, budget, single_move, max_steps), by_schedule in GOLDEN.items():
+        for schedule in SCHEDULES:
+            for incremental, expected in zip((True, False), by_schedule[schedule]):
+                yield pytest.param(
+                    workload,
+                    budget,
+                    single_move,
+                    max_steps,
+                    schedule,
+                    incremental,
+                    expected,
+                    id=(
+                        f"{workload}-p{budget}{'-single' if single_move else ''}"
+                        f"-{schedule}-{'live' if incremental else 'fresh'}"
+                    ),
+                )
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize(
+    ("workload", "budget", "single_move", "max_steps", "schedule", "incremental", "expected"),
+    list(_table_rows()),
+)
+def test_search_trajectory_matches_the_golden_table(
+    engine, workload, budget, single_move, max_steps, schedule, incremental, expected
+):
+    options = EncodingOptions(max_moves_per_step=1 if single_move else None)
+    solver = ReversiblePebblingSolver(
+        load_workload(workload), options=options, incremental=incremental, backend=engine
+    )
+    result = solver.solve(budget, strategy=schedule, max_steps=max_steps)
+    assert result.complete
+    assert (
+        result.outcome.value,
+        result.num_steps,
+        len(result.attempts),
+        result.minimal,
+    ) == expected
+
+
+def test_the_golden_table_has_eighty_rows():
+    assert len(list(_table_rows())) == 80
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize(
+    ("workload", "budget", "max_steps"), list(GOLDEN_CUBES), ids=str
+)
+def test_inline_cube_lanes_match_the_golden_rows(engine, workload, budget, max_steps):
+    solver = ReversiblePebblingSolver(load_workload(workload), backend=engine)
+    result = solver.solve(budget, cubes=4, cube_jobs=1, max_steps=max_steps)
+    assert result.complete
+    assert (
+        result.outcome.value,
+        result.num_steps,
+        result.minimal,
+        len(result.attempts),
+        result.shared_bound_hits,
+        result.cubes["winner"],
+        result.cubes["cancelled"],
+    ) == GOLDEN_CUBES[(workload, budget, max_steps)]

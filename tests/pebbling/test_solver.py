@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import PebblingError
 from repro.dag import Dag, linear_chain
+from repro.sat import backend as backend_registry
 from repro.sat.solver import CdclSolver
 from repro.pebbling import (
     EncodingOptions,
@@ -13,6 +14,7 @@ from repro.pebbling import (
     minimize_pebbles,
     pebble_dag,
 )
+from repro.pebbling.search import strategy_from_name
 
 
 class TestProblemOne:
@@ -91,18 +93,18 @@ class TestProblemOne:
         with pytest.raises(PebblingError):
             solver.solve(0)
         with pytest.raises(PebblingError):
-            solver.solve(4, step_increment=0)
-        with pytest.raises(PebblingError):
-            solver.solve(4, step_schedule="sideways")
+            solver.solve(4, strategy=strategy_from_name("linear", step_increment=0))
+        with pytest.raises(PebblingError, match="strategy must be one of"):
+            solver.solve(4, strategy="sideways")
 
     def test_geometric_schedule_finds_solutions(self, fig2_dag):
-        result = pebble_dag(fig2_dag, 4, time_limit=60, step_schedule="geometric")
+        result = pebble_dag(fig2_dag, 4, time_limit=60, strategy="geometric")
         assert result.found
         assert result.strategy.max_pebbles <= 4
 
     def test_geometric_schedule_uses_fewer_sat_calls(self, and9_dag):
         linear = pebble_dag(and9_dag, 7, time_limit=60)
-        geometric = pebble_dag(and9_dag, 7, time_limit=60, step_schedule="geometric")
+        geometric = pebble_dag(and9_dag, 7, time_limit=60, strategy="geometric")
         assert linear.found and geometric.found
         assert len(geometric.attempts) <= len(linear.attempts)
 
@@ -120,19 +122,27 @@ class TestProblemOne:
 
 
 class TestSolverInjection:
-    def test_solver_factory_is_used(self, fig2_dag):
+    def test_registered_backend_drives_a_search(self, fig2_dag, monkeypatch):
+        # A private registry copy: the registration disappears with the test.
+        monkeypatch.setattr(
+            backend_registry, "_REGISTRY", dict(backend_registry._REGISTRY)
+        )
         created = []
 
-        def factory(*args, **kwargs):
-            solver = CdclSolver(*args, **kwargs)
-            created.append(solver)
+        def factory(argument, conflict_limit):
+            solver = CdclSolver(conflict_limit=conflict_limit)
+            created.append((argument, solver))
             return solver
 
-        result = ReversiblePebblingSolver(
-            fig2_dag, solver_factory=factory
-        ).solve(4, time_limit=30)
-        assert result.found
-        assert created  # the injected factory built the SAT engine
+        backend_registry.register_backend("recording", factory)
+        solver = ReversiblePebblingSolver(fig2_dag, backend="recording:tag")
+        result = solver.solve(4, time_limit=30)
+        assert result.found and result.backend == "recording:tag"
+        # One live engine per search, built from the spec's argument, and
+        # every attempt answered by it.
+        assert [argument for argument, _ in created] == ["tag"]
+        (_, engine), = created
+        assert result.attempts[-1].solver_stats == engine.counters()
 
     def test_attempts_carry_solver_stats(self, fig2_dag):
         result = ReversiblePebblingSolver(fig2_dag).solve(4, time_limit=30)
@@ -185,6 +195,12 @@ class TestMinimizePebbles:
         best, _ = solver.minimize_pebbles(timeout_per_budget=20, lower_bound=3)
         assert best is not None
         assert best.strategy.max_pebbles <= 5
+        # No budget below the Bennett peak is tried: the Bennett seed is
+        # the answer, and it names the engine the solver resolved.
+        seed, attempts = solver.minimize_pebbles(timeout_per_budget=20, lower_bound=8)
+        assert not attempts
+        assert seed.strategy.max_pebbles == 8
+        assert seed.summary()["backend"] == solver.backend
 
     def test_upper_bound_respected(self, fig2_dag):
         solver = ReversiblePebblingSolver(fig2_dag)
@@ -326,7 +342,7 @@ class TestStepFloorAndMinimality:
 
     def test_linear_coarse_increment_is_not_certified(self, fig2_dag):
         result = ReversiblePebblingSolver(fig2_dag).solve(
-            4, time_limit=60, step_increment=2
+            4, time_limit=60, strategy=strategy_from_name("linear", step_increment=2)
         )
         assert result.found
         assert not result.minimal

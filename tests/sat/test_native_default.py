@@ -59,7 +59,7 @@ class TestSpecRules:
         )
 
     @pytest.mark.parametrize(
-        "argument", ["bve=0", "vivify=1", "chrono=0", "rephase=64",
+        "argument", ["bve=0", "vivify=1", "chrono=0",
                      "var_decay=0.9", "profile=1", "inprocess_interval=0"],
     )
     def test_python_only_keys_select_the_python_engine(self, argument):

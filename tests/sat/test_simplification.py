@@ -258,20 +258,3 @@ def test_chrono_fires_and_preserves_the_pigeonhole_verdict():
         solver.add_clause(clause)
     assert not solver.solve().is_sat
     assert solver.stats.chrono_backtracks > 0
-
-
-def test_rephasing_fires_and_preserves_verdicts():
-    solver = CdclSolver(rephase=8, restart_base=4)
-    for clause in pigeonhole(7, 6).clauses:
-        solver.add_clause(clause)
-    assert not solver.solve().is_sat
-    assert solver.stats.rephases > 0
-    sat = CdclSolver(rephase=8, restart_base=4)
-    instance = random_3sat(25, 80, seed=11)
-    for clause in instance.clauses:
-        sat.add_clause(clause)
-    result = sat.solve()
-    reference = DpllSolver()
-    for clause in instance.clauses:
-        reference.add_clause(clause)
-    assert result.is_sat == reference.solve().is_sat

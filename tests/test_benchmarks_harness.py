@@ -236,7 +236,7 @@ class TestSimplifyScenario:
                 assert set(run["counters"]) == {
                     "eliminated_variables", "restored_variables",
                     "bve_resolvents", "vivified_clauses",
-                    "chrono_backtracks", "rephases",
+                    "chrono_backtracks",
                 }
         # Ablations are attributed relative to the full engine.
         assert set(scenario["attribution"]) == configs - {"full"}

@@ -59,7 +59,7 @@ class TestSection4aStraightLinePrograms:
         executed operations than the Bennett minimum."""
         dag = kummer_point_addition_slp().to_dag()
         baseline = eager_bennett_strategy(dag)
-        result = pebble_dag(dag, 24, time_limit=120, step_schedule="geometric")
+        result = pebble_dag(dag, 24, time_limit=120, strategy="geometric")
         assert result.found
         cleaned = result.strategy.remove_redundant_moves()
         assert cleaned.max_pebbles <= 24 < baseline.max_pebbles
@@ -107,7 +107,7 @@ class TestSection4bBennettComparison:
         dag = load_workload("b2_m3", scale=0.5)   # 1-bit variant of the H operator
         baseline = eager_bennett_strategy(dag)
         result = pebble_dag(
-            dag, max(3, baseline.max_pebbles - 2), time_limit=90, step_schedule="geometric"
+            dag, max(3, baseline.max_pebbles - 2), time_limit=90, strategy="geometric"
         )
         assert result.found
         assert result.strategy.max_pebbles < baseline.max_pebbles
