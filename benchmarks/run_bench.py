@@ -823,7 +823,8 @@ CHAOS_RETRY = RetryPolicy(max_attempts=6, base_delay=0.005, max_delay=0.05)
 def _deadline_probe() -> dict[str, object]:
     """One deadline-preempted service request, as a structured gate.
 
-    ``and9_p4_sm`` needs ~1 s of sweep on this host class; a 0.2 s deadline
+    ``edwards_add_p9`` needs ~0.75 s of search on the C core, most of it
+    SAT solving, so a faster encoder barely moves it; a 0.2 s deadline
     preempts it mid-search.  The gate requires the graceful degradation the
     service promises: status ``ok`` (not an error), ``complete`` false, a
     non-empty anytime ``partial`` snapshot, and the preemption visible in
@@ -834,7 +835,7 @@ def _deadline_probe() -> dict[str, object]:
     async def _run():
         async with PebblingService(workers=1, batch_window=0.0) as service:
             request = JobRequest(
-                kind="pebble", workload="and9", budget=4, single_move=True,
+                kind="pebble", workload="edwards-add", budget=9,
                 time_limit=60.0, deadline=0.2,
             )
             result = await service.submit(request)
@@ -850,7 +851,7 @@ def _deadline_probe() -> dict[str, object]:
         and health["stats"]["partial_answers"] >= 1
     )
     return {
-        "request": "and9_p4_sm",
+        "request": "edwards_add_p9",
         "deadline": 0.2,
         "status": result.status,
         "outcome": payload.get("outcome"),

@@ -31,12 +31,13 @@ clearly flagged):
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from repro.errors import PebblingError
 from repro.dag.graph import Dag, NodeId
 from repro.sat.cards import CardinalityEncoding, at_most_k, at_most_k_weighted
-from repro.sat.cnf import Cnf
+from repro.sat.cnf import Clause, Cnf
 
 
 @dataclass(frozen=True)
@@ -123,11 +124,16 @@ class PebblingEncoder:
     """Stateful frame-based encoder of the bounded pebbling game.
 
     An encoder constructed with a pebble budget is a *frame engine*: it owns
-    one growing :class:`~repro.sat.cnf.Cnf` and emits clauses in per-step
-    frames.  Frame ``i`` consists of the configuration variables
-    ``p[v, i]``, the transition (move) clauses between ``i - 1`` and ``i``,
-    the optional move variables ``m[v, i-1]`` with their constraints, and
-    the cardinality block of configuration ``i``.  The public surface:
+    one growing :class:`~repro.sat.cnf.Cnf`, whose clauses live in a single
+    int32 literal stream, and emits clauses in per-step frames.  Frame
+    ``i`` consists of the configuration variables ``p[v, i]``, the
+    transition (move) clauses between ``i - 1`` and ``i``, the optional
+    move variables ``m[v, i-1]`` with their constraints, and the
+    cardinality block of configuration ``i``.  Every clause is over
+    variables the encoder allocated itself, so it goes into the stream
+    through :meth:`~repro.sat.cnf.Cnf.add_generated`, a whole frame or
+    counter at a time, with no per-clause :class:`~repro.sat.cnf.Clause`.
+    The public surface:
 
     * :meth:`extend_to` — emit only the frames between the current frontier
       and a new step bound (monotonic, idempotent);
@@ -136,8 +142,11 @@ class PebblingEncoder:
       incremental solving;
     * :meth:`assert_final` — the same constraint as unconditional units,
       for one-shot (monolithic) instances;
-    * :meth:`drain_new_clauses` — the clauses emitted since the last drain,
-      which incremental callers push into a live SAT solver.
+    * :meth:`drain_new_literals` — the stream slice emitted since the last
+      drain and its clause count, which incremental callers hand to a live
+      SAT solver (the C core takes the slice as it is);
+      :meth:`drain_new_clauses` is the same drain as
+      :class:`~repro.sat.cnf.Clause` objects.
 
     Constructed *without* a budget the encoder is a reusable factory whose
     only operation is the one-shot :meth:`encode`, which runs
@@ -170,7 +179,8 @@ class PebblingEncoder:
         self._variables: dict[tuple[NodeId, int], int] = {}
         self._guards: dict[int, int] = {}
         self._num_steps = 0
-        self._drained = 0
+        self._drained = 0  # clauses drained so far
+        self._drained_at = 0  # their length in the literal stream
         self._new_named: list[int] = []
         if max_pebbles is not None:
             self._start(max_pebbles)
@@ -188,8 +198,10 @@ class PebblingEncoder:
         )
         self._add_configuration(0)
         # Initial clauses: at time 0 nothing is pebbled.
+        flat: list[int] = []
         for node in self._nodes:
-            cnf.add_unit(-self._variables[(node, 0)])
+            flat += (-self._variables[(node, 0)], 0)
+        cnf.add_generated(flat)
 
     def _require_frames(self) -> Cnf:
         if self._cnf is None:
@@ -245,7 +257,9 @@ class PebblingEncoder:
         variables = self._variables
         dag = self.dag
         options = self.options
+        moves = options.max_moves_per_step is not None or options.forbid_idle_steps
         move_literals: list[int] = []
+        flat: list[int] = []
         for node in self._nodes:
             now = variables[(node, step)]
             then = variables[(node, step + 1)]
@@ -253,18 +267,23 @@ class PebblingEncoder:
                 dep_now = variables[(dependency, step)]
                 dep_then = variables[(dependency, step + 1)]
                 # (now xor then) -> dep_now  and  (now xor then) -> dep_then
-                cnf.add_clause([-now, then, dep_now])
-                cnf.add_clause([now, -then, dep_now])
-                cnf.add_clause([-now, then, dep_then])
-                cnf.add_clause([now, -then, dep_then])
-            if options.max_moves_per_step is not None or options.forbid_idle_steps:
+                flat += (
+                    -now, then, dep_now, 0,
+                    now, -then, dep_now, 0,
+                    -now, then, dep_then, 0,
+                    now, -then, dep_then, 0,
+                )
+            if moves:
                 move = cnf.new_variable(f"m[{node},{step}]")
                 # move <-> (now xor then)
-                cnf.add_clause([-move, now, then])
-                cnf.add_clause([-move, -now, -then])
-                cnf.add_clause([move, -now, then])
-                cnf.add_clause([move, now, -then])
+                flat += (
+                    -move, now, then, 0,
+                    -move, -now, -then, 0,
+                    move, -now, then, 0,
+                    move, now, -then, 0,
+                )
                 move_literals.append(move)
+        cnf.add_generated(flat)
         if options.max_moves_per_step is not None:
             at_most_k(
                 cnf,
@@ -274,7 +293,7 @@ class PebblingEncoder:
                 name_prefix=f"card[m,{step}]",
             )
         if options.forbid_idle_steps:
-            cnf.add_clause(move_literals)
+            cnf.add_generated(move_literals + [0])
 
     def extend_to(self, num_steps: int) -> None:
         """Grow the encoding to ``num_steps`` transitions.
@@ -308,11 +327,11 @@ class PebblingEncoder:
         if guard is None:
             guard = cnf.new_variable(f"final[{step}]")
             self._new_named.append(guard)
+            flat: list[int] = []
             for node in self._nodes:
                 literal = self._variables[(node, step)]
-                cnf.add_clause(
-                    [-guard, literal if node in self._outputs else -literal]
-                )
+                flat += (-guard, literal if node in self._outputs else -literal, 0)
+            cnf.add_generated(flat)
             self._guards[step] = guard
         return guard
 
@@ -323,9 +342,11 @@ class PebblingEncoder:
             raise PebblingError(
                 f"cannot finalise step {step}: only {self._num_steps} frames encoded"
             )
+        flat: list[int] = []
         for node in self._nodes:
             literal = self._variables[(node, step)]
-            cnf.add_unit(literal if node in self._outputs else -literal)
+            flat += (literal if node in self._outputs else -literal, 0)
+        cnf.add_generated(flat)
 
     def drain_new_named_variables(self) -> list[int]:
         """Return the pebble/guard variables created since the last drain.
@@ -341,12 +362,25 @@ class PebblingEncoder:
         self._new_named = []
         return fresh
 
-    def drain_new_clauses(self) -> list:
-        """Return the clauses emitted since the last drain (for flushing)."""
+    def drain_new_literals(self) -> tuple[array, int]:
+        """Return the literal stream emitted since the last drain.
+
+        The slice of :attr:`Cnf.literals <repro.sat.cnf.Cnf.literals>`
+        (a copy: the stream keeps growing) and the number of
+        zero-terminated clauses in it.
+        """
         cnf = self._require_frames()
-        fresh = cnf.clauses[self._drained:]
-        self._drained = len(cnf.clauses)
-        return fresh
+        fresh = cnf.literals[self._drained_at:]
+        count = cnf.num_clauses - self._drained
+        self._drained_at = len(cnf.literals)
+        self._drained = cnf.num_clauses
+        return fresh, count
+
+    def drain_new_clauses(self) -> list[Clause]:
+        """The same drain as :meth:`drain_new_literals`, as clause objects."""
+        start = self._drained
+        self.drain_new_literals()
+        return self.cnf.clauses[start:]
 
     def variable(self, node: NodeId, step: int) -> int:
         """Return the CNF variable of ``p[node, step]``."""

@@ -68,6 +68,7 @@ from repro.sat.backend import (
     require_backend,
     resolve_backend,
 )
+from repro.sat.cnf import split_clauses
 from repro.sat.solver import SolveResult, Status
 
 
@@ -372,15 +373,16 @@ class _LiveOracle:
         self._assumptions = self.pinned + [
             self._guards[step] for step in sorted(ladder, reverse=True)
         ]
-        # One batch per frame where the backend takes one (the C core: a
-        # single call instead of one per clause); the Python engine keeps
-        # its per-clause path.
-        fresh = [clause.literals for clause in self.encoder.drain_new_clauses()]
-        add_clauses = getattr(self.backend, "add_clauses", None)
-        if add_clauses is not None:
-            add_clauses(fresh)
+        # The frame goes over as the encoder's own int32 literal stream:
+        # the C core reads the slice in place in one call; the Python
+        # engine and the other backends take its clauses one add_clause
+        # each.
+        fresh, count = self.encoder.drain_new_literals()
+        add_buffer = getattr(self.backend, "add_clause_buffer", None)
+        if add_buffer is not None:
+            add_buffer(fresh, count)
         else:
-            for literals in fresh:
+            for literals in split_clauses(fresh):
                 self.backend.add_clause(literals)
         # Pebble and guard variables are re-mentioned by every later frame
         # and assumption ladder; backends with root-level variable

@@ -64,7 +64,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from repro.errors import ChaosInjectedError, SolverError
-from repro.sat.cnf import Cnf
+from repro.sat.cnf import Cnf, split_clauses
 from repro.sat.dpll import DpllSolver
 from repro.sat.solver import CdclSolver, SolveResult, SolverStats, Status
 
@@ -128,8 +128,8 @@ class IncrementalSatBackend(ABC):
         """Add every clause of ``cnf`` (and reserve its variable range)."""
         while self.num_variables < cnf.num_variables:
             self.add_variable()
-        for clause in cnf.clauses:
-            self.add_clause(clause.literals)
+        for literals in split_clauses(cnf.literals):
+            self.add_clause(literals)
 
     def counters(self) -> dict[str, float]:
         """Counters of the last solve, trimmed to what this backend tracks.

@@ -36,6 +36,10 @@ encoders emit byte-identical CNF on unit-weight DAGs.
 
 All functions append clauses to a caller-provided :class:`~repro.sat.cnf.Cnf`
 and work on DIMACS literals (so they can constrain negated variables too).
+The public entry points validate the caller's literals once and reserve
+their variables in the pool; the private encoders below them emit each
+constraint's clauses as one zero-terminated run through
+:meth:`~repro.sat.cnf.Cnf.add_generated`.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from itertools import combinations
 from typing import Sequence
 
 from repro.errors import CnfError
-from repro.sat.cnf import Cnf
+from repro.sat.cnf import MAX_VARIABLE, Cnf
 from repro.sat.literals import check_literal
 
 
@@ -66,6 +70,20 @@ class CardinalityEncoding(Enum):
         except ValueError as exc:
             valid = ", ".join(member.value for member in cls)
             raise CnfError(f"unknown cardinality encoding {name!r} (valid: {valid})") from exc
+
+
+def _checked(cnf: Cnf, literals: Sequence[int]) -> list[int]:
+    """Validate the caller's literals and reserve their variables in the pool.
+
+    What the private encoders then emit over these literals needs no
+    further check.
+    """
+    checked = [check_literal(literal) for literal in literals]
+    top = max(map(abs, checked), default=0)
+    if top > MAX_VARIABLE:
+        raise CnfError(f"variable {top} does not fit a 32-bit literal")
+    cnf.pool.reserve_through(top)
+    return checked
 
 
 def at_most_one(cnf: Cnf, literals: Sequence[int]) -> None:
@@ -124,7 +142,7 @@ def at_most_k(
     parity tests — rely on these names; leave it ``None`` for anonymous
     auxiliaries.
     """
-    literals = [check_literal(literal) for literal in literals]
+    literals = _checked(cnf, literals)
     if bound < 0:
         cnf.add_clause([])  # nothing can satisfy a negative bound
         return
@@ -185,7 +203,7 @@ def at_most_k_weighted(
     like the unweighted sequential encoding, so frame-parity tests keep
     working in weighted mode.
     """
-    literals = [check_literal(literal) for literal in literals]
+    literals = _checked(cnf, literals)
     checked = _check_weights(literals, weights)
     if all(weight == 1 for weight in checked):
         at_most_k(cnf, literals, bound, encoding=encoding, name_prefix=name_prefix)
@@ -228,23 +246,25 @@ def _weighted_sequential_counter(
         for i in range(count)
     ]
     first, first_weight = pairs[0]
+    flat: list[int] = []
     for j in range(first_weight):
-        cnf.add_clause([-first, registers[0][j]])
+        flat += (-first, registers[0][j], 0)
     for j in range(first_weight, bound):
-        cnf.add_unit(-registers[0][j])
+        flat += (-registers[0][j], 0)
     for i in range(1, count):
         literal, weight = pairs[i]
         previous = registers[i - 1]
         current = registers[i]
         for j in range(weight):
-            cnf.add_clause([-literal, current[j]])
+            flat += (-literal, current[j], 0)
         for j in range(bound):
-            cnf.add_clause([-previous[j], current[j]])
+            flat += (-previous[j], current[j], 0)
         for j in range(bound - weight):
-            cnf.add_clause([-literal, -previous[j], current[j + weight]])
+            flat += (-literal, -previous[j], current[j + weight], 0)
         # Overflow: accumulated weight already exceeds bound - weight, so
         # adding this literal would push the total past the bound.
-        cnf.add_clause([-literal, -previous[bound - weight]])
+        flat += (-literal, -previous[bound - weight], 0)
+    cnf.add_generated(flat)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +281,11 @@ def _pairwise(cnf: Cnf, literals: Sequence[int], bound: int) -> None:
             f"pairwise at-most-{bound} over {len(literals)} literals would emit "
             f"{clause_count} clauses; use the sequential or totalizer encoding"
         )
+    flat: list[int] = []
     for subset in combinations(literals, bound + 1):
-        cnf.add_clause([-literal for literal in subset])
+        flat += [-literal for literal in subset]
+        flat.append(0)
+    cnf.add_generated(flat)
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +307,21 @@ def _sequential_counter(
         for i in range(count)
     ]
     first = literals[0]
-    cnf.add_clause([-first, registers[0][0]])
+    flat = [-first, registers[0][0], 0]
     for j in range(1, bound):
-        cnf.add_unit(-registers[0][j])
+        flat += (-registers[0][j], 0)
     for i in range(1, count):
         literal = literals[i]
-        cnf.add_clause([-literal, registers[i][0]])
-        cnf.add_clause([-registers[i - 1][0], registers[i][0]])
+        previous = registers[i - 1]
+        current = registers[i]
+        flat += (-literal, current[0], 0, -previous[0], current[0], 0)
         for j in range(1, bound):
-            cnf.add_clause([-literal, -registers[i - 1][j - 1], registers[i][j]])
-            cnf.add_clause([-registers[i - 1][j], registers[i][j]])
-        cnf.add_clause([-literal, -registers[i - 1][bound - 1]])
+            flat += (
+                -literal, -previous[j - 1], current[j], 0,
+                -previous[j], current[j], 0,
+            )
+        flat += (-literal, -previous[bound - 1], 0)
+    cnf.add_generated(flat)
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +330,19 @@ def _sequential_counter(
 def _totalizer(
     cnf: Cnf, literals: Sequence[int], bound: int, name_prefix: str | None = None
 ) -> None:
-    output = _totalizer_tree(cnf, list(literals), bound, 0, len(literals), name_prefix)
+    flat: list[int] = []
+    output = _totalizer_tree(
+        cnf, flat, list(literals), bound, 0, len(literals), name_prefix
+    )
     # Forbid the (bound+1)-th output from being true.
     if len(output) > bound:
-        cnf.add_unit(-output[bound])
+        flat += (-output[bound], 0)
+    cnf.add_generated(flat)
 
 
 def _totalizer_tree(
     cnf: Cnf,
+    flat: list[int],
     literals: list[int],
     bound: int,
     lo: int,
@@ -319,7 +351,7 @@ def _totalizer_tree(
 ) -> list[int]:
     """Build a totalizer over ``literals[lo:hi]``; return its sorted outputs.
 
-    Outputs are truncated at ``bound + 1`` since larger counts are never
+    The clauses go to ``flat``, subtrees first.  Outputs are truncated at ``bound + 1`` since larger counts are never
     distinguished by an at-most-``bound`` constraint.  ``lo``/``hi`` index
     into the original literal list so auxiliary names stay stable per
     subtree.
@@ -327,8 +359,8 @@ def _totalizer_tree(
     if hi - lo == 1:
         return [literals[lo]]
     middle = lo + (hi - lo) // 2
-    left = _totalizer_tree(cnf, literals, bound, lo, middle, name_prefix)
-    right = _totalizer_tree(cnf, literals, bound, middle, hi, name_prefix)
+    left = _totalizer_tree(cnf, flat, literals, bound, lo, middle, name_prefix)
+    right = _totalizer_tree(cnf, flat, literals, bound, middle, hi, name_prefix)
     width = min(len(left) + len(right), bound + 1)
     output = [
         cnf.new_variable(
@@ -342,13 +374,11 @@ def _totalizer_tree(
             sigma = alpha + beta
             if sigma == 0 or sigma > width:
                 continue
-            clause: list[int] = []
             if alpha > 0:
-                clause.append(-left[alpha - 1])
+                flat.append(-left[alpha - 1])
             if beta > 0:
-                clause.append(-right[beta - 1])
-            clause.append(output[sigma - 1])
-            cnf.add_clause(clause)
+                flat.append(-right[beta - 1])
+            flat += (output[sigma - 1], 0)
     return output
 
 

@@ -1,14 +1,31 @@
 """CNF formula containers.
 
-A :class:`Cnf` is a list of clauses over DIMACS literals together with a
+A :class:`Cnf` is a clause list over DIMACS literals together with a
 variable pool.  Encoders (Tseitin, cardinality constraints, the pebbling
 encoding) build a :class:`Cnf` incrementally through :meth:`Cnf.add_clause`
 and :meth:`Cnf.new_variable`, and hand the result to a solver.
+
+Storage is one flat ``array('i')``, :attr:`Cnf.literals`: every clause's
+DIMACS literals followed by a ``0``, in the order the clauses were added
+(the body of a DIMACS file without its line breaks), plus a clause count.
+Clauses arrive by one of two paths:
+
+* the public methods (:meth:`Cnf.add_clause`, :meth:`Cnf.add_unit`, ...)
+  validate every literal, drop duplicates and return a :class:`Clause`;
+* :meth:`Cnf.add_generated` appends literals that an encoder generated
+  itself over variables the pool already holds -- whole frames or
+  counters at a time, with no :class:`Clause` object and no re-check.
+
+:attr:`Cnf.clauses` still reads as a sequence of :class:`Clause` (built on
+demand), and the C core takes :attr:`Cnf.literals` as it is, without a
+repack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import CnfError
@@ -130,19 +147,48 @@ class VariablePool:
             self._next = variable + 1
 
 
-@dataclass
-class Cnf:
-    """A CNF formula: a clause list plus a variable pool.
+#: Highest variable a clause may mention: its literals must fit in int32,
+#: negation included.
+MAX_VARIABLE = 2**31 - 1
 
-    The class is deliberately simple — encoders append clauses, solvers read
-    ``clauses`` and ``num_variables``.  Convenience helpers cover the common
-    logical gadgets used by the pebbling encoding (implications,
-    equivalences).
+
+def split_clauses(literals: array) -> Iterator[list[int]]:
+    """Yield the clauses of a zero-terminated literal stream as lists."""
+    flat = literals.tolist()
+    find = flat.index
+    start = 0
+    while start < len(flat):
+        end = find(0, start)
+        yield flat[start:end]
+        start = end + 1
+
+
+class Cnf:
+    """A CNF formula: a clause stream plus a variable pool.
+
+    Encoders append clauses; solvers read :attr:`literals` (or the
+    :attr:`clauses` view) and :attr:`num_variables`.  Convenience helpers
+    cover the common logical gadgets used by the pebbling encoding
+    (implications, equivalences).
     """
 
-    pool: VariablePool = field(default_factory=VariablePool)
-    clauses: list[Clause] = field(default_factory=list)
-    comments: list[str] = field(default_factory=list)
+    def __init__(self, pool: VariablePool | None = None) -> None:
+        self.pool = pool if pool is not None else VariablePool()
+        self.comments: list[str] = []
+        #: Every clause's DIMACS literals followed by ``0``, in order.
+        #: Append through the ``add_*`` methods only.
+        self.literals = array("i")
+        self._count = 0
+        # Start offset of each clause, indexed lazily by _clause_offsets.
+        self._offsets: list[int] = []
+
+    def __repr__(self) -> str:
+        return f"Cnf(variables={self.num_variables}, clauses={self._count})"
+
+    @property
+    def clauses(self) -> "ClauseView":
+        """The clauses as :class:`Clause` objects, built on demand."""
+        return ClauseView(self)
 
     @property
     def num_variables(self) -> int:
@@ -152,7 +198,7 @@ class Cnf:
     @property
     def num_clauses(self) -> int:
         """Number of clauses currently in the formula."""
-        return len(self.clauses)
+        return self._count
 
     def new_variable(self, name: str | None = None) -> int:
         """Allocate a fresh variable through the pool."""
@@ -163,20 +209,35 @@ class Cnf:
         return self.pool.new_many(count, prefix)
 
     def add_clause(self, literals: Iterable[int]) -> Clause:
-        """Add a clause (a disjunction of DIMACS literals) and return it."""
+        """Add a clause (a disjunction of DIMACS literals) and return it.
+
+        The literals are validated and deduplicated (:class:`Clause`)
+        before anything is stored, and the pool is reserved through the
+        clause's highest variable.
+        """
         clause = literals if isinstance(literals, Clause) else Clause(literals)
-        # One pool reservation per clause (reserve_through is monotone),
-        # not one per literal — this method is the hot path of every
-        # encoder.  Clause construction already validated the literals.
-        max_var = 0
-        for literal in clause.literals:
-            variable = -literal if literal < 0 else literal
-            if variable > max_var:
-                max_var = variable
-        if max_var:
-            self.pool.reserve_through(max_var)
-        self.clauses.append(clause)
+        max_var = max(map(abs, clause.literals), default=0)
+        if max_var > MAX_VARIABLE:
+            raise CnfError(f"variable {max_var} does not fit a 32-bit literal")
+        self.pool.reserve_through(max_var)
+        self.literals.extend(clause.literals)
+        self.literals.append(0)
+        self._count += 1
         return clause
+
+    def add_generated(self, literals: Sequence[int]) -> None:
+        """Append clauses an encoder generated, as one zero-terminated run.
+
+        The fast path of this package's own encoders: ``literals`` holds
+        whole clauses, each followed by ``0``, over variables this pool
+        already allocated, so nothing is validated, deduplicated or
+        reserved.  An unterminated run is refused: it would fuse with the
+        next clause.
+        """
+        if literals and literals[-1] != 0:
+            raise CnfError("generated clauses must end with a 0 terminator")
+        self.literals.extend(literals)
+        self._count += literals.count(0)
 
     def add_clauses(self, clause_list: Iterable[Iterable[int]]) -> None:
         """Add every clause in ``clause_list``."""
@@ -212,14 +273,15 @@ class Cnf:
         return all(clause.evaluate(assignment) for clause in self.clauses)
 
     def copy(self) -> "Cnf":
-        """Return a shallow copy sharing no mutable state with ``self``."""
+        """Return a copy sharing no mutable state with ``self``."""
         fresh = Cnf()
         fresh.pool.reserve_through(self.num_variables)
         for variable in range(1, self.num_variables + 1):
             name = self.pool.name_of(variable)
             if name is not None:
                 fresh.pool.set_name(variable, name)
-        fresh.clauses = list(self.clauses)
+        fresh.literals = array("i", self.literals)
+        fresh._count = self._count
         fresh.comments = list(self.comments)
         return fresh
 
@@ -231,7 +293,7 @@ class Cnf:
         return iter(self.clauses)
 
     def __len__(self) -> int:
-        return len(self.clauses)
+        return self._count
 
     def stats(self) -> dict[str, int]:
         """Return a small dictionary of size statistics."""
@@ -241,6 +303,67 @@ class Cnf:
             "clauses": self.num_clauses,
             "literals": literal_count,
         }
+
+    def _clause_offsets(self) -> list[int]:
+        """Start offset of every clause in :attr:`literals`."""
+        offsets = self._offsets
+        if len(offsets) < self._count:
+            find = self.literals.index
+            position = find(0, offsets[-1]) + 1 if offsets else 0
+            for _ in range(self._count - len(offsets)):
+                offsets.append(position)
+                position = find(0, position) + 1
+        return offsets
+
+
+class ClauseView(SequenceABC):
+    """The clauses of a :class:`Cnf` as :class:`Clause` objects.
+
+    A live view, built on demand from :attr:`Cnf.literals`: ``len`` is
+    O(1), iteration decodes the stream once, and indexing and slicing use
+    clause offsets the :class:`Cnf` indexes when first asked.  A slice is
+    a list; the view compares equal to a list or view of equal clauses.
+    """
+
+    __slots__ = ("_cnf",)
+
+    def __init__(self, cnf: Cnf) -> None:
+        self._cnf = cnf
+
+    def __len__(self) -> int:
+        return self._cnf.num_clauses
+
+    def __iter__(self) -> Iterator[Clause]:
+        return map(Clause, split_clauses(self._cnf.literals))
+
+    def __getitem__(self, index):
+        count = len(self)
+        literals = self._cnf.literals
+        if isinstance(index, slice):
+            start, stop, step = index.indices(count)
+            if step != 1:
+                return [self[position] for position in range(start, stop, step)]
+            if start >= stop:
+                return []
+            offsets = self._cnf._clause_offsets()
+            end = offsets[stop] if stop < count else len(literals)
+            return list(map(Clause, split_clauses(literals[offsets[start]:end])))
+        if index < 0:
+            index += count
+        if not 0 <= index < count:
+            raise IndexError("clause index out of range")
+        start = self._cnf._clause_offsets()[index]
+        return Clause(literals[start:literals.index(0, start)])
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (ClauseView, list)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]  # mutable, like a list
+
+    def __repr__(self) -> str:
+        return f"ClauseView({list(self)!r})"
 
 
 def clauses_from_lists(clause_lists: Sequence[Sequence[int]]) -> list[Clause]:

@@ -17,7 +17,7 @@ import time
 from typing import Iterable, Sequence
 
 from repro.errors import SolverError
-from repro.sat.cnf import Cnf
+from repro.sat.cnf import Cnf, split_clauses
 from repro.sat.solver import SolveResult, SolverStats, Status
 
 
@@ -46,8 +46,8 @@ class DpllSolver:
 
     def add_cnf(self, cnf: Cnf) -> None:
         """Add every clause of ``cnf``."""
-        for clause in cnf.clauses:
-            self.add_clause(clause.literals)
+        for literals in split_clauses(cnf.literals):
+            self.add_clause(literals)
 
     def add_clause(self, literals: Iterable[int]) -> None:
         """Add one clause given as DIMACS literals."""

@@ -24,9 +24,9 @@ import ctypes
 import hashlib
 import os
 import shutil
-import struct
 import subprocess
 import time
+from array import array
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 from threading import Lock, get_ident
@@ -70,11 +70,11 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.cdcl_add_clause.argtypes = [
         ctypes.c_void_p, ctypes.POINTER(ctypes.c_int32), ctypes.c_int32,
     ]
-    # The flat buffer goes over as the bytes of one struct.pack call
-    # (passed without a copy); the C side reads it as int32_t[n].
+    # The flat buffer is the memory of an array('i'), shared through
+    # ctypes' from_buffer: the C side reads it in place as int32_t[n].
     lib.cdcl_add_clauses.restype = ctypes.c_int32
     lib.cdcl_add_clauses.argtypes = [
-        ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int64,
+        ctypes.c_void_p, ctypes.POINTER(ctypes.c_int32), ctypes.c_int64,
     ]
     lib.cdcl_solve.restype = ctypes.c_int32
     lib.cdcl_solve.argtypes = [
@@ -188,13 +188,19 @@ class NativeCdclSolver:
     """The C core behind the :class:`IncrementalSatBackend` surface.
 
     What bare ``cdcl`` runs whenever the core loads (and what
-    ``cdcl:native=1`` demands).  Supports incremental clause addition —
-    one clause per :meth:`add_clause` or a whole batch per
-    :meth:`add_clauses` — assumptions with conflict-analysis cores, and
-    conflict/time budgets; it does not implement the Python engine's
-    inprocessing (``freeze`` is intentionally absent — the pebbling layer
-    probes for it with ``getattr``).  ``library`` selects an already
-    loaded build (see :func:`build_library`); by default the shared one.
+    ``cdcl:native=1`` demands).  Supports incremental clause addition,
+    assumptions with conflict-analysis cores, and conflict/time budgets;
+    it does not implement the Python engine's inprocessing (``freeze`` is
+    intentionally absent — the pebbling layer probes for it with
+    ``getattr``).  ``library`` selects an already loaded build (see
+    :func:`build_library`); by default the shared one.
+
+    Clauses arrive one per :meth:`add_clause` call, or many in one call
+    into the core: :meth:`add_clause_buffer` takes a
+    :class:`~repro.sat.cnf.Cnf`'s int32 literal stream, or a frame's slice
+    of it, and the core reads that memory in place, with no repacking.
+    :meth:`add_cnf` passes a whole stream that way, and
+    :meth:`add_clauses` packs a list of clauses into one such buffer.
     """
 
     def __init__(
@@ -247,44 +253,74 @@ class NativeCdclSolver:
             ):
                 raise SolverError(f"invalid literal {literal!r}")
             clause.append(literal)
-        array = (ctypes.c_int32 * len(clause))(*clause)
+        packed = (ctypes.c_int32 * len(clause))(*clause)
         return bool(
-            self._lib.cdcl_add_clause(self._handle, array, len(clause))
+            self._lib.cdcl_add_clause(self._handle, packed, len(clause))
         )
+
+    def add_clause_buffer(self, literals: array, count: int) -> bool:
+        """Add ``count`` clauses from one int32 literal buffer, in one call.
+
+        ``literals`` is an ``array('i')`` of DIMACS literals with a ``0``
+        after each clause: :attr:`Cnf.literals <repro.sat.cnf.Cnf.literals>`
+        or a slice of it.  The core reads that memory in place.  Same
+        effect as :meth:`add_clause` on each clause in order, and the same
+        ``False`` once the formula is trivially unsat.  A malformed buffer
+        adds nothing and raises :class:`~repro.errors.SolverError`: a zero
+        count other than ``count``, a last clause without its ``0``, or the
+        literal ``INT32_MIN``, whose negation is no int32.
+        """
+        if not (
+            isinstance(literals, array)
+            and literals.typecode == "i"
+            and literals.itemsize == 4
+        ):
+            raise SolverError("the clause buffer must be an array('i') of int32 literals")
+        zeros = literals.count(0)
+        if zeros != count:
+            raise SolverError(
+                f"invalid literal 0 inside a clause of the batch "
+                f"({zeros} terminators for {count} clauses)"
+            )
+        size = len(literals)
+        # from_buffer shares the array's memory and holds an export on it
+        # until ``shared`` goes, so the array cannot be resized (and its
+        # memory moved) while the core reads it.
+        shared = (ctypes.c_int32 * size).from_buffer(literals)
+        try:
+            added = self._lib.cdcl_add_clauses(self._handle, shared, size)
+        finally:
+            del shared
+        if added < 0:
+            raise SolverError(
+                "invalid literal in the clause batch: its last clause has no 0 "
+                f"terminator or a literal is {-2**31} (no int32 negation)"
+            )
+        return bool(added)
 
     def add_clauses(self, clauses: Iterable[Sequence[int]]) -> bool:
         """Add many clauses with one call into the core.
 
-        Same effect as :meth:`add_clause` on each clause in order, and the
-        same ``False`` once the formula is trivially unsat.  The batch is
-        validated once, before anything is added: every literal must be a
-        nonzero integer whose negation fits in int32, else
-        :class:`~repro.errors.SolverError`.
+        Packs the clauses into one ``array('i')`` buffer for
+        :meth:`add_clause_buffer`; a literal that is no integer or does not
+        fit in int32 raises :class:`~repro.errors.SolverError` before
+        anything is added.
         """
-        flat: list[int] = []
-        extend, terminate = flat.extend, flat.append
+        flat = array("i")
         count = 0
-        for literals in clauses:
-            extend(literals)
-            terminate(0)
-            count += 1
-        if flat.count(0) != count:
-            raise SolverError("invalid literal 0 inside a clause of the batch")
         try:
-            packed = struct.pack(f"={len(flat)}i", *flat)
-        except struct.error as exc:
+            for literals in clauses:
+                flat.extend(literals)
+                flat.append(0)
+                count += 1
+        except (OverflowError, TypeError) as exc:
             raise SolverError(f"invalid literal in the clause batch: {exc}") from None
-        added = self._lib.cdcl_add_clauses(self._handle, packed, len(flat))
-        if added < 0:
-            raise SolverError(
-                f"invalid literal {-2**31} in the clause batch (no int32 negation)"
-            )
-        return bool(added)
+        return self.add_clause_buffer(flat, count)
 
     def add_cnf(self, cnf) -> None:
         while self.num_variables < cnf.num_variables:
             self.add_variable()
-        self.add_clauses(clause.literals for clause in cnf.clauses)
+        self.add_clause_buffer(cnf.literals, cnf.num_clauses)
 
     def solve(
         self,
@@ -300,12 +336,12 @@ class NativeCdclSolver:
         for literal in unique:
             if literal == 0 or not isinstance(literal, int):
                 raise SolverError(f"invalid assumption literal {literal!r}")
-        array = (ctypes.c_int32 * len(unique))(*unique)
+        assumed = (ctypes.c_int32 * len(unique))(*unique)
         budget = conflict_limit if conflict_limit is not None else self.default_conflict_limit
         started = time.monotonic()
         verdict = self._lib.cdcl_solve(
             self._handle,
-            array,
+            assumed,
             len(unique),
             -1 if budget is None else budget,
             -1.0 if time_limit is None else time_limit,

@@ -81,7 +81,7 @@ from typing import Iterable, Sequence
 
 from repro.errors import SolverError
 from repro.obs import trace as _trace
-from repro.sat.cnf import Cnf
+from repro.sat.cnf import Cnf, split_clauses
 
 
 class Status(Enum):
@@ -458,8 +458,8 @@ class CdclSolver:
     def add_cnf(self, cnf: Cnf) -> None:
         """Add every clause of ``cnf`` to the solver."""
         self._ensure_var(cnf.num_variables)
-        for clause in cnf.clauses:
-            self.add_clause(clause.literals)
+        for literals in split_clauses(cnf.literals):
+            self.add_clause(literals)
 
     def add_clause(self, literals: Iterable[int]) -> bool:
         """Add a clause; return ``False`` if the formula became trivially unsat.

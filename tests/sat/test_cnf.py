@@ -1,9 +1,14 @@
 """Unit tests for CNF containers (Clause, VariablePool, Cnf)."""
 
+from array import array
+
 import pytest
 
 from repro.errors import CnfError
-from repro.sat.cnf import Clause, Cnf, VariablePool, clauses_from_lists
+from repro.pebbling import ReversiblePebblingSolver
+from repro.sat.backend import DEFAULT_BACKEND, resolve_backend
+from repro.sat.cnf import Clause, Cnf, VariablePool, clauses_from_lists, split_clauses
+from repro.workloads import load_workload
 
 
 class TestClause:
@@ -146,3 +151,105 @@ def test_clauses_from_lists():
     clauses = clauses_from_lists([[1, 2], [-3]])
     assert all(isinstance(clause, Clause) for clause in clauses)
     assert [list(clause) for clause in clauses] == [[1, 2], [-3]]
+
+
+class TestClauseStream:
+    """The flat int32 storage behind the public clause API."""
+
+    @staticmethod
+    def _three_clauses() -> Cnf:
+        cnf = Cnf()
+        cnf.add_clause([1, -2])
+        cnf.add_unit(3)
+        cnf.add_clause([-1, 2, -3])
+        return cnf
+
+    def test_literals_are_zero_terminated_dimacs(self):
+        cnf = self._three_clauses()
+        assert cnf.literals == array("i", [1, -2, 0, 3, 0, -1, 2, -3, 0])
+        assert list(split_clauses(cnf.literals)) == [[1, -2], [3], [-1, 2, -3]]
+
+    def test_clauses_view_len_iteration_index_and_slice(self):
+        cnf = self._three_clauses()
+        view = cnf.clauses
+        assert len(view) == 3 == cnf.num_clauses == len(cnf)
+        assert [clause.literals for clause in view] == [(1, -2), (3,), (-1, 2, -3)]
+        assert all(isinstance(clause, Clause) for clause in view)
+        assert view[0] == Clause([1, -2])
+        assert view[2] == Clause([-1, 2, -3])
+        assert view[-1] == view[2]
+        assert view[1:] == [Clause([3]), Clause([-1, 2, -3])]
+        assert view[::2] == [Clause([1, -2]), Clause([-1, 2, -3])]
+        assert view[3:] == []
+        assert view == list(view)
+        assert Clause([3]) in view
+        with pytest.raises(IndexError):
+            view[3]
+
+    def test_view_is_live_and_indexes_clauses_added_later(self):
+        cnf = self._three_clauses()
+        view = cnf.clauses
+        assert view[1] == Clause([3])  # index the first clauses
+        cnf.add_clause([4, 5])
+        cnf.add_clause([])
+        assert len(view) == 5
+        assert view[3] == Clause([4, 5])
+        assert view[4].is_empty()
+        assert view[2:] == [Clause([-1, 2, -3]), Clause([4, 5]), Clause([])]
+
+    def test_copy_is_independent_of_the_original_stream(self):
+        cnf = self._three_clauses()
+        other = cnf.copy()
+        assert other.clauses == cnf.clauses
+        cnf.add_clause([7])
+        other.add_clause([-7])
+        assert cnf.clauses[-1] == Clause([7])
+        assert other.clauses[-1] == Clause([-7])
+        assert other.num_clauses == cnf.num_clauses == 4
+        assert other.literals[:-2] == cnf.literals[:-2]
+
+    def test_public_add_clause_deduplicates(self):
+        cnf = Cnf()
+        clause = cnf.add_clause([1, 2, 1, 2])
+        assert clause.literals == (1, 2)
+        assert cnf.literals == array("i", [1, 2, 0])
+
+    @pytest.mark.parametrize("bad", [0, True, 1.5, 2**31, -(2**31)])
+    def test_public_add_clause_rejects_before_storing(self, bad):
+        cnf = self._three_clauses()
+        before = array("i", cnf.literals)
+        with pytest.raises(CnfError):
+            cnf.add_clause([4, bad])
+        with pytest.raises(CnfError):
+            cnf.add_unit(bad)
+        assert cnf.literals == before
+        assert cnf.num_clauses == 3
+
+    def test_generated_runs_append_unchecked_whole_clauses(self):
+        cnf = Cnf()
+        cnf.new_variables(3)
+        cnf.add_generated([1, -2, 0, 3, 0])
+        cnf.add_generated([])
+        assert cnf.num_clauses == 2
+        assert cnf.as_lists() == [[1, -2], [3]]
+        with pytest.raises(CnfError):
+            cnf.add_generated([1, 0, 2])
+        assert cnf.num_clauses == 2
+
+
+@pytest.mark.parametrize(
+    "engine", sorted({resolve_backend(DEFAULT_BACKEND), "cdcl:native=0"})
+)
+def test_live_search_builds_no_clause_objects(engine, monkeypatch):
+    built = []
+    original = Clause.__init__
+
+    def counting_init(self, literals):
+        built.append(1)
+        original(self, literals)
+
+    monkeypatch.setattr(Clause, "__init__", counting_init)
+    solver = ReversiblePebblingSolver(load_workload("fig2"), backend=engine)
+    result = solver.solve(3, max_steps=12)
+    assert result.outcome.value == "step-limit"
+    assert built == []

@@ -1,13 +1,17 @@
 """Differential tests for the native core's clause transfer.
 
 Random incremental sequences — clause batches, assumptions, solves — run
-through three engines side by side: the C core fed one
+through the engines side by side: the C core fed one
 :meth:`~repro.sat.native.NativeCdclSolver.add_clauses` buffer per batch,
 the C core fed the same clauses one :meth:`add_clause` call each, and the
-DPLL oracle.  They must agree on every verdict, the two native engines
-must end in the same state (same models, same cores), every model must
-satisfy every clause added so far, and every core must be a subset of
-the call's assumptions that is UNSAT together with the formula.
+DPLL oracle; a second test adds the C core fed each batch as the slice of
+a :class:`~repro.sat.cnf.Cnf` literal stream that the batch appended
+(:meth:`~repro.sat.native.NativeCdclSolver.add_clause_buffer`, the live
+pebbling oracle's hand-over).  They must agree on every verdict, the
+native engines must end in the same state (same models, same cores),
+every model must satisfy every clause added so far, and every core must
+be a subset of the call's assumptions that is UNSAT together with the
+formula.  Malformed buffers and real pebbling frames are covered too.
 
 In a process started with libasan preloaded, the native engines come
 from an AddressSanitizer/UBSan build of ``cdcl.c`` (its own hash name,
@@ -22,13 +26,18 @@ memory errors and undefined behaviour::
 from __future__ import annotations
 
 import ctypes
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SolverError
+from repro.pebbling import ReversiblePebblingSolver
+from repro.pebbling.solver import _LiveOracle
 from repro.sat import native
+from repro.sat.cnf import Cnf
 from repro.sat.dpll import DpllSolver
+from repro.workloads import load_workload
 
 #: Compiler flags of the instrumented build.
 SANITIZER_FLAGS = (
@@ -127,6 +136,80 @@ def test_batched_per_clause_and_dpll_agree(sequence):
             assert core == single.failed_assumptions()
             assert set(core) <= set(assumptions)
             assert _unsat_with(clauses, core)
+
+
+@given(incremental_sequences())
+@settings(max_examples=200, deadline=None)
+def test_stream_slices_agree_with_batched_per_clause_and_dpll(sequence):
+    num_vars, steps = sequence
+    sliced, batched, single, oracle = _engine(), _engine(), _engine(), DpllSolver()
+    stream = Cnf()
+    stream.new_variables(num_vars)
+    clauses: list[list[int]] = []
+    for kind, payload in steps:
+        if kind == "add":
+            start, before = len(stream.literals), stream.num_clauses
+            stream.add_generated([x for clause in payload for x in (*clause, 0)])
+            ok = sliced.add_clause_buffer(
+                stream.literals[start:], stream.num_clauses - before
+            )
+            assert ok == batched.add_clauses(payload)
+            results = [single.add_clause(clause) for clause in payload]
+            for clause in payload:
+                oracle.add_clause(clause)
+            clauses.extend(payload)
+            if results:
+                assert ok == results[-1]
+            continue
+        assumptions = payload
+        answers = [
+            engine.solve(assumptions) for engine in (sliced, batched, single, oracle)
+        ]
+        assert len({answer.is_sat for answer in answers}) == 1
+        if answers[0].is_sat:
+            assert answers[0].model == answers[1].model == answers[2].model
+            assert _satisfies(answers[0].model, clauses + [[lit] for lit in assumptions])
+        else:
+            core = sliced.failed_assumptions()
+            assert core == batched.failed_assumptions() == single.failed_assumptions()
+            assert set(core) <= set(assumptions)
+            assert _unsat_with(clauses, core)
+
+
+@pytest.mark.parametrize(
+    ("buffer", "count"),
+    [
+        pytest.param(array("i", [-2, 0, 3, 0]), 1, id="zero-count-mismatch"),
+        pytest.param(array("i", [-2, 0, 3]), 1, id="unterminated"),
+        pytest.param(array("i", [-2, 0, -(2**31), 0]), 2, id="int32-min"),
+        pytest.param(array("q", [-2, 0]), 1, id="not-int32"),
+        pytest.param([-2, 0], 1, id="not-an-array"),
+    ],
+)
+def test_malformed_buffer_raises_and_adds_nothing(buffer, count):
+    engine = _engine()
+    assert engine.add_clause_buffer(array("i", [1, 2, 0]), 1)
+    with pytest.raises(SolverError):
+        engine.add_clause_buffer(buffer, count)
+    # Nothing of the rejected buffer arrived: 2 is still allowed.
+    result = engine.solve([2, -1])
+    assert result.is_sat and result.model[2]
+
+
+@pytest.mark.parametrize("budget", [3, 4])
+def test_fig2_frames_match_the_python_engine(budget):
+    verdicts = {}
+    for engine in ("native", "cdcl:native=0"):
+        owner = ReversiblePebblingSolver(load_workload("fig2"), backend="cdcl:native=0")
+        oracle = _LiveOracle(owner, budget)
+        if engine == "native":
+            oracle.backend = _engine()
+        verdicts[engine] = []
+        for bound in range(1, 9):
+            oracle.pose([bound])
+            verdicts[engine].append(oracle.solve(None).status)
+    assert verdicts["native"] == verdicts["cdcl:native=0"]
+    assert any(status.value == "sat" for status in verdicts["native"]) == (budget == 4)
 
 
 @given(incremental_sequences())

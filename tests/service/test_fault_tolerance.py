@@ -90,9 +90,10 @@ class TestDeadlines:
     def test_preempted_request_returns_anytime_partial(self):
         async def scenario():
             async with PebblingService(batch_window=0.0) as service:
-                # ~1 s of all-UNSAT sweep against a 0.2 s deadline.
+                # ~0.75 s of mostly-solve search (on the C core) against a
+                # 0.2 s deadline, so the encoder's speed barely moves it.
                 request = JobRequest(
-                    kind="pebble", workload="and9", budget=4, single_move=True,
+                    kind="pebble", workload="edwards-add", budget=9,
                     time_limit=60.0, deadline=0.2,
                 )
                 result = await service.submit(request)
