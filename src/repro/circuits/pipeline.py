@@ -41,7 +41,7 @@ from repro.circuits.compile import (
 from repro.circuits.costs import CostModel, circuit_cost
 from repro.circuits.simulator import simulate_circuit
 from repro.logic.network import LogicNetwork
-from repro.pebbling.encoding import EncodingOptions
+from repro.pebbling.encoding import DEFAULT_CARDINALITY, EncodingOptions
 from repro.pebbling.portfolio import PortfolioTask, run_portfolio
 from repro.pebbling.search import strategy_from_name
 from repro.pebbling.solver import ReversiblePebblingSolver
@@ -249,7 +249,7 @@ def compile_cache_request(
     weighted: bool = False,
     decompose: bool = False,
     single_move: bool = False,
-    cardinality: "str | CardinalityEncoding" = "sequential",
+    cardinality: "str | CardinalityEncoding" = DEFAULT_CARDINALITY.value,
     schedule: str = "linear",
     step_increment: int | None = None,
     max_steps: int | None = None,
@@ -292,7 +292,7 @@ def compile_dag(
     weighted: bool = False,
     decompose: bool = False,
     single_move: bool = False,
-    cardinality: "str | CardinalityEncoding" = "sequential",
+    cardinality: "str | CardinalityEncoding" = DEFAULT_CARDINALITY.value,
     schedule: str = "linear",
     step_increment: int | None = None,
     time_limit: float | None = 120.0,
@@ -529,7 +529,7 @@ def pareto_sweep(
     jobs: int = 1,
     time_limit: float | None = 60.0,
     schedule: str = "linear",
-    cardinality: str = "sequential",
+    cardinality: str = DEFAULT_CARDINALITY.value,
     step_increment: int | None = None,
     single_move: bool = False,
     max_steps: int | None = None,

@@ -94,6 +94,7 @@ from repro.pebbling import (
     run_portfolio,
     tasks_from_suite,
 )
+from repro.pebbling.encoding import DEFAULT_CARDINALITY
 from repro.pebbling.search import STRATEGY_NAMES, strategy_from_name
 from repro.sat.backend import DEFAULT_BACKEND
 from repro.sat.cards import CardinalityEncoding
@@ -137,7 +138,7 @@ def _add_search_arguments(parser: argparse.ArgumentParser) -> None:
     """The search/encoding knobs shared by every SAT-solving subcommand."""
     parser.add_argument("--cardinality",
                         choices=[member.value for member in CardinalityEncoding],
-                        default=CardinalityEncoding.SEQUENTIAL.value,
+                        default=DEFAULT_CARDINALITY.value,
                         help="at-most-k encoding for the pebble/move budgets "
                              "(weighted budgets with non-unit weights always "
                              "use the generalised sequential counter)")
@@ -284,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="step-bound search strategy for every task")
     batch.add_argument("--cardinality",
                        choices=[member.value for member in CardinalityEncoding],
-                       default=CardinalityEncoding.SEQUENTIAL.value,
+                       default=DEFAULT_CARDINALITY.value,
                        help="at-most-k encoding for every task")
     batch.add_argument("--step-increment", type=int, default=None,
                        help="bound increment per UNSAT answer (linear schedule only)")
@@ -388,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="allow only one pebble move per step")
     dimacs.add_argument("--cardinality",
                         choices=[member.value for member in CardinalityEncoding],
-                        default=CardinalityEncoding.SEQUENTIAL.value,
+                        default=DEFAULT_CARDINALITY.value,
                         help="at-most-k encoding for the pebble/move budgets")
     dimacs.add_argument("--output", "-o", default=None,
                         help="destination file (default: stdout)")

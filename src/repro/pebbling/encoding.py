@@ -31,13 +31,20 @@ clearly flagged):
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass, field
 
 from repro.errors import PebblingError
 from repro.dag.graph import Dag, NodeId
 from repro.sat.cards import CardinalityEncoding, at_most_k, at_most_k_weighted
-from repro.sat.cnf import Clause, Cnf
+from repro.sat.cnf import Clause, Cnf, Namer, VariablePool
+
+
+#: The at-most-P encoding of every entry point that is not told otherwise:
+#: :class:`EncodingOptions`, the portfolio, the circuit pipeline, the
+#: service and the CLI all refer to this one name.
+DEFAULT_CARDINALITY = CardinalityEncoding.SEQUENTIAL
 
 
 @dataclass(frozen=True)
@@ -51,7 +58,7 @@ class EncodingOptions:
     solver wins over it; ``None`` means the default (``cdcl``).
     """
 
-    cardinality: CardinalityEncoding = CardinalityEncoding.SEQUENTIAL
+    cardinality: CardinalityEncoding = DEFAULT_CARDINALITY
     max_moves_per_step: int | None = None
     forbid_idle_steps: bool = False
     weighted: bool = False
@@ -120,20 +127,146 @@ class PebblingEncoding:
         return configurations
 
 
+#: Byte order of every conversion between a frame's int32 lanes and an int:
+#: the order ``array('i')`` stores them in on this host.
+_BYTEORDER = sys.byteorder
+
+#: Length of the step-bearing head of the template's register names.
+_CARD_P_HEAD = len("card[p,1]")
+_CARD_M_HEAD = len("card[m,0]")
+
+
+def _node_namer(kind: str, nodes: list[NodeId], step: int) -> Namer:
+    """Name a block with one variable per node: ``kind[node,step]``."""
+    return lambda offset: f"{kind}[{nodes[offset]},{step}]"
+
+
+def _lane_mask(positive: list[bool], negative: list[bool]) -> int:
+    """The int whose 32-bit lane ``i`` adds +1, -1 or 0 to a stamped lane.
+
+    One ``int.from_bytes`` per sign keeps it linear in the lane count.
+    """
+    plus = int.from_bytes(array("i", positive).tobytes(), _BYTEORDER)
+    return plus - int.from_bytes(array("i", negative).tobytes(), _BYTEORDER)
+
+
+class _FrameTemplate:
+    """Frame 1 of an encoder, from which every frame ``k >= 1`` is stamped.
+
+    Frame ``k`` is one block of variables -- configuration ``k``'s pebbles
+    and at-most-P registers, then transition ``k - 1``'s move variables
+    and moves registers -- and a fixed run of clauses over that block and
+    configuration ``k - 1``'s pebbles.  Frame ``k`` is therefore the
+    template with every literal over configuration ``k - 1`` moved by
+    ``delta_previous`` and every literal over its own block moved by
+    ``delta_current``.  Two offsets, because guard variables
+    (:meth:`PebblingEncoder.final_guard`) may sit between frames.
+
+    The run is kept as three ints of 32-bit lanes: ``_values`` holds the
+    template's literals read unsigned, and ``_previous`` / ``_current``
+    add +1 to a lane of a positive literal over their block and -1 to one
+    of a negative literal.  A stamped frame is
+    ``_values + delta_previous * _previous + delta_current * _current``
+    written out with one ``to_bytes``.  No lane carries into the next as
+    long as every moved variable stays within
+    :data:`~repro.sat.cnf.MAX_VARIABLE`, which the pool guarantees by
+    refusing any block past it before a frame is stamped.
+    """
+
+    def __init__(
+        self,
+        scratch: Cnf,
+        first: int,
+        previous: int,
+        nodes: list[NodeId],
+        split: int,
+        moves: int,
+    ) -> None:
+        """Read the template off ``scratch``, frame 1 emitted from ``first``.
+
+        ``previous`` is configuration 0's first pebble; the frame's block
+        holds ``split`` variables of configuration 1, then ``moves`` move
+        variables, then the moves registers.
+        """
+        lanes = scratch.literals
+        self.first = first
+        self.size = scratch.num_variables + 1 - first
+        self.clauses = scratch.num_clauses
+        self._length = len(lanes) * lanes.itemsize
+        previous_end, current_end = previous + len(nodes), first + self.size
+        masks = (
+            [previous <= literal < previous_end for literal in lanes],
+            [previous <= -literal < previous_end for literal in lanes],
+            [first <= literal < current_end for literal in lanes],
+            [first <= -literal < current_end for literal in lanes],
+        )
+        if sum(map(sum, masks)) != len(lanes) - self.clauses:
+            stray = next(
+                literal for literal, *hits in zip(lanes, *masks)
+                if literal and not any(hits)
+            )
+            raise PebblingError(
+                f"frame template literal {stray} names a variable outside "
+                "configuration 0's pebbles and frame 1's block"
+            )
+        self._values = int.from_bytes(lanes.tobytes(), _BYTEORDER)
+        self._previous = _lane_mask(masks[0], masks[1])
+        self._current = _lane_mask(masks[2], masks[3])
+        self._nodes = nodes
+        self._split = split
+        self._moves = moves
+        self._template_name = lambda offset: scratch.pool.name_of(first + offset)
+
+    def stamp(self, delta_previous: int, delta_current: int) -> bytes:
+        """The lanes of the frame whose offsets are the two deltas."""
+        return (
+            self._values
+            + delta_previous * self._previous
+            + delta_current * self._current
+        ).to_bytes(self._length, _BYTEORDER)
+
+    def namer(self, step: int) -> Namer:
+        """Names of frame ``step``'s block, built on demand.
+
+        Register names are the template's with their ``card[...]`` head
+        re-stepped, so they follow whatever the counters name them.
+        """
+        nodes, split, moves = self._nodes, self._split, self._moves
+        width = len(nodes)
+        pebbles = _node_namer("p", nodes, step)
+        switches = _node_namer("m", nodes, step - 1)
+        template_name = self._template_name
+        counter_head, moves_head = f"card[p,{step}]", f"card[m,{step - 1}]"
+
+        def name(offset: int) -> str:
+            if offset < width:
+                return pebbles(offset)
+            if offset < split:
+                return counter_head + template_name(offset)[_CARD_P_HEAD:]
+            if offset < split + moves:
+                return switches(offset - split)
+            return moves_head + template_name(offset)[_CARD_M_HEAD:]
+
+        return name
+
+
 class PebblingEncoder:
     """Stateful frame-based encoder of the bounded pebbling game.
 
     An encoder constructed with a pebble budget is a *frame engine*: it owns
     one growing :class:`~repro.sat.cnf.Cnf`, whose clauses live in a single
     int32 literal stream, and emits clauses in per-step frames.  Frame
-    ``i`` consists of the configuration variables ``p[v, i]``, the
-    transition (move) clauses between ``i - 1`` and ``i``, the optional
-    move variables ``m[v, i-1]`` with their constraints, and the
-    cardinality block of configuration ``i``.  Every clause is over
-    variables the encoder allocated itself, so it goes into the stream
-    through :meth:`~repro.sat.cnf.Cnf.add_generated`, a whole frame or
-    counter at a time, with no per-clause :class:`~repro.sat.cnf.Clause`.
-    The public surface:
+    ``i`` consists of the configuration variables ``p[v, i]`` with the
+    cardinality block of configuration ``i``, then the transition (move)
+    clauses between ``i - 1`` and ``i`` and the optional move variables
+    ``m[v, i-1]`` with their constraints.  The clause emitters run only
+    twice per encoder: for configuration 0, and for frame 1 into a scratch
+    formula that becomes the frame *template*.  Every frame from 1 on is
+    then stamped from it (:class:`_FrameTemplate`): the pool allocates the
+    frame's variables as one block, and one big-integer sum shifted by
+    two offsets yields the frame's literals, appended to the stream as raw
+    int32 lanes with no Python work per clause, literal or register.  The
+    public surface:
 
     * :meth:`extend_to` — emit only the frames between the current frontier
       and a new step bound (monotonic, idempotent);
@@ -157,6 +290,8 @@ class PebblingEncoder:
     Every variable is named (``p[v,i]``, ``m[v,i]``, ``final[i]`` and the
     ``card[...]``-prefixed cardinality auxiliaries), so two encodings of the
     same instance can be compared structurally up to variable renaming.
+    The names are built on demand, when the pool is asked for them
+    (:meth:`~repro.sat.cnf.VariablePool.new_block`).
     """
 
     def __init__(
@@ -170,13 +305,21 @@ class PebblingEncoder:
         self.dag = dag
         self.options = options or EncodingOptions()
         self._nodes = dag.topological_order()
+        self._index = {node: index for index, node in enumerate(self._nodes)}
         self._outputs = set(dag.outputs())
+        self._moves = (
+            self.options.max_moves_per_step is not None
+            or self.options.forbid_idle_steps
+        )
         self._weights: dict[NodeId, int] = {}
         if self.options.weighted:
             self._weights = validated_node_weights(dag)
         self.max_pebbles: int | None = None
         self._cnf: Cnf | None = None
-        self._variables: dict[tuple[NodeId, int], int] = {}
+        #: First pebble variable of each configuration 0 .. num_steps; the
+        #: pebble of node ``v`` follows at the node's topological index.
+        self._configurations: list[int] = []
+        self._template: _FrameTemplate | None = None
         self._guards: dict[int, int] = {}
         self._num_steps = 0
         self._drained = 0  # clauses drained so far
@@ -196,11 +339,14 @@ class PebblingEncoder:
             f"reversible pebbling: dag={self.dag.name} nodes={len(self._nodes)} "
             f"{budget_kind}={max_pebbles}"
         )
-        self._add_configuration(0)
+        first = self._emit_configuration(cnf, 0)
+        pebbles = range(first, first + len(self._nodes))
+        self._configurations.append(first)
+        self._new_named.extend(pebbles)
         # Initial clauses: at time 0 nothing is pebbled.
         flat: list[int] = []
-        for node in self._nodes:
-            flat += (-self._variables[(node, 0)], 0)
+        for variable in pebbles:
+            flat += (-variable, 0)
         cnf.add_generated(flat)
 
     def _require_frames(self) -> Cnf:
@@ -222,16 +368,17 @@ class PebblingEncoder:
         """The growing CNF of the frame engine."""
         return self._require_frames()
 
-    def _add_configuration(self, step: int) -> None:
-        cnf = self._cnf
-        assert cnf is not None and self.max_pebbles is not None
-        for node in self._nodes:
-            variable = cnf.new_variable(f"p[{node},{step}]")
-            self._variables[(node, step)] = variable
-            self._new_named.append(variable)
-        variables = [self._variables[(node, step)] for node in self._nodes]
+    def _emit_configuration(self, cnf: Cnf, step: int) -> int:
+        """Allocate configuration ``step``'s pebbles and bound them.
+
+        Returns the first pebble variable.
+        """
+        assert self.max_pebbles is not None
+        nodes = self._nodes
+        first = cnf.new_block(len(nodes), _node_namer("p", nodes, step))
+        variables = list(range(first, first + len(nodes)))
         if self.options.weighted:
-            weights = [self._weights[node] for node in self._nodes]
+            weights = [self._weights[node] for node in nodes]
             if self.max_pebbles < sum(weights):
                 at_most_k_weighted(
                     cnf,
@@ -241,7 +388,7 @@ class PebblingEncoder:
                     encoding=self.options.cardinality,
                     name_prefix=f"card[p,{step}]",
                 )
-        elif self.max_pebbles < len(self._nodes):
+        elif self.max_pebbles < len(nodes):
             at_most_k(
                 cnf,
                 variables,
@@ -249,23 +396,29 @@ class PebblingEncoder:
                 encoding=self.options.cardinality,
                 name_prefix=f"card[p,{step}]",
             )
+        return first
 
-    def _add_transition(self, step: int) -> None:
-        """Emit the move clauses of the transition ``step -> step + 1``."""
-        cnf = self._cnf
-        assert cnf is not None
-        variables = self._variables
+    def _emit_transition(self, cnf: Cnf, step: int, before: int, after: int) -> None:
+        """Emit the move clauses of the transition ``step -> step + 1``.
+
+        ``before`` and ``after`` are the first pebble variables of the two
+        configurations.
+        """
         dag = self.dag
         options = self.options
-        moves = options.max_moves_per_step is not None or options.forbid_idle_steps
+        nodes = self._nodes
+        index = self._index
+        move_first = 0
+        if self._moves:
+            move_first = cnf.new_block(len(nodes), _node_namer("m", nodes, step))
         move_literals: list[int] = []
         flat: list[int] = []
-        for node in self._nodes:
-            now = variables[(node, step)]
-            then = variables[(node, step + 1)]
+        for position, node in enumerate(nodes):
+            now = before + position
+            then = after + position
             for dependency in dag.dependencies(node):
-                dep_now = variables[(dependency, step)]
-                dep_then = variables[(dependency, step + 1)]
+                dep_now = before + index[dependency]
+                dep_then = after + index[dependency]
                 # (now xor then) -> dep_now  and  (now xor then) -> dep_then
                 flat += (
                     -now, then, dep_now, 0,
@@ -273,8 +426,8 @@ class PebblingEncoder:
                     -now, then, dep_then, 0,
                     now, -then, dep_then, 0,
                 )
-            if moves:
-                move = cnf.new_variable(f"m[{node},{step}]")
+            if self._moves:
+                move = move_first + position
                 # move <-> (now xor then)
                 flat += (
                     -move, now, then, 0,
@@ -295,20 +448,55 @@ class PebblingEncoder:
         if options.forbid_idle_steps:
             cnf.add_generated(move_literals + [0])
 
+    def _build_template(self) -> _FrameTemplate:
+        """Emit frame 1 into a scratch formula numbered where it will land."""
+        scratch = Cnf(VariablePool(self._require_frames().num_variables + 1))
+        first = self._emit_configuration(scratch, 1)
+        split = scratch.num_variables + 1 - first
+        previous = self._configurations[0]
+        self._emit_transition(scratch, 0, previous, first)
+        moves = len(self._nodes) if self._moves else 0
+        return _FrameTemplate(scratch, first, previous, self._nodes, split, moves)
+
+    def _stamp_frame(self) -> None:
+        """Append the next frame, stamped from the template."""
+        cnf = self._require_frames()
+        template = self._template
+        if template is None:
+            template = self._template = self._build_template()
+        configurations = self._configurations
+        # Allocating first refuses a block past MAX_VARIABLE before any
+        # lane is written.
+        first = cnf.new_block(template.size, template.namer(len(configurations)))
+        cnf.add_lanes(
+            template.stamp(
+                configurations[-1] - configurations[0], first - template.first
+            ),
+            template.clauses,
+        )
+        configurations.append(first)
+        self._new_named.extend(range(first, first + len(self._nodes)))
+
     def extend_to(self, num_steps: int) -> None:
         """Grow the encoding to ``num_steps`` transitions.
 
-        Emits only the configuration, transition and cardinality frames
-        between the current frontier and ``num_steps``; a bound at or below
-        the frontier is a no-op.
+        Stamps only the frames between the current frontier and
+        ``num_steps``; a bound at or below the frontier is a no-op.
         """
         self._require_frames()
         if num_steps < 0:
             raise PebblingError("num_steps must be >= 0")
         while self._num_steps < num_steps:
-            self._add_configuration(self._num_steps + 1)
-            self._add_transition(self._num_steps)
+            self._stamp_frame()
             self._num_steps += 1
+
+    def _configuration(self, step: int, verb: str) -> int:
+        """First pebble variable of an encoded configuration."""
+        if not 0 <= step <= self._num_steps:
+            raise PebblingError(
+                f"cannot {verb} step {step}: only {self._num_steps} frames encoded"
+            )
+        return self._configurations[step]
 
     def final_guard(self, step: int) -> int:
         """Return an activation literal for the final clauses of ``step``.
@@ -319,17 +507,13 @@ class PebblingEncoder:
         per step.
         """
         cnf = self._require_frames()
-        if step > self._num_steps:
-            raise PebblingError(
-                f"cannot guard step {step}: only {self._num_steps} frames encoded"
-            )
+        first = self._configuration(step, "guard")
         guard = self._guards.get(step)
         if guard is None:
-            guard = cnf.new_variable(f"final[{step}]")
+            guard = cnf.new_block(1, lambda offset: f"final[{step}]")
             self._new_named.append(guard)
             flat: list[int] = []
-            for node in self._nodes:
-                literal = self._variables[(node, step)]
+            for literal, node in enumerate(self._nodes, first):
                 flat += (-guard, literal if node in self._outputs else -literal, 0)
             cnf.add_generated(flat)
             self._guards[step] = guard
@@ -338,13 +522,9 @@ class PebblingEncoder:
     def assert_final(self, step: int) -> None:
         """Permanently constrain time ``step`` to the final configuration."""
         cnf = self._require_frames()
-        if step > self._num_steps:
-            raise PebblingError(
-                f"cannot finalise step {step}: only {self._num_steps} frames encoded"
-            )
+        first = self._configuration(step, "finalise")
         flat: list[int] = []
-        for node in self._nodes:
-            literal = self._variables[(node, step)]
+        for literal, node in enumerate(self._nodes, first):
             flat += (literal if node in self._outputs else -literal, 0)
         cnf.add_generated(flat)
 
@@ -384,23 +564,24 @@ class PebblingEncoder:
 
     def variable(self, node: NodeId, step: int) -> int:
         """Return the CNF variable of ``p[node, step]``."""
-        try:
-            return self._variables[(node, step)]
-        except KeyError as exc:
-            raise PebblingError(f"no pebble variable for ({node!r}, {step})") from exc
+        if node in self._index and 0 <= step < len(self._configurations):
+            return self._configurations[step] + self._index[node]
+        raise PebblingError(f"no pebble variable for ({node!r}, {step})")
 
     def configurations_from_model(
         self, model: dict[int, bool], *, num_steps: int | None = None
     ) -> list[set[NodeId]]:
         """Decode a model into configurations ``0 .. num_steps``."""
         bound = self._num_steps if num_steps is None else num_steps
+        if bound >= len(self._configurations):
+            raise PebblingError(
+                f"cannot decode step {bound}: only {self._num_steps} frames encoded"
+            )
+        get = model.get
         return [
-            {
-                node
-                for node in self._nodes
-                if model.get(self._variables[(node, step)], False)
-            }
-            for step in range(bound + 1)
+            {node for node, variable in zip(self._nodes, range(first, first + len(self._nodes)))
+             if get(variable, False)}
+            for first in self._configurations[: bound + 1]
         ]
 
     def to_encoding(self, *, num_steps: int | None = None) -> PebblingEncoding:
@@ -412,7 +593,11 @@ class PebblingEncoder:
             num_steps=self._num_steps if num_steps is None else num_steps,
             max_pebbles=self.max_pebbles,
             cnf=self._cnf,
-            pebble_variables=dict(self._variables),
+            pebble_variables={
+                (node, step): first + position
+                for step, first in enumerate(self._configurations)
+                for position, node in enumerate(self._nodes)
+            },
         )
 
     # -- one-shot (monolithic) path ---------------------------------------

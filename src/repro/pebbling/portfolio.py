@@ -41,7 +41,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.metrics import merge_counters
 from repro.obs.trace import TraceContext
 from repro.pebbling.cancel import CancellationToken, resolve_token
-from repro.pebbling.encoding import EncodingOptions
+from repro.pebbling.encoding import DEFAULT_CARDINALITY, EncodingOptions
 from repro.pebbling.search import strategy_from_name
 from repro.pebbling.solver import ReversiblePebblingSolver
 from repro.sat.backend import DEFAULT_BACKEND, set_chaos_scope
@@ -69,7 +69,7 @@ class PortfolioTask:
     pebbles: int
     scale: float = 1.0
     single_move: bool = False
-    cardinality: str = "sequential"
+    cardinality: str = DEFAULT_CARDINALITY.value
     schedule: str = "linear"
     step_increment: int = 1
     incremental: bool = True
@@ -976,7 +976,7 @@ def tasks_from_suite(
     *,
     time_limit: float | None = 60.0,
     schedule: str = "linear",
-    cardinality: str = "sequential",
+    cardinality: str = DEFAULT_CARDINALITY.value,
     step_increment: int = 1,
     incremental: bool = True,
     backend: str = DEFAULT_BACKEND,

@@ -902,12 +902,15 @@ class ReversiblePebblingSolver:
                     bound = observed
                     continue
             remaining = self._remaining(time_limit, started)
+            if remaining is None or remaining > 0:
+                ladder = oracle.pose(
+                    [step for step in cursor.ladder() if step <= max_steps] or [bound]
+                )
+                # Encoding the bound spends the same deadline as solving it.
+                remaining = self._remaining(time_limit, started)
             if remaining is not None and remaining <= 0:
                 result.strategy = best
                 return PebblingOutcome.SOLUTION if best else PebblingOutcome.TIMEOUT
-            ladder = oracle.pose(
-                [step for step in cursor.ladder() if step <= max_steps] or [bound]
-            )
             probed = bound
             call_started = time.monotonic()
             # Under a cancellation token long queries run in doubling time

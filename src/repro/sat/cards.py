@@ -39,7 +39,11 @@ and work on DIMACS literals (so they can constrain negated variables too).
 The public entry points validate the caller's literals once and reserve
 their variables in the pool; the private encoders below them emit each
 constraint's clauses as one zero-terminated run through
-:meth:`~repro.sat.cnf.Cnf.add_generated`.
+:meth:`~repro.sat.cnf.Cnf.add_generated`.  Each counter allocates all of
+its registers as pool blocks (:meth:`~repro.sat.cnf.Cnf.new_block`): the
+sequential counters one row-major block, the totalizer one block per tree
+node.  A ``name_prefix`` names them on demand rather than one string per
+register.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from itertools import combinations
 from typing import Sequence
 
 from repro.errors import CnfError
-from repro.sat.cnf import MAX_VARIABLE, Cnf
+from repro.sat.cnf import MAX_VARIABLE, Cnf, Namer
 from repro.sat.literals import check_literal
 
 
@@ -236,15 +240,7 @@ def _weighted_sequential_counter(
     already known to be ``<= bound``.
     """
     count = len(pairs)
-    registers = [
-        [
-            cnf.new_variable(
-                None if name_prefix is None else f"{name_prefix}.r[{i},{j}]"
-            )
-            for j in range(bound)
-        ]
-        for i in range(count)
-    ]
+    registers = _register_rows(cnf, count, bound, name_prefix)
     first, first_weight = pairs[0]
     flat: list[int] = []
     for j in range(first_weight):
@@ -265,6 +261,24 @@ def _weighted_sequential_counter(
         # adding this literal would push the total past the bound.
         flat += (-literal, -previous[bound - weight], 0)
     cnf.add_generated(flat)
+
+
+def _register_rows(
+    cnf: Cnf, rows: int, width: int, name_prefix: str | None
+) -> list[list[int]]:
+    """A ``rows`` x ``width`` register matrix as one block, row-major.
+
+    Register ``[i][j]`` is named ``<name_prefix>.r[i,j]`` on demand.
+    """
+    namer: Namer | None = None
+    if name_prefix is not None:
+        def namer(offset: int) -> str:
+            return "%s.r[%d,%d]" % (name_prefix, *divmod(offset, width))
+    first = cnf.new_block(rows * width, namer)
+    return [
+        list(range(start, start + width))
+        for start in range(first, first + rows * width, width)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -297,15 +311,7 @@ def _sequential_counter(
     count = len(literals)
     # registers[i][j] is true when at least j+1 of the first i+1 literals
     # are true.
-    registers = [
-        [
-            cnf.new_variable(
-                None if name_prefix is None else f"{name_prefix}.r[{i},{j}]"
-            )
-            for j in range(bound)
-        ]
-        for i in range(count)
-    ]
+    registers = _register_rows(cnf, count, bound, name_prefix)
     first = literals[0]
     flat = [-first, registers[0][0], 0]
     for j in range(1, bound):
@@ -351,10 +357,11 @@ def _totalizer_tree(
 ) -> list[int]:
     """Build a totalizer over ``literals[lo:hi]``; return its sorted outputs.
 
-    The clauses go to ``flat``, subtrees first.  Outputs are truncated at ``bound + 1`` since larger counts are never
-    distinguished by an at-most-``bound`` constraint.  ``lo``/``hi`` index
-    into the original literal list so auxiliary names stay stable per
-    subtree.
+    The clauses go to ``flat``, subtrees first.  Outputs are truncated at
+    ``bound + 1`` since larger counts are never distinguished by an
+    at-most-``bound`` constraint; each node's outputs are one pool block,
+    named ``<prefix>.t[lo:hi,j]`` on demand.  ``lo``/``hi`` index into
+    the original literal list so auxiliary names stay stable per subtree.
     """
     if hi - lo == 1:
         return [literals[lo]]
@@ -362,12 +369,12 @@ def _totalizer_tree(
     left = _totalizer_tree(cnf, flat, literals, bound, lo, middle, name_prefix)
     right = _totalizer_tree(cnf, flat, literals, bound, middle, hi, name_prefix)
     width = min(len(left) + len(right), bound + 1)
-    output = [
-        cnf.new_variable(
-            None if name_prefix is None else f"{name_prefix}.t[{lo}:{hi},{j}]"
-        )
-        for j in range(width)
-    ]
+    namer: Namer | None = None
+    if name_prefix is not None:
+        def namer(offset: int) -> str:
+            return f"{name_prefix}.t[{lo}:{hi},{offset}]"
+    first = cnf.new_block(width, namer)
+    output = list(range(first, first + width))
     # sum semantics: output[k] is true when at least k+1 inputs are true.
     for alpha in range(len(left) + 1):
         for beta in range(len(right) + 1):

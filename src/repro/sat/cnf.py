@@ -14,19 +14,28 @@ Clauses arrive by one of two paths:
   validate every literal, drop duplicates and return a :class:`Clause`;
 * :meth:`Cnf.add_generated` appends literals that an encoder generated
   itself over variables the pool already holds -- whole frames or
-  counters at a time, with no :class:`Clause` object and no re-check.
+  counters at a time, with no :class:`Clause` object and no re-check;
+  :meth:`Cnf.add_lanes` appends such a run given as the raw bytes of its
+  int32 lanes (how the pebbling encoder stamps its frames).
 
 :attr:`Cnf.clauses` still reads as a sequence of :class:`Clause` (built on
 demand), and the C core takes :attr:`Cnf.literals` as it is, without a
 repack.
+
+Variables come from a :class:`VariablePool`, one at a time or as a
+*block* of consecutive variables whose names a function produces on
+demand (:meth:`VariablePool.new_block`), so an encoder can allocate a
+counter's registers or a whole frame without building a string per
+variable.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import CnfError
 from repro.sat.literals import check_literal, lit_to_var
@@ -87,6 +96,14 @@ class Clause:
         return False
 
 
+#: Highest variable a clause may mention: its literals must fit in int32,
+#: negation included.
+MAX_VARIABLE = 2**31 - 1
+
+#: Names the variables of a block: offset in the block -> name.
+Namer = Callable[[int], str]
+
+
 class VariablePool:
     """Allocates fresh DIMACS variables and optionally names them.
 
@@ -94,6 +111,15 @@ class VariablePool:
     cardinality-counter bits).  The pool hands out consecutive integers and
     remembers an optional human-readable name per variable, which makes
     debugging encodings and pretty-printing models considerably easier.
+
+    Names come two ways.  :meth:`new` and :meth:`set_name` store one string
+    per variable.  :meth:`new_block` allocates consecutive variables at
+    once and keeps a *namer* for them, a function from an offset in the
+    block to the name, called only when a name is asked for:
+    :meth:`name_of` calls it for the one variable, and :meth:`by_name`
+    and :meth:`set_name` first build every pending block's names into the
+    pool's maps, which is where a clash between two names raises.  The
+    pool never hands out a variable past :data:`MAX_VARIABLE`.
     """
 
     def __init__(self, first_variable: int = 1):
@@ -102,6 +128,10 @@ class VariablePool:
         self._next = first_variable
         self._names: dict[int, str] = {}
         self._by_name: dict[str, int] = {}
+        # Blocks whose names are still pending, in allocation order: first
+        # variables (sorted, for bisect) and their (count, namer) pairs.
+        self._block_starts: list[int] = []
+        self._blocks: list[tuple[int, Namer]] = []
 
     @property
     def num_variables(self) -> int:
@@ -110,8 +140,7 @@ class VariablePool:
 
     def new(self, name: str | None = None) -> int:
         """Allocate and return a fresh variable, optionally named."""
-        variable = self._next
-        self._next += 1
+        variable = self.new_block(1)
         if name is not None:
             self.set_name(variable, name)
         return variable
@@ -123,19 +152,65 @@ class VariablePool:
         names = [None if prefix is None else f"{prefix}[{i}]" for i in range(count)]
         return [self.new(name) for name in names]
 
+    def new_block(self, count: int, namer: Namer | None = None) -> int:
+        """Allocate ``count`` consecutive variables; return the first.
+
+        ``namer(offset)`` names variable ``first + offset`` when that name
+        is asked for (``None``: the block is anonymous).  A block that
+        would pass :data:`MAX_VARIABLE` is refused before anything is
+        allocated.
+        """
+        if count < 0:
+            raise CnfError("count must be non-negative")
+        first = self._next
+        if first + count - 1 > MAX_VARIABLE:
+            raise CnfError(
+                f"{count} variables from {first} pass variable {MAX_VARIABLE}, "
+                "the largest a 32-bit literal holds"
+            )
+        self._next = first + count
+        if namer is not None and count:
+            self._block_starts.append(first)
+            self._blocks.append((count, namer))
+        return first
+
     def set_name(self, variable: int, name: str) -> None:
         """Attach ``name`` to ``variable`` (names must be unique)."""
+        self._name_pending()
+        self._assign(variable, name)
+
+    def _assign(self, variable: int, name: str) -> None:
         if name in self._by_name and self._by_name[name] != variable:
             raise CnfError(f"variable name {name!r} already used")
         self._names[variable] = name
         self._by_name[name] = variable
 
+    def _name_pending(self) -> None:
+        """Build the names of every pending block into the maps.
+
+        A clash raises and leaves the blocks pending; the names already
+        stored are theirs, so a retry raises again at the same clash.
+        """
+        for first, (count, namer) in zip(self._block_starts, self._blocks):
+            for offset in range(count):
+                self._assign(first + offset, namer(offset))
+        self._block_starts.clear()
+        self._blocks.clear()
+
     def name_of(self, variable: int) -> str | None:
         """Return the name of ``variable`` or ``None``."""
+        if self._blocks:
+            index = bisect_right(self._block_starts, variable) - 1
+            if index >= 0:
+                offset = variable - self._block_starts[index]
+                count, namer = self._blocks[index]
+                if offset < count:
+                    return namer(offset)
         return self._names.get(variable)
 
     def by_name(self, name: str) -> int:
         """Return the variable registered under ``name``."""
+        self._name_pending()
         try:
             return self._by_name[name]
         except KeyError as exc:
@@ -146,10 +221,14 @@ class VariablePool:
         if variable >= self._next:
             self._next = variable + 1
 
-
-#: Highest variable a clause may mention: its literals must fit in int32,
-#: negation included.
-MAX_VARIABLE = 2**31 - 1
+    def copy(self) -> "VariablePool":
+        """Return a pool with the same variables and names, pending ones too."""
+        fresh = VariablePool(self._next)
+        fresh._names = dict(self._names)
+        fresh._by_name = dict(self._by_name)
+        fresh._block_starts = list(self._block_starts)
+        fresh._blocks = list(self._blocks)
+        return fresh
 
 
 def split_clauses(literals: array) -> Iterator[list[int]]:
@@ -208,6 +287,10 @@ class Cnf:
         """Allocate ``count`` fresh variables through the pool."""
         return self.pool.new_many(count, prefix)
 
+    def new_block(self, count: int, namer: Namer | None = None) -> int:
+        """Allocate a block of variables through the pool; return the first."""
+        return self.pool.new_block(count, namer)
+
     def add_clause(self, literals: Iterable[int]) -> Clause:
         """Add a clause (a disjunction of DIMACS literals) and return it.
 
@@ -238,6 +321,21 @@ class Cnf:
             raise CnfError("generated clauses must end with a 0 terminator")
         self.literals.extend(literals)
         self._count += literals.count(0)
+
+    def add_lanes(self, lanes: bytes, count: int) -> None:
+        """Append ``count`` generated clauses given as raw int32 lanes.
+
+        :meth:`add_generated` for a run already packed the way
+        :attr:`literals` stores it (native byte order, one literal per
+        lane): the bytes go in with one copy.  The caller vouches for the
+        count and for every lane holding a valid literal or terminator;
+        only the final terminator is checked.
+        """
+        width = self.literals.itemsize
+        if len(lanes) % width or (lanes and any(lanes[-width:])):
+            raise CnfError("generated lanes must be whole and end with a 0 terminator")
+        self.literals.frombytes(lanes)
+        self._count += count
 
     def add_clauses(self, clause_list: Iterable[Iterable[int]]) -> None:
         """Add every clause in ``clause_list``."""
@@ -274,12 +372,7 @@ class Cnf:
 
     def copy(self) -> "Cnf":
         """Return a copy sharing no mutable state with ``self``."""
-        fresh = Cnf()
-        fresh.pool.reserve_through(self.num_variables)
-        for variable in range(1, self.num_variables + 1):
-            name = self.pool.name_of(variable)
-            if name is not None:
-                fresh.pool.set_name(variable, name)
+        fresh = Cnf(self.pool.copy())
         fresh.literals = array("i", self.literals)
         fresh._count = self._count
         fresh.comments = list(self.comments)

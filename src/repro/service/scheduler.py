@@ -46,6 +46,7 @@ from repro.pebbling.portfolio import (
     task_solve_parameters,
     _execute_task,
 )
+from repro.pebbling.encoding import DEFAULT_CARDINALITY
 from repro.pebbling.solver import ReversiblePebblingSolver
 from repro.sat.backend import DEFAULT_BACKEND, backend_fallback_reason, resolve_backend
 from repro.store.store import ResultStore
@@ -87,7 +88,7 @@ class JobRequest:
     scale: float = 1.0
     single_move: bool = False
     weighted: bool = False
-    cardinality: str = "sequential"
+    cardinality: str = DEFAULT_CARDINALITY.value
     schedule: str = "linear"
     step_increment: int = 1
     time_limit: float | None = 60.0

@@ -1,5 +1,7 @@
 """Tests for the SAT-driven reversible pebbling solver."""
 
+import time
+
 import pytest
 
 from repro.errors import PebblingError
@@ -8,6 +10,7 @@ from repro.sat import backend as backend_registry
 from repro.sat.solver import CdclSolver
 from repro.pebbling import (
     EncodingOptions,
+    PebblingEncoder,
     PebblingOutcome,
     ReversiblePebblingSolver,
     bennett_strategy,
@@ -143,6 +146,41 @@ class TestSolverInjection:
         assert [argument for argument, _ in created] == ["tag"]
         (_, engine), = created
         assert result.attempts[-1].solver_stats == engine.counters()
+
+    def test_deadline_covers_encoding_time(self, fig2_dag, monkeypatch):
+        # Every bound's encoding takes SLOW seconds; the SAT call that
+        # follows may only get what is left of the limit after it.
+        limit, slow, slack = 0.6, 0.1, 0.03
+        monkeypatch.setattr(
+            backend_registry, "_REGISTRY", dict(backend_registry._REGISTRY)
+        )
+        calls = []
+
+        class Recording(CdclSolver):
+            def solve(self, assumptions=(), *, time_limit=None, **kwargs):
+                calls.append((time_limit, time.monotonic()))
+                return super().solve(assumptions, time_limit=time_limit, **kwargs)
+
+        backend_registry.register_backend(
+            "deadline", lambda argument, conflict_limit: Recording(
+                conflict_limit=conflict_limit
+            )
+        )
+        extend_to = PebblingEncoder.extend_to
+
+        def slow_extend_to(self, num_steps):
+            time.sleep(slow)
+            extend_to(self, num_steps)
+
+        monkeypatch.setattr(PebblingEncoder, "extend_to", slow_extend_to)
+        started = time.monotonic()
+        result = ReversiblePebblingSolver(fig2_dag, backend="deadline").solve(
+            3, time_limit=limit
+        )
+        assert result.outcome is PebblingOutcome.TIMEOUT  # an all-UNSAT sweep
+        assert calls
+        for time_limit, called in calls:
+            assert time_limit <= limit - (called - started) + slack
 
     def test_attempts_carry_solver_stats(self, fig2_dag):
         result = ReversiblePebblingSolver(fig2_dag).solve(4, time_limit=30)

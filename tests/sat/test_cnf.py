@@ -7,7 +7,15 @@ import pytest
 from repro.errors import CnfError
 from repro.pebbling import ReversiblePebblingSolver
 from repro.sat.backend import DEFAULT_BACKEND, resolve_backend
-from repro.sat.cnf import Clause, Cnf, VariablePool, clauses_from_lists, split_clauses
+from repro.sat.cards import at_most_k
+from repro.sat.cnf import (
+    MAX_VARIABLE,
+    Clause,
+    Cnf,
+    VariablePool,
+    clauses_from_lists,
+    split_clauses,
+)
 from repro.workloads import load_workload
 
 
@@ -91,6 +99,119 @@ class TestVariablePool:
         pool = VariablePool()
         pool.reserve_through(7)
         assert pool.new() == 8
+
+
+class TestVariableBlocks:
+    """Blocks of variables whose names are built when asked for."""
+
+    @staticmethod
+    def _named_block(pool, count, prefix="b"):
+        calls = []
+
+        def namer(offset):
+            calls.append(offset)
+            return f"{prefix}[{offset}]"
+
+        return pool.new_block(count, namer), calls
+
+    def test_block_is_consecutive_and_anonymous_by_default(self):
+        pool = VariablePool()
+        pool.new("x")
+        assert pool.new_block(3) == 2
+        assert pool.new() == 5
+        assert pool.name_of(3) is None
+
+    def test_name_of_builds_one_name_on_demand(self):
+        pool = VariablePool()
+        first, calls = self._named_block(pool, 1000)
+        assert calls == []
+        assert pool.name_of(first + 7) == "b[7]"
+        assert calls == [7]
+        assert pool.name_of(first + 1000) is None
+
+    def test_by_name_builds_pending_names(self):
+        pool = VariablePool()
+        pool.new("x")
+        first, _ = self._named_block(pool, 4)
+        second, _ = self._named_block(pool, 2, prefix="c")
+        assert pool.by_name("b[3]") == first + 3
+        assert pool.by_name("c[1]") == second + 1
+        assert pool.by_name("x") == 1
+        assert pool.name_of(second) == "c[0]"
+
+    def test_copy_keeps_pending_names(self):
+        cnf = Cnf()
+        cnf.new_variable("a")
+        first = cnf.new_block(3, lambda offset: f"r[{offset}]")
+        cnf.add_clause([1, -(first + 2)])
+        other = cnf.copy()
+        assert other.num_variables == cnf.num_variables == 4
+        assert [other.pool.name_of(v) for v in range(1, 5)] == [
+            "a", "r[0]", "r[1]", "r[2]"
+        ]
+        assert other.pool.by_name("r[2]") == first + 2
+        other.new_block(1, lambda offset: "late")
+        assert cnf.pool.name_of(5) is None
+
+    def test_block_name_clashing_with_an_eager_name_raises(self):
+        pool = VariablePool()
+        pool.new("b[1]")
+        self._named_block(pool, 3)
+        with pytest.raises(CnfError, match="already used"):
+            pool.by_name("b[0]")
+        with pytest.raises(CnfError, match="already used"):
+            pool.set_name(pool.new(), "fresh")
+
+    def test_eager_name_clashing_with_a_block_name_raises(self):
+        pool = VariablePool()
+        self._named_block(pool, 3)
+        with pytest.raises(CnfError, match="already used"):
+            pool.new("b[2]")
+
+    def test_two_blocks_with_one_name_raise(self):
+        pool = VariablePool()
+        self._named_block(pool, 2)
+        self._named_block(pool, 2)
+        with pytest.raises(CnfError, match="already used"):
+            pool.by_name("b[0]")
+
+    def test_negative_block_rejected(self):
+        with pytest.raises(CnfError):
+            VariablePool().new_block(-1)
+
+    def test_block_up_to_the_largest_variable_fits(self):
+        pool = VariablePool(first_variable=MAX_VARIABLE - 2)
+        assert pool.new_block(3) == MAX_VARIABLE - 2
+        assert pool.num_variables == MAX_VARIABLE
+        with pytest.raises(CnfError):
+            pool.new()
+
+    def test_block_past_the_largest_variable_is_refused(self):
+        pool = VariablePool(first_variable=MAX_VARIABLE - 2)
+        with pytest.raises(CnfError, match="32-bit"):
+            pool.new_block(4)
+        assert pool.num_variables == MAX_VARIABLE - 3  # nothing allocated
+
+    def test_counter_past_the_largest_variable_writes_no_literal(self):
+        # The sequential counter's registers would wrap past int32: the
+        # pool refuses their block before any clause reaches the stream.
+        cnf = Cnf(VariablePool(first_variable=MAX_VARIABLE - 5))
+        inputs = [cnf.new_variable() for _ in range(4)]
+        with pytest.raises(CnfError):
+            at_most_k(cnf, inputs, 2, name_prefix="card")
+        assert len(cnf.literals) == 0
+        assert cnf.num_clauses == 0
+
+    def test_add_lanes_appends_raw_clauses(self):
+        cnf = Cnf()
+        cnf.new_block(3)
+        cnf.add_lanes(array("i", [1, -2, 0, 3, 0]).tobytes(), 2)
+        assert cnf.as_lists() == [[1, -2], [3]]
+        assert len(cnf.clauses) == 2
+        with pytest.raises(CnfError):
+            cnf.add_lanes(array("i", [1, -2]).tobytes(), 1)
+        with pytest.raises(CnfError):
+            cnf.add_lanes(b"\x00\x00", 1)
 
 
 class TestCnf:
