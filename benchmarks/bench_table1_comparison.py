@@ -5,9 +5,12 @@ For every benchmark design the paper reports the Bennett baseline
 timeout (pebbles P, steps K, runtime), then summarises the average pebble
 reduction (52.77 %) and the average step increase (2.68x).
 
-The pure-Python substrate cannot process the paper-sized instances (up to
-1257 nodes) within a laptop benchmark run, so this harness executes the
-identical experiment design on scaled-down instances of the same families:
+The rows were sized when the pure-Python engine was the default: it could
+not process the paper-sized instances (up to 1257 nodes) within a laptop
+benchmark run.  Requests now run on the C core (the Python engine is the
+no-compiler fallback), so larger rows may be within reach; until that is
+measured (see ROADMAP.md), this harness executes the identical
+experiment design on scaled-down instances of the same families:
 
 * gate-level Hadamard ``H`` operator designs (``b*_m*`` rows) with reduced
   bit widths;
@@ -27,7 +30,7 @@ from repro.pebbling import ReversiblePebblingSolver, eager_bennett_strategy
 from repro.workloads import load_workload, table1_rows
 
 #: (workload name, scale) pairs exercised by the harness, chosen so the
-#: whole table completes in a few minutes with the pure-Python SAT solver.
+#: whole table completes in a few minutes on the pure-Python SAT engine.
 SCALED_ROWS: list[tuple[str, float]] = [
     ("b2_m3", 0.5),
     ("c17", 1.0),

@@ -43,8 +43,12 @@ from repro.sat.cnf import Clause, Cnf, Namer, VariablePool
 
 #: The at-most-P encoding of every entry point that is not told otherwise:
 #: :class:`EncodingOptions`, the portfolio, the circuit pipeline, the
-#: service and the CLI all refer to this one name.
-DEFAULT_CARDINALITY = CardinalityEncoding.SEQUENTIAL
+#: service and the CLI all refer to this one name.  The totalizer emits
+#: fewer clauses per frame than the sequential counter and is the faster
+#: of the two on both engines wherever frames are large (measurements in
+#: EXPERIMENTS.md); weighted budgets keep the generalised sequential
+#: counter of :func:`~repro.sat.cards.at_most_k_weighted`.
+DEFAULT_CARDINALITY = CardinalityEncoding.TOTALIZER
 
 
 @dataclass(frozen=True)

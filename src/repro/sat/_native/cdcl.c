@@ -35,6 +35,14 @@
 #define RESULT_UNSAT (-1)
 #define RESULT_UNKNOWN 0
 
+/* The largest DIMACS variable the core accepts.  Variable slots grow by
+ * doubling an int32 capacity, and the watch lists and the decision-level
+ * stack hold 2 * capacity entries, so every such count stays within
+ * int32 only up to 2^29 variables (the internal literal 2*var + 1 needs
+ * less).  Callers check literals against it: repro.sat.native before
+ * cdcl_add_clause and cdcl_solve, and cdcl_add_clauses in its pre-scan. */
+#define MAX_VAR (1 << 29)
+
 typedef struct Clause {
     double activity;
     int32_t size;
@@ -561,6 +569,10 @@ int32_t cdcl_num_variables(void *handle) {
     return ((Solver *)handle)->num_vars;
 }
 
+int32_t cdcl_max_variable(void) {
+    return MAX_VAR;
+}
+
 static int cmp_lit(const void *a, const void *b) {
     return *(const int32_t *)a - *(const int32_t *)b;
 }
@@ -626,13 +638,13 @@ int32_t cdcl_add_clause(void *handle, const int32_t *dimacs, int32_t size) {
  * clauses, added in order exactly as by one cdcl_add_clause call each.
  * Returns 1 while the formula is not contradictory at the root, 0 once it
  * is, and -1 without adding anything when the buffer is malformed (its
- * last clause is unterminated or a literal has no negation in int32). */
+ * last clause is unterminated or a literal's variable is past MAX_VAR). */
 int32_t cdcl_add_clauses(void *handle, const int32_t *flat, int64_t n) {
     Solver *s = handle;
     if (n > 0 && flat[n - 1] != 0)
         return -1;
     for (int64_t i = 0; i < n; i++)
-        if (flat[i] == INT32_MIN)
+        if (flat[i] < -MAX_VAR || flat[i] > MAX_VAR)
             return -1;
     int64_t start = 0;
     for (int64_t i = 0; i < n; i++) {
@@ -661,7 +673,7 @@ int32_t cdcl_solve(void *handle, const int32_t *assumptions, int32_t num_assumpt
      * one-per-variable worst case. */
     s->trail_lim = realloc(
         s->trail_lim,
-        (size_t)(2 * s->capacity + num_assumptions + 1) * sizeof(int32_t));
+        (2 * (size_t)s->capacity + (size_t)num_assumptions + 1) * sizeof(int32_t));
     if (propagate(s) != NULL) {
         s->ok = 0;
         return RESULT_UNSAT;

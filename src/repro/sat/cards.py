@@ -16,12 +16,13 @@ among them:
 
 ``sequential``
     Sinz's sequential-counter encoding (LTSeq).  ``O(n k)`` auxiliary
-    variables and clauses, supports incremental strengthening and is the
-    default used by the pebbling encoder.
+    variables and clauses, supports incremental strengthening.
 
 ``totalizer``
     Bailleux–Boufkhad totalizer.  ``O(n \\log n)`` variables, ``O(n k)``
-    clauses, good unit-propagation behaviour.
+    clauses, good unit-propagation behaviour.  The default of the pebbling
+    encoder (:data:`repro.pebbling.encoding.DEFAULT_CARDINALITY`): it emits
+    fewer clauses per frame than the sequential counter.
 
 The weighted pebbling game (Section V of the paper) needs the
 pseudo-Boolean generalisation

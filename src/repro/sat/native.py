@@ -66,6 +66,8 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.cdcl_add_variable.argtypes = [ctypes.c_void_p]
     lib.cdcl_num_variables.restype = ctypes.c_int32
     lib.cdcl_num_variables.argtypes = [ctypes.c_void_p]
+    lib.cdcl_max_variable.restype = ctypes.c_int32
+    lib.cdcl_max_variable.argtypes = []
     lib.cdcl_add_clause.restype = ctypes.c_int32
     lib.cdcl_add_clause.argtypes = [
         ctypes.c_void_p, ctypes.POINTER(ctypes.c_int32), ctypes.c_int32,
@@ -201,6 +203,11 @@ class NativeCdclSolver:
     of it, and the core reads that memory in place, with no repacking.
     :meth:`add_cnf` passes a whole stream that way, and
     :meth:`add_clauses` packs a list of clauses into one such buffer.
+
+    Every literal, in a clause or an assumption, is an ``int`` (not a
+    ``bool``) whose variable is at most :attr:`max_variable`, the bound of
+    the core's int32 arithmetic; anything else raises
+    :class:`~repro.errors.SolverError` before the core sees it.
     """
 
     def __init__(
@@ -217,6 +224,7 @@ class NativeCdclSolver:
             if lib is None:
                 raise SolverError(f"native core unavailable: {reason}")
         self._lib = lib
+        self.max_variable: int = lib.cdcl_max_variable()
         self._handle = lib.cdcl_new(random_seed & 0xFFFFFFFF, restart_base)
         if not self._handle:
             raise SolverError("native core allocation failed")
@@ -244,15 +252,10 @@ class NativeCdclSolver:
         return self._declared
 
     def add_clause(self, literals: Iterable[int]) -> bool:
-        clause: list[int] = []
-        for literal in literals:
-            if (
-                isinstance(literal, bool)
-                or not isinstance(literal, int)
-                or not 0 < abs(literal) < 2**31
-            ):
+        clause = list(literals)
+        for literal in clause:
+            if not self._valid(literal):
                 raise SolverError(f"invalid literal {literal!r}")
-            clause.append(literal)
         packed = (ctypes.c_int32 * len(clause))(*clause)
         return bool(
             self._lib.cdcl_add_clause(self._handle, packed, len(clause))
@@ -267,8 +270,8 @@ class NativeCdclSolver:
         effect as :meth:`add_clause` on each clause in order, and the same
         ``False`` once the formula is trivially unsat.  A malformed buffer
         adds nothing and raises :class:`~repro.errors.SolverError`: a zero
-        count other than ``count``, a last clause without its ``0``, or the
-        literal ``INT32_MIN``, whose negation is no int32.
+        count other than ``count``, a last clause without its ``0``, or a
+        literal whose variable is past :attr:`max_variable`.
         """
         if not (
             isinstance(literals, array)
@@ -294,7 +297,7 @@ class NativeCdclSolver:
         if added < 0:
             raise SolverError(
                 "invalid literal in the clause batch: its last clause has no 0 "
-                f"terminator or a literal is {-2**31} (no int32 negation)"
+                f"terminator or a literal's variable is past {self.max_variable}"
             )
         return bool(added)
 
@@ -318,8 +321,7 @@ class NativeCdclSolver:
         return self.add_clause_buffer(flat, count)
 
     def add_cnf(self, cnf) -> None:
-        while self.num_variables < cnf.num_variables:
-            self.add_variable()
+        self._declared = max(self._declared, cnf.num_variables)
         self.add_clause_buffer(cnf.literals, cnf.num_clauses)
 
     def solve(
@@ -329,13 +331,14 @@ class NativeCdclSolver:
         conflict_limit: int | None = None,
         time_limit: float | None = None,
     ) -> SolveResult:
+        assumptions = list(assumptions)
+        for literal in assumptions:
+            if not self._valid(literal):
+                raise SolverError(f"invalid assumption literal {literal!r}")
         # The C core opens one (possibly empty) decision level per
         # assumption; deduplicating here keeps that stack linear in the
         # variable count without changing the semantics or the core.
         unique = list(dict.fromkeys(assumptions))
-        for literal in unique:
-            if literal == 0 or not isinstance(literal, int):
-                raise SolverError(f"invalid assumption literal {literal!r}")
         assumed = (ctypes.c_int32 * len(unique))(*unique)
         budget = conflict_limit if conflict_limit is not None else self.default_conflict_limit
         started = time.monotonic()
@@ -393,6 +396,16 @@ class NativeCdclSolver:
         return dict(zip(_COUNTER_NAMES, totals))
 
     # -- helpers ----------------------------------------------------------
+    def _valid(self, literal) -> bool:
+        """Whether ``literal`` may cross into the core: a nonzero ``int``
+        (no ``bool``; ctypes would wrap a wider one into int32) whose
+        variable is at most :attr:`max_variable`."""
+        return (
+            isinstance(literal, int)
+            and not isinstance(literal, bool)
+            and 0 < abs(literal) <= self.max_variable
+        )
+
     def _take_counts(self) -> None:
         totals = _CounterArray()
         self._lib.cdcl_counters(self._handle, totals)

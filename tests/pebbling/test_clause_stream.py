@@ -11,6 +11,11 @@ order, variable numbering or frame boundaries shows here.
 
 The C core must receive this same stream, so its conflicts repeat
 exactly; the second test reads it off the core's own ABI calls.
+
+Every case names its cardinality encoding, so a change of
+:data:`~repro.pebbling.encoding.DEFAULT_CARDINALITY` moves no digest.  The
+sequential-counter streams and the totalizer streams of the same DAGs
+were both recorded before the default became the totalizer.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ from repro.sat.native import (
 )
 from repro.workloads import load_workload
 
-SEQUENTIAL = EncodingOptions()
+SEQUENTIAL = EncodingOptions(cardinality=CardinalityEncoding.SEQUENTIAL)
+TOTALIZER = EncodingOptions(cardinality=CardinalityEncoding.TOTALIZER)
 
 
 def _weighted_fig2():
@@ -46,13 +52,26 @@ CASES = {
     "fig2-p3": (lambda: load_workload("fig2"), 3, SEQUENTIAL, 8),
     "c17-p3": (lambda: load_workload("c17"), 3, SEQUENTIAL, 8),
     "and9-p4-single": (
-        lambda: load_workload("and9"), 4, EncodingOptions(max_moves_per_step=1), 8,
+        lambda: load_workload("and9"), 4,
+        EncodingOptions(
+            cardinality=CardinalityEncoding.SEQUENTIAL, max_moves_per_step=1
+        ),
+        8,
     ),
     "hadamard-p5": (lambda: load_workload("hadamard"), 5, SEQUENTIAL, 8),
     "kummer-double-p16": (lambda: load_workload("kummer-double"), 16, SEQUENTIAL, 8),
-    "fig2-p3-totalizer": (
-        lambda: load_workload("fig2"), 3,
-        EncodingOptions(cardinality=CardinalityEncoding.TOTALIZER), 8,
+    "fig2-p3-totalizer": (lambda: load_workload("fig2"), 3, TOTALIZER, 8),
+    "c17-p3-totalizer": (lambda: load_workload("c17"), 3, TOTALIZER, 8),
+    "and9-p4-single-totalizer": (
+        lambda: load_workload("and9"), 4,
+        EncodingOptions(
+            cardinality=CardinalityEncoding.TOTALIZER, max_moves_per_step=1
+        ),
+        8,
+    ),
+    "hadamard-p5-totalizer": (lambda: load_workload("hadamard"), 5, TOTALIZER, 8),
+    "kummer-double-p16-totalizer": (
+        lambda: load_workload("kummer-double"), 16, TOTALIZER, 8,
     ),
     "fig2-p3-pairwise": (
         lambda: load_workload("fig2"), 3,
@@ -61,7 +80,21 @@ CASES = {
     "fig2-w5-weighted": (_weighted_fig2, 5, EncodingOptions(weighted=True), 8),
     "fig2-p4-two-moves-no-idle": (
         lambda: load_workload("fig2"), 4,
-        EncodingOptions(max_moves_per_step=2, forbid_idle_steps=True), 8,
+        EncodingOptions(
+            cardinality=CardinalityEncoding.SEQUENTIAL,
+            max_moves_per_step=2,
+            forbid_idle_steps=True,
+        ),
+        8,
+    ),
+    "fig2-p4-two-moves-no-idle-totalizer": (
+        lambda: load_workload("fig2"), 4,
+        EncodingOptions(
+            cardinality=CardinalityEncoding.TOTALIZER,
+            max_moves_per_step=2,
+            forbid_idle_steps=True,
+        ),
+        8,
     ),
 }
 
@@ -72,9 +105,17 @@ GOLDEN = {
         [232, 157, 157, 157, 157, 157, 157, 157],
         "36d8041f156c4cab78621cbb08ee18eef0e59c59dcfce970a52bc02692cc258c",
     ),
+    "and9-p4-single-totalizer": (
+        [198, 143, 143, 143, 143, 143, 143, 143],
+        "3a7587d28b7f729d7c1ff2dfae0d558d8d8e371ccf9729493569bab12fa23739",
+    ),
     "c17-p3": (
         [112, 68, 68, 68, 68, 68, 68, 68],
         "7b1a8152ef98b60c3833f78adcc0b92f502642c61f358fa75b57ff59b86fdabe",
+    ),
+    "c17-p3-totalizer": (
+        [94, 59, 59, 59, 59, 59, 59, 59],
+        "9fbdba485fc2bc8b50cdbfd60d39a2907590400a92905d2d5c7e525e91cc0271",
     ),
     "fig2-p3": (
         [108, 64, 64, 64, 64, 64, 64, 64],
@@ -92,6 +133,10 @@ GOLDEN = {
         [182, 127, 127, 127, 127, 127, 127, 127],
         "8c909c8f7b75166a9a2c7c6d43dfd32982a57c1e75ec8a57154a6060cf8a40ef",
     ),
+    "fig2-p4-two-moves-no-idle-totalizer": (
+        [145, 108, 108, 108, 108, 108, 108, 108],
+        "a62c1494a1ba9c1e472666b1916f065bb3e9d7872318cbd56ce9a2daf89bf447",
+    ),
     "fig2-w5-weighted": (
         [152, 86, 86, 86, 86, 86, 86, 86],
         "f2eb69625d1a10aed6cb91a20782ec04bc019f0da660e784018ae50cb7d67619",
@@ -100,14 +145,28 @@ GOLDEN = {
         [212, 122, 122, 122, 122, 122, 122, 122],
         "dcd9943a8bfbdd0868c648f03cdf6c50ba8e2e46c267f82c48c8055d599591fe",
     ),
+    "hadamard-p5-totalizer": (
+        [148, 90, 90, 90, 90, 90, 90, 90],
+        "b1513e707ac6c7f8d306cf2781c6daa7c96e258f43c0f5853b0fcdd1ae9c1a18",
+    ),
     "kummer-double-p16": (
         [2302, 1231, 1231, 1231, 1231, 1231, 1231, 1231],
         "dbcf75f952f64f707a3a67cdf6a0e46f101790c072f7b12ee97c3b258a994316",
     ),
+    "kummer-double-p16-totalizer": (
+        [1298, 729, 729, 729, 729, 729, 729, 729],
+        "7d069d4bce3f9a9cc39e54daff44d49f4384536d389f4119f994de0d63ea5719",
+    ),
 }
 
-#: sha256 of ``dimacs_string`` for and9, 4 pebbles, single-move, 10 steps.
-GOLDEN_DIMACS = "6349ed064be9d6bb6da1bc54b02e80eaa6d5619ee114746ff1bf2346689ba963"
+#: Encoding -> sha256 of ``dimacs_string`` for and9, 4 pebbles, single-move,
+#: 10 steps.
+GOLDEN_DIMACS = {
+    CardinalityEncoding.SEQUENTIAL:
+        "6349ed064be9d6bb6da1bc54b02e80eaa6d5619ee114746ff1bf2346689ba963",
+    CardinalityEncoding.TOTALIZER:
+        "21b80d093b93eb2bf6681c0abc28d2856e8a8281790755fcc52d52a4011953fb",
+}
 
 
 def _digest(stream) -> str:
@@ -187,9 +246,10 @@ def test_native_core_receives_the_golden_stream(name):
 
 
 def test_one_shot_dimacs_matches_the_golden_digest():
-    options = EncodingOptions(max_moves_per_step=1)
-    encoding = PebblingEncoder(load_workload("and9"), options=options).encode(
-        max_pebbles=4, num_steps=10
-    )
-    text = dimacs_string(encoding.cnf)
-    assert hashlib.sha256(text.encode("ascii")).hexdigest() == GOLDEN_DIMACS
+    for cardinality, golden in GOLDEN_DIMACS.items():
+        options = EncodingOptions(cardinality=cardinality, max_moves_per_step=1)
+        encoding = PebblingEncoder(load_workload("and9"), options=options).encode(
+            max_pebbles=4, num_steps=10
+        )
+        text = dimacs_string(encoding.cnf)
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == golden, cardinality

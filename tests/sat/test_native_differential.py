@@ -26,7 +26,11 @@ memory errors and undefined behaviour::
 from __future__ import annotations
 
 import ctypes
+import os
+import subprocess
+import sys
 from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -250,6 +254,73 @@ def test_single_clause_validates_its_literals(literal):
     engine = _engine()
     with pytest.raises(SolverError, match="invalid literal"):
         engine.add_clause([1, literal])
+    assert engine.solve([-1]).is_sat  # nothing arrived
+
+
+@pytest.mark.parametrize(
+    "literal", [-(2**32 + 2), 2**32 + 2, 2**31, -(2**31), True, 0, 1.0]
+)
+def test_assumptions_are_validated_like_clause_literals(literal):
+    # ctypes would wrap -(2**32 + 2) into the int32 -2: an UNSAT answer
+    # with the core [-2], which the caller never assumed.
+    engine = _engine()
+    assert engine.add_clauses([[1, 2], [-1, 2]])
+    with pytest.raises(SolverError, match="invalid assumption literal"):
+        engine.solve([1, literal])
+    assert engine.solve([-1]).is_sat
+
+
+_PAST_THE_BOUND = '''
+from array import array
+from repro.errors import SolverError
+from repro.sat.native import NativeCdclSolver
+engine = NativeCdclSolver()
+variable = 2**30 + 5
+try:
+    {call}
+except SolverError as exc:
+    print("rejected:", exc)
+'''
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "engine.add_clause([variable, 1])",
+        "engine.add_clause_buffer(array('i', [1, 0, variable, 1, 0]), 2)",
+        "engine.solve([-variable])",
+    ],
+    ids=["clause", "buffer", "assumption"],
+)
+def test_a_variable_past_the_core_bound_raises_instead_of_hanging(call):
+    # Past 2**30 the core's int32 capacity doubling overflows and never
+    # ends, so the call runs in its own process under a timeout.
+    source = Path(native.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(source), os.environ.get("PYTHONPATH")])
+    )}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", _PAST_THE_BOUND.format(call=call)],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{call} did not return within 30 s")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("rejected: invalid"), proc.stdout
+
+
+def test_literals_just_past_the_variable_bound_are_rejected():
+    engine = _engine()
+    assert engine.max_variable == 2**29
+    assert engine.add_clauses([[1, 2]])
+    for call in (
+        lambda: engine.add_clause([engine.max_variable + 1]),
+        lambda: engine.add_clauses([[-(engine.max_variable + 1)]]),
+        lambda: engine.solve([engine.max_variable + 1]),
+    ):
+        with pytest.raises(SolverError, match="invalid"):
+            call()
     assert engine.solve([-1]).is_sat  # nothing arrived
 
 

@@ -233,7 +233,7 @@ class TestRequestKeys:
             {"initial_steps": 3},
             {"max_steps": 10},
             {"step_floor": 2},
-            {"options": EncodingOptions(cardinality=CardinalityEncoding.TOTALIZER)},
+            {"options": EncodingOptions(cardinality=CardinalityEncoding.SEQUENTIAL)},
             {"exact_digest": "other"},
         ):
             assert pebble_request_key(**{**base, **tweak}) != key
