@@ -66,21 +66,20 @@ in prose.  Scenarios are individually selectable via ``--scenario``
 geometric-mean speedup more than 10% below the previous ``BENCH_<n>.json``
 fails the run.
 
-Since schema v8 the report adds a ``cubes`` scenario: each case is
-solved once sequentially and once cube-and-conquer (``cubes=4,
-jobs=4`` — an exhaustive assumption-cube cover, a shared SQLite bound
-board, first-winner cancellation) and must certify the same minimum;
-on at least two hard multi-second cases the cube search must also beat
-the sequential wall-clock with at least one cross-lane shared-bound
-hit.  Full (non-``--quick``) runs now default to ``--repeat 3``.
+Since schema v8 full (non-``--quick``) runs default to ``--repeat 3``.
 
 Since schema v9 the report adds an ``obs`` scenario guarding the
 observability layer (:mod:`repro.obs`): the batch suite is solved with
 tracing+metrics off and on and the per-task geometric-mean overhead must
-stay under 5%; a traced portfolio run on the flaky chaos backend (forced
-retries) and a traced cube-and-conquer run (first-winner cancellation)
-must both merge into *complete* span trees — every span's parent
-resolvable and every ``sat.call`` span carrying its bound and verdict.
+stay under 5%, and a traced portfolio run on the flaky chaos backend
+(forced retries) through a two-worker pool must merge into a *complete*
+span tree — every span's parent resolvable and every ``sat.call`` span
+carrying its bound and verdict.
+
+Schema v11 drops the ``cubes`` scenario (added in v8) and the ``obs``
+scenario's cube trace, because cube-and-conquer was retired: it lost to
+the sequential search on wall-clock time in every pair of its last
+measurement (EXPERIMENTS.md, "Cube-and-conquer retired").
 """
 
 from __future__ import annotations
@@ -123,7 +122,7 @@ from repro.pebbling.search import GeometricRefine  # noqa: E402
 from repro.store import ResultStore  # noqa: E402
 from repro.workloads import load_workload  # noqa: E402
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 #: A full run fails when the geometric-mean speedup drops more than this
 #: fraction below the previous tracked ``BENCH_<n>.json``.
@@ -1049,235 +1048,6 @@ def run_profile_bench(*, quick: bool = False) -> dict[str, object]:
 
 
 # ---------------------------------------------------------------------------
-# cubes scenario: cube-and-conquer vs sequential on one instance (schema v8)
-# ---------------------------------------------------------------------------
-#: (name, workload, budget, time limit, hard, quick) cube cases.  Easy
-#: cases gate on verdict/minimum parity only (at millisecond scale the
-#: pool spawn dominates and a speedup number would measure the OS, not
-#: the search); *hard* cases are multi-second searches where the gate
-#: additionally requires, on two or more of them, a wall-clock
-#: ``speedup > 1.0`` — or, on a host with fewer cores than lanes (where
-#: four time-shared lanes cannot beat one by parallelism), the
-#: oversubscribed criterion documented in ``run_cubes_bench``.
-CUBE_CASES: list[tuple[str, str, int, float, bool, bool]] = [
-    ("fig2_p4", "fig2", 4, 60.0, False, True),
-    ("c17_p4", "c17", 4, 60.0, False, True),
-    ("and9_p5", "and9", 5, 60.0, False, False),
-    ("kummer_double_p14", "kummer-double", 14, 120.0, True, False),
-    ("edwards_add_p9", "edwards-add", 9, 120.0, True, False),
-]
-
-#: Oversubscribed hosts: the cube run must stay within this factor of
-#: the sequential wall clock.  Four lanes re-deriving the full ladder
-#: each would cost ~4x by construction — that is the zero-pruning
-#: ceiling, not a defect — and paired best-of-``repeat`` draws on the
-#: 1-core host measure anywhere from 0.7x to 4.6x of sequential
-#: depending on how the lane schedule interleaves the bound sharing
-#: (the same binary, same instance, minutes apart).  A bound below the
-#: zero-pruning ceiling therefore gates on scheduler luck; 5x sits just
-#: above it and still catches super-linear blowup (board contention,
-#: lock spin, a broken striping schedule costing more than the lanes'
-#: own redundancy).  The gate takes the best of ``repeat`` PAIRED
-#: attempts — sequential and cubed back-to-back, so both sides see the
-#: same host-load regime.
-CUBE_OVERSUBSCRIBED_SLOWDOWN = 5.0
-
-
-def run_cubes_bench(*, quick: bool = False, repeat: int = 1) -> dict[str, object]:
-    """Race ``cubes=4, jobs=4`` against the sequential search per instance.
-
-    Both sides must certify the same minimum (outcome, steps, and
-    minimality whenever the sequential search certified it).  Easy cases
-    are repeated ``repeat`` times (best-of, like the engine scenario).
-    Hard cases run ``repeat`` *paired* attempts — sequential then cubed
-    back-to-back, parity required on every attempt, the pair with the
-    best speedup reported.  They used to run once on the premise that
-    minute-scale searches dominate timer noise; measured false: identical
-    cubed runs span ~2x wall clock on a 1-core host because the lane
-    interleaving (not the timer) decides how much cross-lane pruning
-    happens, so a single draw straddles the oversubscribed allowance.
-    Pairing also cancels slow host-load drift — each ratio compares two
-    solves that ran seconds apart, not a lucky sequential from one load
-    regime against an unlucky cubed from another.
-
-    ``cubes_ok`` additionally requires at least two *hard-case wins*.
-    On a host with at least as many cores as lanes a win is wall-clock
-    ``speedup > 1.0`` plus a cross-lane ``shared_bound_hit`` (the board
-    actually transferred a bound between lanes, it did not just observe
-    its own writes).  On an **oversubscribed** host (fewer cores than
-    lanes — the lanes time-share one core, so wall-clock speedup would
-    measure the scheduler, not the search) a win instead requires the
-    cube machinery to demonstrably engage and stay cheap: the same
-    parity, a shared-bound hit or a first-winner cancellation, a
-    board-certified minimum, and wall clock within
-    ``CUBE_OVERSUBSCRIBED_SLOWDOWN`` of sequential.  Engagement is
-    judged across *every* paired attempt, not just the timing-selected
-    best pair: whether the board prunes a given draw depends on lane
-    interleaving, and the fastest pair can legitimately be one where no
-    lane needed the shared bound.  The report records
-    ``host_cores``/``oversubscribed`` plus per-case ``engaged`` so
-    readers can tell which claim a run makes.
-    """
-    rows: list[dict[str, object]] = []
-    cubes_ok = True
-    hard_wins = 0
-    hard_total = 0
-    host_cores = os.cpu_count() or 1
-    oversubscribed = host_cores < 4
-    for name, workload, budget, time_limit, hard, is_quick in CUBE_CASES:
-        if quick and not is_quick:
-            continue
-        dag = load_workload(workload)
-        tries = max(1, repeat)
-
-        def _best(run):
-            best = None
-            for _ in range(tries):
-                outcome = run()
-                if best is None or outcome["seconds"] < best["seconds"]:
-                    best = outcome
-            return best
-
-        def _solve(cubes):
-            solver = ReversiblePebblingSolver(dag)
-            started = time.perf_counter()
-            result = solver.solve(
-                budget,
-                time_limit=time_limit,
-                cubes=cubes,
-                cube_jobs=4 if cubes else 1,
-            )
-            meta = result.cubes or {}
-            return {
-                "seconds": time.perf_counter() - started,
-                "outcome": result.outcome.value,
-                "steps": result.num_steps,
-                "minimal": result.minimal,
-                "sat_calls": len(result.attempts),
-                "shared_bound_hits": result.shared_bound_hits,
-                "cancelled_lanes": len(meta.get("cancelled", ())),
-            }
-
-        def _pair_parity(seq_run, cube_run):
-            return (
-                cube_run["outcome"] == seq_run["outcome"]
-                and cube_run["steps"] == seq_run["steps"]
-                and (not seq_run["minimal"] or cube_run["minimal"])
-            )
-
-        if hard:
-            # Paired attempts: every attempt must certify parity, the best
-            # attempt ratio carries the timing gate (see the docstring).
-            sequential = cubed = None
-            speedup = 0.0
-            attempt_speedups: list[float] = []
-            all_parity = True
-            any_engaged = False
-            for _ in range(tries):
-                seq_run = _solve(None)
-                cube_run = _solve(4)
-                ratio = seq_run["seconds"] / max(cube_run["seconds"], 1e-9)
-                attempt_speedups.append(round(ratio, 3))
-                all_parity = all_parity and _pair_parity(seq_run, cube_run)
-                any_engaged = any_engaged or (
-                    cube_run["shared_bound_hits"] >= 1
-                    or cube_run["cancelled_lanes"] >= 1
-                )
-                if sequential is None or ratio > speedup:
-                    speedup = ratio
-                    sequential, cubed = seq_run, cube_run
-        else:
-            sequential = _best(lambda: _solve(None))
-            cubed = _best(lambda: _solve(4))
-            speedup = sequential["seconds"] / max(cubed["seconds"], 1e-9)
-            attempt_speedups = [round(speedup, 3)]
-            all_parity = True
-            any_engaged = (
-                cubed["shared_bound_hits"] >= 1
-                or cubed["cancelled_lanes"] >= 1
-            )
-        hits = cubed["shared_bound_hits"]
-        parity = all_parity and (
-            cubed["outcome"] == sequential["outcome"]
-            and cubed["steps"] == sequential["steps"]
-            and (not sequential["minimal"] or cubed["minimal"])
-        )
-        cubes_ok = cubes_ok and parity
-        win = False
-        if hard:
-            hard_total += 1
-            # Engagement (a shared-bound hit or a cancellation) is a
-            # mechanism property of the *instance*, judged across every
-            # paired attempt: the best pair is selected for timing, and
-            # a run the board happened not to prune can still be the
-            # fastest draw on an oversubscribed host.
-            engaged = any_engaged
-            if oversubscribed:
-                win = (
-                    parity
-                    and engaged
-                    and cubed["minimal"]
-                    and speedup * CUBE_OVERSUBSCRIBED_SLOWDOWN >= 1.0
-                )
-            else:
-                win = parity and speedup > 1.0 and engaged
-            hard_wins += int(win)
-        rows.append(
-            {
-                "name": name,
-                "hard": hard,
-                "steps": sequential["steps"],
-                "sequential": {
-                    "seconds": round(sequential["seconds"], 3),
-                    "outcome": sequential["outcome"],
-                    "minimal": sequential["minimal"],
-                    "sat_calls": sequential["sat_calls"],
-                },
-                "cubed": {
-                    "seconds": round(cubed["seconds"], 3),
-                    "outcome": cubed["outcome"],
-                    "minimal": cubed["minimal"],
-                    "sat_calls": cubed["sat_calls"],
-                    "shared_bound_hits": hits,
-                    "cancelled_lanes": cubed["cancelled_lanes"],
-                },
-                "speedup": round(speedup, 3),
-                "parity": parity,
-                **(
-                    {
-                        "hard_win": win,
-                        "attempt_speedups": attempt_speedups,
-                        "engaged": any_engaged,
-                    }
-                    if hard
-                    else {}
-                ),
-            }
-        )
-        print(f"cubes {name:20s} seq {sequential['seconds']:8.3f}s  "
-              f"cubed {cubed['seconds']:8.3f}s  x{speedup:5.2f}  hits={hits}  "
-              f"{'ok' if parity else 'MISMATCH'}")
-    if hard_total:
-        cubes_ok = cubes_ok and hard_wins >= 2
-        criterion = (
-            "the oversubscribed criterion (certified + engaged + bounded "
-            "overhead)" if oversubscribed else "speedup > 1.0 and a "
-            "shared-bound hit"
-        )
-        print(f"cubes hard cases: {hard_wins}/{hard_total} met {criterion} "
-              f"(need >= 2; host has {host_cores} core(s) for 4 lanes)")
-    return {
-        "cases": rows,
-        "jobs": 4,
-        "count": 4,
-        "host_cores": host_cores,
-        "oversubscribed": oversubscribed,
-        "hard_wins": hard_wins,
-        "cubes_ok": cubes_ok,
-    }
-
-
-# ---------------------------------------------------------------------------
 # obs scenario: tracing/metrics overhead and span-tree completeness (schema v9)
 # ---------------------------------------------------------------------------
 #: The overhead gate: tracing+metrics on must stay within this fraction of
@@ -1328,7 +1098,7 @@ def _trace_tree_gate(path: Path) -> dict[str, object]:
 def run_obs_bench(*, quick: bool = False, repeat: int = 1) -> dict[str, object]:
     """Gate the observability layer: overhead and span-tree completeness.
 
-    Three gates, folded into ``obs_ok``:
+    Two gates, folded into ``obs_ok``:
 
     * **overhead** — the batch suite solved with tracing+metrics off and
       on (best-of ``repeat`` per task); the geometric mean of the
@@ -1338,12 +1108,10 @@ def run_obs_bench(*, quick: bool = False, repeat: int = 1) -> dict[str, object]:
       runs report it advisorily, their two above-floor tasks cannot
       resolve 5% against scheduler noise;
     * **portfolio tree** — a traced portfolio run on the flaky ``chaos``
-      backend under a retry policy must spend at least one retry and
-      merge into a complete span tree with attributed ``sat.call`` spans
-      and the retry visible as a ``task.retry`` event;
-    * **cube tree** — a traced ``cubes=4`` search must cancel at least
-      one losing lane (first-winner certification) and likewise merge
-      into a complete, attributed tree.
+      backend under a retry policy, through a two-worker process pool,
+      must spend at least one retry and merge the owner's and the
+      workers' part files into one complete span tree with attributed
+      ``sat.call`` spans and the retry visible as a ``task.retry`` event.
     """
     import tempfile
 
@@ -1410,65 +1178,40 @@ def run_obs_bench(*, quick: bool = False, repeat: int = 1) -> dict[str, object]:
 
             # Portfolio run with retries: the flaky chaos backend fails every
             # task's first attempt, so the retry machinery must engage and
-            # the retries must be visible in the merged trace.
+            # the retries must be visible in the merged trace.  The tasks
+            # run in a two-worker pool, so the tree also has to merge the
+            # workers' part files with the owner's.
             obs_metrics.enable()
             portfolio_path = tmpdir / "portfolio.jsonl"
             retry_tasks = tasks_from_suite(
                 "smoke", time_limit=60.0, backend=f"chaos:{CHAOS_SEED},flaky=1"
             )
             with obs_trace.tracer(portfolio_path):
-                retry_records = run_portfolio(retry_tasks, retry=CHAOS_RETRY)
+                retry_records = run_portfolio(
+                    retry_tasks, jobs=2, force_pool=True, retry=CHAOS_RETRY
+                )
             portfolio_gate = _trace_tree_gate(portfolio_path)
             portfolio_gate["retries"] = sum(r.retries for r in retry_records)
             portfolio_ok = (
                 bool(portfolio_gate["complete"])
                 and bool(portfolio_gate["sat_calls_attributed"])
+                and portfolio_gate["processes"] >= 2
                 and portfolio_gate["retries"] >= 1
                 and portfolio_gate["event_names"].get("task.retry", 0) >= 1
                 and all(r.outcome == "solution" for r in retry_records)
             )
-            print(f"obs portfolio trace: {portfolio_gate['spans']} spans, "
+            print(f"obs portfolio trace: {portfolio_gate['spans']} spans across "
+                  f"{portfolio_gate['processes']} processes, "
                   f"retries={portfolio_gate['retries']}, "
                   f"complete={portfolio_gate['complete']}  "
                   f"{'ok' if portfolio_ok else 'FAILED'}")
-
-            # Cube run with cancellation: four lanes, first winner cancels
-            # the rest; the merged tree must still resolve every parent.
-            cube_path = tmpdir / "cubes.jsonl"
-            with obs_trace.tracer(cube_path):
-                result = ReversiblePebblingSolver(load_workload("c17")).solve(
-                    4, time_limit=60.0, cubes=4, cube_jobs=2
-                )
-            cube_gate = _trace_tree_gate(cube_path)
-            cancelled = len((result.cubes or {}).get("cancelled", ()))
-            cube_gate["cancelled_lanes"] = cancelled
-            # The cube machinery must be *visible* in the merged trace:
-            # a cancelled lane, a board certification, or a shared-bound
-            # hit (board.hit events come from lane pids, so any of these
-            # also witnesses cross-process event merging).  Which one
-            # fires depends on lane interleaving — all are equally valid.
-            cube_events = cube_gate["event_names"]
-            cube_ok = (
-                bool(cube_gate["complete"])
-                and bool(cube_gate["sat_calls_attributed"])
-                and result.found
-                and (
-                    cancelled >= 1
-                    or cube_events.get("cubes.certified", 0) >= 1
-                    or cube_events.get("board.hit", 0) >= 1
-                )
-            )
-            print(f"obs cube trace: {cube_gate['spans']} spans across "
-                  f"{cube_gate['processes']} processes, "
-                  f"cancelled={cancelled}, complete={cube_gate['complete']}  "
-                  f"{'ok' if cube_ok else 'FAILED'}")
     finally:
         if was_enabled:
             obs_metrics.enable()
         else:
             obs_metrics.disable()
 
-    obs_ok = (overhead_ok or not overhead_binding) and portfolio_ok and cube_ok
+    obs_ok = (overhead_ok or not overhead_binding) and portfolio_ok
     return {
         "suite": suite,
         "overhead_threshold": OBS_OVERHEAD_THRESHOLD,
@@ -1485,8 +1228,6 @@ def run_obs_bench(*, quick: bool = False, repeat: int = 1) -> dict[str, object]:
         "overhead_ok": overhead_ok,
         "portfolio_trace": portfolio_gate,
         "portfolio_ok": portfolio_ok,
-        "cube_trace": cube_gate,
-        "cube_ok": cube_ok,
         "obs_ok": obs_ok,
     }
 
@@ -1592,8 +1333,6 @@ SCENARIOS: dict[str, tuple[str, str, str]] = {
               "fault injection, retries and anytime answers"),
     "profile": ("profile", "phases_present",
                 "per-phase time splits and LBD counters, current engine only"),
-    "cubes": ("cubes", "cubes_ok",
-              "cube-and-conquer (cubes=4, jobs=4) vs the sequential search"),
     "obs": ("obs", "obs_ok",
             "tracing/metrics overhead gate and span-tree completeness"),
 }
@@ -1709,7 +1448,6 @@ def run_benchmarks(
             "core_guided": lambda: run_core_guided_bench(quick=quick),
             "chaos": lambda: run_chaos_bench(quick=quick),
             "profile": lambda: run_profile_bench(quick=quick),
-            "cubes": lambda: run_cubes_bench(quick=quick, repeat=repeat),
             "obs": lambda: run_obs_bench(quick=quick, repeat=repeat),
         }[name]
         key, gate, _ = SCENARIOS[name]

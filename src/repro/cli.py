@@ -201,13 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     pebble.add_argument("--weighted", action="store_true",
                         help="play the weighted game: bound total node weight")
     _add_search_arguments(pebble)
-    pebble.add_argument("--cubes", type=int, default=0, metavar="N",
-                        help="cube-and-conquer: split the instance into an "
-                             "exhaustive cover of N cubes raced through the "
-                             "shared bound board (default 0 = sequential)")
-    pebble.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the cube lanes "
-                             "(default 1 = inline lanes; only with --cubes)")
     pebble.add_argument("--grid", action="store_true", help="print the strategy grid")
     pebble.add_argument("--stats", action="store_true",
                         help="print aggregated SAT-solver counters")
@@ -296,10 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "raced lanes bypass --db, since the store's "
                             "backend-invariant cache would answer the later "
                             "lanes from the first one)")
-    batch.add_argument("--cubes", type=int, default=0, metavar="N",
-                       help="cube-and-conquer width per task: split each "
-                            "instance into N cubes sharing a bound board "
-                            "(default 0 = sequential tasks)")
     batch.add_argument("--retries", type=int, default=0, metavar="N",
                        help="retry each failed task up to N extra times with "
                             "exponential backoff (default 0 = no retries)")
@@ -356,9 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-queue", type=int, default=None, metavar="N",
                        help="admission-control bound: shed new requests once "
                             "N are already queued (default: unbounded)")
-    serve.add_argument("--cubes", type=int, default=None, metavar="N",
-                       help="default cube-and-conquer width for requests that "
-                            "do not name their own 'cubes' field")
     serve.add_argument("--health-json", default=None, metavar="FILE",
                        help="write the service health snapshot (queue depth, "
                             "sheds, preemptions, retries, pool rebuilds, and "
@@ -479,7 +465,6 @@ def _run_batch(arguments: argparse.Namespace) -> int:
             1 if arguments.step_increment is None else arguments.step_increment
         ),
         backend=arguments.backend,
-        cubes=arguments.cubes,
     )
     records = run_portfolio(
         tasks, jobs=arguments.jobs, store_path=arguments.db, race_backends=race,
@@ -653,7 +638,6 @@ def _run_serve(arguments: argparse.Namespace) -> int:
         retry=_retry_policy(arguments.retries),
         deadline=arguments.deadline,
         max_queue=arguments.max_queue,
-        default_cubes=arguments.cubes,
     )
     print(json.dumps(report, indent=2))
     if arguments.health_json is not None:
@@ -824,8 +808,6 @@ def _dispatch(arguments: argparse.Namespace) -> int:
                     arguments.schedule, step_increment=arguments.step_increment
                 ),
                 store=store,
-                cubes=arguments.cubes if arguments.cubes > 1 else None,
-                cube_jobs=arguments.jobs,
             )
         finally:
             if store is not None:

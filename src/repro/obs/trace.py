@@ -7,7 +7,7 @@ number.  Processes never share a file handle: each pid appends to its own
 ``part-<pid>.jsonl`` inside a spool directory, and the owning process merges
 the parts into one file at the end, sorted by ``(ts, pid, seq)``.  On Linux
 ``time.monotonic`` is ``CLOCK_MONOTONIC``, which is system-wide, so
-timestamps from pool workers and cube lanes are directly comparable and the
+timestamps from pool workers are directly comparable and the
 merge order is causal on a single host.
 
 The module-level API is no-op safe: ``span``/``event`` cost one global read
@@ -241,7 +241,7 @@ def event(name: str, **attrs: Any) -> None:
 def activated(ctx: TraceContext | None) -> Iterator[None]:
     """Adopt a shipped :class:`TraceContext` in this process.
 
-    Used by pool workers and cube lanes: opens (or reuses) this process's
+    Used by pool workers: opens (or reuses) this process's
     part file in the originating spool and parents subsequent spans under
     ``ctx.span_id``.  Worker processes (anything that is not the tracer's
     owner) flush their buffer on exit so short-lived or pool-recycled

@@ -16,22 +16,13 @@ The subpackage is organised as follows:
   of pebbles under a timeout, and extracts strategies from models;
 * :mod:`repro.pebbling.heuristic` -- a greedy heuristic pebbler usable on
   DAGs that are too large for the SAT engine;
-* :mod:`repro.pebbling.cubes` -- cube-and-conquer parallelism for one hard
-  instance: exhaustive cube covers, the cross-process bound board, and
-  first-winner cancellation (shared with the portfolio's backend races via
-  :mod:`repro.pebbling.cancel`).
+* :mod:`repro.pebbling.portfolio` -- batches of pebbling tasks over a
+  process pool, with retries and first-winner backend races (cancelled
+  through :mod:`repro.pebbling.cancel`).
 """
 
 from repro.pebbling.bennett import bennett_strategy, eager_bennett_strategy
 from repro.pebbling.cancel import CancellationToken
-from repro.pebbling.cubes import (
-    BoundBoard,
-    Cube,
-    CubeSet,
-    cubes_cover_exhaustively,
-    generate_cubes,
-    run_cube_search,
-)
 from repro.pebbling.encoding import EncodingOptions, PebblingEncoder
 from repro.pebbling.heuristic import greedy_pebbling_strategy
 from repro.pebbling.portfolio import (
@@ -48,7 +39,6 @@ from repro.pebbling.search import (
     GeometricSearch,
     LinearSearch,
     SearchStrategy,
-    StripedClimb,
     strategy_from_name,
 )
 from repro.pebbling.solver import (
@@ -61,10 +51,7 @@ from repro.pebbling.solver import (
 from repro.pebbling.strategy import PebbleMove, PebblingStrategy
 
 __all__ = [
-    "BoundBoard",
     "CancellationToken",
-    "Cube",
-    "CubeSet",
     "EncodingOptions",
     "GeometricRefine",
     "GeometricSearch",
@@ -80,16 +67,12 @@ __all__ = [
     "RetryPolicy",
     "ReversiblePebblingSolver",
     "SearchStrategy",
-    "StripedClimb",
     "bennett_strategy",
-    "cubes_cover_exhaustively",
     "eager_bennett_strategy",
-    "generate_cubes",
     "greedy_pebbling_strategy",
     "minimize_pebbles",
     "minimize_pebbles_portfolio",
     "pebble_dag",
-    "run_cube_search",
     "run_portfolio",
     "strategy_from_name",
     "tasks_from_suite",

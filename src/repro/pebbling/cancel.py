@@ -1,7 +1,7 @@
 """First-winner cancellation across process boundaries.
 
-Portfolio races and cube-and-conquer lanes run in separate processes, so
-an in-memory ``threading.Event`` cannot tell a losing lane to stop.  A
+Portfolio backend races run their lanes in separate processes, so an
+in-memory ``threading.Event`` cannot tell a losing lane to stop.  A
 :class:`CancellationToken` is the smallest primitive that can: a path in
 a scratch directory whose *existence* is the flag.  Creating a file is
 atomic on every platform we run on, ``os.path.exists`` is a single cheap
@@ -9,10 +9,9 @@ atomic on every platform we run on, ``os.path.exists`` is a single cheap
 
 Lanes poll the token between SAT calls and while a time-sliced call waits
 (see ``ReversiblePebblingSolver._query_loop``), and between retry
-attempts (``portfolio._execute_task``); once the first lane completes —
-or the cube layer certifies a global minimum — the winner cancels the
-token and every sibling stops at its next check instead of running to
-completion.
+attempts (``portfolio._execute_task``); once the first lane completes,
+the winner cancels the token and every sibling stops at its next check
+instead of running to completion.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ class CancellationToken:
 
     The token never creates its parent directory: callers own the scratch
     directory's lifetime (typically a ``tempfile.TemporaryDirectory``
-    around one race or cube search), so a token outliving its scratch
+    around one race), so a token outliving its scratch
     space degrades to "never cancelled" instead of leaking files.
     """
 

@@ -78,13 +78,6 @@ class PortfolioTask:
     initial_steps: int | None = None
     weighted: bool = False
     backend: str = DEFAULT_BACKEND
-    #: Cube-and-conquer width for this task's step search: ``0`` (the
-    #: default) solves sequentially, ``N > 1`` splits the instance into an
-    #: exhaustive cube cover raced through the shared bound board (see
-    #: :mod:`repro.pebbling.cubes`).  Inline portfolio execution gives the
-    #: cube lanes the portfolio's ``jobs`` as their pool width; tasks that
-    #: already run inside a pool worker run their lanes inline.
-    cubes: int = 0
     #: Trace context shipped into the worker (see :mod:`repro.obs.trace`):
     #: the worker re-activates it so its spans parent under the portfolio
     #: run that submitted the task.  Excluded from equality/hash/repr, so
@@ -92,8 +85,6 @@ class PortfolioTask:
     trace: TraceContext | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.cubes < 0:
-            raise PebblingError("PortfolioTask.cubes must be >= 0")
         if not isinstance(self.backend, str):
             # The historical trap: a callable solver factory pickles (or
             # fails to) into workers that then quietly solve with the
@@ -246,11 +237,6 @@ class PortfolioRecord:
     #: Backend specs of race lanes stopped by first-winner cancellation
     #: (``None`` for non-raced records).
     cancelled: list[str] | None = None
-    #: Cross-lane bound-board hits of a cube-and-conquer search.
-    shared_bound_hits: int = 0
-    #: Cube metadata of a cube-and-conquer search (see
-    #: :attr:`repro.pebbling.solver.PebblingResult.cubes`).
-    cubes: dict[str, object] | None = None
     #: Solver counters aggregated across *every* SAT call this record paid
     #: for — all retry attempts, and for raced tasks all lanes including
     #: the losers (``None`` when no attempt reported counters).
@@ -290,10 +276,6 @@ class PortfolioRecord:
         if self.race is not None:
             row["race"] = self.race
             row["cancelled"] = list(self.cancelled or [])
-        if self.shared_bound_hits:
-            row["shared_bound_hits"] = self.shared_bound_hits
-        if self.cubes is not None:
-            row["cubes"] = self.cubes
         if self.counters is not None:
             row["counters"] = self.counters
         if self.attempt_stats is not None:
@@ -403,8 +385,6 @@ def record_from_result(task: PortfolioTask, result) -> PortfolioRecord:
         complete=result.complete,
         backend=result.backend,
         partial=result.partial,
-        shared_bound_hits=result.shared_bound_hits,
-        cubes=result.cubes,
         counters=counters or None,
     )
     if result.strategy is not None:
@@ -424,7 +404,6 @@ def _attempt_task(
     epoch: int,
     time_limit: float | None,
     cancel: str | None = None,
-    cube_jobs: int = 1,
 ) -> PortfolioRecord:
     """One attempt of one task; never raises, always returns a record."""
     set_chaos_scope(task.name, attempt=attempt, epoch=epoch)
@@ -444,8 +423,6 @@ def _attempt_task(
             max_steps=task.max_steps,
             initial_steps=task.initial_steps,
             store=_resolve_store(store),
-            cubes=task.cubes if task.cubes > 1 else None,
-            cube_jobs=cube_jobs,
             cancel=cancel,
         )
     except Exception as error:  # noqa: BLE001 — a crashed task must not kill the sweep
@@ -473,7 +450,6 @@ def _execute_task(
     retry: "RetryPolicy | None" = None,
     epoch: int = 0,
     cancel: str | None = None,
-    cube_jobs: int = 1,
 ) -> PortfolioRecord:
     """Run one task — retrying per ``retry`` — inside a worker process.
 
@@ -496,7 +472,7 @@ def _execute_task(
     when more than one attempt ran.
     """
     with obs_trace.activated(task.trace):
-        return _execute_attempts(task, store, retry, epoch, cancel, cube_jobs)
+        return _execute_attempts(task, store, retry, epoch, cancel)
 
 
 def _execute_attempts(
@@ -505,7 +481,6 @@ def _execute_attempts(
     retry: "RetryPolicy | None",
     epoch: int,
     cancel: str | None,
-    cube_jobs: int,
 ) -> PortfolioRecord:
     policy = retry if retry is not None else RetryPolicy(max_attempts=1)
     token = resolve_token(cancel)
@@ -549,9 +524,7 @@ def _execute_attempts(
             backend=task.backend,
             epoch=epoch,
         ) as attempt_span:
-            record = _attempt_task(
-                task, store, attempt, epoch, time_limit, cancel, cube_jobs
-            )
+            record = _attempt_task(task, store, attempt, epoch, time_limit, cancel)
             attempt_span.set(outcome=record.outcome, sat_calls=record.sat_calls)
         attempted.append(record)
         attempts_used = attempt + 1
@@ -740,11 +713,7 @@ def _run_portfolio_tasks(
     if inline and not force_pool:
         records = []
         for index, task in enumerate(task_list):
-            # Inline tasks run one at a time, so a cube task may use the
-            # portfolio's whole ``jobs`` width for its own lanes.
-            record = _execute_task(
-                task, store_path, retry, 0, cancel_of(index), jobs
-            )
+            record = _execute_task(task, store_path, retry, 0, cancel_of(index))
             records.append(record)
             if on_record is not None:
                 on_record(index, record)
@@ -980,7 +949,6 @@ def tasks_from_suite(
     step_increment: int = 1,
     incremental: bool = True,
     backend: str = DEFAULT_BACKEND,
-    cubes: int = 0,
 ) -> list[PortfolioTask]:
     """Turn a named batch suite (or explicit entries) into portfolio tasks."""
     entries = suite_entries(suite) if isinstance(suite, str) else list(suite)
@@ -996,7 +964,6 @@ def tasks_from_suite(
             step_increment=step_increment,
             incremental=incremental,
             backend=backend,
-            cubes=cubes,
         )
         for entry in entries
     ]

@@ -89,33 +89,6 @@ class SearchCursor(ABC):
         del refuted
         return self.advance(sat)
 
-    def observe(
-        self, refuted: int | None = None, known_sat: int | None = None
-    ) -> int | None:
-        """Fold externally certified bounds in; return the next bound to probe.
-
-        Cube-and-conquer lanes poll a shared bound board between SAT calls
-        (see :mod:`repro.pebbling.cubes`); ``refuted`` is the largest bound
-        another lane proved infeasible *for the whole instance* and
-        ``known_sat`` the smallest bound any lane witnessed satisfiable.
-        Both facts are globally sound (refutations transfer by exhaustive
-        cube cover, witnesses by step monotonicity), so the cursor may skip
-        every bound they settle.  Returns ``None`` when the external facts
-        alone finish this search — nothing below the shared witness is left
-        to probe — and must be *idempotent*: re-observing the same facts
-        returns the same bound, so the caller can poll freely.
-
-        The base implementation covers single-bound cursors: an external
-        refutation at or past ``bound`` fast-forwards exactly like an UNSAT
-        answer with that core, and a witness at or below ``bound`` ends the
-        search (this lane cannot improve on it).
-        """
-        if known_sat is not None and known_sat <= self.bound:
-            return None
-        if refuted is not None and refuted >= self.bound:
-            return self.advance_core(False, refuted)
-        return self.bound
-
     def checkpoint(self) -> dict[str, int | None]:
         """Snapshot of search progress, for anytime partial answers.
 
@@ -364,37 +337,6 @@ class _GeometricRefineCursor(SearchCursor):
         self.bound = (self._lo + self._hi) // 2
         return self.bound
 
-    def observe(
-        self, refuted: int | None = None, known_sat: int | None = None
-    ) -> int | None:
-        # External facts tighten the bracket exactly like own answers: a
-        # shared refutation raises ``_lo``, a shared witness lowers ``_hi``
-        # even though this cursor holds no model for it — when the bracket
-        # then closes without an own witness, the *search* is complete (no
-        # solution below the shared bound exists in this lane's subspace)
-        # and the merge layer pairs that certificate with the witnessing
-        # lane's strategy.
-        if refuted is not None and refuted + 1 > self._lo:
-            self._lo = refuted + 1
-        if known_sat is not None and (self._hi is None or known_sat < self._hi):
-            self._hi = known_sat
-        if self._hi is not None:
-            if self._lo >= self._hi:
-                return None
-            # Only re-aim when the current probe fell out of the bracket;
-            # keeping an in-bracket bound stable makes observation
-            # idempotent (the caller polls between every SAT call).
-            if not self._lo <= self.bound < self._hi:
-                self.bound = (self._lo + self._hi) // 2
-            return self.bound
-        if self._ceiling is not None and self._lo > self._ceiling:
-            return None  # everything within the step budget is refuted
-        if self.bound < self._lo:
-            self.bound = self._lo
-            if self._ceiling is not None:
-                self.bound = min(self.bound, self._ceiling)
-        return self.bound
-
     def checkpoint(self) -> dict[str, int | None]:
         # ``_lo`` starts at the structural floor, so ``_lo - 1`` is always a
         # sound "everything below is infeasible" statement.
@@ -447,129 +389,6 @@ class GeometricRefine(SearchStrategy):
             core_guided=self.core_guided,
             lookahead=self.core_lookahead,
         )
-
-
-class _StripedClimbCursor(SearchCursor):
-    """Climb the ``lane``-th of the next ``lanes`` unsettled rungs.
-
-    Invariants mirror the refine cursor: every bound below ``_lo`` is
-    settled for this cursor's subspace, ``_hi`` is the smallest bound
-    known satisfiable anywhere.  The next probe is
-    ``_lo + (lane + _lo) % lanes``: for a fixed frontier the ``lanes``
-    sibling cursors aim at ``lanes`` *distinct* rungs (the offsets form a
-    permutation), so a cube-and-conquer team divides the UNSAT ladder
-    instead of each lane re-proving every rung, and the offset rotates
-    with the frontier so no rung is permanently owned by a lane that died
-    early (a vacuous cube) or fell behind.  Step-monotonicity makes an
-    UNSAT answer above ``_lo`` settle the skipped rungs below it for
-    free, and caps the probe at ``_hi - 1`` — never past the bracket, so
-    the schedule issues no loose-bound SAT probes (measured ruinously
-    expensive in this encoding; see EXPERIMENTS.md).
-    """
-
-    def __init__(self, initial: int, lane: int, lanes: int, ceiling: int | None):
-        self._lo = initial
-        self._hi: int | None = None
-        self._lanes = max(1, lanes)
-        self._lane = lane % self._lanes
-        self._ceiling = ceiling
-        self.bound = self._aim()
-
-    def _aim(self) -> int:
-        target = self._lo + (self._lane + self._lo) % self._lanes
-        if self._hi is not None:
-            target = min(target, self._hi - 1)
-        if self._ceiling is not None:
-            target = min(target, self._ceiling)
-        return max(target, self._lo)
-
-    def _exhausted(self) -> bool:
-        if self._hi is not None and self._lo >= self._hi:
-            return True
-        return self._ceiling is not None and self._lo > self._ceiling
-
-    def advance(self, sat: bool) -> int | None:
-        return self.advance_core(sat, None)
-
-    def advance_core(self, sat: bool, refuted: int | None = None) -> int | None:
-        if sat:
-            if self._hi is None or self.bound < self._hi:
-                self._hi = self.bound
-        else:
-            unsat_through = self.bound if refuted is None else max(self.bound, refuted)
-            self._lo = max(self._lo, unsat_through + 1)
-        if self._exhausted():
-            return None
-        self.bound = self._aim()
-        return self.bound
-
-    def observe(
-        self, refuted: int | None = None, known_sat: int | None = None
-    ) -> int | None:
-        if refuted is not None and refuted + 1 > self._lo:
-            self._lo = refuted + 1
-        if known_sat is not None and (self._hi is None or known_sat < self._hi):
-            self._hi = known_sat
-        if self._exhausted():
-            return None
-        # Only re-aim when the current probe fell out of the bracket:
-        # keeping an in-bracket bound stable makes observation idempotent
-        # (the caller polls between and *during* SAT calls).
-        in_bracket = (
-            self._lo <= self.bound
-            and (self._hi is None or self.bound < self._hi)
-            and (self._ceiling is None or self.bound <= self._ceiling)
-        )
-        if not in_bracket:
-            self.bound = self._aim()
-        return self.bound
-
-    def checkpoint(self) -> dict[str, int | None]:
-        # ``_lo`` starts at the caller's initial bound, which the cube
-        # layer pins to a sound structural floor, so ``_lo - 1`` is a
-        # sound "everything below is infeasible" statement.
-        return {"next_bound": self.bound, "refuted_through": self._lo - 1, "known_sat": self._hi}
-
-
-@dataclass(frozen=True)
-class StripedClimb(SearchStrategy):
-    """One lane of a striped cube-and-conquer climb.
-
-    ``lanes`` sibling cursors share one frontier through the bound board
-    (each lane's :meth:`~SearchCursor.observe` folds the board's pooled
-    refutations and witnesses in); each probes a distinct rung of the
-    next ``lanes`` unsettled ones, so deep UNSAT rungs are proven once
-    *somewhere* instead of once per lane.  A lane's own bracket closing
-    certifies the minimum of *its* subspace only — instance-level
-    certification is the merge layer's job.  Built by
-    :func:`repro.pebbling.cubes.run_cube_search`; not a CLI schedule.
-    """
-
-    lane: int = 0
-    lanes: int = 1
-    name = "striped"
-
-    def __post_init__(self) -> None:
-        if self.lanes < 1:
-            raise PebblingError("lanes must be >= 1")
-        if not 0 <= self.lane < self.lanes:
-            raise PebblingError("lane must be in [0, lanes)")
-
-    @property
-    def signature(self) -> str:
-        return f"striped:{self.lane}/{self.lanes}"
-
-    @property
-    def certifies_minimality(self) -> bool:
-        return True
-
-    @property
-    def needs_monotone_steps(self) -> bool:
-        return True
-
-    def start(self, initial: int, floor: int, ceiling: int | None = None) -> SearchCursor:
-        del floor  # the cube layer pins ``initial`` to the structural floor
-        return _StripedClimbCursor(initial, self.lane, self.lanes, ceiling)
 
 
 #: Names accepted wherever a schedule can be given as a string.

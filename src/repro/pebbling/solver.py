@@ -29,8 +29,6 @@ oracle (``incremental=False``) re-encodes from scratch for every ``K``
 How the step bound evolves between SAT calls is a pluggable
 :class:`~repro.pebbling.search.SearchStrategy`; which engine answers is a
 picklable backend spec from the registry (see :mod:`repro.sat.backend`).
-Cube-and-conquer lanes plug into the same loop through a lane object from
-:mod:`repro.pebbling.cubes`; a sequential search carries none of that.
 """
 
 from __future__ import annotations
@@ -80,9 +78,9 @@ class PebblingOutcome(Enum):
     STEP_LIMIT = "step-limit"
     TIMEOUT = "timeout"
     #: The search was stopped by a cross-process cancellation token (a
-    #: sibling race lane or cube lane already answered); a cancelled
-    #: search that found a witness first reports SOLUTION instead, with
-    #: ``complete=False`` and ``partial["cancelled"]`` set.
+    #: sibling race lane already answered); a cancelled search that found
+    #: a witness first reports SOLUTION instead, with ``complete=False``
+    #: and ``partial["cancelled"]`` set.
     CANCELLED = "cancelled"
 
 
@@ -163,13 +161,6 @@ class PebblingResult:
     #: count witnessed and the SAT calls spent.  A preempted request hands
     #: this back instead of nothing.
     partial: dict[str, object] | None = None
-    #: How many times a bound published by *another* cube lane moved this
-    #: search's cursor (skipped SAT calls it would otherwise have paid
-    #: for); aggregated across lanes on a merged cube result.
-    shared_bound_hits: int = 0
-    #: Cube-and-conquer metadata on merged results (lane summaries, the
-    #: winning cube, board traffic); ``None`` for ordinary searches.
-    cubes: dict[str, object] | None = None
     #: ``True`` when this object was answered from the result store rather
     #: than computed.  Never serialised — a cache hit is byte-identical to
     #: the stored payload by contract, so the flag lives outside
@@ -219,10 +210,6 @@ class PebblingResult:
         if self.weighted:
             summary["weighted"] = True
             summary["weight_used"] = self.weight_used
-        if self.shared_bound_hits:
-            summary["shared_bound_hits"] = self.shared_bound_hits
-        if self.cubes is not None:
-            summary["cubes"] = self.cubes.get("count")
         if self.from_cache:
             summary["cached"] = True
         return summary
@@ -248,8 +235,6 @@ class PebblingResult:
             "minimal": self.minimal,
             "backend": self.backend,
             "partial": self.partial,
-            "shared_bound_hits": self.shared_bound_hits,
-            "cubes": self.cubes,
             "strategy": strategy,
             "attempts": [record.as_dict() for record in self.attempts],
         }
@@ -280,8 +265,6 @@ class PebblingResult:
             minimal=bool(data.get("minimal", False)),
             backend=str(data.get("backend", DEFAULT_BACKEND)),
             partial=data.get("partial"),  # type: ignore[arg-type]
-            shared_bound_hits=int(data.get("shared_bound_hits", 0)),
-            cubes=data.get("cubes"),  # type: ignore[arg-type]
         )
 
 
@@ -331,9 +314,7 @@ class _LiveOracle:
 
     ``extend_to`` emits the new frames, ``final_guard`` the per-bound
     activation literal, and each query hands the backend exactly the
-    fresh clauses.  ``pinned`` literals (a cube lane's split, see
-    :mod:`repro.pebbling.cubes`) ride ahead of the guard ladder in every
-    query.
+    fresh clauses.
     """
 
     def __init__(self, owner: "ReversiblePebblingSolver", max_pebbles: int) -> None:
@@ -342,15 +323,10 @@ class _LiveOracle:
         )
         self.backend = owner._make_solver()
         self.conflict_limit = owner.conflict_limit
-        self.pinned: list[int] = []
         self._guards: dict[int, int] = {}
         self._bounds: dict[int, int] = {}
         self._retired: set[int] = set()
         self._assumptions: list[int] = []
-
-    def guard(self, bound: int) -> int:
-        """The activation literal of ``bound`` (already posed)."""
-        return self._guards[bound]
 
     def pose(self, ladder: list[int]) -> list[int]:
         """Encode ``ladder``'s frames and guards and hand them over."""
@@ -370,7 +346,7 @@ class _LiveOracle:
         # every bound <= m infeasible at once.  (Ascending order almost
         # always binds at the probed bound itself, making the core
         # information-free; measured in EXPERIMENTS.md.)
-        self._assumptions = self.pinned + [
+        self._assumptions = [
             self._guards[step] for step in sorted(ladder, reverse=True)
         ]
         # The frame goes over as the encoder's own int32 literal stream:
@@ -466,8 +442,7 @@ class ReversiblePebblingSolver:
         # argument wins over ``EncodingOptions.backend``), resolved once,
         # here, to the engine that will run (bare ``cdcl`` becomes
         # ``cdcl:native=1`` or ``cdcl:native=0``): every solver of the
-        # search, cube lanes included, builds from it and every result
-        # records it.
+        # search builds from it and every result records it.
         self.backend = resolve_backend(require_backend(
             backend or self.options.backend or DEFAULT_BACKEND
         ))
@@ -611,8 +586,6 @@ class ReversiblePebblingSolver:
         time_limit: float | None = None,
         step_floor: int | None = None,
         store=None,
-        cubes=None,
-        cube_jobs: int = 1,
         cancel=None,
     ) -> PebblingResult:
         """Find a strategy with at most ``max_pebbles`` pebbles.
@@ -650,20 +623,10 @@ class ReversiblePebblingSolver:
         solver, a warm hit seeds the step bounds so the search starts near
         the answer, and any complete fresh result is written back.
 
-        ``cubes`` (an int or a pre-built
-        :class:`~repro.pebbling.cubes.CubeSet`) switches the search to
-        cube-and-conquer: the instance is split into an exhaustive cube
-        cover and the lanes race across ``cube_jobs`` processes, sharing
-        bounds through the cross-process board (see
-        :func:`~repro.pebbling.cubes.run_cube_search`).  ``cubes`` is
-        deliberately *not* part of the store's cache key — a merged cube
-        result answers the same question as a sequential search, so the
-        two are interchangeable cache entries.
-
         ``cancel`` is a first-winner
         :class:`~repro.pebbling.cancel.CancellationToken` (or its path):
-        the search stops at its next check once a sibling race lane or
-        cube lane has answered.
+        the search stops at its next check once a sibling race lane has
+        answered.
         """
         if max_pebbles < 1:
             raise PebblingError("max_pebbles must be >= 1")
@@ -693,8 +656,7 @@ class ReversiblePebblingSolver:
             # floor would shift the grid and change (worsen) the returned
             # step count for the *same* request, and the ceiling clamp
             # could make their grid jump past the only in-budget bound.
-            # Cube lanes pin their own brackets and take no warm start.
-            if search.certifies_minimality and cubes is None:
+            if search.certifies_minimality:
                 warm = store.warm_start(
                     self.dag, budget=max_pebbles, options=self.options
                 )
@@ -706,45 +668,16 @@ class ReversiblePebblingSolver:
                         step_floor=warm.step_floor,
                         step_ceiling=warm.step_ceiling,
                     )
-        if cubes is not None:
-            from repro.pebbling.cubes import run_cube_search
-
-            with _trace.span(
-                "cubes.run",
-                dag=self.dag.name,
-                budget=max_pebbles,
-                backend=self.backend,
-                schedule=search.name,
-            ) as cube_span:
-                result = run_cube_search(
-                    self,
-                    max_pebbles,
-                    cubes=cubes,
-                    jobs=cube_jobs,
-                    search=search,
-                    initial_steps=initial_steps,
-                    max_steps=max_steps,
-                    time_limit=time_limit,
-                    step_floor=step_floor,
-                    cancel=cancel,
-                )
-                cube_span.set(
-                    outcome=result.outcome.value,
-                    sat_calls=len(result.attempts),
-                    certified=result.minimal,
-                    shared_bound_hits=result.shared_bound_hits,
-                )
-        else:
-            result = self._search(
-                max_pebbles,
-                search,
-                initial_steps=initial_steps,
-                max_steps=max_steps,
-                time_limit=time_limit,
-                step_floor=step_floor,
-                warm=warm,
-                cancel=cancel,
-            )
+        result = self._search(
+            max_pebbles,
+            search,
+            initial_steps=initial_steps,
+            max_steps=max_steps,
+            time_limit=time_limit,
+            step_floor=step_floor,
+            warm=warm,
+            cancel=cancel,
+        )
         if store is not None and result.complete:
             store.put_pebble(self.dag, result, **request)
         return result
@@ -760,14 +693,8 @@ class ReversiblePebblingSolver:
         step_floor: int | None = None,
         warm=None,
         cancel=None,
-        lane=None,
     ) -> PebblingResult:
-        """One Problem-1 search without store or split: :meth:`solve`'s engine.
-
-        ``lane`` is a cube lane (:class:`~repro.pebbling.cubes.CubeLane`)
-        when :func:`~repro.pebbling.cubes.run_cube_search` runs this search
-        as one lane of a split.
-        """
+        """One Problem-1 search without the store: :meth:`solve`'s engine."""
         token = resolve_token(cancel)
         started = time.monotonic()
         steps = self._step_range(
@@ -793,24 +720,17 @@ class ReversiblePebblingSolver:
             schedule=search.name,
             backend=self.backend,
             incremental=self.incremental,
-            cube=lane is not None,
         ) as solve_span:
             oracle = (
                 _LiveOracle(self, max_pebbles)
                 if self.incremental
                 else _FreshOracle(self, max_pebbles)
             )
-            if lane is not None:
-                lane.pin(oracle)
             result.outcome = self._query_loop(
-                result, cursor, oracle, max_steps, time_limit, started, token, lane
+                result, cursor, oracle, max_steps, time_limit, started, token
             )
-            if lane is not None:
-                result.shared_bound_hits = lane.hits
             solve_span.set(
-                outcome=result.outcome.value,
-                sat_calls=len(result.attempts),
-                shared_bound_hits=result.shared_bound_hits,
+                outcome=result.outcome.value, sat_calls=len(result.attempts)
             )
         if not result.complete:
             # Preempted (time limit / spurious UNKNOWN): hand back the
@@ -873,7 +793,6 @@ class ReversiblePebblingSolver:
         time_limit: float | None,
         started: float,
         token,
-        lane,
     ) -> PebblingOutcome:
         """Ask ``oracle`` about the cursor's bounds until the search ends.
 
@@ -882,10 +801,6 @@ class ReversiblePebblingSolver:
         monotonicity, which :meth:`_schedule` validated), so the query is
         SAT exactly when the lowest laddered bound is feasible, and an UNSAT
         core fast-forwards the cursor past every bound it refutes.
-
-        A cube ``lane`` is consulted before each query and while a
-        time-sliced query waits (its board may settle the bound), and after
-        each verdict (it publishes the verdict, and may end the lane).
         """
         best: PebblingStrategy | None = None
         bound: int | None = cursor.bound
@@ -896,11 +811,6 @@ class ReversiblePebblingSolver:
                 _metrics.counter("repro_cancellations_total").inc()
                 result.strategy = best
                 return PebblingOutcome.SOLUTION if best else PebblingOutcome.CANCELLED
-            if lane is not None:
-                observed = lane.observe(cursor, bound)
-                if observed != bound:
-                    bound = observed
-                    continue
             remaining = self._remaining(time_limit, started)
             if remaining is None or remaining > 0:
                 ladder = oracle.pose(
@@ -911,22 +821,21 @@ class ReversiblePebblingSolver:
             if remaining is not None and remaining <= 0:
                 result.strategy = best
                 return PebblingOutcome.SOLUTION if best else PebblingOutcome.TIMEOUT
-            probed = bound
             call_started = time.monotonic()
             # Under a cancellation token long queries run in doubling time
             # slices so the search reacts mid-call: a slice that expires
-            # checks the token and the lane's board, then re-issues the same
-            # query.  The incremental engines resume from their learned
-            # clauses, so a retry costs almost nothing; for backends that
-            # restart from scratch the doubling bounds the total rework by
-            # the cost of the final slice.
+            # checks the token, then re-issues the same query.  The
+            # incremental engines resume from their learned clauses, so a
+            # retry costs almost nothing; for backends that restart from
+            # scratch the doubling bounds the total rework by the cost of
+            # the final slice.
             chunked = token is not None and self.conflict_limit is None
             slice_budget = POLL_SLICE
             interrupted = False
             core: list[int] | None = None
             with _trace.span(
                 "sat.call",
-                bound=probed,
+                bound=bound,
                 budget=result.max_pebbles,
                 backend=self.backend,
                 ladder=len(ladder),
@@ -948,11 +857,6 @@ class ReversiblePebblingSolver:
                     if token.cancelled():
                         interrupted = True
                         break
-                    if lane is not None:
-                        bound = lane.observe(cursor, probed)
-                        if bound != probed:
-                            interrupted = True  # a sibling settled the bound
-                            break
                     slice_budget *= 2
                 elapsed = time.monotonic() - call_started
                 if not interrupted and answer.is_unsat:
@@ -969,7 +873,7 @@ class ReversiblePebblingSolver:
                 result.attempts.append(
                     AttemptRecord(
                         max_pebbles=result.max_pebbles,
-                        num_steps=probed,
+                        num_steps=bound,
                         status=answer.status,
                         runtime=elapsed,
                         conflicts=answer.stats.conflicts,
@@ -983,38 +887,20 @@ class ReversiblePebblingSolver:
             if answer.is_unknown:
                 result.strategy = best
                 return PebblingOutcome.SOLUTION if best else PebblingOutcome.TIMEOUT
-            model, witnessed = None, bound
             if answer.is_sat:
-                model = answer.model
-                bound = cursor.advance_core(True)
-            else:
-                refuted = oracle.refuted(bound, core)
-                closed = False
-                if lane is not None:
-                    closed, model = lane.refuted(
-                        oracle,
-                        refuted,
-                        core,
-                        elapsed=elapsed,
-                        remaining=self._remaining(time_limit, started),
-                    )
-                    witnessed = refuted
-                if closed:
-                    bound = None
-                else:
-                    oracle.retire(refuted)
-                    bound = cursor.advance_core(False, refuted)
-            if model is not None:
                 best = self._keep_best(
                     best,
                     PebblingStrategy(
                         self.dag,
-                        oracle.decode(model, witnessed),
+                        oracle.decode(answer.model, bound),
                         max_moves_per_step=self.options.max_moves_per_step,
                     ),
                 )
-                if lane is not None:
-                    lane.witnessed(best.num_steps)
+                bound = cursor.advance_core(True)
+            else:
+                refuted = oracle.refuted(bound, core)
+                oracle.retire(refuted)
+                bound = cursor.advance_core(False, refuted)
         result.strategy = best
         result.complete = True
         return PebblingOutcome.SOLUTION if best else PebblingOutcome.STEP_LIMIT
@@ -1041,8 +927,6 @@ class ReversiblePebblingSolver:
         stop_after_failures: int = 1,
         warm_start: bool = True,
         store=None,
-        cubes=None,
-        cube_jobs: int = 1,
     ) -> tuple[PebblingResult | None, list[PebblingResult]]:
         """Find the smallest pebble budget solvable within a per-budget timeout.
 
@@ -1068,11 +952,6 @@ class ReversiblePebblingSolver:
         into every per-budget search, so a repeated scan over the same DAG
         answers from the cache and a partial scan warm-starts its
         neighbours.
-
-        ``cubes`` / ``cube_jobs`` switch every per-budget step search to
-        cube-and-conquer (see :meth:`solve`); the scan itself stays
-        sequential over budgets, so the parallelism lands exactly on the
-        hard per-budget searches the Table I methodology times out on.
 
         Returns ``(best_result, all_results)``.
         """
@@ -1107,8 +986,6 @@ class ReversiblePebblingSolver:
                 strategy=search,
                 initial_steps=steps_hint if warm_start else None,
                 store=store,
-                cubes=cubes,
-                cube_jobs=cube_jobs,
             )
             all_results.append(outcome)
             if outcome.found:

@@ -35,6 +35,11 @@
 #define RESULT_UNSAT (-1)
 #define RESULT_UNKNOWN 0
 
+/* What cdcl_add_clause, cdcl_add_clauses and cdcl_solve return when an
+ * allocation fails before the search starts.  Nothing the failed call
+ * allocated is kept half-done, so the handle stays usable. */
+#define OUT_OF_MEMORY (-2)
+
 /* The largest DIMACS variable the core accepts.  Variable slots grow by
  * doubling an int32 capacity, and the watch lists and the decision-level
  * stack hold 2 * capacity entries, so every such count stays within
@@ -130,11 +135,30 @@ static double now_seconds(void) {
     return (double)ts.tv_sec + (double)ts.tv_nsec * 1e-9;
 }
 
+/* Resize the array `array` (an lvalue) to `count` elements: 1, or 0 with
+ * `array` unchanged.  The caller declares `void *spare` for the result. */
+#define GROW(array, count)                                                  \
+    ((spare = realloc((array), (size_t)(count) * sizeof *(array))) != NULL  \
+         ? ((array) = spare, 1)                                             \
+         : 0)
+
+/* Room for one more watcher: 1, or 0 with the list unchanged. */
+static int watch_reserve(WatchList *list) {
+    if (list->size < list->capacity)
+        return 1;
+    int32_t capacity = list->capacity ? list->capacity * 2 : 4;
+    void *spare;
+    if (!GROW(list->data, capacity))
+        return 0;
+    list->capacity = capacity;
+    return 1;
+}
+
 static void watch_push(WatchList *list, Watcher watcher) {
-    if (list->size == list->capacity) {
-        list->capacity = list->capacity ? list->capacity * 2 : 4;
-        list->data = realloc(list->data, (size_t)list->capacity * sizeof(Watcher));
-    }
+    /* Propagation cannot drop a watch and stay sound, so a failed
+     * allocation here ends the process instead. */
+    if (!watch_reserve(list))
+        abort();
     list->data[list->size++] = watcher;
 }
 
@@ -200,26 +224,25 @@ static int32_t heap_pop(Solver *s) {
 
 /* -- growth ------------------------------------------------------------- */
 
-static void ensure_vars(Solver *s, int32_t num_vars) {
+/* Declare variables up to num_vars: 1, or 0 when an allocation fails.
+ * The capacity rises only once every array has grown, so after a
+ * failure the solver is unchanged apart from arrays larger than it
+ * uses, which the next successful growth resizes again. */
+static int ensure_vars(Solver *s, int32_t num_vars) {
     if (num_vars <= s->num_vars)
-        return;
+        return 1;
     if (num_vars > s->capacity) {
         int32_t cap = s->capacity ? s->capacity : 16;
         while (cap < num_vars)
             cap *= 2;
-        s->assigns = realloc(s->assigns, (size_t)cap);
-        s->phase = realloc(s->phase, (size_t)cap);
-        s->seen = realloc(s->seen, (size_t)cap);
-        s->level = realloc(s->level, (size_t)cap * sizeof(int32_t));
-        s->reason = realloc(s->reason, (size_t)cap * sizeof(Clause *));
-        s->activity = realloc(s->activity, (size_t)cap * sizeof(double));
-        s->heap = realloc(s->heap, (size_t)cap * sizeof(int32_t));
-        s->heap_pos = realloc(s->heap_pos, (size_t)cap * sizeof(int32_t));
-        s->trail = realloc(s->trail, (size_t)cap * sizeof(int32_t));
-        s->trail_lim = realloc(s->trail_lim, (size_t)(2 * cap + 1) * sizeof(int32_t));
-        s->analyze_buf = realloc(s->analyze_buf, (size_t)cap * sizeof(int32_t));
-        s->conflict = realloc(s->conflict, (size_t)(cap + 1) * sizeof(int32_t));
-        s->watches = realloc(s->watches, (size_t)cap * 2 * sizeof(WatchList));
+        size_t n = (size_t)cap;
+        void *spare;
+        if (!GROW(s->assigns, n) || !GROW(s->phase, n) || !GROW(s->seen, n) ||
+            !GROW(s->level, n) || !GROW(s->reason, n) || !GROW(s->activity, n) ||
+            !GROW(s->heap, n) || !GROW(s->heap_pos, n) || !GROW(s->trail, n) ||
+            !GROW(s->trail_lim, 2 * n + 1) || !GROW(s->analyze_buf, n) ||
+            !GROW(s->conflict, n + 1) || !GROW(s->watches, 2 * n))
+            return 0;
         memset(s->watches + 2 * s->capacity, 0,
                (size_t)(cap - s->capacity) * 2 * sizeof(WatchList));
         s->capacity = cap;
@@ -237,6 +260,7 @@ static void ensure_vars(Solver *s, int32_t num_vars) {
     s->num_vars = num_vars;
     for (int32_t var = old; var < num_vars; var++)
         heap_insert(s, var);
+    return 1;
 }
 
 /* -- assignment --------------------------------------------------------- */
@@ -360,6 +384,8 @@ static void cla_bump(Solver *s, Clause *c) {
 
 static Clause *clause_new(const int32_t *lits, int32_t size, int32_t learnt) {
     Clause *c = malloc(sizeof(Clause) + (size_t)size * sizeof(int32_t));
+    if (c == NULL)
+        return NULL;
     c->activity = 0.0;
     c->size = size;
     c->learnt = learnt;
@@ -367,11 +393,17 @@ static Clause *clause_new(const int32_t *lits, int32_t size, int32_t learnt) {
     return c;
 }
 
-static void attach(Solver *s, Clause *c) {
+/* Watch c's first two literals: 1, or 0 with c watched nowhere. */
+static int attach(Solver *s, Clause *c) {
+    WatchList *first = &s->watches[lit_neg(c->lits[0])];
+    WatchList *second = &s->watches[lit_neg(c->lits[1])];
+    if (!watch_reserve(first) || !watch_reserve(second))
+        return 0;
     Watcher w0 = {c, c->lits[1]};
     Watcher w1 = {c, c->lits[0]};
-    watch_push(&s->watches[lit_neg(c->lits[0])], w0);
-    watch_push(&s->watches[lit_neg(c->lits[1])], w1);
+    first->data[first->size++] = w0;
+    second->data[second->size++] = w1;
+    return 1;
 }
 
 static void detach(Solver *s, Clause *c) {
@@ -386,12 +418,17 @@ static void detach(Solver *s, Clause *c) {
     }
 }
 
-static void push_clause(Clause ***array, int32_t *size, int32_t *cap, Clause *c) {
+/* Append c: 1, or 0 with the array unchanged. */
+static int push_clause(Clause ***array, int32_t *size, int32_t *cap, Clause *c) {
     if (*size == *cap) {
-        *cap = *cap ? *cap * 2 : 64;
-        *array = realloc(*array, (size_t)*cap * sizeof(Clause *));
+        int32_t grown = *cap ? *cap * 2 : 64;
+        void *spare;
+        if (!GROW(*array, grown))
+            return 0;
+        *cap = grown;
     }
     (*array)[(*size)++] = c;
+    return 1;
 }
 
 /* -- conflict analysis (first UIP) -------------------------------------- */
@@ -520,6 +557,8 @@ static int64_t luby(int64_t index) {
 
 void *cdcl_new(uint32_t seed, int64_t restart_base) {
     Solver *s = calloc(1, sizeof(Solver));
+    if (s == NULL)
+        return NULL;
     s->ok = 1;
     s->var_inc = 1.0;
     s->var_decay = 1.0 / 0.95;
@@ -561,8 +600,7 @@ void cdcl_free(void *handle) {
 
 int32_t cdcl_add_variable(void *handle) {
     Solver *s = handle;
-    ensure_vars(s, s->num_vars + 1);
-    return s->num_vars;
+    return ensure_vars(s, s->num_vars + 1) ? s->num_vars : OUT_OF_MEMORY;
 }
 
 int32_t cdcl_num_variables(void *handle) {
@@ -577,6 +615,9 @@ static int cmp_lit(const void *a, const void *b) {
     return *(const int32_t *)a - *(const int32_t *)b;
 }
 
+/* Returns 1 while the formula is not contradictory at the root, 0 once it
+ * is, and OUT_OF_MEMORY when the clause could not be stored (the solver
+ * then holds what it held before, with perhaps more variables). */
 int32_t cdcl_add_clause(void *handle, const int32_t *dimacs, int32_t size) {
     Solver *s = handle;
     if (!s->ok)
@@ -588,11 +629,14 @@ int32_t cdcl_add_clause(void *handle, const int32_t *dimacs, int32_t size) {
         if (var > max_var)
             max_var = var;
     }
-    ensure_vars(s, max_var);
+    if (!ensure_vars(s, max_var))
+        return OUT_OF_MEMORY;
 
     /* A clause can repeat literals, so its length is not bounded by the
      * variable count — use a private buffer, not the analyze scratch. */
     int32_t *lits = malloc((size_t)size * sizeof(int32_t));
+    if (lits == NULL)
+        return OUT_OF_MEMORY;
     int32_t n = 0;
     for (int32_t i = 0; i < size; i++)
         lits[n++] = encode(dimacs[i]);
@@ -629,16 +673,27 @@ int32_t cdcl_add_clause(void *handle, const int32_t *dimacs, int32_t size) {
     }
     Clause *c = clause_new(lits, kept, 0);
     free(lits);
-    push_clause(&s->clauses, &s->num_clauses, &s->cap_clauses, c);
-    attach(s, c);
+    if (c == NULL)
+        return OUT_OF_MEMORY;
+    if (!attach(s, c)) {
+        free(c);
+        return OUT_OF_MEMORY;
+    }
+    if (!push_clause(&s->clauses, &s->num_clauses, &s->cap_clauses, c)) {
+        detach(s, c);
+        free(c);
+        return OUT_OF_MEMORY;
+    }
     return 1;
 }
 
 /* Batched transfer: `flat` holds n literals forming zero-terminated
  * clauses, added in order exactly as by one cdcl_add_clause call each.
  * Returns 1 while the formula is not contradictory at the root, 0 once it
- * is, and -1 without adding anything when the buffer is malformed (its
- * last clause is unterminated or a literal's variable is past MAX_VAR). */
+ * is, -1 without adding anything when the buffer is malformed (its last
+ * clause is unterminated or a literal's variable is past MAX_VAR), and
+ * OUT_OF_MEMORY at the first clause that could not be stored, with the
+ * clauses before it added. */
 int32_t cdcl_add_clauses(void *handle, const int32_t *flat, int64_t n) {
     Solver *s = handle;
     if (n > 0 && flat[n - 1] != 0)
@@ -650,7 +705,8 @@ int32_t cdcl_add_clauses(void *handle, const int32_t *flat, int64_t n) {
     for (int64_t i = 0; i < n; i++) {
         if (flat[i] != 0)
             continue;
-        cdcl_add_clause(s, flat + start, (int32_t)(i - start));
+        if (cdcl_add_clause(s, flat + start, (int32_t)(i - start)) == OUT_OF_MEMORY)
+            return OUT_OF_MEMORY;
         start = i + 1;
     }
     return s->ok;
@@ -666,14 +722,15 @@ int32_t cdcl_solve(void *handle, const int32_t *assumptions, int32_t num_assumpt
     cancel_until(s, 0);
     for (int32_t i = 0; i < num_assumptions; i++) {
         int32_t var = assumptions[i] > 0 ? assumptions[i] : -assumptions[i];
-        ensure_vars(s, var);
+        if (!ensure_vars(s, var))
+            return OUT_OF_MEMORY;
     }
     /* Satisfied assumptions still open a (empty) decision level each, so
      * the level stack must hold one slot per assumption on top of the
      * one-per-variable worst case. */
-    s->trail_lim = realloc(
-        s->trail_lim,
-        (2 * (size_t)s->capacity + (size_t)num_assumptions + 1) * sizeof(int32_t));
+    void *spare;
+    if (!GROW(s->trail_lim, 2 * (size_t)s->capacity + (size_t)num_assumptions + 1))
+        return OUT_OF_MEMORY;
     if (propagate(s) != NULL) {
         s->ok = 0;
         return RESULT_UNSAT;
@@ -701,6 +758,9 @@ int32_t cdcl_solve(void *handle, const int32_t *assumptions, int32_t num_assumpt
             if (learnt_size == 1) {
                 enqueue(s, learnt[0], NULL);
             } else {
+                /* Allocation failures during search are not handled
+                 * yet: a NULL clause crashes here, while a learned clause
+                 * left untracked or unwatched is merely redundant. */
                 Clause *c = clause_new(learnt, learnt_size, 1);
                 push_clause(&s->learnts, &s->num_learnts, &s->cap_learnts, c);
                 attach(s, c);

@@ -42,6 +42,8 @@ _BASE_FLAGS = ("-O2", "-shared", "-fPIC", "-std=c11")
 _SAT = 1
 _UNSAT = -1
 _UNKNOWN = 0
+#: What the add and solve calls return when the core cannot allocate.
+_OUT_OF_MEMORY = -2
 
 #: Counter order of ``cdcl_counters``.  All but ``max_decision_level`` are
 #: lifetime totals of the handle; that one is the latest solve's maximum.
@@ -207,7 +209,9 @@ class NativeCdclSolver:
     Every literal, in a clause or an assumption, is an ``int`` (not a
     ``bool``) whose variable is at most :attr:`max_variable`, the bound of
     the core's int32 arithmetic; anything else raises
-    :class:`~repro.errors.SolverError` before the core sees it.
+    :class:`~repro.errors.SolverError` before the core sees it.  So does a
+    clause or an assumption the core has no memory for, and the solver
+    stays usable afterwards.
     """
 
     def __init__(
@@ -257,9 +261,10 @@ class NativeCdclSolver:
             if not self._valid(literal):
                 raise SolverError(f"invalid literal {literal!r}")
         packed = (ctypes.c_int32 * len(clause))(*clause)
-        return bool(
-            self._lib.cdcl_add_clause(self._handle, packed, len(clause))
-        )
+        added = self._lib.cdcl_add_clause(self._handle, packed, len(clause))
+        if added == _OUT_OF_MEMORY:
+            raise SolverError(f"native core out of memory adding clause {clause}")
+        return bool(added)
 
     def add_clause_buffer(self, literals: array, count: int) -> bool:
         """Add ``count`` clauses from one int32 literal buffer, in one call.
@@ -271,7 +276,9 @@ class NativeCdclSolver:
         ``False`` once the formula is trivially unsat.  A malformed buffer
         adds nothing and raises :class:`~repro.errors.SolverError`: a zero
         count other than ``count``, a last clause without its ``0``, or a
-        literal whose variable is past :attr:`max_variable`.
+        literal whose variable is past :attr:`max_variable`.  When the core
+        runs out of memory, the clauses before the one it could not store
+        stay added and :class:`~repro.errors.SolverError` is raised.
         """
         if not (
             isinstance(literals, array)
@@ -294,6 +301,8 @@ class NativeCdclSolver:
             added = self._lib.cdcl_add_clauses(self._handle, shared, size)
         finally:
             del shared
+        if added == _OUT_OF_MEMORY:
+            raise SolverError("native core out of memory adding the clause batch")
         if added < 0:
             raise SolverError(
                 "invalid literal in the clause batch: its last clause has no 0 "
@@ -350,6 +359,9 @@ class NativeCdclSolver:
             -1.0 if time_limit is None else time_limit,
         )
         self._last_seconds = time.monotonic() - started
+        if verdict == _OUT_OF_MEMORY:
+            self._last_status = None
+            raise SolverError("native core out of memory declaring the assumptions")
         self._take_counts()
         if verdict == _SAT:
             self._last_status = Status.SATISFIABLE

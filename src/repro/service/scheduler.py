@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -66,6 +67,18 @@ class ServiceOverloadError(ServiceError):
     :meth:`PebblingService.run` converts sheds into per-request error
     results so a gathered batch degrades instead of raising.
     """
+
+
+#: Request fields by JSON type, checked by :meth:`JobRequest.validate`:
+#: counts are integers >= 1, amounts finite numbers > 0, and only the
+#: fields in ``_NULLABLE_FIELDS`` may be null.
+_STRING_FIELDS = ("kind", "workload", "cardinality", "schedule", "backend")
+_BOOL_FIELDS = ("single_move", "weighted", "decompose", "verify")
+_COUNT_FIELDS = ("budget", "min_budget", "max_budget", "step_increment", "max_steps")
+_AMOUNT_FIELDS = ("scale", "time_limit", "deadline")
+_NULLABLE_FIELDS = frozenset(
+    {"budget", "min_budget", "max_budget", "max_steps", "time_limit", "deadline"}
+)
 
 
 @dataclass(frozen=True)
@@ -108,12 +121,6 @@ class JobRequest:
     #: address (a deadline is about the caller's patience, not the
     #: instance).
     deadline: float | None = None
-    #: Cube-and-conquer width for the request's step search (``0`` =
-    #: sequential; ``N > 1`` splits the instance into an exhaustive cube
-    #: cover, see :mod:`repro.pebbling.cubes`).  Part of request identity
-    #: for dedup, but like ``backend`` NOT of the store's content address:
-    #: a merged cube answer is interchangeable with a sequential one.
-    cubes: int = 0
     #: Trace context stamped by :meth:`PebblingService.submit` when tracing
     #: is active, so solver spans from pool workers parent under this
     #: request's ``service.request`` span.  Excluded from equality/hash
@@ -122,12 +129,52 @@ class JobRequest:
     trace: TraceContext | None = field(default=None, compare=False, repr=False)
 
     def validate(self) -> None:
+        """Check every field's type and range; raise :class:`ServiceError`.
+
+        Requests arrive as parsed JSON, so a budget may be a string or a
+        boolean; such a request must be refused here, at the door, rather
+        than fail inside the solver (or worse, inside the batch it shares
+        with well-formed siblings).
+        """
+        for name in _STRING_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ServiceError(
+                    f"a request's {name} must be a string, got {value!r}"
+                )
+        for name in _BOOL_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ServiceError(
+                    f"a request's {name} must be true or false, got {value!r}"
+                )
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if value is None and name in _NULLABLE_FIELDS:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ServiceError(
+                    f"a request's {name} must be an integer >= 1, got {value!r}"
+                )
+        for name in _AMOUNT_FIELDS:
+            value = getattr(self, name)
+            if value is None and name in _NULLABLE_FIELDS:
+                continue
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not math.isfinite(value)
+                or value <= 0
+            ):
+                raise ServiceError(
+                    f"a request's {name} must be a number > 0, got {value!r}"
+                )
         if self.kind not in ("pebble", "compile", "sweep"):
             raise ServiceError(
                 f"unknown request kind {self.kind!r}; "
                 "expected 'pebble', 'compile' or 'sweep'"
             )
-        if not isinstance(self.backend, str) or not self.backend.strip():
+        if not self.backend.strip():
             raise ServiceError(
                 "a request's backend must be a registry backend spec "
                 f"string, got {self.backend!r}"
@@ -146,10 +193,6 @@ class JobRequest:
             and self.max_budget < self.min_budget
         ):
             raise ServiceError("max_budget must be >= min_budget")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ServiceError("a request deadline must be > 0 seconds (or null)")
-        if self.cubes < 0:
-            raise ServiceError("a request's cubes must be >= 0")
 
     @classmethod
     def from_dict(cls, data: dict[str, object]) -> "JobRequest":
@@ -188,7 +231,6 @@ class JobRequest:
             max_steps=self.max_steps,
             weighted=self.weighted,
             backend=self.backend,
-            cubes=self.cubes,
             trace=self.trace,
         )
 
@@ -797,7 +839,6 @@ def _request_file_entries(
     *,
     default_backend: str | None = None,
     default_deadline: float | None = None,
-    default_cubes: int | None = None,
 ) -> list[object]:
     """Raw entries of a request file; file-level problems always raise.
 
@@ -831,8 +872,6 @@ def _request_file_entries(
         defaults["backend"] = default_backend
     if default_deadline is not None:
         defaults["deadline"] = default_deadline
-    if default_cubes is not None:
-        defaults["cubes"] = default_cubes
     if defaults:
         entries = [
             {**{k: v for k, v in defaults.items() if k not in entry}, **entry}
@@ -867,14 +906,13 @@ def run_request_file(
     retry: "RetryPolicy | None" = None,
     deadline: float | None = None,
     max_queue: int | None = None,
-    default_cubes: int | None = None,
 ) -> dict[str, object]:
     """Drive a request file through a fresh service; return the JSON report.
 
     All requests are submitted concurrently, so the file as a whole enjoys
     deduplication, batching and cache service exactly like live traffic.
-    ``default_backend``, ``deadline`` and ``default_cubes`` fill the
-    corresponding fields of requests that omit them; ``retry`` /
+    ``default_backend`` and ``deadline`` fill the corresponding fields of
+    requests that omit them; ``retry`` /
     ``max_queue`` configure the service's fault tolerance and admission
     control.
 
@@ -888,14 +926,13 @@ def run_request_file(
         path,
         default_backend=default_backend,
         default_deadline=deadline,
-        default_cubes=default_cubes,
     )
     requests: list[tuple[int, JobRequest]] = []
     placed: dict[int, dict[str, object]] = {}
     for position, entry in enumerate(entries):
         try:
             requests.append((position, JobRequest.from_dict(entry)))  # type: ignore[arg-type]
-        except (ServiceError, TypeError) as error:
+        except ServiceError as error:
             placed[position] = {
                 "request": entry,
                 "status": "error",

@@ -1,9 +1,9 @@
-"""Cross-process trace merging through the real portfolio and cube lanes.
+"""Cross-process trace merging through the real portfolio pool.
 
 Property-based: the span tree must come back complete — every parent id
 resolvable, every ``sat.call`` span attributed with its bound — for any
-combination of pool width and cube count, because workers flush their own
-part files and the owner merges them deterministically.
+pool width, because workers flush their own part files and the owner
+merges them deterministically.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from repro.obs import trace as obs_trace
 from repro.obs.analyze import load_trace
 from repro.obs.trace import tracer
 from repro.pebbling.portfolio import PortfolioTask, run_portfolio
-from repro.pebbling.solver import ReversiblePebblingSolver
-from repro.workloads import load_workload
 
 
 def _assert_sat_calls_attributed(trace) -> None:
@@ -37,32 +35,23 @@ def _assert_sat_calls_attributed(trace) -> None:
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(jobs=st.integers(min_value=1, max_value=2), cubes=st.sampled_from([0, 2, 4]))
-def test_pool_and_cube_traces_merge_complete(jobs: int, cubes: int) -> None:
+@given(jobs=st.integers(min_value=1, max_value=2))
+def test_pool_traces_merge_complete(jobs: int) -> None:
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "trace.jsonl"
         with tracer(path):
-            if cubes:
-                solver = ReversiblePebblingSolver(load_workload("fig2"))
-                result = solver.solve(
-                    4, time_limit=30.0, cubes=cubes, cube_jobs=jobs
-                )
-                assert result.found
-            else:
-                (record,) = run_portfolio(
-                    [PortfolioTask("fig2", 4, time_limit=30.0)],
-                    jobs=jobs,
-                    force_pool=True,
-                )
-                assert record.found
+            (record,) = run_portfolio(
+                [PortfolioTask("fig2", 4, time_limit=30.0)],
+                jobs=jobs,
+                force_pool=True,
+            )
+            assert record.found
         trace = load_trace(path)
         assert trace.complete, trace.problems
         assert trace.spans
         assert len(trace.trace_ids) == 1
         _assert_sat_calls_attributed(trace)
+        # force_pool portfolio runs cross a process boundary, so the
+        # merged file must show the owner plus at least one worker pid.
         pids = {record["pid"] for record in trace.spans + trace.events}
-        if cubes == 0 or jobs >= 2:
-            # force_pool portfolio runs and multi-lane cube searches cross
-            # a process boundary, so the merged file must show the owner
-            # plus at least one worker pid.
-            assert len(pids) >= 2, pids
+        assert len(pids) >= 2, pids

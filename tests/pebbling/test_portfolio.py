@@ -182,6 +182,41 @@ class TestBudgetSweep:
             load_workload(entry.workload, scale=entry.scale).validate()
 
 
+@pytest.fixture(scope="module")
+def default_suite_inline_and_pooled():
+    """The default suite run inline, then through a two-worker pool."""
+    tasks = tasks_from_suite("default", time_limit=60)
+    # force_pool: on a single-core host jobs=2 would silently fall back to
+    # inline and the comparison would be inline against itself.
+    return run_portfolio(tasks, jobs=1), run_portfolio(tasks, jobs=2, force_pool=True)
+
+
+class TestDefaultSuiteThroughThePool:
+    """Every default-suite row answers the same inline and in the pool.
+
+    A pool worker runs the same search as the owner process, so the
+    verdict, the step count and the number of SAT calls must agree row
+    by row, and every row must finish inside its time limit.
+    """
+
+    @pytest.mark.parametrize(
+        ("position", "name"),
+        list(enumerate(task.name for task in tasks_from_suite("default"))),
+        ids=[task.name for task in tasks_from_suite("default")],
+    )
+    def test_row_matches(self, default_suite_inline_and_pooled, position, name):
+        inline, pooled = default_suite_inline_and_pooled
+        one, many = inline[position], pooled[position]
+        assert one.name == many.name == name
+        assert one.complete and many.complete
+        assert (many.outcome, many.steps, many.sat_calls) == (
+            one.outcome, one.steps, one.sat_calls
+        )
+        assert one.outcome in ("solution", "step-limit")
+        if one.found:
+            _verify_strategy(many)
+
+
 class TestWeightedTasks:
     def test_weighted_task_runs_the_weighted_game(self):
         # fig2 has unit weights, so a weighted budget of 4 equals the

@@ -10,7 +10,6 @@ from repro.pebbling import (
     GeometricSearch,
     LinearSearch,
     ReversiblePebblingSolver,
-    StripedClimb,
     minimize_pebbles,
     pebble_dag,
     strategy_from_name,
@@ -66,61 +65,6 @@ class TestCursors:
         linear = _drive(LinearSearch().start(3, 3), lambda bound: bound >= 40)
         refine = _drive(GeometricRefine().start(3, 3), lambda bound: bound >= 40)
         assert len(refine) < len(linear)
-
-
-class TestStripedClimb:
-    def test_lanes_aim_at_distinct_rungs(self):
-        # For any fixed frontier the four stripe offsets are a permutation
-        # of the next four rungs — the team never aims twice at one rung.
-        for frontier in range(1, 9):
-            aims = {
-                StripedClimb(lane=lane, lanes=4).start(frontier, frontier).bound
-                for lane in range(4)
-            }
-            assert aims == set(range(frontier, frontier + 4))
-
-    def test_each_lane_alone_still_certifies(self):
-        # Driven without siblings a lane eventually probes every rung of
-        # its stripe, brackets the minimum, and closes on it exactly.
-        for lane in range(4):
-            cursor = StripedClimb(lane=lane, lanes=4).start(3, 3)
-            queries = _drive(cursor, lambda bound: bound >= 11)
-            assert 11 in queries  # SAT at the minimum
-            assert 10 in queries  # UNSAT right below it
-            assert cursor.checkpoint() == {
-                "next_bound": queries[-1],
-                "refuted_through": 10,
-                "known_sat": 11,
-            }
-
-    def test_external_facts_clamp_and_close_the_bracket(self):
-        cursor = StripedClimb(lane=0, lanes=4).start(9, 9)
-        bound = cursor.observe(refuted=14, known_sat=17)
-        assert bound is not None and 15 <= bound <= 16
-        assert cursor.observe(refuted=14, known_sat=17) == bound  # idempotent
-        assert cursor.observe(refuted=16, known_sat=17) is None
-
-    def test_witness_above_own_bound_keeps_probing_below(self):
-        cursor = StripedClimb(lane=1, lanes=4).start(5, 5)
-        first = cursor.bound
-        assert cursor.observe(known_sat=first + 1) == first
-
-    def test_unsat_at_ceiling_exhausts(self):
-        cursor = StripedClimb(lane=0, lanes=2).start(5, 5, 6)
-        assert cursor.bound <= 6
-        assert cursor.advance_core(False, 6) is None
-
-    def test_striped_parameters_validated(self):
-        with pytest.raises(PebblingError):
-            StripedClimb(lane=4, lanes=4)
-        with pytest.raises(PebblingError):
-            StripedClimb(lane=0, lanes=0)
-
-    def test_striped_flags_and_signature(self):
-        strategy = StripedClimb(lane=2, lanes=4)
-        assert strategy.certifies_minimality
-        assert strategy.needs_monotone_steps
-        assert strategy.signature == "striped:2/4"
 
 
 class TestValidation:

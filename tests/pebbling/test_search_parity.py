@@ -3,13 +3,11 @@
 Every row pins what one search did, not just what it answered: the
 outcome, the step count, the number of SAT calls and whether the step
 count is certified minimal.  The table covers each named schedule with
-the live incremental oracle and with a fresh encoding per bound; the
-cube rows pin the lane protocol (board hits, the winning lane, the lanes
-the first winner cancelled) on inline lanes, which run in a fixed order
-and are therefore deterministic.  Both engines must reproduce every row
-exactly: they reach the same verdicts by different conflicts.
+the live incremental oracle and with a fresh encoding per bound.  Both
+engines must reproduce every row exactly: they reach the same verdicts
+by different conflicts.
 
-These tables run the sequential counter, named explicitly.  A second
+This table runs the sequential counter, named explicitly.  A second
 table pins the live oracle under the totalizer, the default encoding:
 it reaches the same outcomes, certified step counts and SAT-call counts
 except on the non-certified ``geometric`` row of and9 at 6 pebbles,
@@ -153,20 +151,6 @@ GOLDEN_TOTALIZER = {
     },
 }
 
-#: (workload, budget, max_steps) -> (outcome, steps, minimal, SAT calls,
-#: shared_bound_hits, winning lane, cancelled lanes) of a 4-cube search
-#: with its lanes run inline.
-GOLDEN_CUBES = {
-    ("fig2", 4, None): ("solution", 6, True, 3, 0, 0, [1, 2, 3]),
-    ("c17", 4, None): ("solution", 8, True, 6, 0, 0, [1, 2, 3]),
-    # Lanes 0 and 1 close as dead cubes: their cube literals alone refute
-    # every bound.
-    ("and9", 5, None): ("solution", 10, True, 7, 0, 2, [3]),
-    ("c17", 3, 40): ("step-limit", None, False, 11, 3, None, []),
-    ("and9", 4, 40): ("step-limit", None, False, 11, 1, None, []),
-}
-
-
 def _row_id(workload, budget, single_move, schedule, incremental):
     return (
         f"{workload}-p{budget}{'-single' if single_move else ''}"
@@ -257,25 +241,3 @@ def test_live_totalizer_trajectory_matches_the_golden_table(
 def test_the_totalizer_table_covers_every_live_row():
     assert list(GOLDEN_TOTALIZER) == list(GOLDEN)
     assert len(list(_totalizer_rows())) == 40
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize(
-    ("workload", "budget", "max_steps"), list(GOLDEN_CUBES), ids=str
-)
-def test_inline_cube_lanes_match_the_golden_rows(engine, workload, budget, max_steps):
-    options = EncodingOptions(cardinality=CardinalityEncoding.SEQUENTIAL)
-    solver = ReversiblePebblingSolver(
-        load_workload(workload), options=options, backend=engine
-    )
-    result = solver.solve(budget, cubes=4, cube_jobs=1, max_steps=max_steps)
-    assert result.complete
-    assert (
-        result.outcome.value,
-        result.num_steps,
-        result.minimal,
-        len(result.attempts),
-        result.shared_bound_hits,
-        result.cubes["winner"],
-        result.cubes["cancelled"],
-    ) == GOLDEN_CUBES[(workload, budget, max_steps)]

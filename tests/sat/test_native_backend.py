@@ -12,10 +12,15 @@ reason, never a silent fallback.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.sat import native
 from repro.sat.backend import backend_unavailable_reason, create_backend
 from repro.sat.dpll import DpllSolver
 from repro.sat.instances import pigeonhole
@@ -172,3 +177,51 @@ def test_pebbling_search_parity_with_the_python_engine():
         ).solve(budget)
         assert native_result.outcome == python_result.outcome
         assert native_result.num_steps == python_result.num_steps
+
+
+_OUT_OF_MEMORY = '''
+import resource
+from array import array
+from repro.errors import SolverError
+from repro.sat.native import NativeCdclSolver
+engine = NativeCdclSolver()  # load the core before the cap
+cap = 1 << 30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+try:
+    {call}
+except SolverError as exc:
+    print("raised:", exc)
+engine.add_clause([1, 2])
+print("then sat:", engine.solve().is_sat)
+'''
+
+
+@needs_native
+@pytest.mark.parametrize(
+    "call",
+    [
+        "engine.add_clause([10**8, 1])",
+        "engine.add_clause([2**28, 1])",
+        "engine.add_clause_buffer(array('i', [10**8, 1, 0]), 1)",
+        "engine.solve([10**8])",
+    ],
+    ids=["clause", "clause-2^28", "buffer", "assumption"],
+)
+def test_an_allocation_failure_raises_and_leaves_the_solver_usable(call):
+    # Variables under the core's bound can still ask for more memory than
+    # the process may have: 10**8 variables need about 8 GB of slots.  A
+    # 1 GiB address-space cap makes that allocation fail, in a child
+    # process so that the cap stays there.  This test stays out of the
+    # sanitizer run: ASan's shadow memory does not fit under the cap.
+    source = Path(native.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(source), os.environ.get("PYTHONPATH")])
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-c", _OUT_OF_MEMORY.format(call=call)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+    raised, then = proc.stdout.splitlines()
+    assert raised.startswith("raised: native core out of memory"), proc.stdout
+    assert then == "then sat: True"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -180,6 +181,83 @@ class TestRequestFileLeniency:
         assert results[1]["payload"]["steps"] == 6
         assert results[2]["source"] == "request-file"
         assert "JSON object" in results[2]["error"]
+
+    #: Entries whose fields have the wrong JSON type or range.  Before the
+    #: service checked field types, some raised a bare TypeError from
+    #: ``validate`` and the rest were accepted and failed inside the solver.
+    MISTYPED = {
+        "deadline-string": ("deadline", dict(GOOD, deadline="soon")),
+        "sweep-min-budget-string": (
+            "min_budget",
+            {"kind": "sweep", "workload": "fig2", "min_budget": "2", "max_budget": 4},
+        ),
+        "budget-string": ("budget", dict(GOOD, budget="3")),
+        "budget-bool": ("budget", dict(GOOD, budget=True)),
+        "budget-zero": ("budget", dict(GOOD, budget=0)),
+        "time-limit-string": ("time_limit", dict(GOOD, time_limit="x")),
+        "workload-int": ("workload", dict(GOOD, workload=7)),
+        "scale-string": ("scale", dict(GOOD, scale="big")),
+        "single-move-string": ("single_move", dict(GOOD, single_move="yes")),
+    }
+
+    @pytest.mark.parametrize(("field", "entry"), MISTYPED.values(), ids=list(MISTYPED))
+    def test_mistyped_fields_raise_a_service_error(self, tmp_path, field, entry):
+        path = self._write(tmp_path, [entry])
+        with pytest.raises(ServiceError, match=field):
+            parse_request_file(path)
+
+    #: A wrong value for each field the table above leaves out, and the
+    #: range checks it does not reach, so that every field of a request
+    #: is refused under its own name.
+    MISTYPED_ELSEWHERE = {
+        "kind-int": ("kind", dict(GOOD, kind=1)),
+        "cardinality-null": ("cardinality", dict(GOOD, cardinality=None)),
+        "schedule-list": ("schedule", dict(GOOD, schedule=["linear"])),
+        "backend-int": ("backend", dict(GOOD, backend=0)),
+        "weighted-int": ("weighted", dict(GOOD, weighted=1)),
+        "decompose-string": ("decompose", dict(GOOD, decompose="false")),
+        "verify-null": ("verify", dict(GOOD, verify=None)),
+        "sweep-max-budget-float": (
+            "max_budget",
+            {"kind": "sweep", "workload": "fig2", "min_budget": 2, "max_budget": 4.5},
+        ),
+        "step-increment-zero": ("step_increment", dict(GOOD, step_increment=0)),
+        "max-steps-string": ("max_steps", dict(GOOD, max_steps="40")),
+        "budget-float": ("budget", dict(GOOD, budget=3.5)),
+        "scale-zero": ("scale", dict(GOOD, scale=0)),
+        "time-limit-negative": ("time_limit", dict(GOOD, time_limit=-1)),
+        "deadline-infinite": ("deadline", dict(GOOD, deadline=float("inf"))),
+    }
+
+    @pytest.mark.parametrize(
+        ("field", "entry"), MISTYPED_ELSEWHERE.values(), ids=list(MISTYPED_ELSEWHERE)
+    )
+    def test_every_field_is_refused_under_its_own_name(self, tmp_path, field, entry):
+        path = self._write(tmp_path, [entry])
+        with pytest.raises(ServiceError, match=f"request's {field} must"):
+            parse_request_file(path)
+
+    def test_the_tables_cover_every_request_field(self):
+        request_fields = {entry.name for entry in fields(JobRequest)} - {"trace"}
+        covered = {
+            field
+            for field, _ in [*self.MISTYPED.values(), *self.MISTYPED_ELSEWHERE.values()]
+        }
+        assert covered == request_fields
+
+    def test_a_mistyped_entry_does_not_fail_its_batch(self, tmp_path):
+        # The bad scale used to pass validation and then raise while the
+        # portfolio formatted the task's name, which failed every request
+        # of the batch with the same error.
+        path = self._write(tmp_path, [
+            self.GOOD,
+            {"kind": "pebble", "workload": "c17", "budget": 4},
+            {"kind": "pebble", "workload": "fig2", "budget": 3, "scale": "big"},
+        ])
+        results = run_request_file(path, batch_window=0.0)["results"]
+        assert [result["status"] for result in results] == ["ok", "ok", "error"]
+        assert results[2]["source"] == "request-file"
+        assert "scale" in results[2]["error"]
 
     def test_parse_request_file_stays_strict(self, tmp_path):
         path = self._write(tmp_path, [self.GOOD, self.BAD_FIELD])

@@ -34,6 +34,8 @@ class TestJobRequest:
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ServiceError, match="pebbels"):
             JobRequest.from_dict({"workload": "fig2", "pebbels": 4})
+        with pytest.raises(ServiceError, match="cubes"):
+            JobRequest.from_dict({"workload": "fig2", "budget": 4, "cubes": 4})
         request = JobRequest.from_dict(
             {"kind": "pebble", "workload": "fig2", "budget": 4}
         )

@@ -1,6 +1,7 @@
 """Tests for the SQLite result store: round trips, warm starts, eviction."""
 
 import json
+import sqlite3
 
 import pytest
 
@@ -73,6 +74,95 @@ class TestExactReuse:
             )
             assert result.outcome is PebblingOutcome.TIMEOUT
             assert store.stats().entries == 0
+
+
+#: A fig2 p4 entry as the store held it before cube-and-conquer was
+#: retired: a two-cube search wrote it, so it carries the ``cubes`` and
+#: ``shared_bound_hits`` keys that results no longer have.
+_CUBE_ERA_PAYLOAD = {
+    "attempts": [
+        {"conflicts": 1, "max_pebbles": 4, "num_steps": 4, "runtime": 8.11990030342713e-05,
+         "solver_stats": {"conflicts": 1.0, "decisions": 0.0, "deleted_clauses": 0.0,
+                          "learned_clauses": 1.0, "max_decision_level": 2.0,
+                          "propagations": 31.0, "restarts": 0.0,
+                          "solve_time": 8.743001671973616e-06},
+         "status": "unsat"},
+        {"conflicts": 0, "max_pebbles": 4, "num_steps": 6, "runtime": 0.0001333090040134266,
+         "solver_stats": {"conflicts": 0.0, "decisions": 19.0, "deleted_clauses": 0.0,
+                          "learned_clauses": 0.0, "max_decision_level": 21.0,
+                          "propagations": 132.0, "restarts": 0.0,
+                          "solve_time": 2.4054003006312996e-05},
+         "status": "sat"},
+        {"conflicts": 1, "max_pebbles": 4, "num_steps": 5, "runtime": 0.0002469460014253855,
+         "solver_stats": {"conflicts": 1.0, "decisions": 0.0, "deleted_clauses": 0.0,
+                          "learned_clauses": 1.0, "max_decision_level": 2.0,
+                          "propagations": 69.0, "restarts": 0.0,
+                          "solve_time": 1.5469995560124516e-05},
+         "status": "unsat"},
+    ],
+    "backend": "cdcl:native=1",
+    "complete": True,
+    "cubes": {
+        "board": {"polled": 7, "published": 6},
+        "cancelled": [1],
+        "certified": True,
+        "count": 2,
+        "jobs": 1,
+        "lanes": [
+            {"complete": True, "cube": 0, "outcome": "solution", "runtime": 0.004,
+             "sat_calls": 3, "shared_bound_hits": 0, "split": "p[A,1]", "steps": 6},
+            {"complete": False, "cube": 1, "outcome": "cancelled", "runtime": 0.001,
+             "sat_calls": 0, "shared_bound_hits": 0, "split": "!p[A,1]", "steps": None},
+        ],
+        "mode": "variables",
+        "shared_bound_hits": 0,
+        "winner": 0,
+    },
+    "dag": "fig2_example",
+    "max_pebbles": 4,
+    "minimal": True,
+    "outcome": "solution",
+    "partial": None,
+    "runtime": 0.012878868998086546,
+    "schema": 3,
+    "shared_bound_hits": 0,
+    "strategy": {
+        "configurations": [
+            [], ["A", "B"], ["A", "B", "C", "D"], ["A", "C", "D", "E"],
+            ["A", "B", "D", "E"], ["A", "B", "E", "F"], ["E", "F"],
+        ],
+        "max_moves_per_step": None,
+    },
+    "weighted": False,
+}
+
+
+class TestOlderPayloads:
+    def test_a_cube_era_entry_still_serves_an_exact_hit(self, fig2_dag, tmp_path):
+        path = tmp_path / "store.db"
+        with ResultStore(path) as store:
+            _solve(fig2_dag, 4, store=store)
+        # Put the older payload in the row the same request addresses.
+        connection = sqlite3.connect(path)
+        with connection:
+            connection.execute(
+                "UPDATE results SET payload = ?",
+                (json.dumps(_CUBE_ERA_PAYLOAD, sort_keys=True),),
+            )
+        connection.close()
+        with ResultStore(path) as store:
+            hit = _solve(fig2_dag, 4, store=store)
+            assert store.session["hits"] == 1
+            assert store.session["corrupt"] == 0
+        assert hit.from_cache
+        assert (hit.outcome, hit.num_steps, hit.minimal) == (
+            PebblingOutcome.SOLUTION, 6, True
+        )
+        assert len(hit.attempts) == 3
+        assert [sorted(configuration) for configuration in hit.strategy.configurations] == (
+            _CUBE_ERA_PAYLOAD["strategy"]["configurations"]
+        )
+        assert not {"cubes", "shared_bound_hits"} & set(hit.to_json())
 
 
 class TestWarmStart:

@@ -107,23 +107,6 @@ class TestPortfolioScenario:
         assert report["results_match"] is False
 
 
-class TestCubesScenario:
-    def test_quick_report_contains_cubes_section(self, quick_report):
-        cubes = quick_report["cubes"]
-        assert cubes["cubes_ok"] is True
-        assert cubes["jobs"] == 4 and cubes["count"] == 4
-        assert cubes["host_cores"] >= 1
-        assert isinstance(cubes["oversubscribed"], bool)
-        # Quick mode runs the easy cases only: parity is the whole gate
-        # (hard cases and the win count are full-run concerns).
-        assert {case["name"] for case in cubes["cases"]} == {"fig2_p4", "c17_p4"}
-        for case in cubes["cases"]:
-            assert case["parity"] is True
-            assert not case["hard"]
-            assert case["sequential"]["seconds"] >= 0
-            assert case["cubed"]["seconds"] >= 0
-
-
 class TestCompileScenario:
     def test_quick_report_contains_compile_section(self, quick_report):
         compile_scenario = quick_report["compile"]
@@ -135,8 +118,8 @@ class TestCompileScenario:
             assert case["verified"] is True
             assert case["gates"] > 0 and case["t_count"] >= 0
 
-    def test_schema_version_is_ten(self, quick_report):
-        assert quick_report["schema_version"] == 10
+    def test_schema_version_is_eleven(self, quick_report):
+        assert quick_report["schema_version"] == 11
 
     def test_quick_report_contains_profile_section(self, quick_report):
         profile = quick_report["profile"]

@@ -44,6 +44,23 @@ class TestParser:
                                "--schedule", "sideways"])
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pebble", "fig2", "--pebbles", "4", "--cubes", "4"],
+            ["pebble", "fig2", "--pebbles", "4", "--jobs", "2"],
+            ["pebble-batch", "--cubes", "4"],
+            ["serve", "--json", "requests.json", "--cubes", "4"],
+        ],
+        ids=["pebble-cubes", "pebble-jobs", "batch-cubes", "serve-cubes"],
+    )
+    def test_retired_cube_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0
