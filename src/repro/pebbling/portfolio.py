@@ -36,6 +36,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 from repro.errors import PebblingError
+from repro.fields import check_fields
 from repro.obs import metrics as _metrics
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import merge_counters
@@ -95,6 +96,17 @@ class PortfolioTask:
                 f"{self.backend!r}; solver classes/factories do not cross "
                 "process boundaries"
             )
+        # Every other field too: a mistyped one would otherwise raise
+        # outside the per-attempt containment (formatting the task's name)
+        # and fail every task of the run.
+        check_fields(
+            self, PebblingError, "a portfolio task's",
+            strings=("workload", "cardinality", "schedule"),
+            flags=("single_move", "incremental", "weighted"),
+            counts=("pebbles", "step_increment", "max_steps", "initial_steps"),
+            amounts=("scale", "time_limit"),
+            nullable=("time_limit", "max_steps", "initial_steps"),
+        )
 
     @property
     def name(self) -> str:

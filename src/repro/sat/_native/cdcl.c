@@ -13,7 +13,9 @@
  * polarity); internally they are encoded as 2*var + (negative ? 1 : 0)
  * with 0-based variables, mirroring the Python solver's layout.  Clauses
  * arrive one per cdcl_add_clause call or, batched, as one buffer of
- * zero-terminated clauses per cdcl_add_clauses call.
+ * zero-terminated clauses per cdcl_add_clauses call.  Problem clauses are
+ * carved from chunks the solver owns and frees together; learned clauses
+ * get one allocation each, since reduce_db frees them one at a time.
  *
  * The library is built on demand by repro.sat.native with
  * `cc -O2 -shared -fPIC`; keep this file free of non-libc dependencies.
@@ -40,6 +42,10 @@
  * allocated is kept half-done, so the handle stays usable. */
 #define OUT_OF_MEMORY (-2)
 
+/* What cdcl_add_clauses returns, having added nothing, for a malformed
+ * buffer. */
+#define MALFORMED (-1)
+
 /* The largest DIMACS variable the core accepts.  Variable slots grow by
  * doubling an int32 capacity, and the watch lists and the decision-level
  * stack hold 2 * capacity entries, so every such count stays within
@@ -48,12 +54,27 @@
  * cdcl_add_clause and cdcl_solve, and cdcl_add_clauses in its pre-scan. */
 #define MAX_VAR (1 << 29)
 
+/* Problem-clause chunks: the first holds CHUNK_FIRST bytes of clauses,
+ * each later one twice its predecessor, up to CHUNK_MAX.  A clause larger
+ * than that gets a chunk of its own size. */
+#define CHUNK_FIRST ((size_t)64 << 10)
+#define CHUNK_MAX ((size_t)1 << 20)
+
+/* Clauses up to this length are sorted by insertion, longer ones by qsort. */
+#define SORT_INLINE_MAX 16
+
 typedef struct Clause {
     double activity;
     int32_t size;
     int32_t learnt;
     int32_t lits[];
 } Clause;
+
+typedef struct Chunk {
+    struct Chunk *next;        /* the chunk carved before this one */
+    size_t used, size;         /* bytes of data carved, and available */
+    _Alignas(Clause) unsigned char data[];
+} Chunk;
 
 typedef struct Watcher {
     Clause *clause;
@@ -88,8 +109,11 @@ typedef struct Solver {
     int32_t num_levels;
     int32_t qhead;
 
-    Clause **clauses;          /* problem clauses */
-    int32_t num_clauses, cap_clauses;
+    Chunk *chunks;             /* problem clauses, newest chunk first */
+    size_t chunk_size;         /* data bytes of the next chunk */
+    int64_t num_clauses;       /* problem clauses stored */
+    int32_t *scratch;          /* a clause being added: sort and dedup */
+    int64_t cap_scratch;
     Clause **learnts;          /* learned clauses */
     int32_t num_learnts, cap_learnts;
     double max_learnts;
@@ -393,6 +417,45 @@ static Clause *clause_new(const int32_t *lits, int32_t size, int32_t learnt) {
     return c;
 }
 
+/* Bytes a problem clause of `size` literals takes in a chunk: rounded up
+ * so that the next clause carved after it stays aligned. */
+static size_t clause_bytes(int32_t size) {
+    size_t bytes = sizeof(Clause) + (size_t)size * sizeof(int32_t);
+    return (bytes + _Alignof(Clause) - 1) & ~(_Alignof(Clause) - 1);
+}
+
+/* Room for `bytes` of problem clause, carved from the newest chunk or
+ * from a new one: NULL when no new chunk can be had. */
+static Clause *arena_carve(Solver *s, size_t bytes) {
+    Chunk *chunk = s->chunks;
+    if (chunk == NULL || chunk->size - chunk->used < bytes) {
+        size_t size = s->chunk_size > bytes ? s->chunk_size : bytes;
+        chunk = malloc(sizeof(Chunk) + size);
+        if (chunk == NULL)
+            return NULL;
+        chunk->next = s->chunks;
+        chunk->used = 0;
+        chunk->size = size;
+        s->chunks = chunk;
+        if (s->chunk_size < CHUNK_MAX)
+            s->chunk_size *= 2;
+    }
+    Clause *c = (Clause *)(chunk->data + chunk->used);
+    chunk->used += bytes;
+    return c;
+}
+
+/* Give back the `bytes` arena_carve returned last, and the chunk with
+ * them when they were all it held. */
+static void arena_return(Solver *s, size_t bytes) {
+    Chunk *chunk = s->chunks;
+    chunk->used -= bytes;
+    if (chunk->used == 0) {
+        s->chunks = chunk->next;
+        free(chunk);
+    }
+}
+
 /* Watch c's first two literals: 1, or 0 with c watched nowhere. */
 static int attach(Solver *s, Clause *c) {
     WatchList *first = &s->watches[lit_neg(c->lits[0])];
@@ -567,6 +630,7 @@ void *cdcl_new(uint32_t seed, int64_t restart_base) {
     s->restart_base = restart_base > 0 ? restart_base : 100;
     s->rng = seed ? seed : 0x9e3779b9u;
     s->max_learnts = 2000.0;
+    s->chunk_size = CHUNK_FIRST;
     return s;
 }
 
@@ -574,13 +638,16 @@ void cdcl_free(void *handle) {
     Solver *s = handle;
     if (!s)
         return;
-    for (int32_t i = 0; i < s->num_clauses; i++)
-        free(s->clauses[i]);
+    while (s->chunks != NULL) {
+        Chunk *next = s->chunks->next;
+        free(s->chunks);
+        s->chunks = next;
+    }
     for (int32_t i = 0; i < s->num_learnts; i++)
         free(s->learnts[i]);
     for (int32_t i = 0; i < 2 * s->capacity; i++)
         free(s->watches[i].data);
-    free(s->clauses);
+    free(s->scratch);
     free(s->learnts);
     free(s->watches);
     free(s->assigns);
@@ -615,6 +682,81 @@ static int cmp_lit(const void *a, const void *b) {
     return *(const int32_t *)a - *(const int32_t *)b;
 }
 
+/* Sort ascending: every algorithm gives the same order of plain ints. */
+static void sort_lits(int32_t *lits, int32_t size) {
+    if (size > SORT_INLINE_MAX) {
+        qsort(lits, (size_t)size, sizeof *lits, cmp_lit);
+        return;
+    }
+    for (int32_t i = 1; i < size; i++) {
+        int32_t lit = lits[i];
+        int32_t j = i;
+        for (; j > 0 && lits[j - 1] > lit; j--)
+            lits[j] = lits[j - 1];
+        lits[j] = lit;
+    }
+}
+
+/* Add one clause at decision level 0 over declared variables: the caller
+ * has checked that the formula is not contradictory yet, cancelled the
+ * trail and declared every variable of the clause.  Returns what
+ * cdcl_add_clause returns. */
+static int32_t add_prepared(Solver *s, const int32_t *dimacs, int32_t size) {
+    /* A clause can repeat literals, so its length is not bounded by the
+     * variable count: sort it in the scratch buffer, grown to fit. */
+    if (size > s->cap_scratch) {
+        int64_t cap = s->cap_scratch ? 2 * s->cap_scratch : 64;
+        if (cap < size)
+            cap = size;
+        void *spare;
+        if (!GROW(s->scratch, cap))
+            return OUT_OF_MEMORY;
+        s->cap_scratch = cap;
+    }
+    int32_t *lits = s->scratch;
+    for (int32_t i = 0; i < size; i++)
+        lits[i] = encode(dimacs[i]);
+    sort_lits(lits, size);
+    int32_t kept = 0;
+    int32_t previous = LIT_UNDEF;
+    for (int32_t i = 0; i < size; i++) {
+        int32_t lit = lits[i];
+        if (lit == previous)
+            continue;
+        if (previous != LIT_UNDEF && lit == lit_neg(previous))
+            return 1; /* tautology */
+        int8_t value = lit_value(s, lit);
+        if (value == VALUE_TRUE)
+            return 1; /* satisfied at root */
+        if (value != VALUE_FALSE)
+            lits[kept++] = lit;
+        previous = lit;
+    }
+    if (kept == 0) {
+        s->ok = 0;
+        return 0;
+    }
+    if (kept == 1) {
+        if (!enqueue(s, lits[0], NULL) || propagate(s) != NULL)
+            s->ok = 0;
+        return s->ok;
+    }
+    size_t bytes = clause_bytes(kept);
+    Clause *c = arena_carve(s, bytes);
+    if (c == NULL)
+        return OUT_OF_MEMORY;
+    c->activity = 0.0;
+    c->size = kept;
+    c->learnt = 0;
+    memcpy(c->lits, lits, (size_t)kept * sizeof(int32_t));
+    if (!attach(s, c)) {
+        arena_return(s, bytes);
+        return OUT_OF_MEMORY;
+    }
+    s->num_clauses++;
+    return 1;
+}
+
 /* Returns 1 while the formula is not contradictory at the root, 0 once it
  * is, and OUT_OF_MEMORY when the clause could not be stored (the solver
  * then holds what it held before, with perhaps more variables). */
@@ -631,85 +773,55 @@ int32_t cdcl_add_clause(void *handle, const int32_t *dimacs, int32_t size) {
     }
     if (!ensure_vars(s, max_var))
         return OUT_OF_MEMORY;
-
-    /* A clause can repeat literals, so its length is not bounded by the
-     * variable count — use a private buffer, not the analyze scratch. */
-    int32_t *lits = malloc((size_t)size * sizeof(int32_t));
-    if (lits == NULL)
-        return OUT_OF_MEMORY;
-    int32_t n = 0;
-    for (int32_t i = 0; i < size; i++)
-        lits[n++] = encode(dimacs[i]);
-    qsort(lits, (size_t)n, sizeof(int32_t), cmp_lit);
-    int32_t kept = 0;
-    int32_t previous = LIT_UNDEF;
-    for (int32_t i = 0; i < n; i++) {
-        int32_t lit = lits[i];
-        if (lit == previous)
-            continue;
-        if (previous != LIT_UNDEF && lit == lit_neg(previous)) {
-            free(lits);
-            return 1; /* tautology */
-        }
-        int8_t value = lit_value(s, lit);
-        if (value == VALUE_TRUE) {
-            free(lits);
-            return 1; /* satisfied at root */
-        }
-        if (value != VALUE_FALSE)
-            lits[kept++] = lit;
-        previous = lit;
-    }
-    if (kept == 0) {
-        s->ok = 0;
-        free(lits);
-        return 0;
-    }
-    if (kept == 1) {
-        if (!enqueue(s, lits[0], NULL) || propagate(s) != NULL)
-            s->ok = 0;
-        free(lits);
-        return s->ok;
-    }
-    Clause *c = clause_new(lits, kept, 0);
-    free(lits);
-    if (c == NULL)
-        return OUT_OF_MEMORY;
-    if (!attach(s, c)) {
-        free(c);
-        return OUT_OF_MEMORY;
-    }
-    if (!push_clause(&s->clauses, &s->num_clauses, &s->cap_clauses, c)) {
-        detach(s, c);
-        free(c);
-        return OUT_OF_MEMORY;
-    }
-    return 1;
+    return add_prepared(s, dimacs, size);
 }
 
-/* Batched transfer: `flat` holds n literals forming zero-terminated
- * clauses, added in order exactly as by one cdcl_add_clause call each.
- * Returns 1 while the formula is not contradictory at the root, 0 once it
- * is, -1 without adding anything when the buffer is malformed (its last
- * clause is unterminated or a literal's variable is past MAX_VAR), and
- * OUT_OF_MEMORY at the first clause that could not be stored, with the
- * clauses before it added. */
-int32_t cdcl_add_clauses(void *handle, const int32_t *flat, int64_t n) {
+/* Batched transfer: `flat` holds n literals forming `count`
+ * zero-terminated clauses, added in order exactly as by one
+ * cdcl_add_clause call each.  One pre-scan checks the buffer and finds
+ * its largest variable, so the trail is cancelled and the variables are
+ * declared once for the whole batch.  Returns 1 while the formula is not
+ * contradictory at the root, 0 once it is, and MALFORMED, adding
+ * nothing, when the buffer does not hold `count` terminators, its last
+ * clause is unterminated or a literal's variable is past MAX_VAR.
+ * OUT_OF_MEMORY means that the variables could not be declared (nothing
+ * added) or that a clause could not be stored (the clauses before it
+ * added). */
+int32_t cdcl_add_clauses(void *handle, const int32_t *flat, int64_t n, int64_t count) {
     Solver *s = handle;
     if (n > 0 && flat[n - 1] != 0)
-        return -1;
-    for (int64_t i = 0; i < n; i++)
-        if (flat[i] < -MAX_VAR || flat[i] > MAX_VAR)
-            return -1;
+        return MALFORMED;
+    int64_t zeros = 0;
+    int32_t max_var = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int32_t lit = flat[i];
+        if (lit == 0) {
+            zeros++;
+            continue;
+        }
+        if (lit < -MAX_VAR || lit > MAX_VAR)
+            return MALFORMED;
+        int32_t var = lit > 0 ? lit : -lit;
+        if (var > max_var)
+            max_var = var;
+    }
+    if (zeros != count)
+        return MALFORMED;
+    if (!s->ok)
+        return 0;
+    cancel_until(s, 0);
+    if (!ensure_vars(s, max_var))
+        return OUT_OF_MEMORY;
     int64_t start = 0;
     for (int64_t i = 0; i < n; i++) {
         if (flat[i] != 0)
             continue;
-        if (cdcl_add_clause(s, flat + start, (int32_t)(i - start)) == OUT_OF_MEMORY)
-            return OUT_OF_MEMORY;
+        int32_t added = add_prepared(s, flat + start, (int32_t)(i - start));
+        if (added != 1)
+            return added;
         start = i + 1;
     }
-    return s->ok;
+    return 1;
 }
 
 int32_t cdcl_solve(void *handle, const int32_t *assumptions, int32_t num_assumptions,

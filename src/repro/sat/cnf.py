@@ -217,7 +217,16 @@ class VariablePool:
             raise CnfError(f"no variable named {name!r}") from exc
 
     def reserve_through(self, variable: int) -> None:
-        """Make sure the pool will not reuse indices up to ``variable``."""
+        """Make sure the pool will not reuse indices up to ``variable``.
+
+        A ``variable`` past :data:`MAX_VARIABLE` is refused, as by
+        :meth:`new_block`.
+        """
+        if variable > MAX_VARIABLE:
+            raise CnfError(
+                f"variable {variable} is past {MAX_VARIABLE}, "
+                "the largest a 32-bit literal holds"
+            )
         if variable >= self._next:
             self._next = variable + 1
 

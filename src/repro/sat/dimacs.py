@@ -76,6 +76,8 @@ def _parse(text: str) -> Cnf:
                 declared_clauses = int(parts[3])
             except ValueError as exc:
                 raise CnfError(f"line {line_number}: malformed problem line {line!r}") from exc
+            if declared_variables < 0 or declared_clauses < 0:
+                raise CnfError(f"line {line_number}: negative count in problem line {line!r}")
             continue
         for token in line.split():
             try:

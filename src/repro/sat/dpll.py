@@ -51,8 +51,8 @@ class DpllSolver:
 
     def add_clause(self, literals: Iterable[int]) -> None:
         """Add one clause given as DIMACS literals."""
-        clause = sorted(set(literals))
-        for literal in clause:
+        unique = set(literals)
+        for literal in unique:
             if literal == 0:
                 raise SolverError("literal 0 is invalid")
             self._num_vars = max(self._num_vars, abs(literal))
@@ -60,9 +60,9 @@ class DpllSolver:
             raise SolverError(
                 f"DpllSolver is a test oracle limited to {self._max_variables} variables"
             )
-        if any(-literal in clause for literal in clause):
+        if any(-literal in unique for literal in unique):
             return
-        self._clauses.append(clause)
+        self._clauses.append(sorted(unique))
 
     def solve(
         self, assumptions: Sequence[int] = (), *, time_limit: float | None = None
@@ -77,6 +77,8 @@ class DpllSolver:
         stats = SolverStats()
         assignment: dict[int, bool] = {}
         clauses = [list(clause) for clause in self._clauses]
+        if [] in clauses:  # an empty clause: no assignment satisfies it
+            return SolveResult(Status.UNSATISFIABLE, None, stats)
         for literal in assumptions:
             clauses.append([literal])
         deadline = None if time_limit is None else time.monotonic() + time_limit

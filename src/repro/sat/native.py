@@ -75,10 +75,12 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.c_void_p, ctypes.POINTER(ctypes.c_int32), ctypes.c_int32,
     ]
     # The flat buffer is the memory of an array('i'), shared through
-    # ctypes' from_buffer: the C side reads it in place as int32_t[n].
+    # ctypes' from_buffer: the C side reads it in place as int32_t[n] and
+    # checks that it holds the given number of zero terminators.
     lib.cdcl_add_clauses.restype = ctypes.c_int32
     lib.cdcl_add_clauses.argtypes = [
         ctypes.c_void_p, ctypes.POINTER(ctypes.c_int32), ctypes.c_int64,
+        ctypes.c_int64,
     ]
     lib.cdcl_solve.restype = ctypes.c_int32
     lib.cdcl_solve.argtypes = [
@@ -209,9 +211,10 @@ class NativeCdclSolver:
     Every literal, in a clause or an assumption, is an ``int`` (not a
     ``bool``) whose variable is at most :attr:`max_variable`, the bound of
     the core's int32 arithmetic; anything else raises
-    :class:`~repro.errors.SolverError` before the core sees it.  So does a
-    clause or an assumption the core has no memory for, and the solver
-    stays usable afterwards.
+    :class:`~repro.errors.SolverError` before the core sees it.  So does
+    declaring more variables than that (:meth:`add_variable`,
+    :meth:`add_cnf`), and a clause or an assumption the core has no
+    memory for; the solver stays usable afterwards.
     """
 
     def __init__(
@@ -252,8 +255,10 @@ class NativeCdclSolver:
         return max(self._declared, self._lib.cdcl_num_variables(self._handle))
 
     def add_variable(self) -> int:
-        self._declared = self.num_variables + 1
-        return self._declared
+        variable = self.num_variables + 1
+        self._check_declared(variable)
+        self._declared = variable
+        return variable
 
     def add_clause(self, literals: Iterable[int]) -> bool:
         clause = list(literals)
@@ -276,9 +281,11 @@ class NativeCdclSolver:
         ``False`` once the formula is trivially unsat.  A malformed buffer
         adds nothing and raises :class:`~repro.errors.SolverError`: a zero
         count other than ``count``, a last clause without its ``0``, or a
-        literal whose variable is past :attr:`max_variable`.  When the core
-        runs out of memory, the clauses before the one it could not store
-        stay added and :class:`~repro.errors.SolverError` is raised.
+        literal whose variable is past :attr:`max_variable`.  The core
+        checks all three in one pass over the buffer before it adds
+        anything.  When the core runs out of memory, the clauses before the
+        one it could not store stay added and
+        :class:`~repro.errors.SolverError` is raised.
         """
         if not (
             isinstance(literals, array)
@@ -286,27 +293,28 @@ class NativeCdclSolver:
             and literals.itemsize == 4
         ):
             raise SolverError("the clause buffer must be an array('i') of int32 literals")
-        zeros = literals.count(0)
-        if zeros != count:
-            raise SolverError(
-                f"invalid literal 0 inside a clause of the batch "
-                f"({zeros} terminators for {count} clauses)"
-            )
         size = len(literals)
+        # A buffer of n literals holds at most n terminators, which also
+        # keeps the count within the core's int64.
+        if isinstance(count, bool) or not isinstance(count, int) or not 0 <= count <= size:
+            raise SolverError(
+                f"invalid clause count {count!r} for a batch of {size} literals"
+            )
         # from_buffer shares the array's memory and holds an export on it
         # until ``shared`` goes, so the array cannot be resized (and its
         # memory moved) while the core reads it.
         shared = (ctypes.c_int32 * size).from_buffer(literals)
         try:
-            added = self._lib.cdcl_add_clauses(self._handle, shared, size)
+            added = self._lib.cdcl_add_clauses(self._handle, shared, size, count)
         finally:
             del shared
         if added == _OUT_OF_MEMORY:
             raise SolverError("native core out of memory adding the clause batch")
         if added < 0:
             raise SolverError(
-                "invalid literal in the clause batch: its last clause has no 0 "
-                f"terminator or a literal's variable is past {self.max_variable}"
+                f"invalid literal in the clause batch: it does not hold {count} 0 "
+                "terminators, its last clause has no 0 terminator, or a literal's "
+                f"variable is past {self.max_variable}"
             )
         return bool(added)
 
@@ -330,8 +338,9 @@ class NativeCdclSolver:
         return self.add_clause_buffer(flat, count)
 
     def add_cnf(self, cnf) -> None:
-        self._declared = max(self._declared, cnf.num_variables)
+        self._check_declared(cnf.num_variables)
         self.add_clause_buffer(cnf.literals, cnf.num_clauses)
+        self._declared = max(self._declared, cnf.num_variables)
 
     def solve(
         self,
@@ -417,6 +426,15 @@ class NativeCdclSolver:
             and not isinstance(literal, bool)
             and 0 < abs(literal) <= self.max_variable
         )
+
+    def _check_declared(self, count: int) -> None:
+        """Refuse to declare ``count`` variables past :attr:`max_variable`:
+        a solve sizes its model from the declared count."""
+        if count > self.max_variable:
+            raise SolverError(
+                f"cannot declare {count} variables: the native core holds at "
+                f"most {self.max_variable}"
+            )
 
     def _take_counts(self) -> None:
         totals = _CounterArray()

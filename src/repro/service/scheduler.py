@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.errors import ReproError
+from repro.fields import check_fields
 from repro.circuits.pipeline import compile_cache_request, compile_workload
 from repro.obs import metrics as _metrics
 from repro.obs import trace as obs_trace
@@ -69,9 +69,10 @@ class ServiceOverloadError(ServiceError):
     """
 
 
-#: Request fields by JSON type, checked by :meth:`JobRequest.validate`:
-#: counts are integers >= 1, amounts finite numbers > 0, and only the
-#: fields in ``_NULLABLE_FIELDS`` may be null.
+#: Request fields by JSON type, checked by :meth:`JobRequest.validate`
+#: (:func:`~repro.fields.check_fields`): counts are integers >= 1, amounts
+#: finite numbers > 0, and only the fields in ``_NULLABLE_FIELDS`` may be
+#: null.
 _STRING_FIELDS = ("kind", "workload", "cardinality", "schedule", "backend")
 _BOOL_FIELDS = ("single_move", "weighted", "decompose", "verify")
 _COUNT_FIELDS = ("budget", "min_budget", "max_budget", "step_increment", "max_steps")
@@ -136,39 +137,11 @@ class JobRequest:
         than fail inside the solver (or worse, inside the batch it shares
         with well-formed siblings).
         """
-        for name in _STRING_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, str):
-                raise ServiceError(
-                    f"a request's {name} must be a string, got {value!r}"
-                )
-        for name in _BOOL_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise ServiceError(
-                    f"a request's {name} must be true or false, got {value!r}"
-                )
-        for name in _COUNT_FIELDS:
-            value = getattr(self, name)
-            if value is None and name in _NULLABLE_FIELDS:
-                continue
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ServiceError(
-                    f"a request's {name} must be an integer >= 1, got {value!r}"
-                )
-        for name in _AMOUNT_FIELDS:
-            value = getattr(self, name)
-            if value is None and name in _NULLABLE_FIELDS:
-                continue
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, (int, float))
-                or not math.isfinite(value)
-                or value <= 0
-            ):
-                raise ServiceError(
-                    f"a request's {name} must be a number > 0, got {value!r}"
-                )
+        check_fields(
+            self, ServiceError, "a request's",
+            strings=_STRING_FIELDS, flags=_BOOL_FIELDS, counts=_COUNT_FIELDS,
+            amounts=_AMOUNT_FIELDS, nullable=_NULLABLE_FIELDS,
+        )
         if self.kind not in ("pebble", "compile", "sweep"):
             raise ServiceError(
                 f"unknown request kind {self.kind!r}; "

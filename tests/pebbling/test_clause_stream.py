@@ -204,12 +204,12 @@ class _TapLibrary:
         self.clauses += 1
         return self._library.cdcl_add_clause(handle, literals, size)
 
-    def cdcl_add_clauses(self, handle, flat, size):
+    def cdcl_add_clauses(self, handle, flat, size, count):
         chunk = array("i")
         chunk.frombytes(bytes(flat)[: size * chunk.itemsize])
         self.stream.extend(chunk)
         self.clauses += chunk.count(0)
-        return self._library.cdcl_add_clauses(handle, flat, size)
+        return self._library.cdcl_add_clauses(handle, flat, size, count)
 
 
 def _pose_frames(name: str, backend, tap) -> tuple[list[int], str]:

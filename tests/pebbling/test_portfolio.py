@@ -1,6 +1,7 @@
 """Tests for the parallel portfolio orchestration layer."""
 
 import concurrent.futures
+from dataclasses import fields
 
 import pytest
 
@@ -49,6 +50,38 @@ class TestTasks:
     def test_task_names_encode_parameters(self):
         assert PortfolioTask("and9", 4, single_move=True).name == "and9_p4_sm"
         assert PortfolioTask("c432", 8, scale=0.25).name == "c432_p8_s0.25"
+
+    #: One wrong value for each field but ``backend`` (refused as not a
+    #: spec string, below) and ``trace`` (runtime plumbing).
+    MISTYPED = {
+        "workload-int": ("workload", {"workload": 7}),
+        "pebbles-bool": ("pebbles", {"pebbles": True}),
+        "pebbles-zero": ("pebbles", {"pebbles": 0}),
+        "scale-string": ("scale", {"scale": "big"}),
+        "scale-infinite": ("scale", {"scale": float("inf")}),
+        "single-move-string": ("single_move", {"single_move": "yes"}),
+        "cardinality-none": ("cardinality", {"cardinality": None}),
+        "schedule-list": ("schedule", {"schedule": ["linear"]}),
+        "step-increment-zero": ("step_increment", {"step_increment": 0}),
+        "incremental-int": ("incremental", {"incremental": 1}),
+        "time-limit-negative": ("time_limit", {"time_limit": -1}),
+        "max-steps-string": ("max_steps", {"max_steps": "40"}),
+        "initial-steps-float": ("initial_steps", {"initial_steps": 2.5}),
+        "weighted-none": ("weighted", {"weighted": None}),
+    }
+
+    @pytest.mark.parametrize(("field", "bad"), MISTYPED.values(), ids=list(MISTYPED))
+    def test_mistyped_fields_are_refused_at_construction(self, field, bad):
+        # A scale of "big" used to pass here and then raise ValueError while
+        # run_portfolio formatted the task's name, failing every task.
+        with pytest.raises(PebblingError, match=f"task's {field} must"):
+            PortfolioTask(**{"workload": "fig2", "pebbles": 4, **bad})
+
+    def test_the_table_covers_every_task_field(self):
+        covered = {field for field, _ in self.MISTYPED.values()}
+        assert covered == {entry.name for entry in fields(PortfolioTask)} - {
+            "backend", "trace",
+        }
 
 
 class TestRunPortfolio:

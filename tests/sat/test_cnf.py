@@ -100,6 +100,13 @@ class TestVariablePool:
         pool.reserve_through(7)
         assert pool.new() == 8
 
+    def test_reserve_through_past_the_largest_variable_is_refused(self):
+        pool = VariablePool()
+        pool.reserve_through(MAX_VARIABLE)
+        assert pool.num_variables == MAX_VARIABLE
+        with pytest.raises(CnfError, match="32-bit"):
+            VariablePool().reserve_through(MAX_VARIABLE + 1)
+
 
 class TestVariableBlocks:
     """Blocks of variables whose names are built when asked for."""

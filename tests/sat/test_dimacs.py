@@ -83,3 +83,12 @@ class TestParse:
     def test_header_reserves_variables(self):
         parsed = parse_dimacs("p cnf 10 1\n1 0\n")
         assert parsed.num_variables == 10
+
+    @pytest.mark.parametrize(
+        "header",
+        ["p cnf -5 1", "p cnf 5 -1", "p cnf 99999999999 1", "p cnf 2147483648 1"],
+        ids=["negative-variables", "negative-clauses", "huge", "past-int32"],
+    )
+    def test_header_counts_out_of_range_are_refused(self, header):
+        with pytest.raises(CnfError):
+            parse_dimacs(f"{header}\n1 0\n")

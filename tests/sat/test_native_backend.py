@@ -179,6 +179,30 @@ def test_pebbling_search_parity_with_the_python_engine():
         assert native_result.num_steps == python_result.num_steps
 
 
+@needs_native
+def test_declaring_variables_past_the_core_bound_changes_nothing():
+    # Only the declared count moves, so nothing is allocated before the
+    # check: a solve would size its model from it.
+    from repro.errors import SolverError
+    from repro.sat.cnf import Cnf
+
+    engine = native.NativeCdclSolver()
+    past = Cnf()
+    past.add_clause([1, -2])
+    past.pool.reserve_through(engine.max_variable + 1)
+    with pytest.raises(SolverError, match="declare"):
+        engine.add_cnf(past)
+    assert engine.num_variables == 0
+
+    full = Cnf()
+    full.pool.reserve_through(engine.max_variable)
+    engine.add_cnf(full)
+    assert engine.num_variables == engine.max_variable
+    with pytest.raises(SolverError, match="declare"):
+        engine.add_variable()
+    assert engine.num_variables == engine.max_variable
+
+
 _OUT_OF_MEMORY = '''
 import resource
 from array import array
