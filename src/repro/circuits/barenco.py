@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from repro.errors import CircuitError
 from repro.circuits.circuit import QubitRole, ReversibleCircuit
-from repro.circuits.gates import SingleTargetGate, ToffoliGate
+from repro.circuits.gates import TABLE_CONTROL_LIMIT, SingleTargetGate, ToffoliGate
+from repro.logic.network import projection_lanes
 
 
 def decompose_mct(
@@ -130,53 +131,50 @@ def single_target_gate_to_mct(
     contributions, the lowering is exact on every basis state and uses no
     clean ancillae.
     """
+    return _anf_lowering(gate.target, gate.controls, _lowering_table(gate), borrowable)
+
+
+def _lowering_table(gate: SingleTargetGate) -> int:
+    """The truth table the lowering of ``gate`` expands."""
     if gate.function is None:
         raise CircuitError(
             f"gate {gate.label or gate.target!r} has no concrete control "
             "function; structural circuits cannot be decomposed"
         )
-    controls = list(gate.controls)
-    arity = len(controls)
-    if arity > 16:
+    arity = gate.num_controls
+    if arity > TABLE_CONTROL_LIMIT:
         raise CircuitError(
             f"cannot expand a {arity}-control gate's truth table for lowering"
         )
-    size = 1 << arity
-    coefficients = [
-        bool(
-            gate.evaluate(
-                {
-                    name: bool((index >> position) & 1)
-                    for position, name in enumerate(controls)
-                }
-            )
-        )
-        for index in range(size)
-    ]
-    # In-place Möbius transform: truth table -> ANF monomial coefficients.
-    for position in range(arity):
-        bit = 1 << position
-        for index in range(size):
-            if index & bit:
-                coefficients[index] ^= coefficients[index ^ bit]
+    return gate.truth_table()
+
+
+def _anf_lowering(
+    target: str, controls: tuple[str, ...], table: int, borrowable: list[str]
+) -> list[ToffoliGate]:
+    # In-place Möbius transform, one control at a time: every row with the
+    # control's bit set absorbs the row without it.  The table becomes the
+    # ANF: bit ``i`` is the coefficient of the monomial of ``i``'s controls.
+    coefficients = table
+    for position, lane in enumerate(projection_lanes(len(controls))):
+        coefficients ^= (coefficients & ~lane) << (1 << position)
     gates: list[ToffoliGate] = []
-    for index in range(size):
-        if not coefficients[index]:
-            continue
+    while coefficients:
+        lowest = coefficients & -coefficients
+        coefficients ^= lowest
+        index = lowest.bit_length() - 1
         monomial = [
-            controls[position]
-            for position in range(arity)
-            if (index >> position) & 1
+            name for position, name in enumerate(controls) if (index >> position) & 1
         ]
         if len(monomial) <= 2:
-            gates.append(ToffoliGate.from_names(gate.target, monomial))
+            gates.append(ToffoliGate.from_names(target, monomial))
         else:
             borrowed = [
                 qubit
                 for qubit in borrowable
-                if qubit != gate.target and qubit not in monomial
+                if qubit != target and qubit not in monomial
             ]
-            gates.extend(decompose_mct(monomial, gate.target, borrowed))
+            gates.extend(decompose_mct(monomial, target, borrowed))
     return gates
 
 
@@ -190,30 +188,36 @@ def decompose_circuit(
     through the Barenco construction (negative controls are conjugated with
     NOTs first).  All decompositions borrow dirty qubits from the rest of
     the circuit, so the result has exactly the qubits (and roles) of the
-    input circuit and computes the same permutation of basis states.
+    input circuit and computes the same permutation of basis states.  A
+    gate that occurs more than once (a node pebbled and unpebbled on the
+    same qubits) is lowered once and its gates reused.
     """
     result = ReversibleCircuit(name or f"{circuit.name}_mct")
     for qubit in circuit.qubits():
         result.add_qubit(qubit, circuit.qubit(qubit).role)
     all_qubits = circuit.qubits()
+    lowered: dict[object, list[ToffoliGate]] = {}
     for gate in circuit.gates:
         if isinstance(gate, ToffoliGate):
             if gate.num_controls <= 2:
                 result.append(gate)
                 continue
-            flips = [name for (name, polarity) in gate.controls if not polarity]
-            for qubit in flips:
-                result.append(ToffoliGate(qubit))
-            borrowed = [q for q in all_qubits if q not in gate.qubits()]
-            for lowered in decompose_mct(
-                list(gate.control_names()), gate.target, borrowed
-            ):
-                result.append(lowered)
-            for qubit in flips:
-                result.append(ToffoliGate(qubit))
+            gates = lowered.get(gate)
+            if gates is None:
+                flips = [ToffoliGate(name) for (name, polarity) in gate.controls if not polarity]
+                borrowed = [q for q in all_qubits if q not in gate.qubits()]
+                gates = lowered[gate] = flips + decompose_mct(
+                    list(gate.control_names()), gate.target, borrowed
+                ) + flips
         else:
-            for lowered in single_target_gate_to_mct(gate, all_qubits):
-                result.append(lowered)
+            table = _lowering_table(gate)
+            key = (gate.target, gate.controls, table)
+            gates = lowered.get(key)
+            if gates is None:
+                gates = lowered[key] = _anf_lowering(
+                    gate.target, gate.controls, table, all_qubits
+                )
+        result.extend(gates)
     return result
 
 

@@ -29,8 +29,8 @@ from typing import Callable, Mapping
 from repro.errors import CircuitError
 from repro.dag.graph import Dag, NodeId
 from repro.circuits.circuit import QubitRole, ReversibleCircuit
-from repro.circuits.gates import SingleTargetGate
-from repro.logic.network import GateType, LogicNetwork
+from repro.circuits.gates import TABLE_CONTROL_LIMIT, SingleTargetGate
+from repro.logic.network import GateType, LogicNetwork, evaluate_gate_lanes, projection_lanes
 from repro.pebbling.bennett import bennett_strategy
 from repro.pebbling.strategy import PebblingStrategy
 
@@ -45,12 +45,17 @@ class NodeControls:
     ``controls`` lists the value names the gate reads: primary-input names
     and/or other DAG node identifiers.  ``function`` evaluates the control
     function given ``{control name: bool}`` (``None`` when only the
-    dependency structure is known).  ``label`` annotates the emitted gate.
+    dependency structure is known).  ``table`` is the same function as a
+    truth table over ``controls`` (bit ``i`` is its value when control
+    ``k`` holds bit ``k`` of ``i``), or ``None`` when it is not known or
+    wider than :data:`~repro.circuits.gates.TABLE_CONTROL_LIMIT` controls.
+    ``label`` annotates the emitted gate.
     """
 
     controls: tuple[NodeId, ...]
     function: Callable[[Mapping[NodeId, bool]], bool] | None = None
     label: str = ""
+    table: int | None = None
 
 
 def dag_controls(dag: Dag) -> ControlProvider:
@@ -74,8 +79,9 @@ def network_controls(
     Every network signal is resolved to ``(representative, parity, constant)``
     where the representative is a DAG node or primary input; inverter chains
     contribute parity, constants are folded in.  The returned provider then
-    evaluates each node's true gate function, so compiled circuits can be
-    simulated bit-exactly.
+    evaluates each node's true gate function with the network's own gate
+    evaluator, once per node over all rows of its truth table, so compiled
+    circuits can be simulated and lowered bit-exactly.
     """
     network.validate()
     resolution: dict[str, tuple[str | None, bool, bool | None]] = {}
@@ -107,40 +113,26 @@ def network_controls(
         )
         gate_type = gate.gate_type
 
-        def function(values: Mapping[NodeId, bool]) -> bool:
-            fanin_values = []
-            for rep, parity, const in fanin_resolutions:
-                value = const if const is not None else bool(values[rep])
-                fanin_values.append(value ^ parity)
-            return _evaluate(gate_type, fanin_values)
+        def evaluate(lanes: Mapping[NodeId, int], mask: int) -> int:
+            fanin_lanes = [
+                (mask if const else 0) if const is not None
+                else lanes[rep] ^ (mask if parity else 0)
+                for rep, parity, const in fanin_resolutions
+            ]
+            return evaluate_gate_lanes(gate_type, fanin_lanes, mask)
 
-        return NodeControls(controls=controls, function=function, label=gate_type.value)
+        def function(values: Mapping[NodeId, bool]) -> bool:
+            return bool(evaluate({rep: int(bool(values[rep])) for rep in controls}, 1))
+
+        table = None
+        if len(controls) <= TABLE_CONTROL_LIMIT:
+            rows = 1 << len(controls)
+            table = evaluate(dict(zip(controls, projection_lanes(len(controls)))), (1 << rows) - 1)
+        return NodeControls(
+            controls=controls, function=function, label=gate_type.value, table=table
+        )
 
     return provider
-
-
-def _evaluate(gate_type: GateType, values: list[bool]) -> bool:
-    if gate_type is GateType.AND:
-        return all(values)
-    if gate_type is GateType.OR:
-        return any(values)
-    if gate_type is GateType.NAND:
-        return not all(values)
-    if gate_type is GateType.NOR:
-        return not any(values)
-    if gate_type is GateType.XOR:
-        result = False
-        for value in values:
-            result ^= value
-        return result
-    if gate_type is GateType.XNOR:
-        result = True
-        for value in values:
-            result ^= value
-        return result
-    if gate_type is GateType.MAJ:
-        return sum(values) >= 2
-    raise CircuitError(f"gate type {gate_type} cannot appear as a pebbled node")
 
 
 @dataclass
@@ -229,26 +221,30 @@ def compile_strategy(
             qubit, QubitRole.OUTPUT if qubit in output_holders else QubitRole.ANCILLA
         )
 
+    # A node pebbled and unpebbled on the same qubits is one gate, built once.
+    gates: dict[tuple[NodeId, str, tuple[str, ...]], SingleTargetGate] = {}
     for node, target, control_qubits, label in plans:
-        controls = node_controls[node]
-        gate_function = None
-        if controls.function is not None:
-            mapping = dict(zip(control_qubits, controls.controls))
-            base_function = controls.function
+        gate = gates.get((node, target, control_qubits))
+        if gate is None:
+            controls = node_controls[node]
+            gate_function = None
+            if controls.table is None and controls.function is not None:
+                mapping = dict(zip(control_qubits, controls.controls))
+                base_function = controls.function
 
-            def gate_function(
-                values: Mapping[str, bool], _mapping=mapping, _base=base_function
-            ) -> bool:
-                return _base({_mapping[qubit]: values[qubit] for qubit in _mapping})
+                def gate_function(
+                    values: Mapping[str, bool], _mapping=mapping, _base=base_function
+                ) -> bool:
+                    return _base({_mapping[qubit]: values[qubit] for qubit in _mapping})
 
-        circuit.append(
-            SingleTargetGate(
+            gate = gates[(node, target, control_qubits)] = SingleTargetGate(
                 target=target,
                 controls=control_qubits,
                 function=gate_function,
                 label=label or str(node),
+                table=controls.table,
             )
-        )
+        circuit.append(gate)
 
     output_qubits = {node: qubit for node, qubit in final_locations.items()}
     return CompiledCircuit(circuit=circuit, output_qubits=output_qubits, input_qubits=input_qubits)

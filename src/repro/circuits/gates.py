@@ -19,6 +19,10 @@ from typing import Callable, Mapping, Sequence
 from repro.errors import CircuitError
 
 
+#: Widest control set whose truth table a gate may expand (``2^16`` bits).
+TABLE_CONTROL_LIMIT = 16
+
+
 @dataclass(frozen=True)
 class SingleTargetGate:
     """A single-target gate ``|c..><t|  ->  |c..>|t xor f(c..)>``.
@@ -26,18 +30,35 @@ class SingleTargetGate:
     ``controls`` are qubit names; ``function`` evaluates the control
     function given a ``{control name: bool}`` mapping.  ``label`` is used in
     reports (e.g. the DAG node or operation name the gate realises).
+
+    ``table`` is the same function as a truth table: bit ``i`` is the
+    function's value when control ``k`` holds bit ``k`` of ``i``.  A gate
+    built from a table alone evaluates through it; a gate built from a
+    callable alone computes its table on first use of
+    :meth:`truth_table`, once.
     """
 
     target: str
     controls: tuple[str, ...]
     function: Callable[[Mapping[str, bool]], bool] | None = None
     label: str = ""
+    table: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.target in self.controls:
             raise CircuitError(f"gate target {self.target!r} cannot also be a control")
         if len(set(self.controls)) != len(self.controls):
             raise CircuitError("duplicate control qubits")
+        if self.table is not None:
+            if self.table < 0 or self.table.bit_length() > 1 << len(self.controls):
+                raise CircuitError(
+                    f"truth table {self.table:#x} does not fit "
+                    f"{len(self.controls)} controls"
+                )
+            if self.function is None:
+                object.__setattr__(
+                    self, "function", _table_function(self.controls, self.table)
+                )
 
     @property
     def num_controls(self) -> int:
@@ -56,10 +77,46 @@ class SingleTargetGate:
             )
         return bool(self.function({name: bool(values[name]) for name in self.controls}))
 
+    def truth_table(self) -> int:
+        """The control function as a truth table (see the class docstring)."""
+        if self.table is None:
+            arity = len(self.controls)
+            if arity > TABLE_CONTROL_LIMIT:
+                raise CircuitError(
+                    f"cannot expand a {arity}-control gate's truth table"
+                )
+            table = 0
+            for index in range(1 << arity):
+                values = {
+                    name: bool((index >> position) & 1)
+                    for position, name in enumerate(self.controls)
+                }
+                if self.evaluate(values):
+                    table |= 1 << index
+            # ``table`` takes no part in equality or hashing, so caching it
+            # on the frozen instance changes neither.
+            object.__setattr__(self, "table", table)
+        return self.table
+
     def __str__(self) -> str:
         label = self.label or "f"
         controls = ", ".join(self.controls)
         return f"{self.target} ^= {label}({controls})"
+
+
+def _table_function(
+    controls: tuple[str, ...], table: int
+) -> Callable[[Mapping[str, bool]], bool]:
+    """A control function that looks its value up in ``table``."""
+
+    def function(values: Mapping[str, bool]) -> bool:
+        index = 0
+        for position, name in enumerate(controls):
+            if values[name]:
+                index |= 1 << position
+        return bool((table >> index) & 1)
+
+    return function
 
 
 @dataclass(frozen=True)
@@ -111,14 +168,10 @@ class ToffoliGate:
 
     def as_single_target_gate(self) -> SingleTargetGate:
         """View the Toffoli gate as a single-target gate."""
-        controls = self.control_names()
-        polarities = dict(self.controls)
-
-        def function(values: Mapping[str, bool]) -> bool:
-            return all(bool(values[name]) == polarities[name] for name in controls)
-
+        # The only true row is the one whose control bits match the polarities.
+        row = sum(1 << position for position, (_, positive) in enumerate(self.controls) if positive)
         label = f"and{self.num_controls}" if self.num_controls else "not"
-        return SingleTargetGate(self.target, controls, function, label=label)
+        return SingleTargetGate(self.target, self.control_names(), label=label, table=1 << row)
 
     def __str__(self) -> str:
         if not self.controls:

@@ -27,11 +27,11 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from typing import Iterable
 
-from repro.errors import CircuitError
 from repro.dag.graph import Dag
 from repro.circuits.barenco import decompose_circuit
-from repro.circuits.circuit import QubitRole, ReversibleCircuit
+from repro.circuits.circuit import ReversibleCircuit
 from repro.circuits.compile import (
     CompiledCircuit,
     compile_strategy,
@@ -39,8 +39,9 @@ from repro.circuits.compile import (
     network_controls,
 )
 from repro.circuits.costs import CostModel, circuit_cost
-from repro.circuits.simulator import simulate_circuit
+from repro.circuits.simulator import check_pattern_count, check_patterns
 from repro.logic.network import LogicNetwork
+from repro.obs import trace as _trace
 from repro.pebbling.encoding import DEFAULT_CARDINALITY, EncodingOptions
 from repro.pebbling.portfolio import PortfolioTask, run_portfolio
 from repro.pebbling.search import strategy_from_name
@@ -197,50 +198,36 @@ def verify_compiled_against_network(
 
     ``circuit`` defaults to ``compiled.circuit`` and may be a decomposed
     rewrite of it (same qubit names).  For every input pattern (exhaustive
-    when ``2^inputs <= max_patterns``, otherwise a seeded random sample)
-    the check asserts that every DAG output qubit carries the value the
-    network computes for that signal, that every ancilla qubit is restored
-    to zero, and that input qubits are unchanged.  Raises
-    :class:`~repro.errors.CircuitError` with a counter-example on the first
-    mismatch.
+    when ``2^inputs <= max_patterns``, otherwise a seeded random sample of
+    ``max_patterns``, an int of at least 1) the check asserts that every
+    DAG output qubit carries the value the network computes for that
+    signal, that every ancilla qubit is restored to zero, and that input
+    qubits are unchanged.  Raises :class:`~repro.errors.CircuitError` with
+    a counter-example on the first mismatch.
     """
+    check_pattern_count(max_patterns)
     circuit = circuit if circuit is not None else compiled.circuit
     inputs = network.inputs
     num_inputs = len(inputs)
     if num_inputs <= 30 and (1 << num_inputs) <= max_patterns:
-        patterns = list(range(1 << num_inputs))
+        patterns: Iterable[int] = range(1 << num_inputs)
     else:
         rng = random.Random(seed)
-        patterns = [rng.getrandbits(num_inputs) for _ in range(max_patterns)]
-    for pattern in patterns:
-        assignment = {
-            name: bool((pattern >> position) & 1)
-            for position, name in enumerate(inputs)
-        }
-        values = network.simulate(assignment)
-        circuit_inputs = {
-            qubit: assignment[name]
-            for name, qubit in compiled.input_qubits.items()
-        }
-        final = simulate_circuit(circuit, circuit_inputs)
-        for node, qubit in compiled.output_qubits.items():
-            expected = bool(values[str(node)])
-            if final[qubit] != expected:
-                raise CircuitError(
-                    f"output {node!r} mismatch for input {assignment}: "
-                    f"network computes {expected}, circuit produced {final[qubit]}"
-                )
-        for qubit in circuit.qubits(QubitRole.ANCILLA):
-            if final[qubit]:
-                raise CircuitError(
-                    f"ancilla {qubit!r} left dirty for input {assignment}"
-                )
-        for qubit, value in circuit_inputs.items():
-            if final[qubit] != value:
-                raise CircuitError(
-                    f"input qubit {qubit!r} was modified for input {assignment}"
-                )
-    return len(patterns)
+        patterns = (rng.getrandbits(num_inputs) for _ in range(max_patterns))
+
+    def expected(lanes: dict[str, int], width: int) -> dict[object, int]:
+        values = network.simulate_lanes(lanes, width)
+        return {node: values[str(node)] for node in compiled.output_qubits}
+
+    return check_patterns(
+        circuit,
+        patterns,
+        inputs=inputs,
+        input_qubits=compiled.input_qubits,
+        outputs=list(compiled.output_qubits.items()),
+        expected=expected,
+        expected_as="network computes",
+    )
 
 
 def compile_cache_request(
@@ -315,7 +302,8 @@ def compile_dag(
     and ``verified`` stays ``None``.  ``decompose`` lowers the circuit to
     Toffoli (<= 2-control) gates through the Barenco construction before
     costing, so ``gates``/``t_count`` then reflect elementary-gate counts
-    instead of cost-model estimates.
+    instead of cost-model estimates.  ``max_verify_patterns`` must be an
+    int of at least 1; anything else is refused before the search runs.
 
     ``store`` (an opt-in :class:`~repro.store.ResultStore`) caches at both
     granularities: the whole report is answered from the store when the
@@ -331,6 +319,7 @@ def compile_dag(
     across backends; :attr:`CompilationReport.backend` records the actual
     producer.
     """
+    check_pattern_count(max_verify_patterns)
     started = time.monotonic()
     cacheable = store is not None and cost_model is None
     compile_request = None
@@ -396,7 +385,9 @@ def compile_dag(
     compiled = compile_strategy(dag, strategy, provider=provider, name=name)
     circuit = compiled.circuit
     if decompose:
-        circuit = decompose_circuit(circuit)
+        with _trace.span("compile.lower", gates_in=circuit.num_gates) as span:
+            circuit = decompose_circuit(circuit)
+            span.set(gates_out=circuit.num_gates)
     cost = circuit_cost(circuit, cost_model)
     report.qubits = cost.qubits
     report.gates = cost.gates
@@ -405,13 +396,15 @@ def compile_dag(
     report.strategy = strategy
     report.circuit = circuit
     if verify and network is not None:
-        report.verify_patterns = verify_compiled_against_network(
-            network,
-            compiled,
-            circuit,
-            max_patterns=max_verify_patterns,
-            seed=verify_seed,
-        )
+        with _trace.span("compile.verify") as span:
+            report.verify_patterns = verify_compiled_against_network(
+                network,
+                compiled,
+                circuit,
+                max_patterns=max_verify_patterns,
+                seed=verify_seed,
+            )
+            span.set(patterns=report.verify_patterns)
         report.verified = True
     report.runtime = time.monotonic() - started
     if cacheable:

@@ -63,7 +63,7 @@ Sub-commands
 
 ``trace {summarize,phases,critical-path} FILE``
     Inspect a JSONL trace written with ``--trace`` (accepted by
-    ``pebble``, ``sweep``, ``pebble-batch`` and ``serve``): span/event
+    ``pebble``, ``compile``, ``sweep``, ``pebble-batch`` and ``serve``): span/event
     totals and tree health, per-phase time aggregates with self-time, or
     the latest-finishing root-to-leaf chain of the slowest request.
 
@@ -168,6 +168,17 @@ def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
                              "inspect with 'repro-pebble trace summarize FILE')")
 
 
+def _pattern_count(text: str) -> int:
+    """``--verify-patterns``: a check over no pattern would prove nothing."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -233,13 +244,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_search_arguments(compile_parser)
     compile_parser.add_argument("--no-verify", action="store_false", dest="verify",
                                 help="skip the simulation-based verification")
-    compile_parser.add_argument("--verify-patterns", type=int, default=64,
-                                help="max input patterns checked by the verifier")
+    compile_parser.add_argument("--verify-patterns", type=_pattern_count, default=64,
+                                help="max input patterns checked by the verifier "
+                                     "(at least 1)")
     compile_parser.add_argument("--json", action="store_true", dest="as_json",
                                 help="emit the CompilationReport as JSON")
     compile_parser.add_argument("--grid", action="store_true",
                                 help="print the strategy grid")
     _add_store_argument(compile_parser)
+    _add_trace_argument(compile_parser)
 
     sweep = subparsers.add_parser(
         "sweep", help="Fig. 6-style space-time Pareto sweep across budgets"

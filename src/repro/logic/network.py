@@ -234,23 +234,35 @@ class LogicNetwork:
         Returns the value of every signal (inputs, internal gates and
         outputs).
         """
-        values: dict[str, bool] = {}
-        for name in self._inputs:
-            if name not in assignment:
-                raise LogicNetworkError(f"assignment is missing input {name!r}")
-            values[name] = bool(assignment[name])
-        for name in self.topological_order():
-            if name in values:
-                continue
-            gate = self._gates[name]
-            fanin_values = [values[fanin] for fanin in gate.fanins]
-            values[name] = _evaluate_gate(gate.gate_type, fanin_values)
-        return values
+        lanes = {name: int(bool(value)) for name, value in assignment.items()}
+        return {name: bool(lane) for name, lane in self.simulate_lanes(lanes, 1).items()}
 
     def simulate_outputs(self, assignment: Mapping[str, bool]) -> dict[str, bool]:
         """Evaluate the network and return only the primary outputs."""
         values = self.simulate(assignment)
         return {name: values[name] for name in self._outputs}
+
+    def simulate_lanes(self, input_lanes: Mapping[str, int], width: int) -> dict[str, int]:
+        """Bit-parallel evaluation of ``width`` input patterns at once.
+
+        Bit ``j`` of ``input_lanes[name]`` is the value of input ``name`` in
+        pattern ``j`` (see :func:`pattern_lanes`).  Returns the lane of
+        every signal (inputs, internal gates and outputs), each an integer
+        below ``2^width``.
+        """
+        mask = (1 << width) - 1
+        values: dict[str, int] = {}
+        for name in self._inputs:
+            if name not in input_lanes:
+                raise LogicNetworkError(f"assignment is missing input {name!r}")
+            values[name] = input_lanes[name] & mask
+        for name in self.topological_order():
+            if name in values:
+                continue
+            gate = self._gates[name]
+            fanins = [values[fanin] for fanin in gate.fanins]
+            values[name] = evaluate_gate_lanes(gate.gate_type, fanins, mask)
+        return values
 
     def truth_tables(self) -> dict[str, int]:
         """Bit-parallel simulation over all ``2^n`` input patterns.
@@ -263,21 +275,7 @@ class LogicNetwork:
         n = self.num_inputs
         if n > 16:
             raise LogicNetworkError("truth_tables is limited to 16 primary inputs")
-        num_patterns = 1 << n
-        mask = (1 << num_patterns) - 1
-        values: dict[str, int] = {}
-        for position, name in enumerate(self._inputs):
-            pattern = 0
-            for index in range(num_patterns):
-                if (index >> position) & 1:
-                    pattern |= 1 << index
-            values[name] = pattern
-        for name in self.topological_order():
-            if name in values:
-                continue
-            gate = self._gates[name]
-            fanins = [values[fanin] for fanin in gate.fanins]
-            values[name] = _evaluate_gate_bitparallel(gate.gate_type, fanins, mask)
+        values = self.simulate_lanes(dict(zip(self._inputs, projection_lanes(n))), 1 << n)
         return {name: values[name] for name in self._outputs}
 
     # ------------------------------------------------------------------
@@ -351,37 +349,39 @@ class LogicNetwork:
         )
 
 
-def _evaluate_gate(gate_type: GateType, values: Sequence[bool]) -> bool:
-    if gate_type is GateType.AND:
-        return all(values)
-    if gate_type is GateType.OR:
-        return any(values)
-    if gate_type is GateType.NAND:
-        return not all(values)
-    if gate_type is GateType.NOR:
-        return not any(values)
-    if gate_type is GateType.XOR:
-        result = False
-        for value in values:
-            result ^= value
-        return result
-    if gate_type is GateType.XNOR:
-        result = True
-        for value in values:
-            result ^= value
-        return result
-    if gate_type is GateType.NOT:
-        return not values[0]
-    if gate_type is GateType.BUF:
-        return values[0]
-    if gate_type is GateType.MAJ:
-        return sum(values) >= 2
-    if gate_type is GateType.CONST0:
-        return False
-    return True  # CONST1
+def projection_lanes(count: int) -> list[int]:
+    """The lanes of all ``2^count`` patterns of ``count`` inputs, in order.
+
+    Lane ``k`` has bit ``j`` set exactly when bit ``k`` of ``j`` is set:
+    ``0b1010...`` for input 0, ``0b1100...`` for input 1, and so on.  Each
+    is the classic alternating mask ``(2^(2^count) - 1) / (2^(2^k) + 1)``
+    shifted by ``2^k``, so building them costs ``O(count)`` operations.
+    """
+    full = (1 << (1 << count)) - 1
+    return [(full // ((1 << (1 << k)) + 1)) << (1 << k) for k in range(count)]
 
 
-def _evaluate_gate_bitparallel(gate_type: GateType, values: Sequence[int], mask: int) -> int:
+def pattern_lanes(patterns: Sequence[int], count: int) -> list[int]:
+    """Transpose input patterns into lanes.
+
+    Pattern ``j`` assigns input ``k`` the value of its bit ``k``; lane
+    ``k`` of the result has bit ``j`` set exactly when pattern ``j`` sets
+    input ``k``.  ``patterns[j]`` is never read past bit ``count - 1``.
+    """
+    lanes = [0] * count
+    inputs = (1 << count) - 1
+    for position, pattern in enumerate(patterns):
+        bit = 1 << position
+        pattern &= inputs
+        while pattern:
+            low = pattern & -pattern
+            lanes[low.bit_length() - 1] |= bit
+            pattern ^= low
+    return lanes
+
+
+def evaluate_gate_lanes(gate_type: GateType, values: Sequence[int], mask: int) -> int:
+    """The output lane of one gate given its fan-in lanes (bits above ``mask`` clear)."""
     if gate_type is GateType.AND:
         result = mask
         for value in values:
@@ -393,16 +393,16 @@ def _evaluate_gate_bitparallel(gate_type: GateType, values: Sequence[int], mask:
             result |= value
         return result
     if gate_type is GateType.NAND:
-        return mask & ~_evaluate_gate_bitparallel(GateType.AND, values, mask)
+        return mask & ~evaluate_gate_lanes(GateType.AND, values, mask)
     if gate_type is GateType.NOR:
-        return mask & ~_evaluate_gate_bitparallel(GateType.OR, values, mask)
+        return mask & ~evaluate_gate_lanes(GateType.OR, values, mask)
     if gate_type is GateType.XOR:
         result = 0
         for value in values:
             result ^= value
         return result
     if gate_type is GateType.XNOR:
-        return mask & ~_evaluate_gate_bitparallel(GateType.XOR, values, mask)
+        return mask & ~evaluate_gate_lanes(GateType.XOR, values, mask)
     if gate_type is GateType.NOT:
         return mask & ~values[0]
     if gate_type is GateType.BUF:

@@ -33,6 +33,21 @@ class TestTraceFlag:
         assert path.exists()
         capsys.readouterr()
 
+    def test_compile_traces_lowering_and_verification(self, tmp_path, capsys):
+        from repro.obs.analyze import load_trace, phase_aggregate
+
+        path = tmp_path / "compile.jsonl"
+        assert main(["compile", "c17", "--pebbles", "4", "--decompose",
+                     "--timeout", "30", "--trace", str(path)]) == 0
+        trace = load_trace(path)
+        phases = {row["phase"]: row for row in phase_aggregate(trace)}
+        assert phases["compile.lower"]["count"] == 1
+        assert phases["compile.verify"]["count"] == 1
+        spans = {node.name: node.attrs for node in trace.by_id.values()}
+        assert spans["compile.lower"]["gates_out"] > spans["compile.lower"]["gates_in"] > 0
+        assert spans["compile.verify"]["patterns"] == 32  # exhaustive over c17's 5 inputs
+        capsys.readouterr()
+
 
 class TestTraceSubcommand:
     def test_summarize_exits_zero_on_a_complete_tree(self, traced_run, capsys):
