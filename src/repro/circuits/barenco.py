@@ -189,35 +189,38 @@ def decompose_circuit(
     NOTs first).  All decompositions borrow dirty qubits from the rest of
     the circuit, so the result has exactly the qubits (and roles) of the
     input circuit and computes the same permutation of basis states.  A
-    gate that occurs more than once (a node pebbled and unpebbled on the
-    same qubits) is lowered once and its gates reused.
+    single-target gate that occurs more than once (a node pebbled and
+    unpebbled on the same qubits) is lowered once and its gates reused.
     """
     result = ReversibleCircuit(name or f"{circuit.name}_mct")
     for qubit in circuit.qubits():
         result.add_qubit(qubit, circuit.qubit(qubit).role)
     all_qubits = circuit.qubits()
-    lowered: dict[object, list[ToffoliGate]] = {}
+    lowerings: dict[tuple[str, tuple[str, ...], int], list[ToffoliGate]] = {}
     for gate in circuit.gates:
         if isinstance(gate, ToffoliGate):
             if gate.num_controls <= 2:
                 result.append(gate)
                 continue
-            gates = lowered.get(gate)
-            if gates is None:
-                flips = [ToffoliGate(name) for (name, polarity) in gate.controls if not polarity]
-                borrowed = [q for q in all_qubits if q not in gate.qubits()]
-                gates = lowered[gate] = flips + decompose_mct(
-                    list(gate.control_names()), gate.target, borrowed
-                ) + flips
+            flips = [name for (name, polarity) in gate.controls if not polarity]
+            for qubit in flips:
+                result.append(ToffoliGate(qubit))
+            borrowed = [q for q in all_qubits if q not in gate.qubits()]
+            for lowered in decompose_mct(
+                list(gate.control_names()), gate.target, borrowed
+            ):
+                result.append(lowered)
+            for qubit in flips:
+                result.append(ToffoliGate(qubit))
         else:
             table = _lowering_table(gate)
             key = (gate.target, gate.controls, table)
-            gates = lowered.get(key)
+            gates = lowerings.get(key)
             if gates is None:
-                gates = lowered[key] = _anf_lowering(
+                gates = lowerings[key] = _anf_lowering(
                     gate.target, gate.controls, table, all_qubits
                 )
-        result.extend(gates)
+            result.extend(gates)
     return result
 
 

@@ -221,30 +221,27 @@ def compile_strategy(
             qubit, QubitRole.OUTPUT if qubit in output_holders else QubitRole.ANCILLA
         )
 
-    # A node pebbled and unpebbled on the same qubits is one gate, built once.
-    gates: dict[tuple[NodeId, str, tuple[str, ...]], SingleTargetGate] = {}
     for node, target, control_qubits, label in plans:
-        gate = gates.get((node, target, control_qubits))
-        if gate is None:
-            controls = node_controls[node]
-            gate_function = None
-            if controls.table is None and controls.function is not None:
-                mapping = dict(zip(control_qubits, controls.controls))
-                base_function = controls.function
+        controls = node_controls[node]
+        gate_function = None
+        if controls.table is None and controls.function is not None:
+            mapping = dict(zip(control_qubits, controls.controls))
+            base_function = controls.function
 
-                def gate_function(
-                    values: Mapping[str, bool], _mapping=mapping, _base=base_function
-                ) -> bool:
-                    return _base({_mapping[qubit]: values[qubit] for qubit in _mapping})
+            def gate_function(
+                values: Mapping[str, bool], _mapping=mapping, _base=base_function
+            ) -> bool:
+                return _base({_mapping[qubit]: values[qubit] for qubit in _mapping})
 
-            gate = gates[(node, target, control_qubits)] = SingleTargetGate(
+        circuit.append(
+            SingleTargetGate(
                 target=target,
                 controls=control_qubits,
                 function=gate_function,
                 label=label or str(node),
                 table=controls.table,
             )
-        circuit.append(gate)
+        )
 
     output_qubits = {node: qubit for node, qubit in final_locations.items()}
     return CompiledCircuit(circuit=circuit, output_qubits=output_qubits, input_qubits=input_qubits)

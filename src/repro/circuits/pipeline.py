@@ -302,8 +302,9 @@ def compile_dag(
     and ``verified`` stays ``None``.  ``decompose`` lowers the circuit to
     Toffoli (<= 2-control) gates through the Barenco construction before
     costing, so ``gates``/``t_count`` then reflect elementary-gate counts
-    instead of cost-model estimates.  ``max_verify_patterns`` must be an
-    int of at least 1; anything else is refused before the search runs.
+    instead of cost-model estimates.  When the circuit will be verified,
+    ``max_verify_patterns`` must be an int of at least 1; anything else is
+    refused before the search runs.
 
     ``store`` (an opt-in :class:`~repro.store.ResultStore`) caches at both
     granularities: the whole report is answered from the store when the
@@ -319,7 +320,8 @@ def compile_dag(
     across backends; :attr:`CompilationReport.backend` records the actual
     producer.
     """
-    check_pattern_count(max_verify_patterns)
+    if verify and network is not None:
+        check_pattern_count(max_verify_patterns)
     started = time.monotonic()
     cacheable = store is not None and cost_model is None
     compile_request = None

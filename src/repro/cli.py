@@ -83,8 +83,9 @@ import json
 import sys
 
 from repro.circuits.pipeline import compile_workload, pareto_sweep
+from repro.circuits.simulator import check_pattern_count
 from repro.dag.graph import Dag
-from repro.errors import ReproError
+from repro.errors import CircuitError, ReproError
 from repro.pebbling import (
     EncodingOptions,
     PebblingEncoder,
@@ -168,15 +169,17 @@ def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
                              "inspect with 'repro-pebble trace summarize FILE')")
 
 
-def _pattern_count(text: str) -> int:
-    """``--verify-patterns``: a check over no pattern would prove nothing."""
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
-    return count
+def _check_verify_patterns(
+    parser: argparse.ArgumentParser, arguments: argparse.Namespace
+) -> None:
+    """Refuse, as a usage error, a ``compile --verify-patterns`` count that
+    the verifier would refuse; with ``--no-verify`` it is never used and
+    not checked."""
+    if arguments.command == "compile" and arguments.verify:
+        try:
+            check_pattern_count(arguments.verify_patterns)
+        except CircuitError as error:
+            parser.error(f"argument --verify-patterns: {error}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_search_arguments(compile_parser)
     compile_parser.add_argument("--no-verify", action="store_false", dest="verify",
                                 help="skip the simulation-based verification")
-    compile_parser.add_argument("--verify-patterns", type=_pattern_count, default=64,
+    compile_parser.add_argument("--verify-patterns", type=int, default=64,
                                 help="max input patterns checked by the verifier "
                                      "(at least 1)")
     compile_parser.add_argument("--json", action="store_true", dest="as_json",
@@ -730,6 +733,7 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = build_parser()
     arguments = parser.parse_args(argv)
+    _check_verify_patterns(parser, arguments)
     try:
         # Solving subcommands accept --trace FILE; wrapping the dispatch in
         # the tracer means every span of the run — including pool workers

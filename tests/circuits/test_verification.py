@@ -67,11 +67,26 @@ class TestPatternCountsBelowOne:
             with pytest.raises(CircuitError, match="at least 1"):
                 compile_workload("c17", pebbles=4, max_verify_patterns=count)
 
+    def test_compile_ignores_them_when_nothing_is_verified(self):
+        unverified = compile_workload(
+            "c17", pebbles=4, verify=False, max_verify_patterns=0, time_limit=30
+        )
+        assert unverified.found and unverified.verified is None
+        structural = compile_workload(
+            "hadamard", pebbles=8, max_verify_patterns=0, time_limit=30
+        )
+        assert structural.found and structural.verified is None
+
     def test_cli_rejects_them_at_parse_time(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["compile", "c17", "--pebbles", "4", "--verify-patterns", "0"])
         assert exit_info.value.code == 2
         assert "--verify-patterns" in capsys.readouterr().err
+
+    def test_cli_ignores_them_without_verification(self, capsys):
+        assert main(["compile", "c17", "--pebbles", "4", "--no-verify",
+                     "--verify-patterns", "0", "--timeout", "30"]) == 0
+        capsys.readouterr()
 
 
 def _inverter_network() -> LogicNetwork:
