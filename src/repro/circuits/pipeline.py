@@ -429,8 +429,8 @@ def compile_workload(
     full Boolean fidelity and are verified end-to-end; the others compile
     structurally.
     """
-    dag = load_workload_or_path(workload, scale=scale)
     network = load_workload_network(workload, scale=scale)
+    dag = load_workload_or_path(workload, scale=scale, network=network)
     return compile_dag(
         dag, pebbles=pebbles, network=network, workload=workload, **kwargs
     )
@@ -545,8 +545,8 @@ def pareto_sweep(
     re-run of the sweep answers every point from the cache, and a widened
     budget range warm-starts its new interior points from the old ones.
     """
-    dag = load_workload_or_path(workload, scale=scale)
     network = load_workload_network(workload, scale=scale)
+    dag = load_workload_or_path(workload, scale=scale, network=network)
     options = EncodingOptions(
         cardinality=CardinalityEncoding.from_name(cardinality),
         max_moves_per_step=1 if single_move else None,

@@ -59,7 +59,9 @@ def eager_bennett_strategy(
     topo = _resolve_order(dag, order)
     outputs = set(dag.outputs())
     moves: list[PebbleMove] = []
-    computed: set[NodeId] = set()
+    # Insertion-ordered, so release candidates are visited in the compute
+    # (topological) order, whatever the string hash seed.
+    computed: dict[NodeId, None] = {}
     released: set[NodeId] = set()
 
     def finalised(node: NodeId) -> bool:
@@ -77,12 +79,12 @@ def eager_bennett_strategy(
                 if all(finalised(dependent) for dependent in dag.dependents(candidate)):
                     moves.append(PebbleMove(candidate, pebble=False))
                     released.add(candidate)
-                    computed.discard(candidate)
+                    del computed[candidate]
                     progress = True
 
     for node in topo:
         moves.append(PebbleMove(node, pebble=True))
-        computed.add(node)
+        computed[node] = None
         release_available()
 
     # Any remaining non-output node is released in reverse order, exactly as
@@ -92,7 +94,7 @@ def eager_bennett_strategy(
             continue
         moves.append(PebbleMove(node, pebble=False))
         released.add(node)
-        computed.discard(node)
+        del computed[node]
 
     return PebblingStrategy.from_moves(dag, moves)
 

@@ -244,6 +244,9 @@ class PortfolioRecord:
     #: Anytime snapshot of an incomplete search (see
     #: :attr:`repro.pebbling.solver.PebblingResult.partial`).
     partial: dict[str, object] | None = None
+    #: A ``step-limit`` answer that proves the budget infeasible (see
+    #: :attr:`repro.pebbling.solver.PebblingResult.proved_infeasible`).
+    proved_infeasible: bool = False
     #: Retry attempts this record consumed beyond the first try.
     retries: int = 0
     #: Backend specs of race lanes stopped by first-winner cancellation
@@ -283,6 +286,7 @@ class PortfolioRecord:
             "backend": self.backend,
             "traceback": self.traceback,
             "partial": self.partial,
+            "proved_infeasible": self.proved_infeasible,
             "retries": self.retries,
         }
         if self.race is not None:
@@ -397,6 +401,7 @@ def record_from_result(task: PortfolioTask, result) -> PortfolioRecord:
         complete=result.complete,
         backend=result.backend,
         partial=result.partial,
+        proved_infeasible=result.proved_infeasible,
         counters=counters or None,
     )
     if result.strategy is not None:
@@ -871,6 +876,7 @@ def _merge_race(
         complete=winner.complete,
         traceback=winner.traceback,
         partial=winner.partial,
+        proved_infeasible=winner.proved_infeasible,
         retries=winner.retries,
         # The winning lane's spec, so ``race[backend]`` is its summary;
         # the engine it resolved to is that summary's ``produced_by``.

@@ -33,6 +33,7 @@ picklable backend spec from the registry (see :mod:`repro.sat.backend`).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -161,6 +162,10 @@ class PebblingResult:
     #: count witnessed and the SAT calls spent.  A preempted request hands
     #: this back instead of nothing.
     partial: dict[str, object] | None = None
+    #: ``True`` on a ``step-limit`` answer whose sweep refuted every bound
+    #: through the completeness threshold (see :func:`completeness_threshold`):
+    #: no strategy exists within this budget for any number of steps.
+    proved_infeasible: bool = False
     #: ``True`` when this object was answered from the result store rather
     #: than computed.  Never serialised — a cache hit is byte-identical to
     #: the stored payload by contract, so the flag lives outside
@@ -205,6 +210,7 @@ class PebblingResult:
             "runtime": round(self.runtime, 3),
             "sat_calls": len(self.attempts),
             "complete": self.complete,
+            "proved_infeasible": self.proved_infeasible,
             "backend": self.backend,
         }
         if self.weighted:
@@ -225,7 +231,7 @@ class PebblingResult:
             strategy_payload(self.strategy) if self.strategy is not None else None
         )
         return {
-            "schema": 3,
+            "schema": 4,
             "dag": self.dag_name,
             "max_pebbles": self.max_pebbles,
             "outcome": self.outcome.value,
@@ -235,6 +241,7 @@ class PebblingResult:
             "minimal": self.minimal,
             "backend": self.backend,
             "partial": self.partial,
+            "proved_infeasible": self.proved_infeasible,
             "strategy": strategy,
             "attempts": [record.as_dict() for record in self.attempts],
         }
@@ -265,7 +272,30 @@ class PebblingResult:
             minimal=bool(data.get("minimal", False)),
             backend=str(data.get("backend", DEFAULT_BACKEND)),
             partial=data.get("partial"),  # type: ignore[arg-type]
+            proved_infeasible=bool(data.get("proved_infeasible", False)),
         )
+
+
+def completeness_threshold(nodes: int, budget: int, ceiling: int) -> int | None:
+    """The most steps a shortest strategy can take, or ``None`` past ``ceiling``.
+
+    With at most ``budget`` of ``nodes`` nodes pebbled there are
+    ``C = sum(binom(nodes, i) for i <= budget)`` configurations, and a
+    shortest strategy never repeats one, so it takes at most ``C - 1``
+    steps: refuting every bound up to ``C - 1`` proves the budget
+    infeasible.  This is the completeness threshold of bounded model
+    checking (Biere, Cimatti, Clarke and Zhu, "Symbolic Model Checking
+    without BDDs", TACAS 1999).  A weight budget ``W`` pebbles at most
+    ``W`` nodes, since every weight is a positive integer, so it is passed
+    as ``budget`` unchanged.  The sum stops at the first term that takes
+    it past ``ceiling + 1``.
+    """
+    total = 0
+    for size in range(min(budget, nodes) + 1):
+        total += math.comb(nodes, size)
+        if total - 1 > ceiling:
+            return None
+    return total - 1
 
 
 class _FreshOracle:
@@ -599,7 +629,10 @@ class ReversiblePebblingSolver:
         The number of steps starts at ``initial_steps`` (default: a structural
         lower bound) and evolves after every oracle answer until the search
         strategy is satisfied, ``max_steps`` is exceeded, or the time budget
-        runs out.
+        runs out.  A schedule that certifies minimality also stops at the
+        completeness threshold (:func:`completeness_threshold`) when that is
+        lower; a ``step-limit`` answer that reached it sets
+        :attr:`PebblingResult.proved_infeasible`.
 
         ``strategy`` selects how the step bound evolves — a
         :class:`~repro.pebbling.search.SearchStrategy` object or one of the
@@ -711,6 +744,22 @@ class ReversiblePebblingSolver:
             result.runtime = time.monotonic() - started
             return result
         floor, initial, max_steps = steps
+        # Schedules that refute every bound below their answer stop at the
+        # completeness threshold: no shortest strategy is longer.  A
+        # forbid-idle scan seeded above the floor keeps its ceiling: the
+        # bounds below its seed stay open, and without idle steps a
+        # refuted bound says nothing about the ones below it.  A seed past
+        # the threshold is still queried; with idle steps allowed, that
+        # one answer decides the budget.
+        threshold = None
+        if search.certifies_minimality and (
+            not self.options.forbid_idle_steps or initial <= floor
+        ):
+            threshold = completeness_threshold(
+                self.dag.num_nodes, max_pebbles, max_steps
+            )
+            if threshold is not None:
+                max_steps = max(threshold, min(initial, max_steps))
         cursor = search.start(initial, min(floor, initial), max_steps)
         result = self._result(max_pebbles, PebblingOutcome.TIMEOUT)
         with _trace.span(
@@ -756,6 +805,9 @@ class ReversiblePebblingSolver:
             and search.certifies_minimality
             and (initial <= floor or isinstance(search, GeometricRefine))
         )
+        if threshold is not None and result.outcome is PebblingOutcome.STEP_LIMIT:
+            refuted = cursor.checkpoint()["refuted_through"]
+            result.proved_infeasible = refuted is not None and refuted >= threshold
         result.runtime = time.monotonic() - started
         return result
 

@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 from repro.errors import ReproError
 from repro.fields import check_fields
-from repro.circuits.pipeline import compile_cache_request, compile_workload
+from repro.circuits.pipeline import compile_cache_request, compile_dag
 from repro.obs import metrics as _metrics
 from repro.obs import trace as obs_trace
 from repro.obs.trace import TraceContext
@@ -757,14 +757,17 @@ class PebblingService:
     def _run_compile(self, request: JobRequest) -> JobResult:
         """Run (or cache-answer) one compile request in the batch thread.
 
-        ``compile_workload`` does its own store lookup with the same
-        content address, so a repeat compiles nothing and solves nothing;
-        the source is attributed by probing the cache first.
+        ``compile_dag`` does its own store lookup with the same content
+        address, so a repeat compiles nothing and solves nothing; the
+        source is attributed by probing the cache first.  The workload is
+        loaded once, for the probe and the compile alike.
         """
+        network = load_workload_network(request.workload, scale=request.scale)
+        dag = load_workload_or_path(
+            request.workload, scale=request.scale, network=network
+        )
         cached = None
         if self.store is not None:
-            dag = load_workload_or_path(request.workload, scale=request.scale)
-            network = load_workload_network(request.workload, scale=request.scale)
             cached = self.store.get_compile(
                 dag,
                 network=network,
@@ -783,10 +786,11 @@ class PebblingService:
             )
         if cached is not None:
             return JobResult(request, "ok", "cache", payload=cached.as_dict())
-        report = compile_workload(
-            request.workload,
+        report = compile_dag(
+            dag,
             pebbles=request.budget,
-            scale=request.scale,
+            network=network,
+            workload=request.workload,
             weighted=request.weighted,
             decompose=request.decompose,
             single_move=request.single_move,

@@ -54,8 +54,9 @@ from repro.store.fingerprint import (
 #: an existing database with a different version is wiped and rebuilt (a
 #: cache may always be dropped).  v2: result payloads record the producing
 #: SAT backend (content addresses stay backend-invariant).  v3: pebbling
-#: payloads carry the anytime ``partial`` snapshot field.
-STORE_SCHEMA = 3
+#: payloads carry the anytime ``partial`` snapshot field.  v4: pebbling
+#: payloads carry ``proved_infeasible``.
+STORE_SCHEMA = 4
 
 _LOG = logging.getLogger(__name__)
 

@@ -321,7 +321,9 @@ def load_workload(name: str, *, scale: float = 1.0) -> Dag:
     raise WorkloadError(f"unknown workload {name!r}; valid names: {list_workloads()}")
 
 
-def load_workload_or_path(spec: str, *, scale: float = 1.0) -> Dag:
+def load_workload_or_path(
+    spec: str, *, scale: float = 1.0, network: LogicNetwork | None = None
+) -> Dag:
     """Load a workload by registry name, ``.bench`` path or DAG-JSON path.
 
     This is the resolution rule shared by the CLI, the portfolio workers
@@ -331,6 +333,10 @@ def load_workload_or_path(spec: str, *, scale: float = 1.0) -> Dag:
     historical behaviour fell through to the registry and reported the
     file name as an unknown workload), and an unknown registry name lists
     every valid workload and batch suite.
+
+    ``network`` is what :func:`load_workload_network` already returned for
+    the same ``spec``: a ``.bench`` path then takes its DAG from it
+    instead of parsing the file a second time.
     """
     path = Path(spec)
     if path.suffix in (".bench", ".json"):
@@ -341,9 +347,11 @@ def load_workload_or_path(spec: str, *, scale: float = 1.0) -> Dag:
                 f"(registry workloads: {list_workloads()})"
             )
         if path.suffix == ".bench":
-            from repro.logic.bench import network_from_bench
+            if network is None:
+                from repro.logic.bench import network_from_bench
 
-            return network_from_bench(path).to_dag()
+                network = network_from_bench(path)
+            return network.to_dag()
         return dag_from_json(path)
     try:
         return load_workload(spec, scale=scale)

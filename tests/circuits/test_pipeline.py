@@ -78,6 +78,18 @@ class TestCompileWorkload:
         report = compile_workload(str(path), pebbles=4, time_limit=60)
         assert report.found and report.verified is True
 
+    def test_bench_file_is_parsed_once_per_compile(self, counted_c17_bench):
+        path, parsed = counted_c17_bench
+        report = compile_workload(str(path), pebbles=4, time_limit=60)
+        assert report.found and report.verified is True
+        assert len(parsed) == 1
+        parsed.clear()
+        sweep = pareto_sweep(str(path), budgets=[4], time_limit=60)
+        assert [point.outcome for point in sweep.points] == ["solution"]
+        # One parse for the sweep's own DAG and network, one in the worker
+        # that runs the budget's search.
+        assert len(parsed) == 2
+
 
 class TestWeightedPipeline:
     def test_weighted_budget_reaches_the_sat_encoding(self):

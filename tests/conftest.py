@@ -54,3 +54,22 @@ def half_adder_network() -> LogicNetwork:
     network.add_output("sum")
     network.add_output("carry")
     return network
+
+
+@pytest.fixture
+def counted_c17_bench(tmp_path, monkeypatch):
+    """A ``.bench`` file of c17 and the list of times it has been parsed."""
+    from repro.logic import bench
+    from repro.logic.iscas import c17_network
+
+    path = tmp_path / "c17.bench"
+    bench.write_bench(c17_network(), path)
+    parses: list[object] = []
+    original = bench.network_from_bench
+
+    def counting(*args, **kwargs):
+        parses.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "network_from_bench", counting)
+    return path, parses

@@ -1,11 +1,47 @@
 """Tests for the Bennett and eager-Bennett baseline strategies."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.errors import PebblingError
 from repro.dag import Dag
 from repro.pebbling import bennett_strategy, eager_bennett_strategy
-from repro.workloads import and_tree_dag
+from repro.workloads import and_tree_dag, load_workload
+
+#: Prints the eager-Bennett move list of every workload named on the
+#: command line, as JSON.
+_MOVES = """
+import json, sys
+from repro.pebbling import eager_bennett_strategy
+from repro.workloads import load_workload
+print(json.dumps({
+    name: [str(move) for move in eager_bennett_strategy(load_workload(name)).moves()]
+    for name in sys.argv[1:]
+}))
+"""
+
+
+def _eager_moves_under_hash_seed(seed: int, workloads: list[str]) -> dict:
+    source = Path(repro.__file__).resolve().parents[1]
+    env = {
+        **os.environ,
+        "PYTHONHASHSEED": str(seed),
+        "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(source), os.environ.get("PYTHONPATH")])
+        ),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", _MOVES, *workloads],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 class TestBennett:
@@ -89,3 +125,14 @@ class TestEagerBennett:
         plain = bennett_strategy(dag)
         eager = eager_bennett_strategy(dag)
         assert eager.max_pebbles <= plain.max_pebbles
+
+    def test_release_order_does_not_depend_on_the_hash_seed(self):
+        # Node names are strings, whose hashes change with PYTHONHASHSEED;
+        # candidates are released in topological order, not set order.
+        workloads = ["fig2", "c17", "and9"]
+        first = _eager_moves_under_hash_seed(0, workloads)
+        second = _eager_moves_under_hash_seed(1, workloads)
+        assert first == second
+        for name in workloads:
+            moves = eager_bennett_strategy(load_workload(name)).num_moves
+            assert len(first[name]) == moves

@@ -74,9 +74,9 @@ class TestResultPartials:
 
 
 class TestPartialSerialisation:
-    def test_schema_version_is_3(self, fig2_dag):
+    def test_schema_version_is_4(self, fig2_dag):
         result = ReversiblePebblingSolver(fig2_dag).solve(4, time_limit=60)
-        assert result.to_json()["schema"] == 3
+        assert result.to_json()["schema"] == 4
 
     def test_partial_round_trips_through_json(self, and9_dag):
         result = ReversiblePebblingSolver(and9_dag, conflict_limit=20).solve(
@@ -93,3 +93,18 @@ class TestPartialSerialisation:
         del data["partial"]  # a schema-2 payload
         restored = PebblingResult.from_json(data, fig2_dag)
         assert restored.partial is None
+
+    def test_proved_infeasible_round_trips_through_json(self, fig2_dag):
+        result = ReversiblePebblingSolver(fig2_dag).solve(3, time_limit=60)
+        assert result.proved_infeasible is True
+        assert result.to_json()["proved_infeasible"] is True
+        assert result.summary()["proved_infeasible"] is True
+        restored = PebblingResult.from_json(result.to_json(), fig2_dag)
+        assert restored.proved_infeasible is True
+
+    def test_missing_proved_infeasible_defaults_to_false(self, fig2_dag):
+        result = ReversiblePebblingSolver(fig2_dag).solve(3, time_limit=60)
+        data = result.to_json()
+        del data["proved_infeasible"]  # a schema-3 payload
+        restored = PebblingResult.from_json(data, fig2_dag)
+        assert restored.proved_infeasible is False

@@ -14,6 +14,14 @@ except on the non-certified ``geometric`` row of and9 at 6 pebbles,
 where the changed CNF leads the doubling probe to an 8-step witness
 instead of a 10-step one.  Both were recorded before the default
 changed.
+
+A third table runs the two all-UNSAT sweeps, fig2 and c17 at 3 pebbles,
+at the default step ceiling.  With at most 3 of 6 nodes pebbled there
+are C = 42 configurations, so every schedule that certifies minimality
+stops at the completeness threshold C - 1 = 41 and claims the proof;
+``geometric`` keeps the 4 n^2 ceiling and claims nothing.  The rows of
+the first two tables stop at ``max_steps=40``, one bound short of the
+threshold, and must claim no proof.
 """
 
 from __future__ import annotations
@@ -151,6 +159,28 @@ GOLDEN_TOTALIZER = {
     },
 }
 
+#: (workload, budget) -> schedule -> (outcome, steps, SAT calls, minimal,
+#: proved_infeasible) for incremental=True, then False, at the default
+#: step ceiling.  Both oracles run the sequential counter; the live one
+#: also runs the totalizer, which gives the same rows.
+GOLDEN_THRESHOLD = {
+    ("fig2", 3): {
+        "linear": [("step-limit", None, 38, False, True), ("step-limit", None, 38, False, True)],
+        "geometric": [("step-limit", None, 10, False, False), ("step-limit", None, 10, False, False)],
+        "geometric-refine": [("step-limit", None, 7, False, True), ("step-limit", None, 7, False, True)],
+        "linear-core": [("step-limit", None, 37, False, True), ("step-limit", None, 38, False, True)],
+        "core-refine": [("step-limit", None, 7, False, True), ("step-limit", None, 7, False, True)],
+    },
+    ("c17", 3): {
+        "linear": [("step-limit", None, 38, False, True), ("step-limit", None, 38, False, True)],
+        "geometric": [("step-limit", None, 10, False, False), ("step-limit", None, 10, False, False)],
+        "geometric-refine": [("step-limit", None, 7, False, True), ("step-limit", None, 7, False, True)],
+        "linear-core": [("step-limit", None, 8, False, True), ("step-limit", None, 38, False, True)],
+        "core-refine": [("step-limit", None, 4, False, True), ("step-limit", None, 7, False, True)],
+    },
+}
+
+
 def _row_id(workload, budget, single_move, schedule, incremental):
     return (
         f"{workload}-p{budget}{'-single' if single_move else ''}"
@@ -188,8 +218,29 @@ def _totalizer_rows():
             )
 
 
-def _trajectory(engine, workload, budget, single_move, max_steps, schedule,
-                incremental, cardinality):
+def _threshold_rows():
+    for (workload, budget), by_schedule in GOLDEN_THRESHOLD.items():
+        for schedule in SCHEDULES:
+            live, fresh = by_schedule[schedule]
+            for cardinality, incremental, expected in (
+                (CardinalityEncoding.SEQUENTIAL, True, live),
+                (CardinalityEncoding.SEQUENTIAL, False, fresh),
+                (CardinalityEncoding.TOTALIZER, True, live),
+            ):
+                yield pytest.param(
+                    workload,
+                    budget,
+                    schedule,
+                    incremental,
+                    cardinality,
+                    expected,
+                    id=_row_id(workload, budget, False, schedule, incremental)
+                    + f"-{cardinality.value}",
+                )
+
+
+def _search(engine, workload, budget, single_move, max_steps, schedule,
+            incremental, cardinality):
     options = EncodingOptions(
         cardinality=cardinality, max_moves_per_step=1 if single_move else None
     )
@@ -198,6 +249,10 @@ def _trajectory(engine, workload, budget, single_move, max_steps, schedule,
     )
     result = solver.solve(budget, strategy=schedule, max_steps=max_steps)
     assert result.complete
+    return result
+
+
+def _trajectory(result):
     return (
         result.outcome.value,
         result.num_steps,
@@ -214,10 +269,12 @@ def _trajectory(engine, workload, budget, single_move, max_steps, schedule,
 def test_search_trajectory_matches_the_golden_table(
     engine, workload, budget, single_move, max_steps, schedule, incremental, expected
 ):
-    assert _trajectory(
+    result = _search(
         engine, workload, budget, single_move, max_steps, schedule, incremental,
         CardinalityEncoding.SEQUENTIAL,
-    ) == expected
+    )
+    assert _trajectory(result) == expected
+    assert not result.proved_infeasible
 
 
 def test_the_golden_table_has_eighty_rows():
@@ -232,12 +289,32 @@ def test_the_golden_table_has_eighty_rows():
 def test_live_totalizer_trajectory_matches_the_golden_table(
     engine, workload, budget, single_move, max_steps, schedule, expected
 ):
-    assert _trajectory(
+    result = _search(
         engine, workload, budget, single_move, max_steps, schedule, True,
         CardinalityEncoding.TOTALIZER,
-    ) == expected
+    )
+    assert _trajectory(result) == expected
+    assert not result.proved_infeasible
 
 
 def test_the_totalizer_table_covers_every_live_row():
     assert list(GOLDEN_TOTALIZER) == list(GOLDEN)
     assert len(list(_totalizer_rows())) == 40
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize(
+    ("workload", "budget", "schedule", "incremental", "cardinality", "expected"),
+    list(_threshold_rows()),
+)
+def test_sweep_to_the_threshold_matches_the_golden_table(
+    engine, workload, budget, schedule, incremental, cardinality, expected
+):
+    result = _search(
+        engine, workload, budget, False, None, schedule, incremental, cardinality
+    )
+    assert (*_trajectory(result), result.proved_infeasible) == expected
+
+
+def test_the_threshold_table_has_thirty_rows():
+    assert len(list(_threshold_rows())) == 30

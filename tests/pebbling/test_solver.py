@@ -18,6 +18,7 @@ from repro.pebbling import (
     pebble_dag,
 )
 from repro.pebbling.search import strategy_from_name
+from repro.pebbling.solver import completeness_threshold
 
 
 class TestProblemOne:
@@ -384,3 +385,76 @@ class TestStepFloorAndMinimality:
         )
         assert result.found
         assert not result.minimal
+
+
+class TestCompletenessThreshold:
+    """At most P of n nodes pebbled leave C = sum(binom(n, i), i <= P)
+    configurations, so a shortest strategy takes at most C - 1 steps."""
+
+    def test_threshold_counts_configurations(self):
+        assert completeness_threshold(6, 3, 144) == 1 + 6 + 15 + 20 - 1
+        assert completeness_threshold(8, 4, 256) == 162
+        # A budget of every node (or more) allows all 2^n configurations.
+        assert completeness_threshold(6, 6, 144) == 63
+        assert completeness_threshold(6, 10, 144) == 63
+
+    def test_threshold_past_the_ceiling_is_none(self):
+        assert completeness_threshold(8, 4, 161) is None
+        assert completeness_threshold(8, 4, 162) == 162
+        # The sum stops once it passes the ceiling: this would be a
+        # million-term sum of enormous binomials otherwise.
+        assert completeness_threshold(10**6, 10**6, 100) is None
+
+    def test_linear_sweep_stops_at_the_threshold(self, fig2_dag):
+        result = ReversiblePebblingSolver(fig2_dag).solve(3, time_limit=60)
+        assert result.outcome is PebblingOutcome.STEP_LIMIT and result.complete
+        assert result.proved_infeasible
+        assert [record.num_steps for record in result.attempts] == list(range(4, 42))
+
+    def test_a_ceiling_below_the_threshold_proves_nothing(self, fig2_dag):
+        result = ReversiblePebblingSolver(fig2_dag).solve(3, max_steps=40)
+        assert result.outcome is PebblingOutcome.STEP_LIMIT
+        assert not result.proved_infeasible
+        assert result.attempts[-1].num_steps == 40
+
+    def test_overshooting_schedules_keep_their_ceiling(self, fig2_dag):
+        solver = ReversiblePebblingSolver(fig2_dag)
+        for strategy in ("geometric", strategy_from_name("linear", step_increment=2)):
+            result = solver.solve(3, strategy=strategy)
+            assert result.outcome is PebblingOutcome.STEP_LIMIT
+            assert not result.proved_infeasible
+            assert result.attempts[-1].num_steps > 41
+
+    def test_a_scan_seeded_past_the_threshold_decides_with_one_call(self, fig2_dag):
+        # Idle steps allowed: a strategy, if any, pads up to the seed.
+        result = ReversiblePebblingSolver(fig2_dag).solve(3, initial_steps=50)
+        assert result.proved_infeasible
+        assert [record.num_steps for record in result.attempts] == [50]
+        found = ReversiblePebblingSolver(fig2_dag).solve(4, initial_steps=50)
+        assert found.found and len(found.attempts) == 1
+
+    def test_forbidden_idle_steps_cap_only_scans_from_the_floor(self, fig2_dag):
+        solver = ReversiblePebblingSolver(
+            fig2_dag, options=EncodingOptions(forbid_idle_steps=True)
+        )
+        floored = solver.solve(3)
+        assert floored.proved_infeasible
+        assert floored.attempts[-1].num_steps == 41
+        # Seeded above the floor, the bounds below the seed stay open and
+        # step-satisfiability is not monotone: no cap, no proof.
+        seeded = solver.solve(3, initial_steps=10)
+        assert seeded.outcome is PebblingOutcome.STEP_LIMIT
+        assert not seeded.proved_infeasible
+        assert seeded.attempts[-1].num_steps == 4 * 6 * 6
+
+    def test_weight_budgets_count_at_most_w_nodes(self, fig2_dag):
+        weighted = ReversiblePebblingSolver(
+            fig2_dag, options=EncodingOptions(weighted=True)
+        ).solve(3)
+        assert weighted.proved_infeasible
+        assert len(weighted.attempts) == 38
+
+    def test_feasible_budgets_are_untouched(self, fig2_dag):
+        result = ReversiblePebblingSolver(fig2_dag).solve(4)
+        assert (result.num_steps, len(result.attempts), result.minimal) == (6, 3, True)
+        assert not result.proved_infeasible

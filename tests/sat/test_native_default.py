@@ -229,7 +229,9 @@ class TestPerCallCounters:
             return made[-1]
 
         monkeypatch.setattr(ReversiblePebblingSolver, "_make_solver", keep)
-        result = ReversiblePebblingSolver(load_workload("c17")).solve(3)
+        # An all-UNSAT sweep that stays long under the completeness
+        # threshold: 216 SAT calls.
+        result = ReversiblePebblingSolver(load_workload("hadamard")).solve(5)
         (solver,) = made
         attempts = [record.conflicts for record in result.attempts]
         assert len(attempts) > 100

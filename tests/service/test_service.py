@@ -171,6 +171,26 @@ class TestService:
         assert second.source == "cache"
         assert second.payload == first.payload
 
+    def test_compile_request_parses_a_bench_file_once(self, tmp_path, counted_c17_bench):
+        path, parsed = counted_c17_bench
+        request = JobRequest(kind="compile", workload=str(path), budget=4,
+                             time_limit=60)
+
+        async def scenario():
+            async with PebblingService(
+                store=str(tmp_path / "cache.db"), batch_window=0.0
+            ) as service:
+                miss = await service.submit(request)
+                after_miss = len(parsed)
+                hit = await service.submit(request)
+                return miss, after_miss, hit
+
+        miss, after_miss, hit = _run(scenario())
+        assert (miss.source, hit.source) == ("solver", "cache")
+        assert miss.payload["verified"] is True
+        assert after_miss == 1
+        assert len(parsed) == 2
+
     def test_errors_are_contained_results(self):
         async def scenario():
             async with PebblingService(batch_window=0.0) as service:
