@@ -58,8 +58,8 @@ instead of an error.
 
 Since schema v7 the report adds a ``profile`` scenario: every instance is
 re-run on the current engine with per-phase timers enabled and the report
-records the propagate/analyze/reduce/inprocess wall-clock split,
-conflicts/sec and the LBD/inprocessing counters per instance — the
+records the propagate/analyze/reduce wall-clock split,
+conflicts/sec and the LBD counters per instance — the
 before/after of every solver-layout change lands in the trajectory, not
 in prose.  Scenarios are individually selectable via ``--scenario``
 (see ``--list-scenarios``), and the harness gates the trajectory: a
@@ -80,6 +80,12 @@ Schema v11 drops the ``cubes`` scenario (added in v8) and the ``obs``
 scenario's cube trace, because cube-and-conquer was retired: it lost to
 the sequential search on wall-clock time in every pair of its last
 measurement (EXPERIMENTS.md, "Cube-and-conquer retired").
+
+Schema v12 drops the ``simplify`` scenario (added in v10) and the
+profile scenario's ``inprocess``/``bve``/``vivify`` phases, because the
+Python engine no longer has inprocessing, variable elimination,
+vivification or chronological backtracking: every ablation measured at
+noise (EXPERIMENTS.md, "The Python engine as a deterministic reference").
 """
 
 from __future__ import annotations
@@ -122,7 +128,7 @@ from repro.pebbling.search import GeometricRefine  # noqa: E402
 from repro.store import ResultStore  # noqa: E402
 from repro.workloads import load_workload  # noqa: E402
 
-SCHEMA_VERSION = 11
+SCHEMA_VERSION = 12
 
 #: A full run fails when the geometric-mean speedup drops more than this
 #: fraction below the previous tracked ``BENCH_<n>.json``.
@@ -578,153 +584,6 @@ def run_backend_bench(*, quick: bool = False) -> dict[str, object]:
 
 
 # ---------------------------------------------------------------------------
-# simplify scenario: per-technique attribution of the simplification engine
-# ---------------------------------------------------------------------------
-#: (name, workload, budget, single_move, max_steps, quick) cases for the
-#: simplification ablations through the incremental pebbling loop.  These
-#: gate *soundness*: ablating a technique must never change a pebbling
-#: verdict or a certified step count.  Their per-bound queries are too
-#: short for the conflict-counted inprocessing trigger, so the technique
-#: counters mostly stay at zero here — attribution comes from the direct
-#: CNF cases below, whose single long solves engage the engine for real.
-SIMPLIFY_CASES: list[tuple[str, str, int, bool, "int | None", bool]] = [
-    ("fig2_p4", "fig2", 4, False, None, True),
-    ("c17_p4", "c17", 4, False, None, True),
-    ("and9_p4_sm", "and9", 4, True, None, False),
-    ("hadamard_p5", "hadamard", 5, False, None, False),
-]
-
-#: (name, build, quick) direct-CNF cases: one uninterrupted solve each,
-#: long enough that root-level inprocessing fires.  Pigeonhole is the
-#: BVE/vivification showcase (dense symmetric clauses, conflict-analysis
-#: heavy); random 3-SAT near the phase transition exercises chronological
-#: backtracking on an unstructured formula.
-SIMPLIFY_CNF_CASES: list[tuple[str, Callable[[], Cnf], bool]] = [
-    ("php_8_7", lambda: pigeonhole(8, 7), False),
-    ("rand3sat_v130", lambda: random_3sat(130, 598, seed=13), False),
-]
-
-#: Ablation lanes: the Python engine (every technique at its shipped
-#: setting) against one technique disabled at a time.
-SIMPLIFY_CONFIGS: list[tuple[str, str]] = [
-    ("full", "cdcl:native=0"),
-    ("no_bve", "cdcl:bve=0"),
-    ("no_vivify", "cdcl:vivify=0"),
-    ("no_chrono", "cdcl:chrono=0"),
-]
-
-#: Technique counters folded into each simplify row.
-SIMPLIFY_COUNTERS = (
-    "eliminated_variables", "restored_variables", "bve_resolvents",
-    "vivified_clauses", "chrono_backtracks",
-)
-
-
-def run_simplify_bench(*, quick: bool = False) -> dict[str, object]:
-    """Ablate each simplification technique and attribute its cost/benefit.
-
-    Every case runs once per config; ``simplify_ok`` requires byte-equal
-    (outcome, steps) across all of them — turning a technique off must
-    never change an answer, only the time it takes.  ``attribution`` sums
-    wall-clock per ablation and reports it relative to the full engine
-    (``vs_full`` > 1 means the disabled technique was paying for itself).
-    """
-    rows: list[dict[str, object]] = []
-    simplify_ok = True
-    totals = {label: 0.0 for label, _ in SIMPLIFY_CONFIGS}
-
-    def record(name: str, runs: dict[str, dict[str, object]], ok: bool) -> None:
-        nonlocal simplify_ok
-        simplify_ok = simplify_ok and ok
-        rows.append({"name": name, "runs": runs, "ok": ok})
-        summary = "  ".join(
-            f"{label}={run['seconds']:.3f}s" for label, run in runs.items()
-        )
-        print(f"simplify {name:14s} {summary}  {'ok' if ok else 'MISMATCH'}")
-
-    for name, workload, budget, single_move, cap, is_quick in SIMPLIFY_CASES:
-        if quick and not is_quick:
-            continue
-        dag = load_workload(workload)
-        options = EncodingOptions(max_moves_per_step=1 if single_move else None)
-        runs: dict[str, dict[str, object]] = {}
-        reference: tuple[str, object] | None = None
-        ok = True
-        for label, spec in SIMPLIFY_CONFIGS:
-            solver = ReversiblePebblingSolver(dag, options=options, backend=spec)
-            started = time.perf_counter()
-            result = solver.solve(budget, time_limit=120.0, max_steps=cap)
-            elapsed = time.perf_counter() - started
-            totals[label] += elapsed
-            counters = dict.fromkeys(SIMPLIFY_COUNTERS, 0)
-            for attempt in result.attempts:
-                for key in SIMPLIFY_COUNTERS:
-                    counters[key] += int(attempt.solver_stats.get(key, 0))
-            verdict = (result.outcome.value, result.num_steps)
-            if reference is None:
-                reference = verdict
-            elif verdict != reference:
-                ok = False
-            runs[label] = {
-                "verdict": result.outcome.value,
-                "steps": result.num_steps,
-                "seconds": round(elapsed, 3),
-                "counters": counters,
-            }
-        record(name, runs, ok)
-
-    for name, build, is_quick in SIMPLIFY_CNF_CASES:
-        if quick and not is_quick:
-            continue
-        instance = build()
-        runs = {}
-        cnf_reference: str | None = None
-        ok = True
-        for label, spec in SIMPLIFY_CONFIGS:
-            backend = create_backend(spec)
-            for clause in instance.clauses:
-                backend.add_clause(clause)
-            started = time.perf_counter()
-            result = backend.solve(time_limit=120.0)
-            elapsed = time.perf_counter() - started
-            totals[label] += elapsed
-            reported = backend.counters()
-            counters = {
-                key: int(reported.get(key) or 0) for key in SIMPLIFY_COUNTERS
-            }
-            verdict = result.status.value
-            if cnf_reference is None:
-                cnf_reference = verdict
-            elif verdict != cnf_reference:
-                ok = False
-            runs[label] = {
-                "verdict": verdict,
-                "steps": None,
-                "seconds": round(elapsed, 3),
-                "counters": counters,
-            }
-        record(name, runs, ok)
-    full_seconds = totals["full"]
-    attribution: dict[str, dict[str, object]] = {}
-    for label, _ in SIMPLIFY_CONFIGS:
-        if label == "full":
-            continue
-        attribution[label] = {
-            "seconds": round(totals[label], 3),
-            "vs_full": (
-                round(totals[label] / full_seconds, 3)
-                if full_seconds > 0 else None
-            ),
-        }
-    return {
-        "cases": rows,
-        "simplify_ok": simplify_ok,
-        "full_seconds": round(full_seconds, 3),
-        "attribution": attribution,
-    }
-
-
-# ---------------------------------------------------------------------------
 # core-guided scenario: plain vs core-guided GeometricRefine (schema v5)
 # ---------------------------------------------------------------------------
 #: (workload, budget, quick) cases for the core-guided comparison; all are
@@ -961,23 +820,14 @@ def run_chaos_bench(*, quick: bool = False) -> dict[str, object]:
 # ---------------------------------------------------------------------------
 # profile scenario: per-phase time splits on the current engine (schema v7)
 # ---------------------------------------------------------------------------
-#: The per-phase timers the Python engine keeps in profile mode
-#: (``bve`` and ``vivify`` are sub-slices of ``inprocess``).
-PROFILE_PHASES = ("propagate", "analyze", "reduce", "inprocess", "bve", "vivify")
-
-#: Phases summed for the "timed solver work" denominator — excludes the
-#: sub-slices so no second is counted twice.
-PROFILE_TOP_PHASES = ("propagate", "analyze", "reduce", "inprocess")
+#: The per-phase timers the Python engine keeps in profile mode.
+PROFILE_PHASES = ("propagate", "analyze", "reduce")
 
 #: Per-solve counters accumulated across every SAT call of an instance.
 PROFILE_COUNTERS = (
     "conflicts", "propagations", "decisions", "restarts",
     "learned_clauses", "deleted_clauses",
     "lbd_glue", "lbd_mid", "lbd_high", "lbd_sum",
-    "subsumed_clauses", "strengthened_clauses", "root_simplified",
-    "inprocessings",
-    "eliminated_variables", "restored_variables", "bve_resolvents",
-    "vivified_clauses", "chrono_backtracks",
 )
 
 #: The Python engine with its phase timers on.
@@ -988,9 +838,9 @@ def run_profile_bench(*, quick: bool = False) -> dict[str, object]:
     """Re-run every instance with per-phase timers on the current engine.
 
     Each instance row records where the wall-clock went — the
-    propagate/analyze/reduce/inprocess split (absolute seconds and the
-    share of the total timed solver work), conflicts/sec, and the
-    LBD/inprocessing counters — so each solver-layout change is measured
+    propagate/analyze/reduce split (absolute seconds and the share of
+    the total timed solver work), conflicts/sec, and the LBD
+    counters — so each solver-layout change is measured
     per move, per instance, in the tracked BENCH file.
     ``phases_present`` confirms every row carries the full split.
     """
@@ -1011,7 +861,7 @@ def run_profile_bench(*, quick: bool = False) -> dict[str, object]:
             totals[counter] = sum(call.get(counter, 0) for call in calls)
         for phase in PROFILE_PHASES:
             totals[phase] = sum(call.get(f"time_{phase}", 0.0) for call in calls)
-        timed = sum(totals[phase] for phase in PROFILE_TOP_PHASES)
+        timed = sum(totals[phase] for phase in PROFILE_PHASES)
         phases = {
             phase: {
                 "seconds": round(totals[phase], 4),
@@ -1040,7 +890,7 @@ def run_profile_bench(*, quick: bool = False) -> dict[str, object]:
         rows.append(row)
         split = "  ".join(
             f"{phase[:4]}={phases[phase]['seconds']:7.3f}s"
-            for phase in PROFILE_TOP_PHASES
+            for phase in PROFILE_PHASES
         )
         print(f"profile {instance.name:26s} {elapsed:8.3f}s  {split}  "
               f"{row['conflicts_per_sec']:9.1f} confl/s")
@@ -1324,9 +1174,6 @@ SCENARIOS: dict[str, tuple[str, str, str]] = {
               "result store: cold vs warm-started vs cache-hit searches"),
     "backends": ("backends", "verdicts_match",
                  "verdict/step parity across cdcl, dpll and the external stub"),
-    "simplify": ("simplify", "simplify_ok",
-                 "simplification ablations: full engine vs bve/vivify/chrono "
-                 "off (verdict parity + per-technique attribution)"),
     "core_guided": ("core_guided", "core_ok",
                     "plain vs core-guided geometric-refine"),
     "chaos": ("chaos", "chaos_ok",
@@ -1444,7 +1291,6 @@ def run_benchmarks(
             "compile": lambda: run_compile_bench(quick=quick),
             "cache": lambda: run_cache_bench(quick=quick),
             "backends": lambda: run_backend_bench(quick=quick),
-            "simplify": lambda: run_simplify_bench(quick=quick),
             "core_guided": lambda: run_core_guided_bench(quick=quick),
             "chaos": lambda: run_chaos_bench(quick=quick),
             "profile": lambda: run_profile_bench(quick=quick),

@@ -425,9 +425,6 @@ def _format_stats_line(attempts) -> str:
         "learned_clauses", "deleted_clauses", "max_decision_level",
         "blocker_hits", "heap_decisions", "deadline_checks_skipped",
         "lbd_glue", "lbd_mid", "lbd_high", "lbd_sum",
-        "subsumed_clauses", "strengthened_clauses", "root_simplified",
-        "inprocessings", "eliminated_variables", "restored_variables",
-        "bve_resolvents", "vivified_clauses", "chrono_backtracks",
     ]
     parts = [f"{key}={int(totals[key])}" for key in ordered if key in totals]
     parts.extend(

@@ -98,19 +98,16 @@ class Dag:
         for dependency in unique_dependencies:
             self._dependents[dependency].append(identifier)
         self._topological_cache = None
-        if self._creates_cycle(identifier):
-            # Roll back the insertion to keep the graph consistent.
+        # A node added for the first time has no dependents yet, so only
+        # a former forward reference can close a cycle.
+        if was_placeholder and self._creates_cycle(identifier):
+            # Roll back the insertion and restore the placeholder that the
+            # forward reference created.
             for dependency in unique_dependencies:
                 self._dependents[dependency].remove(identifier)
-            if was_placeholder:
-                # Restore the placeholder that the forward reference created.
-                self._nodes[identifier] = DagNode(identifier)
-                self._dependencies[identifier] = ()
-                self._placeholders.add(identifier)
-            else:
-                del self._nodes[identifier]
-                del self._dependencies[identifier]
-                self._dependents.pop(identifier, None)
+            self._nodes[identifier] = DagNode(identifier)
+            self._dependencies[identifier] = ()
+            self._placeholders.add(identifier)
             raise DagError(f"adding node {identifier!r} would create a cycle")
         return node
 

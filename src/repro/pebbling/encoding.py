@@ -328,7 +328,6 @@ class PebblingEncoder:
         self._num_steps = 0
         self._drained = 0  # clauses drained so far
         self._drained_at = 0  # their length in the literal stream
-        self._new_named: list[int] = []
         if max_pebbles is not None:
             self._start(max_pebbles)
 
@@ -346,7 +345,6 @@ class PebblingEncoder:
         first = self._emit_configuration(cnf, 0)
         pebbles = range(first, first + len(self._nodes))
         self._configurations.append(first)
-        self._new_named.extend(pebbles)
         # Initial clauses: at time 0 nothing is pebbled.
         flat: list[int] = []
         for variable in pebbles:
@@ -479,7 +477,6 @@ class PebblingEncoder:
             template.clauses,
         )
         configurations.append(first)
-        self._new_named.extend(range(first, first + len(self._nodes)))
 
     def extend_to(self, num_steps: int) -> None:
         """Grow the encoding to ``num_steps`` transitions.
@@ -515,7 +512,6 @@ class PebblingEncoder:
         guard = self._guards.get(step)
         if guard is None:
             guard = cnf.new_block(1, lambda offset: f"final[{step}]")
-            self._new_named.append(guard)
             flat: list[int] = []
             for literal, node in enumerate(self._nodes, first):
                 flat += (-guard, literal if node in self._outputs else -literal, 0)
@@ -531,20 +527,6 @@ class PebblingEncoder:
         for literal, node in enumerate(self._nodes, first):
             flat += (literal if node in self._outputs else -literal, 0)
         cnf.add_generated(flat)
-
-    def drain_new_named_variables(self) -> list[int]:
-        """Return the pebble/guard variables created since the last drain.
-
-        These are exactly the variables that future frames and assumption
-        ladders will mention again; incremental backends with root-level
-        variable elimination freeze them so simplification never touches a
-        variable the next bound still needs.  Auxiliary variables (move
-        flags, cardinality ladders) are deliberately *not* reported — they
-        are internal to their frame and safe to eliminate.
-        """
-        fresh = self._new_named
-        self._new_named = []
-        return fresh
 
     def drain_new_literals(self) -> tuple[array, int]:
         """Return the literal stream emitted since the last drain.

@@ -390,22 +390,6 @@ class _LiveOracle:
         else:
             for literals in split_clauses(fresh):
                 self.backend.add_clause(literals)
-        # Pebble and guard variables are re-mentioned by every later frame
-        # and assumption ladder; backends with root-level variable
-        # elimination must never eliminate them.  The loop deliberately
-        # does NOT call backend.simplify() between bounds: explicit
-        # inter-bound passes measured a net slowdown on this suite — BVE
-        # trades the encoder's short structured clauses for fatter
-        # resolvents over the (frozen) pebble variables, and the per-bound
-        # queries are too short to amortise the swap (see EXPERIMENTS.md,
-        # schema v10).  The solver's own conflict-counted inprocessing
-        # trigger still fires on long queries, which is why the freeze
-        # discipline matters here.
-        freeze = getattr(self.backend, "freeze", None)
-        if freeze is not None:
-            fresh_variables = self.encoder.drain_new_named_variables()
-            if fresh_variables:
-                freeze(fresh_variables)
         return ladder
 
     def solve(self, time_limit: float | None) -> SolveResult:
@@ -539,16 +523,32 @@ class ReversiblePebblingSolver:
     def default_initial_steps(self, *, max_pebbles: int) -> int:
         """A safe lower bound on the number of transitions.
 
-        With several moves allowed per transition, reaching the deepest
-        output still needs at least ``depth`` transitions; with single-move
-        transitions every node must be pebbled once and every non-output
-        unpebbled once, giving ``2 |V| - |O|``.
+        Only the outputs and their ancestors ever need a pebble.  With
+        several moves allowed per transition, a node at level ``l``
+        (sources are level 1) goes on no earlier than transition ``l``,
+        and a non-output stays pebbled while each dependent goes on, so
+        it comes off at transition ``l + 1`` at the earliest for every
+        dependent's level ``l``.  That is one step past the deepest
+        output only when one of those outputs reads a non-output: one
+        that reads only outputs can go on in the very transition that
+        clears the rest.  With single-move transitions every needed node
+        must be pebbled once and every needed non-output unpebbled once,
+        giving ``2 |needed| - |O|``.
         """
-        stats = self.dag.statistics()
+        outputs = set(self.dag.outputs())
+        needed = set(outputs)
+        for node in reversed(self.dag.topological_order()):
+            if node in needed:
+                needed.update(self.dag.dependencies(node))
         if self.options.max_moves_per_step == 1:
-            lower = 2 * stats.num_nodes - stats.num_outputs
+            lower = 2 * len(needed) - len(outputs)
         else:
-            lower = stats.depth + (1 if stats.num_nodes > stats.num_outputs else 0)
+            levels = self.dag.levels()
+            lower = max(levels[output] for output in outputs)
+            for node in needed - outputs:
+                for dependent in self.dag.dependents(node):
+                    if dependent in needed:
+                        lower = max(lower, levels[dependent] + 1)
         return max(1, lower)
 
     def _schedule(self, strategy: SearchStrategy | str | None) -> SearchStrategy:

@@ -16,7 +16,7 @@ CLI) can carry a backend across process boundaries as plain data:
     names the one that runs (``cdcl:native=1`` / ``cdcl:native=0``) and
     :func:`backend_fallback_reason` says why the C core did not.
     ``native=0``/``native=1`` pick an engine explicitly, and a key only
-    the Python engine honours (``cdcl:bve=0``, ``var_decay=0.9``, ...)
+    the Python engine honours (``cdcl:var_decay=0.9``, ``glue_max=3``, ...)
     selects it; see :class:`CdclSpec` for the accepted keys.
 
 ``"dpll"``
@@ -769,16 +769,6 @@ class CdclSpec:
     learned_limit_base: int = 1000
     #: LBD at or below which learned clauses are kept forever.
     glue_max: int = 2
-    #: Conflicts between root-level inprocessing passes (0 disables).
-    inprocess_interval: int = 3000
-    #: Bounded variable elimination during inprocessing (0/1).
-    bve: bool = True
-    #: Extra resolvents an elimination may add beyond removed clauses.
-    bve_grow: int = 0
-    #: Clause vivification during inprocessing (0/1).
-    vivify: bool = True
-    #: Chronological-backtracking jump-distance threshold (0 disables).
-    chrono: int = 100
     #: Engine: 1 = the ctypes-loaded C core, 0 = the Python engine,
     #: absent = the C core when it loads.
     native: bool | None = None
@@ -786,11 +776,10 @@ class CdclSpec:
     profile: bool = False
 
     _INT_KEYS = ("restart_base", "seed", "reduce_min_learned",
-                 "learned_limit_base", "glue_max", "inprocess_interval",
-                 "bve_grow", "chrono")
+                 "learned_limit_base", "glue_max")
     _FLOAT_KEYS = ("var_decay", "clause_decay")
     #: ``native`` last, so a rendered spec ends by naming its engine.
-    _BOOL_KEYS = ("bve", "vivify", "profile", "native")
+    _BOOL_KEYS = ("profile", "native")
     #: Keys the C core honours; every other key tunes the Python engine.
     _NATIVE_KEYS = ("restart_base", "seed", "native")
 
@@ -846,11 +835,15 @@ class CdclSpec:
                     raise SolverError(
                         f"cdcl: {key} wants an integer, got {value!r}"
                     ) from None
-                if key == "restart_base" and parsed < 1:
-                    raise SolverError(f"cdcl: restart_base must be >= 1, got {parsed}")
-                if key in ("reduce_min_learned", "learned_limit_base",
-                           "glue_max", "inprocess_interval", "bve_grow",
-                           "chrono") and parsed < 0:
+                if key in cls._NATIVE_KEYS:
+                    # Shared by both engines, so bounded by what the C
+                    # core can hold.
+                    from repro.sat.native import core_option_error
+
+                    problem = core_option_error(key, parsed)
+                    if problem is not None:
+                        raise SolverError(f"cdcl: {problem}")
+                elif parsed < 0:
                     raise SolverError(f"cdcl: {key} must be >= 0, got {parsed}")
                 values[key] = parsed
             elif key in cls._FLOAT_KEYS:
@@ -918,11 +911,6 @@ class CdclSpec:
             reduce_min_learned=self.reduce_min_learned,
             learned_limit_base=self.learned_limit_base,
             glue_max=self.glue_max,
-            inprocess_interval=self.inprocess_interval,
-            bve=self.bve,
-            bve_grow=self.bve_grow,
-            vivify=self.vivify,
-            chrono=self.chrono,
             profile=self.profile,
         )
 
@@ -956,7 +944,7 @@ register_backend(
     description=(
         "CDCL engine with assumption cores: the C core when it loads, else "
         "the Python engine; 'cdcl:native=0' forces Python, Python-only "
-        "knobs ('cdcl:bve=0,var_decay=F,...') select it"
+        "knobs ('cdcl:var_decay=F,glue_max=N,...') select it"
     ),
     probe=_probe_cdcl,
 )

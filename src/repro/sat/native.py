@@ -53,6 +53,19 @@ _COUNTER_NAMES = (
 )
 _CounterArray = ctypes.c_int64 * len(_COUNTER_NAMES)
 
+#: The values the core can hold for its two options: ``cdcl_new`` takes
+#: the seed as a uint32 and multiplies ``restart_base`` by Luby terms in
+#: int64.  ctypes would silently truncate anything wider.
+_OPTION_RANGES = {"restart_base": (1, 2**31 - 1), "seed": (0, 2**32 - 1)}
+
+
+def core_option_error(name: str, value: int) -> str | None:
+    """Why the core cannot hold ``value`` for option ``name``, or ``None``."""
+    low, high = _OPTION_RANGES[name]
+    if low <= value <= high:
+        return None
+    return f"{name} must be >= {low} and <= {high}, got {value}"
+
 _lock = Lock()
 _lib: ctypes.CDLL | None = None
 _load_error: str | None = None
@@ -196,10 +209,10 @@ class NativeCdclSolver:
     What bare ``cdcl`` runs whenever the core loads (and what
     ``cdcl:native=1`` demands).  Supports incremental clause addition,
     assumptions with conflict-analysis cores, and conflict/time budgets;
-    it does not implement the Python engine's inprocessing (``freeze`` is
-    intentionally absent — the pebbling layer probes for it with
-    ``getattr``).  ``library`` selects an already loaded build (see
-    :func:`build_library`); by default the shared one.
+    ``restart_base`` and ``random_seed`` outside the ranges the core can
+    hold raise :class:`~repro.errors.SolverError` (see
+    :func:`core_option_error`).  ``library`` selects an already loaded
+    build (see :func:`build_library`); by default the shared one.
 
     Clauses arrive one per :meth:`add_clause` call, or many in one call
     into the core: :meth:`add_clause_buffer` takes a
@@ -225,6 +238,10 @@ class NativeCdclSolver:
         random_seed: int = 0,
         library: ctypes.CDLL | None = None,
     ) -> None:
+        for name, value in (("restart_base", restart_base), ("seed", random_seed)):
+            problem = core_option_error(name, value)
+            if problem is not None:
+                raise SolverError(f"native core: {problem}")
         lib = library
         if lib is None:
             lib, reason = _ensure_loaded()
@@ -232,7 +249,7 @@ class NativeCdclSolver:
                 raise SolverError(f"native core unavailable: {reason}")
         self._lib = lib
         self.max_variable: int = lib.cdcl_max_variable()
-        self._handle = lib.cdcl_new(random_seed & 0xFFFFFFFF, restart_base)
+        self._handle = lib.cdcl_new(random_seed, restart_base)
         if not self._handle:
             raise SolverError("native core allocation failed")
         self.default_conflict_limit = conflict_limit

@@ -14,24 +14,19 @@ The solver implements the standard modern architecture:
 * glucose-style learned-clause database reduction: glue clauses
   (LBD <= ``glue_max``) are kept forever, the rest are ranked by
   (LBD, activity) under a geometrically growing limit,
-* root-level inprocessing between restarts: bounded subsumption and
-  self-subsumption over problem and learned clauses, occurrence-list
-  based and deadline-bounded,
-* bounded variable elimination (SatELite-style) at the root: a variable
-  whose resolvent count does not outgrow its occurrence count is
-  resolved away; the removed clauses go on an elimination stack used
-  for model reconstruction, and any later mention of an eliminated
-  variable (new clause or assumption) restores it transparently,
-* clause vivification at the root: unit-propagation probing that
-  shortens or removes irredundant and low-LBD learned clauses,
-* chronological backtracking: conflicts whose assertion level is far
-  below the conflict level backtrack a single level instead (the
-  learned clause is still asserting there),
 * incremental solving under assumptions,
 * conflict and time budgets so callers can implement timeouts
   (the paper stops each pebbling instance after a wall-clock budget);
   the wall clock is only consulted every few conflicts, so the hot
   loop does not pay a ``time.monotonic()`` call per iteration.
+
+It is the reference engine and the fallback for hosts without a C
+compiler.  It has no inprocessing, variable elimination, vivification
+or chronological backtracking: their ablations measured at noise, and
+the wall-clock budget of the inprocessing pass made conflict counts
+vary from run to run (EXPERIMENTS.md).  Until a time limit cuts it
+short, a given formula and call sequence always takes the same search,
+conflict for conflict.
 
 It is written in pure Python and optimised for the constant factors that
 dominate CPython execution: hot loops cache attribute lookups in locals,
@@ -101,9 +96,8 @@ class SolverStats:
     counts 3..6, ``lbd_high`` counts >= 7, and ``lbd_sum`` accumulates the
     raw values so callers can derive the mean.  ``phase_times`` is only
     populated when the solver was constructed with ``profile=True``; it
-    maps phase names (``propagate``/``analyze``/``reduce``/``inprocess``/
-    ``bve``/``vivify``) to seconds spent in that phase during the last
-    solve call (``bve`` and ``vivify`` are sub-slices of ``inprocess``).
+    maps phase names (``propagate``/``analyze``/``reduce``) to seconds
+    spent in that phase during the last solve call.
     """
 
     decisions: int = 0
@@ -121,15 +115,6 @@ class SolverStats:
     lbd_mid: int = 0
     lbd_high: int = 0
     lbd_sum: int = 0
-    subsumed_clauses: int = 0
-    strengthened_clauses: int = 0
-    root_simplified: int = 0
-    inprocessings: int = 0
-    eliminated_variables: int = 0
-    restored_variables: int = 0
-    bve_resolvents: int = 0
-    vivified_clauses: int = 0
-    chrono_backtracks: int = 0
     phase_times: dict[str, float] | None = None
 
     def as_dict(self) -> dict[str, float]:
@@ -154,15 +139,6 @@ class SolverStats:
             "lbd_mid": self.lbd_mid,
             "lbd_high": self.lbd_high,
             "lbd_sum": self.lbd_sum,
-            "subsumed_clauses": self.subsumed_clauses,
-            "strengthened_clauses": self.strengthened_clauses,
-            "root_simplified": self.root_simplified,
-            "inprocessings": self.inprocessings,
-            "eliminated_variables": self.eliminated_variables,
-            "restored_variables": self.restored_variables,
-            "bve_resolvents": self.bve_resolvents,
-            "vivified_clauses": self.vivified_clauses,
-            "chrono_backtracks": self.chrono_backtracks,
         }
         if self.phase_times is not None:
             for phase_name, seconds in self.phase_times.items():
@@ -207,20 +183,6 @@ _DEADLINE_CHECK_INTERVAL = 64
 
 #: Initial number of variable slots in the typed arenas.
 _INITIAL_VAR_CAPACITY = 64
-
-#: Wall-clock budget of a single inprocessing pass (seconds).
-_INPROCESS_BUDGET = 0.3
-
-#: A variable is a BVE candidate only when neither polarity occurs in
-#: more than this many clauses (keeps the resolvent products small).
-_BVE_OCC_LIMIT = 16
-
-#: Variables whose elimination would create a resolvent longer than
-#: this are skipped.
-_BVE_CLAUSE_LIMIT = 24
-
-#: Learned clauses with LBD above this are not worth vivifying.
-_VIVIFY_LBD_LIMIT = 6
 
 
 def _encode(literal: int) -> int:
@@ -271,27 +233,8 @@ class CdclSolver:
     core-guided pebbling searches build on.
 
     ``glue_max`` bounds the LBD below which learned clauses are kept
-    forever, ``inprocess_interval`` is the number of conflicts between
-    root-level simplification passes (0 disables inprocessing), and
-    ``profile=True`` records per-phase wall-clock splits in
+    forever, and ``profile=True`` records per-phase wall-clock splits in
     ``stats.phase_times``.
-
-    The simplification/search knobs added by the round-three work:
-
-    ``bve``
-        enables bounded variable elimination during inprocessing.
-        Eliminated variables are restored transparently when a later
-        clause or assumption mentions them; :meth:`freeze` exempts
-        named variables (the pebbling layer freezes its state and guard
-        variables).  ``bve_grow`` is the number of extra resolvents an
-        elimination may add beyond the clauses it removes.
-    ``vivify``
-        enables root-level clause vivification during inprocessing.
-    ``chrono``
-        jump-distance threshold for chronological backtracking: a
-        conflict whose assertion level is more than ``chrono`` levels
-        below the conflict level backtracks a single level instead.
-        ``0`` disables.
     """
 
     #: Registry name under :mod:`repro.sat.backend` (``cdcl:native=0``).
@@ -310,11 +253,6 @@ class CdclSolver:
         reduce_min_learned: int = 50,
         learned_limit_base: int = 1000,
         glue_max: int = 2,
-        inprocess_interval: int = 3000,
-        bve: bool = True,
-        bve_grow: int = 0,
-        vivify: bool = True,
-        chrono: int = 100,
         profile: bool = False,
     ) -> None:
         capacity = _INITIAL_VAR_CAPACITY
@@ -374,23 +312,7 @@ class CdclSolver:
         self._learned_limit = 0
         self._glue_max = glue_max
         self._glue_count = 0
-        self._inprocess_interval = inprocess_interval
         self._total_conflicts = 0
-        self._last_inprocess_conflicts = 0
-        self._bve = bve
-        self._bve_grow = bve_grow
-        self._vivify = vivify
-        self._chrono = chrono
-        # Bounded variable elimination state: ``_eliminated`` marks
-        # variables currently resolved away, ``_frozen`` marks variables
-        # exempt from elimination, and ``_elim_stack`` records, per
-        # eliminated variable, the removed irredundant clauses split by
-        # polarity (encoded literals) — the substrate of both model
-        # reconstruction and restore-on-mention.
-        self._eliminated = bytearray(capacity)
-        self._frozen = bytearray(capacity)
-        self._elim_stack: list[tuple[int, list[list[int]], list[list[int]]]] = []
-        self._current_assumption_vars: frozenset[int] | set[int] = frozenset()
         self._profile = profile
         self._ok = True
         self._pending_units: list[int] = []
@@ -433,8 +355,6 @@ class CdclSolver:
         self._activity.extend([0.0] * grow)
         self._phase.extend([0] * grow)
         self._seen.extend(bytes(grow))
-        self._eliminated.extend(bytes(grow))
-        self._frozen.extend(bytes(grow))
         self._heap_pos.extend((-1,) * grow)
         self._trail.extend((0,) * grow)
         self._watches.extend([] for _ in range(2 * grow))
@@ -492,17 +412,6 @@ class CdclSolver:
             self._ensure_var(max_var)
         if tautology:
             return True
-        if self._elim_stack:
-            # Restore-on-mention: a clause over an eliminated variable
-            # invalidates its elimination, so the variable (and everything
-            # eliminated after it) is put back before the clause lands.
-            eliminated = self._eliminated
-            for literal in clause:
-                variable = -literal if literal < 0 else literal
-                if eliminated[variable]:
-                    self._restore_variable(variable)
-            if not self._ok:
-                return False
         # Root-level simplification: literals already false at decision
         # level 0 can never become true again, so they are dropped; a
         # literal true at level 0 satisfies the clause forever.  Without
@@ -571,10 +480,6 @@ class CdclSolver:
     # ------------------------------------------------------------------
     # assignment handling
     # ------------------------------------------------------------------
-    def _value_of(self, encoded: int) -> int:
-        """Return 1 (true), 0 (false) or -1 (unassigned) for a literal."""
-        return self._lit_values[encoded]
-
     def _enqueue(self, encoded: int, reason_slot: int = _NO_REASON) -> bool:
         lit_values = self._lit_values
         value = lit_values[encoded]
@@ -779,27 +684,11 @@ class CdclSolver:
             self._heap_down(0)
         return top
 
-    def _heap_remove(self, variable: int) -> None:
-        """Remove ``variable`` from the heap (used by variable elimination)."""
-        index = self._heap_pos[variable]
-        if index < 0:
-            return
-        heap = self._heap
-        self._heap_pos[variable] = -1
-        last = heap.pop()
-        if index < len(heap):
-            heap[index] = last
-            self._heap_pos[last] = index
-            self._heap_down(index)
-            if self._heap_pos[last] == index:
-                self._heap_up(index)
-
     # The heap is maintained incrementally — every unassigned variable is
     # always enqueued: ``_ensure_var`` inserts fresh variables, decisions
     # pop variables, and ``_backtrack`` lazily re-inserts whatever it
     # unassigns.  Variables assigned by propagation may linger in the heap;
-    # ``_pick_branch_variable`` skips them when popped.  Eliminated
-    # variables are removed outright and re-inserted on restore.
+    # ``_pick_branch_variable`` skips them when popped.
 
     # ------------------------------------------------------------------
     # conflict analysis
@@ -1093,16 +982,6 @@ class CdclSolver:
         self._lbd[slot] = 0
         self._free_slots.append(slot)
 
-    def _promote(self, slot: int) -> None:
-        """Make a learned clause irredundant (it subsumed a problem clause)."""
-        if not self._learned_flag[slot]:
-            return
-        self._learned_flag[slot] = False
-        if self._lbd[slot] <= self._glue_max:
-            self._glue_count -= 1
-        self._clause_act[slot] = 0.0
-        self._num_problem_clauses += 1
-
     def _detach(self, slot: int) -> None:
         """Remove the two watcher pairs of ``slot`` (swap-remove, O(1) each)."""
         clause = self._arena[slot]
@@ -1136,548 +1015,6 @@ class CdclSolver:
                         write += 2
                 if write != total:
                     del watch_list[write:]
-
-    # ------------------------------------------------------------------
-    # root-level inprocessing (subsumption + self-subsumption)
-    # ------------------------------------------------------------------
-    def _shrink_clause(self, slot: int, kept: list[int]) -> bool:
-        """Replace the clause in ``slot`` with ``kept`` (no false literals).
-
-        Handles re-watching, the unit and empty cases, and LBD/glue
-        bookkeeping.  Returns ``False`` when the shrink proved the formula
-        unsatisfiable.
-        """
-        self._detach(slot)
-        if not kept:
-            self._free_slot(slot)
-            self._ok = False
-            return False
-        if len(kept) == 1:
-            self._free_slot(slot)
-            if not self._enqueue(kept[0]):
-                self._ok = False
-                return False
-            return True
-        self._arena[slot] = kept
-        self._watch_clause(kept, slot)
-        if self._learned_flag[slot]:
-            new_lbd = min(self._lbd[slot], len(kept))
-            if self._lbd[slot] > self._glue_max >= new_lbd:
-                self._glue_count += 1
-            self._lbd[slot] = new_lbd
-        return True
-
-    def _rebuild_learned_slots(self) -> None:
-        self._learned_slots = [
-            slot
-            for slot in self._learned_slots
-            if self._arena[slot] is not None and self._learned_flag[slot]
-        ]
-
-    def _inprocess(self, deadline: float | None) -> bool:
-        """Bounded subsumption pass at decision level 0.
-
-        Must only be called with an empty ``_trail_limits`` (every current
-        assignment is a permanent root fact, so assumption machinery is
-        untouched).  Runs three phases: root simplification (drop satisfied
-        clauses, strip false literals), forward subsumption (``C ⊆ D``
-        deletes ``D``; a learned subsumer of a problem clause is promoted
-        to irredundant first), and self-subsumption
-        (``(C \\ {l}) ⊆ D`` with ``¬l ∈ D`` strengthens ``D`` by ``¬l``).
-        Returns ``False`` when the formula was proven unsatisfiable.
-        """
-        stats = self.stats
-        arena = self._arena
-        lit_values = self._lit_values
-        reasons = self._reasons
-        trail = self._trail
-        learned_flag = self._learned_flag
-        # Root facts never participate in conflict analysis again (their
-        # level-0 variables are skipped by every implication-graph walk),
-        # so their reason slots can be released.  This unlocks every clause
-        # for simplification and guarantees no freed slot stays reachable
-        # through ``_reasons``.
-        for index in range(self._trail_size):
-            reasons[trail[index] >> 1] = _NO_REASON
-
-        # Phase 1: root simplification.
-        for slot in range(len(arena)):
-            clause = arena[slot]
-            if clause is None:
-                continue
-            satisfied = False
-            falsified = False
-            for lit in clause:
-                value = lit_values[lit]
-                if value == 1:
-                    satisfied = True
-                    break
-                if value == 0:
-                    falsified = True
-            if satisfied:
-                self._detach(slot)
-                self._free_slot(slot)
-                stats.root_simplified += 1
-            elif falsified:
-                kept = [lit for lit in clause if lit_values[lit] != 0]
-                if not self._shrink_clause(slot, kept):
-                    self._rebuild_learned_slots()
-                    return False
-                stats.root_simplified += 1
-        if self._propagate() != _NO_CONFLICT:
-            self._rebuild_learned_slots()
-            self._ok = False
-            return False
-
-        # Occurrence lists, 64-bit signatures and literal sets over the
-        # live clauses.  Signatures give a cheap necessary condition for
-        # the subset tests: ``sig(C) & ~sig(D) == 0`` whenever C ⊆ D.
-        occur: dict[int, list[int]] = {}
-        sigs: dict[int, int] = {}
-        clause_sets: dict[int, set[int]] = {}
-        live: list[int] = []
-        for slot in range(len(arena)):
-            clause = arena[slot]
-            if clause is None:
-                continue
-            signature = 0
-            for lit in clause:
-                signature |= 1 << (lit & 63)
-                occur.setdefault(lit, []).append(slot)
-            sigs[slot] = signature
-            clause_sets[slot] = set(clause)
-            live.append(slot)
-        # Shortest clauses subsume the most; process them first so the
-        # deadline cuts off the least profitable work.
-        live.sort(key=lambda slot: len(clause_sets[slot]))
-
-        monotonic = time.monotonic
-        for processed, c_slot in enumerate(live):
-            if deadline is not None and processed % 32 == 31 and monotonic() > deadline:
-                break
-            if arena[c_slot] is None:
-                continue
-            c_set = clause_sets[c_slot]
-            c_sig = sigs[c_slot]
-            c_len = len(c_set)
-            # Phase 2: forward subsumption through the rarest literal of C
-            # (every superset of C must contain it).
-            rare = min(c_set, key=lambda lit: len(occur.get(lit, ())))
-            for d_slot in occur.get(rare, ()):
-                if d_slot == c_slot or arena[d_slot] is None:
-                    continue
-                d_set = clause_sets[d_slot]
-                if len(d_set) < c_len or (c_sig & ~sigs[d_slot]):
-                    continue
-                if c_set <= d_set:
-                    if learned_flag[c_slot] and not learned_flag[d_slot]:
-                        # Keeping only the learned subsumer would weaken the
-                        # formula if a later reduction deleted it; make it
-                        # irredundant first.
-                        self._promote(c_slot)
-                    self._detach(d_slot)
-                    self._free_slot(d_slot)
-                    stats.subsumed_clauses += 1
-            # Phase 3: self-subsumption — resolving C and D on l yields a
-            # clause that subsumes D, so D can drop ¬l.
-            for lit in list(c_set):
-                negated = lit ^ 1
-                rest_sig = c_sig & ~(1 << (lit & 63))
-                for d_slot in occur.get(negated, ()):
-                    if d_slot == c_slot:
-                        continue
-                    clause_d = arena[d_slot]
-                    if clause_d is None:
-                        continue
-                    d_set = clause_sets[d_slot]
-                    if negated not in d_set:
-                        continue  # stale occurrence left by a strengthening
-                    if len(d_set) < c_len or (rest_sig & ~sigs[d_slot]):
-                        continue
-                    if not (c_set - {lit}) <= d_set:
-                        continue
-                    kept = []
-                    satisfied = False
-                    for other in clause_d:
-                        if other == negated:
-                            continue
-                        value = lit_values[other]
-                        if value == 1:
-                            satisfied = True
-                            break
-                        if value != 0:
-                            kept.append(other)
-                    if satisfied:
-                        # A root unit enqueued earlier in this pass already
-                        # satisfies D; drop it instead of strengthening.
-                        self._detach(d_slot)
-                        self._free_slot(d_slot)
-                        stats.root_simplified += 1
-                        continue
-                    if not self._shrink_clause(d_slot, kept):
-                        self._rebuild_learned_slots()
-                        return False
-                    stats.strengthened_clauses += 1
-                    if arena[d_slot] is not None:
-                        remaining = set(arena[d_slot])
-                        clause_sets[d_slot] = remaining
-                        signature = 0
-                        for other in remaining:
-                            signature |= 1 << (other & 63)
-                        sigs[d_slot] = signature
-        # Phase 4/5: bounded variable elimination, then vivification.
-        # Both share the pass deadline; their profile times are sub-slices
-        # of the enclosing ``inprocess`` phase.
-        phase_times = stats.phase_times
-        perf = time.perf_counter
-        if self._bve:
-            mark = perf() if phase_times is not None else 0.0
-            bve_ok = self._bve_pass(deadline)
-            if phase_times is not None:
-                phase_times["bve"] += perf() - mark
-            if not bve_ok:
-                self._rebuild_learned_slots()
-                return False
-        if self._vivify:
-            mark = perf() if phase_times is not None else 0.0
-            vivify_ok = self._vivify_pass(deadline)
-            if phase_times is not None:
-                phase_times["vivify"] += perf() - mark
-            if not vivify_ok:
-                self._rebuild_learned_slots()
-                return False
-        self._rebuild_learned_slots()
-        stats.inprocessings += 1
-        if _trace.active():
-            _trace.event(
-                "solver.inprocess",
-                pass_number=stats.inprocessings,
-                subsumed=stats.subsumed_clauses,
-                strengthened=stats.strengthened_clauses,
-                root_simplified=stats.root_simplified,
-                eliminated=stats.eliminated_variables,
-                vivified=stats.vivified_clauses,
-            )
-        return True
-
-    # ------------------------------------------------------------------
-    # bounded variable elimination
-    # ------------------------------------------------------------------
-    def freeze(self, variables: Iterable[int]) -> None:
-        """Exempt ``variables`` from elimination, restoring them if needed.
-
-        The pebbling layer freezes every named state variable and every
-        assumption guard; anything else (cardinality ladders, move
-        auxiliaries) remains fair game for BVE.  Accepts variables or
-        literals (the sign is ignored).
-        """
-        for literal in variables:
-            variable = -literal if literal < 0 else literal
-            if variable == 0:
-                raise SolverError("cannot freeze variable 0")
-            self._ensure_var(variable)
-            self._frozen[variable] = 1
-            if self._eliminated[variable]:
-                self._restore_variable(variable)
-
-    def _restore_variable(self, variable: int) -> None:
-        """Undo eliminations until ``variable`` is live again.
-
-        Entries are popped off the elimination stack in reverse order;
-        a stored clause only ever references variables eliminated later
-        (already restored by the time it is re-attached) or never, so
-        suffix-popping re-creates an equivalent formula.
-        """
-        stack = self._elim_stack
-        eliminated = self._eliminated
-        while stack and eliminated[variable]:
-            entry_var, pos_clauses, neg_clauses = stack.pop()
-            eliminated[entry_var] = 0
-            self._heap_insert(entry_var)
-            self.stats.restored_variables += 1
-            for encoded_clause in pos_clauses:
-                self._reattach_stored(encoded_clause)
-            for encoded_clause in neg_clauses:
-                self._reattach_stored(encoded_clause)
-
-    def _reattach_stored(self, encoded_clause: list[int]) -> None:
-        """Re-add a stored clause, simplifying against current root facts."""
-        lit_values = self._lit_values
-        levels = self._levels
-        kept: list[int] = []
-        for enc in encoded_clause:
-            value = lit_values[enc]
-            if value >= 0 and levels[enc >> 1] == 0:
-                if value == 1:
-                    return  # satisfied at the root level
-                continue
-            kept.append(enc)
-        if not kept:
-            self._ok = False
-            return
-        if len(kept) == 1:
-            if not self._enqueue(kept[0]):
-                self._ok = False
-            return
-        self._attach(kept, learned=False)
-
-    def _bve_pass(self, deadline: float | None) -> bool:
-        """Bounded variable elimination at decision level 0.
-
-        A variable is eliminated when the set of non-tautological
-        resolvents of its irredundant occurrences is no larger than the
-        clauses removed (plus ``bve_grow``).  Learned clauses over the
-        variable are deleted outright — they stay implied by the
-        remaining formula, but resolving them would bloat the output.
-        Frozen variables, current assumptions and root-assigned
-        variables are never touched.  Returns ``False`` on UNSAT.
-        """
-        arena = self._arena
-        lit_values = self._lit_values
-        learned_flag = self._learned_flag
-        eliminated = self._eliminated
-        frozen = self._frozen
-        assumption_vars = self._current_assumption_vars
-        stats = self.stats
-        occur: dict[int, list[int]] = {}
-        for slot in range(len(arena)):
-            clause = arena[slot]
-            if clause is None:
-                continue
-            for lit in clause:
-                occur.setdefault(lit, []).append(slot)
-        candidates: list[tuple[int, int]] = []
-        for variable in range(1, self._num_vars + 1):
-            if eliminated[variable] or frozen[variable]:
-                continue
-            if variable in assumption_vars:
-                continue
-            if lit_values[variable << 1] != _UNASSIGNED:
-                continue
-            num_pos = len(occur.get(variable << 1, ()))
-            num_neg = len(occur.get((variable << 1) | 1, ()))
-            if num_pos + num_neg == 0:
-                continue
-            if num_pos > _BVE_OCC_LIMIT or num_neg > _BVE_OCC_LIMIT:
-                continue
-            candidates.append((num_pos * num_neg, variable))
-        candidates.sort()
-        monotonic = time.monotonic
-        units: list[int] = []
-        for processed, (_, variable) in enumerate(candidates):
-            if deadline is not None and processed % 8 == 7 and monotonic() > deadline:
-                break
-            if lit_values[variable << 1] != _UNASSIGNED:
-                continue
-            plit = variable << 1
-            nlit = plit | 1
-            # Occurrence lists go stale as eliminations delete clauses and
-            # attach resolvents into recycled slots, so membership is
-            # re-checked against the arena; a recycled slot can appear
-            # twice in a list (old clause and resolvent sharing a
-            # literal), hence the order-preserving dedup.
-            pos_slots = [
-                slot
-                for slot in dict.fromkeys(occur.get(plit, ()))
-                if arena[slot] is not None and plit in arena[slot]
-            ]
-            neg_slots = [
-                slot
-                for slot in dict.fromkeys(occur.get(nlit, ()))
-                if arena[slot] is not None and nlit in arena[slot]
-            ]
-            pos_irr = [slot for slot in pos_slots if not learned_flag[slot]]
-            neg_irr = [slot for slot in neg_slots if not learned_flag[slot]]
-            limit = len(pos_irr) + len(neg_irr) + self._bve_grow
-            resolvents: list[list[int]] = []
-            too_many = False
-            for p_slot in pos_irr:
-                p_clause = arena[p_slot]
-                assert p_clause is not None
-                p_rest = [lit for lit in p_clause if lit != plit]
-                for n_slot in neg_irr:
-                    n_clause = arena[n_slot]
-                    assert n_clause is not None
-                    resolved = list(p_rest)
-                    merged = set(p_rest)
-                    tautology = False
-                    for lit in n_clause:
-                        if lit == nlit:
-                            continue
-                        if lit ^ 1 in merged:
-                            tautology = True
-                            break
-                        if lit not in merged:
-                            merged.add(lit)
-                            resolved.append(lit)
-                    if tautology:
-                        continue
-                    if len(resolved) > _BVE_CLAUSE_LIMIT:
-                        too_many = True
-                        break
-                    resolvents.append(resolved)
-                    if len(resolvents) > limit:
-                        too_many = True
-                        break
-                if too_many:
-                    break
-            if too_many:
-                continue
-            # Commit: store the irredundant originals, drop everything
-            # mentioning the variable, attach the resolvents.
-            stored_pos = [list(arena[slot]) for slot in pos_irr]  # type: ignore[arg-type]
-            stored_neg = [list(arena[slot]) for slot in neg_irr]  # type: ignore[arg-type]
-            for slot in pos_slots:
-                self._detach(slot)
-                self._free_slot(slot)
-            for slot in neg_slots:
-                self._detach(slot)
-                self._free_slot(slot)
-            eliminated[variable] = 1
-            self._heap_remove(variable)
-            self._elim_stack.append((variable, stored_pos, stored_neg))
-            stats.eliminated_variables += 1
-            for resolved in resolvents:
-                kept: list[int] = []
-                satisfied = False
-                for lit in resolved:
-                    value = lit_values[lit]
-                    if value == 1:
-                        satisfied = True
-                        break
-                    if value == 0:
-                        continue
-                    kept.append(lit)
-                if satisfied:
-                    continue
-                if not kept:
-                    self._ok = False
-                    return False
-                if len(kept) == 1:
-                    if not self._enqueue(kept[0]):
-                        self._ok = False
-                        return False
-                    units.append(kept[0])
-                    continue
-                slot = self._attach(kept, learned=False)
-                for lit in kept:
-                    occur.setdefault(lit, []).append(slot)
-                stats.bve_resolvents += 1
-        if units and self._propagate() != _NO_CONFLICT:
-            self._ok = False
-            return False
-        return True
-
-    # ------------------------------------------------------------------
-    # clause vivification
-    # ------------------------------------------------------------------
-    def _vivify_pass(self, deadline: float | None) -> bool:
-        """Unit-propagation probing that shortens clauses at the root.
-
-        For each candidate clause (irredundant, or learned with LBD <=
-        ``_VIVIFY_LBD_LIMIT``), the clause is detached and the negations
-        of its literals are asserted one decision level at a time:
-
-        * a conflict proves the assumed prefix plus the current literal
-          already forms a clause — the rest is dropped;
-        * a literal implied true closes the clause the same way;
-        * a literal implied false is redundant and removed.
-
-        The probe uses every clause in the database (learned included),
-        which is sound even for strengthening irredundant clauses: the
-        shortened clause is implied by the formula, and the original is
-        subsumed by it.  Returns ``False`` on UNSAT.
-        """
-        arena = self._arena
-        lit_values = self._lit_values
-        learned_flag = self._learned_flag
-        lbd = self._lbd
-        stats = self.stats
-        candidates = [
-            slot
-            for slot in range(len(arena))
-            if arena[slot] is not None
-            and len(arena[slot]) >= 3  # type: ignore[arg-type]
-            and (not learned_flag[slot] or lbd[slot] <= _VIVIFY_LBD_LIMIT)
-        ]
-        monotonic = time.monotonic
-        for processed, slot in enumerate(candidates):
-            if deadline is not None and processed % 4 == 3 and monotonic() > deadline:
-                break
-            clause = arena[slot]
-            if clause is None or len(clause) < 3:
-                continue
-            lits = list(clause)
-            self._detach(slot)
-            assumed: list[int] = []
-            new_lits: list[int] | None = None
-            satisfied_root = False
-            for enc in lits:
-                value = lit_values[enc]
-                if value == 1:
-                    # Implied by the negated prefix; at an empty prefix the
-                    # clause is satisfied at the root outright.
-                    if assumed:
-                        new_lits = assumed + [enc]
-                    else:
-                        satisfied_root = True
-                    break
-                if value == 0:
-                    continue  # redundant under the prefix: drop it
-                assumed.append(enc)
-                self._trail_limits.append(self._trail_size)
-                self._enqueue(enc ^ 1)
-                if self._propagate() != _NO_CONFLICT:
-                    new_lits = list(assumed)
-                    break
-            self._backtrack(0)
-            if satisfied_root:
-                self._free_slot(slot)
-                stats.root_simplified += 1
-            else:
-                if new_lits is None:
-                    new_lits = assumed
-                if len(new_lits) >= len(lits):
-                    # Nothing learned: put the original watchers back.
-                    self._watch_clause(lits, slot)
-                else:
-                    self._watch_clause(lits, slot)
-                    if not self._shrink_clause(slot, new_lits):
-                        return False
-                    stats.vivified_clauses += 1
-            # Keep level-0 propagation complete before the next probe —
-            # a shrink may have enqueued a fresh root unit.
-            if self._propagate() != _NO_CONFLICT:
-                self._ok = False
-                return False
-        return True
-
-    # ------------------------------------------------------------------
-    # explicit simplification entry point
-    # ------------------------------------------------------------------
-    def simplify(self, budget: float = _INPROCESS_BUDGET) -> bool:
-        """Run one root-level inprocessing pass immediately.
-
-        Equivalent to what :meth:`solve` triggers every
-        ``inprocess_interval`` conflicts, minus the conflict counting.
-        Returns ``False`` when the pass proved the formula UNSAT.
-        """
-        if not self._ok:
-            return False
-        self._backtrack(0)
-        for literal in self._pending_units:
-            if not self._enqueue(_encode(literal)):
-                self._ok = False
-                return False
-        self._pending_units.clear()
-        if self._propagate() != _NO_CONFLICT:
-            self._ok = False
-            return False
-        self._current_assumption_vars = frozenset()
-        if not self._inprocess(time.monotonic() + budget):
-            self._ok = False
-            return False
-        return True
 
     # ------------------------------------------------------------------
     # debug invariants (test support)
@@ -1750,14 +1087,7 @@ class CdclSolver:
         profile = self._profile
         phase_times: dict[str, float] | None = None
         if profile:
-            phase_times = {
-                "propagate": 0.0,
-                "analyze": 0.0,
-                "reduce": 0.0,
-                "inprocess": 0.0,
-                "bve": 0.0,
-                "vivify": 0.0,
-            }
+            phase_times = {"propagate": 0.0, "analyze": 0.0, "reduce": 0.0}
             stats.phase_times = phase_times
         perf = time.perf_counter
         # Every UNSAT exit below records its assumption core first; paths
@@ -1772,21 +1102,6 @@ class CdclSolver:
         # Start from a clean assignment (incremental interface keeps
         # clauses, not the trail).
         self._backtrack(0)
-        if self._elim_stack:
-            # Assumptions over eliminated variables void their
-            # eliminations (restore-on-mention keeps cores sound).
-            eliminated = self._eliminated
-            for literal in assumptions:
-                variable = -literal if literal < 0 else literal
-                if variable <= self._num_vars and eliminated[variable]:
-                    self._restore_variable(variable)
-            if not self._ok:
-                self._failed_assumptions = []
-                stats.solve_time = time.monotonic() - start_time
-                return SolveResult(Status.UNSATISFIABLE, None, stats)
-        self._current_assumption_vars = {
-            -literal if literal < 0 else literal for literal in assumptions
-        }
         for literal in self._pending_units:
             if not self._enqueue(_encode(literal)):
                 self._ok = False
@@ -1859,20 +1174,7 @@ class CdclSolver:
                     phase_times["analyze"] += perf() - mark
                 else:
                     learned, backjump_level, lbd_value = self._analyze(conflict_slot)
-                current_level = len(self._trail_limits)
-                if (
-                    self._chrono > 0
-                    and len(learned) > 1
-                    and current_level - backjump_level > self._chrono
-                ):
-                    # Chronological backtracking: undo only the conflicting
-                    # level.  Every non-asserting literal of the learned
-                    # clause lives at a level <= backjump_level, so the
-                    # clause is still unit at ``current_level - 1``.
-                    stats.chrono_backtracks += 1
-                    self._backtrack(current_level - 1)
-                else:
-                    self._backtrack(backjump_level)
+                self._backtrack(backjump_level)
                 stats.lbd_sum += lbd_value
                 if lbd_value <= 2:
                     stats.lbd_glue += 1
@@ -1917,30 +1219,6 @@ class CdclSolver:
                         conflicts=self._total_conflicts,
                         next_interval=conflicts_until_restart,
                     )
-                if (
-                    self._inprocess_interval > 0
-                    and self._total_conflicts - self._last_inprocess_conflicts
-                    >= self._inprocess_interval
-                ):
-                    self._last_inprocess_conflicts = self._total_conflicts
-                    budget = _INPROCESS_BUDGET
-                    if time_limit is not None:
-                        remaining = time_limit - (time.monotonic() - start_time)
-                        if remaining <= 0.05:
-                            continue
-                        budget = min(budget, 0.5 * remaining)
-                    inprocess_deadline = time.monotonic() + budget
-                    if profile:
-                        mark = perf()
-                        inprocess_ok = self._inprocess(inprocess_deadline)
-                        phase_times["inprocess"] += perf() - mark
-                    else:
-                        inprocess_ok = self._inprocess(inprocess_deadline)
-                    if not inprocess_ok:
-                        self._ok = False
-                        self._failed_assumptions = []
-                        stats.solve_time = time.monotonic() - start_time
-                        return SolveResult(Status.UNSATISFIABLE, None, stats)
                 continue
 
             # Place pending assumptions as pseudo-decisions.
@@ -2058,26 +1336,6 @@ class CdclSolver:
         for variable in range(1, self._num_vars + 1):
             value = lit_values[variable << 1]
             model[variable] = bool(value) if value != _UNASSIGNED else bool(phase[variable])
-        # Model reconstruction for eliminated variables, newest first: a
-        # stored clause only references variables eliminated later (already
-        # reconstructed) or never, and since every resolvent is satisfied,
-        # one of the two polarities must satisfy all stored clauses —
-        # default to False (every negative occurrence is happy) and flip
-        # only when a positive-occurrence clause would otherwise be unsat.
-        for variable, pos_clauses, _neg_clauses in reversed(self._elim_stack):
-            model[variable] = False
-            for clause in pos_clauses:
-                satisfied = False
-                for enc in clause:
-                    other = enc >> 1
-                    if other == variable:
-                        continue
-                    if model[other] == ((enc & 1) == 0):
-                        satisfied = True
-                        break
-                if not satisfied:
-                    model[variable] = True
-                    break
         return model
 
 

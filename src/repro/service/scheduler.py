@@ -239,9 +239,9 @@ class ServiceStats:
     Mirrored into the process-wide :mod:`repro.obs.metrics` registry as
     ``repro_service_*`` instruments; prefer reading those (or the
     ``metrics`` key of :meth:`PebblingService.health`) — this per-instance
-    dataclass stays for exact request accounting, but its duplicated
-    top-level copies in :meth:`PebblingService.health` are deprecated and
-    will be dropped after one release.
+    dataclass stays for exact request accounting, and
+    :meth:`PebblingService.health` reports it under ``stats`` only (its
+    former top-level copies are gone).
     """
 
     submitted: int = 0

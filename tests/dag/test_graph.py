@@ -67,6 +67,25 @@ class TestConstruction:
         assert "d" in dag.nodes()  # placeholder from the forward reference
         assert dag.dependencies("c") == ("d",)
 
+    def test_only_a_former_forward_reference_is_walked_for_cycles(self, monkeypatch):
+        walked = []
+        original = Dag._creates_cycle
+
+        def counting(self, start):
+            walked.append(start)
+            return original(self, start)
+
+        monkeypatch.setattr(Dag, "_creates_cycle", counting)
+        dag = Dag()
+        dag.add_node(0)
+        for node in range(1, 50):
+            dag.add_node(node, [node - 1])
+        assert walked == []  # a node added in topological order has no dependents
+        dag.add_node("late", ["early"], allow_forward_references=True)
+        assert walked == []
+        dag.add_node("early", [49])
+        assert walked == ["early"]
+
     def test_node_metadata(self):
         dag = Dag()
         node = dag.add_node("m", [], operation="mul", weight=3.0, payload={"bits": 8})

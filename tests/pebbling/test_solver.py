@@ -220,6 +220,34 @@ class TestBounds:
         solver = ReversiblePebblingSolver(fig2_dag)
         assert solver.default_initial_steps(max_pebbles=6) == fig2_dag.depth() + 1
 
+    def test_an_output_that_reads_only_outputs_goes_on_while_the_rest_comes_off(self):
+        # n3 reads only the output n2, so it can go on in the transition
+        # that clears n0 and n1: three steps, one fewer than depth + 1.
+        dag = Dag("reads_outputs")
+        dag.add_node("n0", [])
+        dag.add_node("n1", [])
+        dag.add_node("n2", ["n0", "n1"])
+        dag.add_node("n3", ["n2"])
+        dag.set_outputs(["n2", "n3"])
+        solver = ReversiblePebblingSolver(dag)
+        assert solver.default_initial_steps(max_pebbles=3) == 3
+        result = solver.solve(3, strategy="linear")
+        assert result.found and result.minimal
+        assert result.num_steps == 3
+
+    def test_nodes_no_output_needs_do_not_raise_the_floor(self, chain_dag):
+        dag = chain_dag.copy()
+        dag.add_node("spare", ["n1"])
+        dag.set_outputs(["n5"])
+        solver = ReversiblePebblingSolver(
+            dag, options=EncodingOptions(max_moves_per_step=1)
+        )
+        # Only the chain is ever pebbled: each node on once, n1..n4 off once.
+        assert solver.default_initial_steps(max_pebbles=5) == 2 * 5 - 1
+        result = solver.solve(5, strategy="linear")
+        assert result.found and result.minimal
+        assert result.num_steps == 2 * 5 - 1
+
 
 class TestMinimizePebbles:
     def test_fig2_minimum_is_four(self, fig2_dag):

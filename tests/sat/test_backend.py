@@ -123,20 +123,37 @@ class TestCdclSpec:
             ("var_decay=fast", "var_decay wants a number"),
             ("seed=1,seed=2", "given twice"),
             ("bogus=3", "unknown key"),
+            # Keys of the techniques the Python engine no longer has.
+            ("bve=0", "unknown key 'bve'"),
+            ("bve_grow=1", "unknown key 'bve_grow'"),
+            ("vivify=1", "unknown key 'vivify'"),
+            ("chrono=0", "unknown key 'chrono'"),
+            ("inprocess_interval=0", "unknown key 'inprocess_interval'"),
+            # Values the C core cannot hold, refused on either engine.
+            ("restart_base=2147483648", "restart_base must be >= 1 and <= 2147483647"),
+            ("restart_base=18446744073709551617", "restart_base must be"),
+            ("restart_base=18446744073709551616,native=0", "restart_base must be"),
+            ("seed=-1", "seed must be >= 0 and <= 4294967295"),
+            ("seed=4294967296", "seed must be >= 0 and <= 4294967295"),
         ],
     )
     def test_rejections(self, argument, message):
         with pytest.raises(SolverError, match=message):
             CdclSpec.parse(argument)
 
+    def test_range_edges_are_accepted(self):
+        spec = CdclSpec.parse("restart_base=2147483647,seed=4294967295")
+        assert (spec.restart_base, spec.seed) == (2**31 - 1, 2**32 - 1)
+        assert CdclSpec.parse("restart_base=1,seed=0").seed == 0
+
     def test_build_forwards_options(self):
         solver = CdclSpec.parse(
-            "restart_base=50,seed=11,glue_max=3,inprocess_interval=0"
+            "restart_base=50,seed=11,glue_max=3,var_decay=0.9"
         ).build(conflict_limit=9)
         assert isinstance(solver, CdclSolver)
         assert solver._restart_base == 50
         assert solver._glue_max == 3
-        assert solver._inprocess_interval == 0
+        assert solver._var_decay == 0.9
         assert solver.default_conflict_limit == 9
 
     def test_tuned_spec_solves_through_registry(self):

@@ -56,6 +56,30 @@ def test_unavailable_construction_raises_not_falls_back():
         NativeCdclSolver()
 
 
+@pytest.mark.parametrize(
+    ("restart_base", "seed", "message"),
+    [
+        (2**64 + 1, 0, "restart_base must be >= 1 and <= 2147483647"),
+        (2**64, 0, "restart_base must be"),
+        (0, 0, "restart_base must be"),
+        (100, -1, "seed must be >= 0 and <= 4294967295"),
+        (100, 2**32, "seed must be"),
+    ],
+)
+def test_values_the_core_cannot_hold_are_refused(restart_base, seed, message):
+    """ctypes would truncate these silently, so the run would not be the
+    one its spec names.  Checked before the core loads, so this runs with
+    or without a compiler; so does a spec built directly, not parsed."""
+    from repro.errors import SolverError
+    from repro.sat.backend import CdclSpec
+    from repro.sat.native import NativeCdclSolver
+
+    with pytest.raises(SolverError, match=message):
+        NativeCdclSolver(restart_base=restart_base, random_seed=seed)
+    with pytest.raises(SolverError, match=message):
+        CdclSpec(restart_base=restart_base, seed=seed, native=True).build()
+
+
 @needs_native
 def test_native_spec_builds_the_native_class():
     from repro.sat.native import NativeCdclSolver

@@ -59,8 +59,8 @@ class TestSpecRules:
         )
 
     @pytest.mark.parametrize(
-        "argument", ["bve=0", "vivify=1", "chrono=0",
-                     "var_decay=0.9", "profile=1", "inprocess_interval=0"],
+        "argument", ["glue_max=3", "reduce_min_learned=20", "clause_decay=0.99",
+                     "var_decay=0.9", "profile=1", "learned_limit_base=500"],
     )
     def test_python_only_keys_select_the_python_engine(self, argument):
         spec = f"cdcl:{argument}"
@@ -68,7 +68,7 @@ class TestSpecRules:
         assert isinstance(create_backend(spec), CdclSolver)
         assert backend_fallback_reason(spec) is None
 
-    @pytest.mark.parametrize("argument", ["bve=0", "var_decay=0.95", "profile=0"])
+    @pytest.mark.parametrize("argument", ["glue_max=3", "var_decay=0.95", "profile=0"])
     def test_python_only_keys_with_native_1_are_rejected(self, argument):
         with pytest.raises(SolverError, match="does not honour"):
             CdclSpec.parse(f"native=1,{argument}")
@@ -77,18 +77,18 @@ class TestSpecRules:
         )
 
     def test_direct_construction_is_checked_too(self):
-        with pytest.raises(SolverError, match="does not honour vivify"):
-            CdclSpec(native=True, vivify=False)
+        with pytest.raises(SolverError, match="does not honour glue_max"):
+            CdclSpec(native=True, glue_max=3)
 
     def test_direct_construction_follows_the_parse_rules(self):
-        spec = CdclSpec(vivify=False)
+        spec = CdclSpec(glue_max=3)
         assert spec.native is False and spec.resolved().native is False
         assert isinstance(spec.build(), CdclSolver)
-        assert spec == CdclSpec.parse("vivify=0")
+        assert spec == CdclSpec.parse("glue_max=3")
         assert CdclSpec.parse(spec.render().partition(":")[2]) == spec
 
     def test_resolution_is_idempotent_and_leaves_other_backends_alone(self):
-        for spec in ("cdcl", "cdcl:native=0", "cdcl:bve=0", "cdcl:seed=4"):
+        for spec in ("cdcl", "cdcl:native=0", "cdcl:glue_max=3", "cdcl:seed=4"):
             once = resolve_backend(spec)
             assert resolve_backend(once) == once
         assert resolve_backend("dpll") == "dpll"
@@ -102,7 +102,7 @@ class TestFallback:
         assert isinstance(create_backend("cdcl"), CdclSolver)
         # An explicit engine choice is not a fallback.
         assert backend_fallback_reason("cdcl:native=0") is None
-        assert backend_fallback_reason("cdcl:bve=0") is None
+        assert backend_fallback_reason("cdcl:glue_max=3") is None
 
     def test_native_1_still_refuses(self, no_native):
         from repro.pebbling.solver import ReversiblePebblingSolver

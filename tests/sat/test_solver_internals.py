@@ -1,8 +1,7 @@
 """Property tests for the clause-database layer of the CDCL solver.
 
 The learned-clause machinery rewritten for the flat-arena layout —
-LBD-ranked reduction, root-level inprocessing (subsumption and
-self-subsumption) and the flat watcher lists — is invisible from the
+LBD-ranked reduction and the flat watcher lists — is invisible from the
 public API when it works, and silently unsound when it does not.  These
 tests audit the invariants directly:
 
@@ -11,9 +10,10 @@ tests audit the invariants directly:
 * after every reduction and every ``_detach`` the watcher lists are
   exactly consistent (every live clause watched twice, on the negations
   of its first two literals, with no stale slot references);
-* inprocessing between restarts never changes a verdict on random
-  incremental add/solve/assume sequences, cross-checked against the
-  DPLL oracle.
+* reduction never changes a verdict on random incremental
+  add/solve/assume sequences, cross-checked against the DPLL oracle;
+* the engine repeats itself: the same formula solved twice takes the
+  same search, counter for counter.
 """
 
 from __future__ import annotations
@@ -67,19 +67,13 @@ class AuditingSolver(CdclSolver):
         self._debug_check_watches()
         self.reduce_calls += 1
 
-    def _inprocess(self, deadline):
-        result = super()._inprocess(deadline)
-        self._debug_check_watches()
-        return result
-
 
 def _aggressive(**overrides) -> AuditingSolver:
-    """A solver tuned so reduction/inprocessing fire on tiny instances."""
+    """A solver tuned so reduction and restarts fire on tiny instances."""
     options = dict(
         reduce_min_learned=8,
         learned_limit_base=8,
         restart_base=4,
-        inprocess_interval=16,
     )
     options.update(overrides)
     return AuditingSolver(**options)
@@ -94,14 +88,6 @@ def test_reduction_fires_and_preserves_verdict_on_pigeonhole():
     assert solver.reduce_calls > 0
     assert solver.stats.deleted_clauses > 0
     solver._debug_check_watches()
-
-
-def test_inprocessing_fires_and_preserves_verdict_on_pigeonhole():
-    solver = _aggressive()
-    for clause in pigeonhole(7, 6).clauses:
-        solver.add_clause(clause)
-    assert not solver.solve().is_sat
-    assert solver.stats.inprocessings > 0
 
 
 @given(random_cnf())
@@ -127,10 +113,10 @@ def test_aggressive_reduction_agrees_with_dpll(clauses):
     ),
 )
 @settings(max_examples=60, deadline=None)
-def test_incremental_inprocessing_agrees_with_dpll(batches, assumption_sets):
-    """Random add/solve/assume sequences: inprocessing must be incremental-
-    sound — clauses strengthened or subsumed in one solve must leave every
-    later solve (with or without assumptions) agreeing with DPLL."""
+def test_incremental_reduction_agrees_with_dpll(batches, assumption_sets):
+    """Random add/solve/assume sequences: learned clauses kept or reduced
+    away in one solve must leave every later solve (with or without
+    assumptions) agreeing with DPLL."""
     solver = _aggressive()
     reference: list[list[int]] = []
     for index, batch in enumerate(batches):
@@ -201,13 +187,10 @@ def test_profile_mode_records_phase_times():
     assert not solver.solve().is_sat
     phase_times = solver.stats.phase_times
     assert phase_times is not None
-    assert set(phase_times) == {
-        "propagate", "analyze", "reduce", "inprocess", "bve", "vivify"
-    }
+    assert set(phase_times) == {"propagate", "analyze", "reduce"}
     assert all(value >= 0.0 for value in phase_times.values())
     counters = solver.stats.as_dict()
-    for key in ("time_propagate", "time_analyze", "time_reduce",
-                "time_inprocess", "time_bve", "time_vivify"):
+    for key in ("time_propagate", "time_analyze", "time_reduce"):
         assert key in counters
     assert counters["time_propagate"] > 0.0
 
@@ -226,3 +209,17 @@ def test_lbd_histogram_counts_learned_clauses():
     assert stats.lbd_sum >= total  # every learned clause has LBD >= 1
     assert "lbd_glue" in stats.as_dict()
     assert "phase_times" not in stats.as_dict()
+
+
+def test_the_engine_repeats_itself():
+    """No part of the search depends on the wall clock: two fresh solvers
+    on the same formula take the same search, conflict for conflict."""
+    counts = []
+    for _ in range(2):
+        solver = CdclSolver()
+        for clause in pigeonhole(8, 7).clauses:
+            solver.add_clause(clause)
+        assert solver.solve().is_unsat
+        stats = solver.stats
+        counts.append((stats.conflicts, stats.decisions, stats.propagations))
+    assert counts[0] == counts[1]

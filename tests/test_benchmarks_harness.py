@@ -118,8 +118,8 @@ class TestCompileScenario:
             assert case["verified"] is True
             assert case["gates"] > 0 and case["t_count"] >= 0
 
-    def test_schema_version_is_eleven(self, quick_report):
-        assert quick_report["schema_version"] == 11
+    def test_schema_version_is_twelve(self, quick_report):
+        assert quick_report["schema_version"] == 12
 
     def test_quick_report_contains_profile_section(self, quick_report):
         profile = quick_report["profile"]
@@ -128,9 +128,7 @@ class TestCompileScenario:
         assert "fig2_p4" in names
         assert "php_7_6" in names
         for row in profile["instances"]:
-            assert set(row["phases"]) == {
-                "propagate", "analyze", "reduce", "inprocess", "bve", "vivify"
-            }
+            assert set(row["phases"]) == {"propagate", "analyze", "reduce"}
             shares = [phase["share"] for phase in row["phases"].values()]
             assert all(0.0 <= share <= 1.0 for share in shares)
             assert row["conflicts_per_sec"] >= 0
@@ -198,44 +196,6 @@ class TestBackendScenario:
         }
         assert "dpll" in by_name["fig2_p4"]["runs"]
         assert "dpll" not in by_name["c17_p4"]["runs"]
-
-
-class TestSimplifyScenario:
-    def test_quick_report_contains_simplify_section(self, quick_report, run_bench):
-        scenario = quick_report["simplify"]
-        assert scenario["simplify_ok"] is True
-        names = {case["name"] for case in scenario["cases"]}
-        assert names == {"fig2_p4", "c17_p4"}
-        configs = {label for label, _ in run_bench.SIMPLIFY_CONFIGS}
-        for case in scenario["cases"]:
-            assert case["ok"] is True
-            assert set(case["runs"]) == configs
-            verdicts = {
-                (run["verdict"], run["steps"]) for run in case["runs"].values()
-            }
-            assert len(verdicts) == 1
-            for run in case["runs"].values():
-                assert run["seconds"] >= 0
-                assert set(run["counters"]) == {
-                    "eliminated_variables", "restored_variables",
-                    "bve_resolvents", "vivified_clauses",
-                    "chrono_backtracks",
-                }
-        # Ablations are attributed relative to the full engine.
-        assert set(scenario["attribution"]) == configs - {"full"}
-        for record in scenario["attribution"].values():
-            assert record["seconds"] >= 0
-            assert record["vs_full"] is None or record["vs_full"] > 0
-
-    def test_quick_simplify_cases_are_a_strict_subset(self, run_bench):
-        quick = [case for case in run_bench.SIMPLIFY_CASES if case[5]]
-        assert 0 < len(quick) < len(run_bench.SIMPLIFY_CASES)
-
-    def test_direct_cnf_cases_are_full_runs_only(self, run_bench):
-        # The CNF cases exist to engage the techniques for real, which
-        # takes second-scale solves — too slow for the smoke lane.
-        assert run_bench.SIMPLIFY_CNF_CASES
-        assert all(not case[2] for case in run_bench.SIMPLIFY_CNF_CASES)
 
 
 class TestCoreGuidedScenario:
