@@ -46,9 +46,7 @@ Sub-commands
     ``compile``, ``sweep``, ``pebble-batch``, ``cache warm``, ``serve``)
     accept ``--backend SPEC`` to pick one (``cdcl`` — the default native
     engine, ``dpll`` — the debug oracle, ``external[:<command>]`` — any
-    minisat-style DIMACS binary), and ``pebble-batch`` additionally
-    accepts ``--race-backends SPEC,SPEC,...`` to race every task across
-    several backends and keep the first complete answer.
+    minisat-style DIMACS binary).
 
 ``cache {stats,clear,warm} --db PATH``
     Inspect, empty or pre-populate the content-addressed result store
@@ -299,12 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--step-increment", type=int, default=None,
                        help="bound increment per UNSAT answer (linear schedule only)")
     _add_backend_argument(batch)
-    batch.add_argument("--race-backends", default=None, metavar="SPEC,SPEC,...",
-                       help="race every task across these backend specs; the "
-                            "first complete result wins (overrides --backend; "
-                            "raced lanes bypass --db, since the store's "
-                            "backend-invariant cache would answer the later "
-                            "lanes from the first one)")
     batch.add_argument("--retries", type=int, default=0, metavar="N",
                        help="retry each failed task up to N extra times with "
                             "exponential backoff (default 0 = no retries)")
@@ -464,11 +456,6 @@ def _run_batch(arguments: argparse.Namespace) -> int:
         for name in list_suites():
             print(name)
         return 0
-    race = None
-    if arguments.race_backends:
-        race = [
-            spec.strip() for spec in arguments.race_backends.split(",") if spec.strip()
-        ]
     tasks = tasks_from_suite(
         arguments.suite,
         time_limit=arguments.timeout,
@@ -480,7 +467,7 @@ def _run_batch(arguments: argparse.Namespace) -> int:
         backend=arguments.backend,
     )
     records = run_portfolio(
-        tasks, jobs=arguments.jobs, store_path=arguments.db, race_backends=race,
+        tasks, jobs=arguments.jobs, store_path=arguments.db,
         retry=_retry_policy(arguments.retries),
     )
     rows = [record.as_dict() for record in records]
@@ -490,9 +477,7 @@ def _run_batch(arguments: argparse.Namespace) -> int:
     else:
         for row in rows:
             steps = "-" if row["steps"] is None else row["steps"]
-            tail = f" [{row['backend']}]" if race else ""
-            if row.get("retries"):
-                tail += f" retries={row['retries']}"
+            tail = f" retries={row['retries']}" if row.get("retries") else ""
             print(f"{row['name']:24s} {row['outcome']:10s} steps={steps!s:>4s} "
                   f"sat_calls={row['sat_calls']:<3d} {row['runtime']:7.3f}s{tail}")
         solved = sum(1 for row in rows if row["outcome"] == "solution")
@@ -757,7 +742,7 @@ def _run_backends(arguments: argparse.Namespace) -> int:
             status += f" ({row['fallback']})"
         print(f"{row['name']:10s} {status:60s} {row['description']}")
     print("select with --backend SPEC on pebble/compile/sweep/pebble-batch/"
-          "cache warm/serve; race with pebble-batch --race-backends")
+          "cache warm/serve")
     return 0
 
 

@@ -17,12 +17,10 @@ The subpackage is organised as follows:
 * :mod:`repro.pebbling.heuristic` -- a greedy heuristic pebbler usable on
   DAGs that are too large for the SAT engine;
 * :mod:`repro.pebbling.portfolio` -- batches of pebbling tasks over a
-  process pool, with retries and first-winner backend races (cancelled
-  through :mod:`repro.pebbling.cancel`).
+  process pool, with retries and pool rebuilds.
 """
 
 from repro.pebbling.bennett import bennett_strategy, eager_bennett_strategy
-from repro.pebbling.cancel import CancellationToken
 from repro.pebbling.encoding import EncodingOptions, PebblingEncoder
 from repro.pebbling.heuristic import greedy_pebbling_strategy
 from repro.pebbling.portfolio import (
@@ -51,7 +49,6 @@ from repro.pebbling.solver import (
 from repro.pebbling.strategy import PebbleMove, PebblingStrategy
 
 __all__ = [
-    "CancellationToken",
     "EncodingOptions",
     "GeometricRefine",
     "GeometricSearch",

@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import os
 import random
-import tempfile
 import time
 import traceback as traceback_module
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import PebblingError
 from repro.fields import check_fields
@@ -41,7 +40,6 @@ from repro.obs import metrics as _metrics
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import merge_counters
 from repro.obs.trace import TraceContext
-from repro.pebbling.cancel import CancellationToken, resolve_token
 from repro.pebbling.encoding import DEFAULT_CARDINALITY, EncodingOptions
 from repro.pebbling.search import strategy_from_name
 from repro.pebbling.solver import ReversiblePebblingSolver
@@ -112,8 +110,7 @@ class PortfolioTask:
     def name(self) -> str:
         """Stable display/merge key of the task (shared with BatchEntry).
 
-        Deliberately backend-free: a racing portfolio runs the *same* task
-        on several backends and merges by this name.
+        Deliberately backend-free, like the result store's addresses.
         """
         return format_task_name(
             self.workload,
@@ -219,10 +216,7 @@ class PortfolioRecord:
 
     ``backend`` names the engine that *produced* the payload, resolved
     (bare ``cdcl`` reads ``cdcl:native=1`` or ``cdcl:native=0``; for a
-    cache-served task: the original producer).  A racing task's
-    ``backend`` is instead the winning lane's spec, the key into ``race``,
-    which holds the per-backend lane summaries (each naming its engine as
-    ``produced_by``); ``race`` is ``None`` for ordinary tasks.
+    cache-served task: the original producer).
     """
 
     task: PortfolioTask
@@ -237,7 +231,6 @@ class PortfolioRecord:
     error: str | None = None
     complete: bool = False
     backend: str | None = None
-    race: dict[str, dict[str, object]] | None = None
     #: Full worker-side traceback of an ``error`` record (``None`` for
     #: successful tasks) — without it a remote failure is one opaque line.
     traceback: str | None = None
@@ -249,12 +242,9 @@ class PortfolioRecord:
     proved_infeasible: bool = False
     #: Retry attempts this record consumed beyond the first try.
     retries: int = 0
-    #: Backend specs of race lanes stopped by first-winner cancellation
-    #: (``None`` for non-raced records).
-    cancelled: list[str] | None = None
     #: Solver counters aggregated across *every* SAT call this record paid
-    #: for — all retry attempts, and for raced tasks all lanes including
-    #: the losers (``None`` when no attempt reported counters).
+    #: for, over all retry attempts (``None`` when no attempt reported
+    #: counters).
     counters: dict[str, float] | None = None
     #: Per-attempt breakdown ``[{attempt, outcome, sat_calls, counters},
     #: ...]`` preserved when a task needed more than one attempt.
@@ -289,9 +279,6 @@ class PortfolioRecord:
             "proved_infeasible": self.proved_infeasible,
             "retries": self.retries,
         }
-        if self.race is not None:
-            row["race"] = self.race
-            row["cancelled"] = list(self.cancelled or [])
         if self.counters is not None:
             row["counters"] = self.counters
         if self.attempt_stats is not None:
@@ -420,7 +407,6 @@ def _attempt_task(
     attempt: int,
     epoch: int,
     time_limit: float | None,
-    cancel: str | None = None,
 ) -> PortfolioRecord:
     """One attempt of one task; never raises, always returns a record."""
     set_chaos_scope(task.name, attempt=attempt, epoch=epoch)
@@ -440,7 +426,6 @@ def _attempt_task(
             max_steps=task.max_steps,
             initial_steps=task.initial_steps,
             store=_resolve_store(store),
-            cancel=cancel,
         )
     except Exception as error:  # noqa: BLE001 — a crashed task must not kill the sweep
         return PortfolioRecord(
@@ -466,7 +451,6 @@ def _execute_task(
     store: object = None,
     retry: "RetryPolicy | None" = None,
     epoch: int = 0,
-    cancel: str | None = None,
 ) -> PortfolioRecord:
     """Run one task — retrying per ``retry`` — inside a worker process.
 
@@ -474,11 +458,6 @@ def _execute_task(
     an open :class:`~repro.store.ResultStore` (inline execution).  ``epoch``
     counts pool rebuilds; it feeds the chaos scope so resubmitted work does
     not replay the fault that killed its first pool.
-
-    ``cancel`` is a first-winner cancellation token path (see
-    :mod:`repro.pebbling.cancel`): it is checked between retry attempts
-    here and between SAT calls inside the solver, so a losing race lane
-    stops mid-search instead of running its full time budget.
 
     The *best* record across attempts wins (complete beats incomplete
     beats error, latest on ties), and it reports the retries consumed —
@@ -489,7 +468,7 @@ def _execute_task(
     when more than one attempt ran.
     """
     with obs_trace.activated(task.trace):
-        return _execute_attempts(task, store, retry, epoch, cancel)
+        return _execute_attempts(task, store, retry, epoch)
 
 
 def _execute_attempts(
@@ -497,20 +476,13 @@ def _execute_attempts(
     store: object,
     retry: "RetryPolicy | None",
     epoch: int,
-    cancel: str | None,
 ) -> PortfolioRecord:
     policy = retry if retry is not None else RetryPolicy(max_attempts=1)
-    token = resolve_token(cancel)
     started = time.monotonic()
     best: PortfolioRecord | None = None
     attempted: list[PortfolioRecord] = []
     attempts_used = 0
     for attempt in range(policy.max_attempts):
-        if token is not None and token.cancelled():
-            obs_trace.event("task.cancelled", task=task.name, attempt=attempt)
-            if best is None:
-                best = PortfolioRecord(task=task, outcome="cancelled")
-            break
         if attempt:
             delay = policy.delay_before(attempt, key=task.name)
             if policy.total_time_limit is not None:
@@ -541,16 +513,12 @@ def _execute_attempts(
             backend=task.backend,
             epoch=epoch,
         ) as attempt_span:
-            record = _attempt_task(task, store, attempt, epoch, time_limit, cancel)
+            record = _attempt_task(task, store, attempt, epoch, time_limit)
             attempt_span.set(outcome=record.outcome, sat_calls=record.sat_calls)
         attempted.append(record)
         attempts_used = attempt + 1
         if best is None or _record_rank(record) <= _record_rank(best):
             best = record
-        if record.outcome == "cancelled":
-            # A sibling already answered mid-attempt; retrying would only
-            # observe the token again.
-            break
         if record.outcome != "error" and (
             record.complete or not policy.retry_incomplete
         ):
@@ -588,12 +556,9 @@ def run_portfolio(
     jobs: int = 1,
     store_path: str | None = None,
     force_pool: bool = False,
-    race_backends: Sequence[str] | None = None,
     retry: "RetryPolicy | None" = None,
     health: "PortfolioHealth | None" = None,
     pool_rebuild_limit: int = 2,
-    cancel_paths: Sequence[str | None] | None = None,
-    on_record: "Callable[[int, PortfolioRecord], None] | None" = None,
 ) -> list[PortfolioRecord]:
     """Run every task, ``jobs`` at a time, and merge deterministically.
 
@@ -612,19 +577,6 @@ def run_portfolio(
     answers exact repeats from the cache and warm-starts neighbouring
     budgets.
 
-    ``race_backends`` switches the portfolio into *racing* mode: every
-    task runs once per listed backend spec (one lane each, fanned out
-    across the same pool), and the lanes merge back into one record per
-    task — the first **complete** lane wins (complete = the search ran to
-    its natural end, not a timeout), ranked by lane runtime with the list
-    order as the deterministic tie-break; with no complete lane the best
-    partial lane is kept.  Each merged record carries the per-lane
-    summaries in ``race`` and the winner's spec in ``backend``.  Raced
-    lanes deliberately run **without** the result store: its content
-    addresses are backend-invariant, so a shared cache would answer every
-    lane after the first from the first lane's result and the race would
-    compare cache lookups instead of backends.
-
     ``retry`` applies a :class:`RetryPolicy` inside every worker (transient
     faults heal without resubmission traffic); ``health`` collects
     fault-tolerance counters into a caller-owned :class:`PortfolioHealth`.
@@ -633,15 +585,6 @@ def run_portfolio(
     to a fresh pool, at most ``pool_rebuild_limit`` times, before the
     remainder degrades to ``error`` records; finished results are never
     recomputed.
-
-    ``cancel_paths`` aligns one cancellation-token path (or ``None``) with
-    each task; workers poll their token between SAT calls and retry
-    attempts.  ``on_record`` is called as ``on_record(index, record)`` the
-    moment each task finishes — in *completion* order, which is what lets
-    the racing layer cancel losing lanes while they are still running.
-    Results are absorbed with :func:`concurrent.futures.as_completed`, so
-    one slow early task no longer delays sibling absorption; the returned
-    list is still ordered like ``tasks``.
     """
     task_list = list(tasks)
     if jobs < 1:
@@ -650,40 +593,28 @@ def run_portfolio(
         raise PebblingError("pool_rebuild_limit must be >= 0")
     if not task_list:
         return []
-    with obs_trace.span(
-        "portfolio.run",
-        tasks=len(task_list),
-        jobs=jobs,
-        race=race_backends is not None,
-    ) as run_span:
+    with obs_trace.span("portfolio.run", tasks=len(task_list), jobs=jobs) as run_span:
         records = _run_portfolio_tasks(
             task_list,
             jobs=jobs,
             store_path=store_path,
             force_pool=force_pool,
-            race_backends=race_backends,
             retry=retry,
             health=health,
             pool_rebuild_limit=pool_rebuild_limit,
-            cancel_paths=cancel_paths,
-            on_record=on_record,
         )
         run_span.set(
             solved=sum(1 for record in records if record.found),
             errors=sum(1 for record in records if record.outcome == "error"),
         )
-    if race_backends is None:
-        # A racing run already counted its lanes through the inner
-        # run_portfolio call; counting the merged records again would
-        # double every lane's solver work.
-        _metrics.counter("repro_portfolio_tasks_total").inc(len(records))
-        for record in records:
-            if record.outcome == "error":
-                _metrics.counter("repro_portfolio_errors_total").inc()
-            if record.retries:
-                _metrics.counter("repro_portfolio_retried_tasks_total").inc()
-            _metrics.counter("repro_portfolio_sat_calls_total").inc(record.sat_calls)
-            _metrics.registry().absorb_counters(record.counters)
+    _metrics.counter("repro_portfolio_tasks_total").inc(len(records))
+    for record in records:
+        if record.outcome == "error":
+            _metrics.counter("repro_portfolio_errors_total").inc()
+        if record.retries:
+            _metrics.counter("repro_portfolio_retried_tasks_total").inc()
+        _metrics.counter("repro_portfolio_sat_calls_total").inc(record.sat_calls)
+        _metrics.registry().absorb_counters(record.counters)
     return records
 
 
@@ -693,12 +624,9 @@ def _run_portfolio_tasks(
     jobs: int,
     store_path: str | None,
     force_pool: bool,
-    race_backends: Sequence[str] | None,
     retry: "RetryPolicy | None",
     health: "PortfolioHealth | None",
     pool_rebuild_limit: int,
-    cancel_paths: Sequence[str | None] | None,
-    on_record: "Callable[[int, PortfolioRecord], None] | None",
 ) -> list[PortfolioRecord]:
     """Validated body of :func:`run_portfolio` (runs inside its span)."""
     ctx = obs_trace.current_context()
@@ -711,29 +639,9 @@ def _run_portfolio_tasks(
             task if task.trace is not None else replace(task, trace=ctx)
             for task in task_list
         ]
-    if race_backends is not None:
-        return _run_race(
-            task_list,
-            list(race_backends),
-            jobs=jobs,
-            force_pool=force_pool,
-            retry=retry,
-            health=health,
-        )
-    if cancel_paths is not None and len(cancel_paths) != len(task_list):
-        raise PebblingError("cancel_paths must align with tasks")
-
-    def cancel_of(index: int) -> str | None:
-        return cancel_paths[index] if cancel_paths is not None else None
-
     inline = jobs == 1 or len(task_list) <= 1 or _usable_cores() <= 1
     if inline and not force_pool:
-        records = []
-        for index, task in enumerate(task_list):
-            record = _execute_task(task, store_path, retry, 0, cancel_of(index))
-            records.append(record)
-            if on_record is not None:
-                on_record(index, record)
+        records = [_execute_task(task, store_path, retry, 0) for task in task_list]
         if health is not None:
             health.absorb_records(records)
         return records
@@ -745,16 +653,10 @@ def _run_portfolio_tasks(
         pool_broke = False
         with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
             submitted = {
-                pool.submit(
-                    _execute_task, task, store_path, retry, epoch, cancel_of(index)
-                ): (index, task)
+                pool.submit(_execute_task, task, store_path, retry, epoch): (index, task)
                 for index, task in pending
             }
-            # Completion order, not submission order: a slow early task no
-            # longer delays sibling absorption — and therefore no longer
-            # delays first-winner cancellation of the tasks behind it.
-            for future in as_completed(submitted):
-                index, task = submitted[future]
+            for future, (index, task) in submitted.items():
                 try:
                     results[index] = future.result()
                 except BrokenProcessPool:
@@ -762,7 +664,6 @@ def _run_portfolio_tasks(
                     # had not finished) must be resubmitted to a new one.
                     pool_broke = True
                     unfinished.append((index, task))
-                    continue
                 except Exception as error:  # noqa: BLE001 — e.g. an unpicklable result
                     results[index] = PortfolioRecord(
                         task=task,
@@ -770,11 +671,6 @@ def _run_portfolio_tasks(
                         error=str(error),
                         traceback=traceback_module.format_exc(),
                     )
-                if on_record is not None:
-                    on_record(index, results[index])
-        # as_completed surfaces broken-pool tasks in arbitrary order;
-        # resubmit them in task order so rebuilt epochs stay deterministic.
-        unfinished.sort(key=lambda pair: pair[0])
         if pool_broke:
             if epoch >= pool_rebuild_limit:
                 for index, task in unfinished:
@@ -801,161 +697,6 @@ def _run_portfolio_tasks(
     if health is not None:
         health.absorb_records(records)
     return records
-
-
-def _lane_summary(record: PortfolioRecord) -> dict[str, object]:
-    """The per-backend entry a merged race record reports."""
-    summary: dict[str, object] = {
-        "outcome": record.outcome,
-        "steps": record.steps,
-        "runtime": round(record.runtime, 3),
-        "sat_calls": record.sat_calls,
-        "complete": record.complete,
-        "error": record.error,
-        "produced_by": record.backend,
-    }
-    if record.counters is not None:
-        summary["counters"] = record.counters
-    if record.attempt_stats is not None:
-        summary["attempt_stats"] = record.attempt_stats
-    return summary
-
-
-def _merge_race(
-    task: PortfolioTask,
-    backends: Sequence[str],
-    lanes: Sequence[PortfolioRecord],
-) -> PortfolioRecord:
-    """Fold one task's backend lanes into its merged racing record.
-
-    The winner is the first lane to *complete* its search: lanes are
-    ranked by ``(not complete, no solution, no anytime progress, runtime,
-    lane index)``, so a conclusive answer always beats a timeout, a
-    timeout that still carries a witness beats one that found nothing, a
-    lane with an anytime ``partial`` snapshot beats one with no progress
-    at all, faster answers beat slower ones, and the caller's backend
-    order breaks exact ties — the merge is a pure function of the lane
-    records.  Error lanes rank last but are still reported in ``race``;
-    lanes stopped by first-winner cancellation are listed in the merged
-    record's ``cancelled`` (a cancelled lane is by construction
-    incomplete, so it can never outrank the winner that cancelled it).
-
-    Counters from *every* lane — losers and cancelled lanes included —
-    are merged into the winning record's ``counters``: the race paid for
-    all of that solver work, so the merged record accounts for it (each
-    lane's own share stays visible in its ``race`` entry).
-    """
-    def rank(
-        indexed: tuple[int, PortfolioRecord]
-    ) -> tuple[int, int, int, int, float, int]:
-        index, lane = indexed
-        return (
-            1 if lane.outcome == "error" else 0,
-            0 if lane.complete else 1,
-            0 if lane.outcome == "solution" else 1,
-            0 if (lane.outcome == "solution" or lane.partial is not None) else 1,
-            lane.runtime,
-            index,
-        )
-
-    winner_index, winner = min(enumerate(lanes), key=rank)
-    merged_counters: dict[str, float] = {}
-    for lane in lanes:
-        merge_counters(merged_counters, lane.counters)
-    merged = PortfolioRecord(
-        task=task,
-        outcome=winner.outcome,
-        steps=winner.steps,
-        moves=winner.moves,
-        pebbles_used=winner.pebbles_used,
-        weight_used=winner.weight_used,
-        runtime=winner.runtime,
-        sat_calls=winner.sat_calls,
-        configurations=winner.configurations,
-        error=winner.error,
-        complete=winner.complete,
-        traceback=winner.traceback,
-        partial=winner.partial,
-        proved_infeasible=winner.proved_infeasible,
-        retries=winner.retries,
-        # The winning lane's spec, so ``race[backend]`` is its summary;
-        # the engine it resolved to is that summary's ``produced_by``.
-        backend=backends[winner_index],
-        race={
-            spec: _lane_summary(lane) for spec, lane in zip(backends, lanes)
-        },
-        cancelled=[
-            spec
-            for spec, lane in zip(backends, lanes)
-            if lane.outcome == "cancelled"
-            or (lane.partial or {}).get("cancelled")
-        ],
-        counters=merged_counters or None,
-        attempt_stats=winner.attempt_stats,
-    )
-    return merged
-
-
-def _run_race(
-    tasks: Sequence[PortfolioTask],
-    backends: Sequence[str],
-    *,
-    jobs: int,
-    force_pool: bool,
-    retry: "RetryPolicy | None" = None,
-    health: "PortfolioHealth | None" = None,
-) -> list[PortfolioRecord]:
-    """Race every task across ``backends`` (see :func:`run_portfolio`).
-
-    No ``store_path``: the store's backend-invariant addresses would turn
-    every lane after the first into a cache lookup of the first lane's
-    answer, crowning a "winner" that never solved anything.
-
-    Each task group shares one first-winner cancellation token: the moment
-    any lane returns a *complete* record, the group's token is raised and
-    sibling lanes — queued or mid-search — stop at their next poll instead
-    of running their full time budget (previously up to
-    ``(width - 1) / width`` of the pool was spent finishing known losers).
-    """
-    if not backends:
-        raise PebblingError("race_backends needs at least one backend spec")
-    width = len(backends)
-    lanes_per_task = [
-        [replace(task, backend=spec) for spec in backends] for task in tasks
-    ]
-    flat = [lane for lanes in lanes_per_task for lane in lanes]
-    with tempfile.TemporaryDirectory(prefix="repro-race-") as scratch:
-        tokens = [
-            CancellationToken(os.path.join(scratch, f"winner-{position}.cancel"))
-            for position in range(len(tasks))
-        ]
-        cancel_paths = [tokens[index // width].path for index in range(len(flat))]
-
-        def crown(flat_index: int, record: PortfolioRecord) -> None:
-            if record.complete:
-                token = tokens[flat_index // width]
-                if not token.cancelled():
-                    obs_trace.event(
-                        "race.win",
-                        task=record.name,
-                        backend=record.backend or backends[flat_index % width],
-                    )
-                token.cancel()
-
-        flat_records = run_portfolio(
-            flat,
-            jobs=jobs,
-            force_pool=force_pool,
-            retry=retry,
-            health=health,
-            cancel_paths=cancel_paths,
-            on_record=crown,
-        )
-    merged: list[PortfolioRecord] = []
-    for position, task in enumerate(tasks):
-        lanes = flat_records[position * width:(position + 1) * width]
-        merged.append(_merge_race(task, backends, lanes))
-    return merged
 
 
 def tasks_from_suite(

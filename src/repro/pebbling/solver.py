@@ -43,7 +43,6 @@ from repro.dag.graph import Dag
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.pebbling.bennett import eager_bennett_strategy
-from repro.pebbling.cancel import POLL_SLICE, resolve_token
 from repro.pebbling.encoding import (
     EncodingOptions,
     PebblingEncoder,
@@ -78,11 +77,6 @@ class PebblingOutcome(Enum):
     INFEASIBLE = "infeasible"
     STEP_LIMIT = "step-limit"
     TIMEOUT = "timeout"
-    #: The search was stopped by a cross-process cancellation token (a
-    #: sibling race lane already answered); a cancelled search that found
-    #: a witness first reports SOLUTION instead, with ``complete=False``
-    #: and ``partial["cancelled"]`` set.
-    CANCELLED = "cancelled"
 
 
 @dataclass
@@ -488,15 +482,24 @@ class ReversiblePebblingSolver:
     # ------------------------------------------------------------------
     # feasibility bounds
     # ------------------------------------------------------------------
+    def _needed_nodes(self) -> set:
+        """The outputs and their ancestors: the only nodes that ever need a
+        pebble (a strategy can leave every other node alone)."""
+        needed = set(self.dag.outputs())
+        for node in reversed(self.dag.topological_order()):
+            if node in needed:
+                needed.update(self.dag.dependencies(node))
+        return needed
+
     def minimum_pebbles_lower_bound(self) -> int:
         """A cheap lower bound on the budget of any strategy.
 
-        Any node must be pebbled with all its dependencies pebbled, hence at
-        least ``max_fanin + 1`` pebbles; the final configuration holds all
-        outputs, hence at least ``|O|`` pebbles; and for a non-output DAG
-        node to be cleaned up while an output stays pebbled the bound
-        ``|O| + 1`` applies whenever some non-output node remains to be
-        unpebbled after the last output is computed.
+        Only the needed nodes (:meth:`_needed_nodes`) are ever pebbled, so
+        every term is taken over them.  A needed node must be pebbled with
+        all its dependencies pebbled, hence at least ``fanin + 1`` pebbles;
+        the final configuration holds all outputs, hence at least ``|O|``
+        pebbles; and a needed non-output is pebbled together with its
+        needed dependent, hence at least 2.
 
         In weighted mode the same arguments bound the *weight* budget: the
         moment a node ``v`` is (un)pebbled, ``v`` and all its dependencies
@@ -505,18 +508,22 @@ class ReversiblePebblingSolver:
         terms collapse to the unweighted bound, which stays sound for any
         weights >= 1.
         """
-        stats = self.dag.statistics()
-        bound = max(stats.max_fanin + 1, stats.num_outputs)
-        if stats.num_nodes > stats.num_outputs:
+        needed = self._needed_nodes()
+        outputs = self.dag.outputs()
+        bound = max(
+            len(outputs),
+            max(len(self.dag.dependencies(node)) + 1 for node in needed),
+        )
+        if len(needed) > len(outputs):
             bound = max(bound, 2)
         if self.options.weighted:
             weights = validated_node_weights(self.dag)
             closure = max(
                 weights[node]
                 + sum(weights[dep] for dep in self.dag.dependencies(node))
-                for node in self.dag.nodes()
+                for node in needed
             )
-            final = sum(weights[output] for output in self.dag.outputs())
+            final = sum(weights[output] for output in outputs)
             bound = max(bound, closure, final)
         return bound
 
@@ -536,10 +543,7 @@ class ReversiblePebblingSolver:
         giving ``2 |needed| - |O|``.
         """
         outputs = set(self.dag.outputs())
-        needed = set(outputs)
-        for node in reversed(self.dag.topological_order()):
-            if node in needed:
-                needed.update(self.dag.dependencies(node))
+        needed = self._needed_nodes()
         if self.options.max_moves_per_step == 1:
             lower = 2 * len(needed) - len(outputs)
         else:
@@ -616,7 +620,6 @@ class ReversiblePebblingSolver:
         time_limit: float | None = None,
         step_floor: int | None = None,
         store=None,
-        cancel=None,
     ) -> PebblingResult:
         """Find a strategy with at most ``max_pebbles`` pebbles.
 
@@ -655,11 +658,6 @@ class ReversiblePebblingSolver:
         surface): an exact cache hit is returned without touching a SAT
         solver, a warm hit seeds the step bounds so the search starts near
         the answer, and any complete fresh result is written back.
-
-        ``cancel`` is a first-winner
-        :class:`~repro.pebbling.cancel.CancellationToken` (or its path):
-        the search stops at its next check once a sibling race lane has
-        answered.
         """
         if max_pebbles < 1:
             raise PebblingError("max_pebbles must be >= 1")
@@ -709,7 +707,6 @@ class ReversiblePebblingSolver:
             time_limit=time_limit,
             step_floor=step_floor,
             warm=warm,
-            cancel=cancel,
         )
         if store is not None and result.complete:
             store.put_pebble(self.dag, result, **request)
@@ -725,10 +722,8 @@ class ReversiblePebblingSolver:
         time_limit: float | None = None,
         step_floor: int | None = None,
         warm=None,
-        cancel=None,
     ) -> PebblingResult:
         """One Problem-1 search without the store: :meth:`solve`'s engine."""
-        token = resolve_token(cancel)
         started = time.monotonic()
         steps = self._step_range(
             max_pebbles,
@@ -776,7 +771,7 @@ class ReversiblePebblingSolver:
                 else _FreshOracle(self, max_pebbles)
             )
             result.outcome = self._query_loop(
-                result, cursor, oracle, max_steps, time_limit, started, token
+                result, cursor, oracle, max_steps, time_limit, started
             )
             solve_span.set(
                 outcome=result.outcome.value, sat_calls=len(result.attempts)
@@ -792,8 +787,6 @@ class ReversiblePebblingSolver:
                 "best_steps": result.num_steps,
                 "sat_calls": len(result.attempts),
             }
-            if token is not None and token.cancelled():
-                result.partial["cancelled"] = True
         # Step-minimality certification: the schedule must close on the
         # minimum AND the scan must have started at (or below) a sound
         # floor.  GeometricRefine brackets from ``min(floor, initial)``, so
@@ -844,7 +837,6 @@ class ReversiblePebblingSolver:
         max_steps: int,
         time_limit: float | None,
         started: float,
-        token,
     ) -> PebblingOutcome:
         """Ask ``oracle`` about the cursor's bounds until the search ends.
 
@@ -857,12 +849,6 @@ class ReversiblePebblingSolver:
         best: PebblingStrategy | None = None
         bound: int | None = cursor.bound
         while bound is not None and bound <= max_steps:
-            if token is not None and token.cancelled():
-                if _trace.active():
-                    _trace.event("solve.cancelled", bound=bound, witness=best is not None)
-                _metrics.counter("repro_cancellations_total").inc()
-                result.strategy = best
-                return PebblingOutcome.SOLUTION if best else PebblingOutcome.CANCELLED
             remaining = self._remaining(time_limit, started)
             if remaining is None or remaining > 0:
                 ladder = oracle.pose(
@@ -874,16 +860,6 @@ class ReversiblePebblingSolver:
                 result.strategy = best
                 return PebblingOutcome.SOLUTION if best else PebblingOutcome.TIMEOUT
             call_started = time.monotonic()
-            # Under a cancellation token long queries run in doubling time
-            # slices so the search reacts mid-call: a slice that expires
-            # checks the token, then re-issues the same query.  The
-            # incremental engines resume from their learned clauses, so a
-            # retry costs almost nothing; for backends that restart from
-            # scratch the doubling bounds the total rework by the cost of
-            # the final slice.
-            chunked = token is not None and self.conflict_limit is None
-            slice_budget = POLL_SLICE
-            interrupted = False
             core: list[int] | None = None
             with _trace.span(
                 "sat.call",
@@ -892,35 +868,16 @@ class ReversiblePebblingSolver:
                 backend=self.backend,
                 ladder=len(ladder),
             ) as call_span:
-                while True:
-                    call_limit = remaining
-                    if chunked:
-                        call_limit = (
-                            slice_budget
-                            if remaining is None
-                            else min(remaining, slice_budget)
-                        )
-                    answer = oracle.solve(call_limit)
-                    if not chunked or not answer.is_unknown:
-                        break
-                    remaining = self._remaining(time_limit, started)
-                    if remaining is not None and remaining <= 0:
-                        break  # genuine timeout, handled as UNKNOWN below
-                    if token.cancelled():
-                        interrupted = True
-                        break
-                    slice_budget *= 2
+                answer = oracle.solve(remaining)
                 elapsed = time.monotonic() - call_started
-                if not interrupted and answer.is_unsat:
+                if answer.is_unsat:
                     # The span charges core extraction to the call that paid
                     # for it (the minimising backend probes the solver here).
                     core = oracle.core()
                     if core is not None:
                         call_span.set(core_size=len(core))
                 call_span.set(
-                    verdict=answer.status.value,
-                    conflicts=answer.stats.conflicts,
-                    interrupted=interrupted,
+                    verdict=answer.status.value, conflicts=answer.stats.conflicts
                 )
                 result.attempts.append(
                     AttemptRecord(
@@ -934,8 +891,6 @@ class ReversiblePebblingSolver:
                 )
             _metrics.counter("repro_sat_calls_total").inc()
             _metrics.histogram("repro_sat_call_seconds").observe(elapsed)
-            if interrupted:
-                continue
             if answer.is_unknown:
                 result.strategy = best
                 return PebblingOutcome.SOLUTION if best else PebblingOutcome.TIMEOUT

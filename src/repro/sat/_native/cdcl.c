@@ -3,11 +3,12 @@
  * A deliberately compact MiniSat-style solver covering exactly the
  * IncrementalSatBackend surface the pebbling search needs: incremental
  * clause addition, per-call assumptions with conflict-analysis cores,
- * conflict/time budgets, and the usual counters.  It trades the Python
- * engine's inprocessing machinery (BVE, vivification, LBD management)
- * for a raw propagate loop: two watched literals with blockers, VSIDS,
- * phase saving, Luby restarts, first-UIP learning and activity-ranked
- * clause-database reduction.
+ * conflict/time budgets, and the usual counters.  It keeps a raw
+ * propagate loop: two watched literals with blockers, VSIDS, phase
+ * saving, Luby restarts, first-UIP learning and activity-ranked
+ * clause-database reduction, without the Python engine's LBD scores.
+ * Its parameters (restart unit, activity decays, learned-clause cap)
+ * are constants, so cdcl_new takes no options.
  *
  * Literals cross the ABI in DIMACS convention (nonzero int32, sign =
  * polarity); internally they are encoded as 2*var + (negative ? 1 : 0)
@@ -62,6 +63,9 @@
 
 /* Clauses up to this length are sorted by insertion, longer ones by qsort. */
 #define SORT_INLINE_MAX 16
+
+/* Conflicts in one unit of the Luby restart sequence. */
+#define RESTART_BASE 100
 
 typedef struct Clause {
     double activity;
@@ -120,8 +124,6 @@ typedef struct Solver {
 
     double var_inc, var_decay;
     double cla_inc, cla_decay;
-    int64_t restart_base;
-    uint32_t rng;
 
     int32_t *analyze_buf;      /* learned-clause scratch (capacity vars) */
     int32_t *conflict;         /* failed-assumption core (internal lits) */
@@ -618,7 +620,7 @@ static int64_t luby(int64_t index) {
 
 /* -- public ABI --------------------------------------------------------- */
 
-void *cdcl_new(uint32_t seed, int64_t restart_base) {
+void *cdcl_new(void) {
     Solver *s = calloc(1, sizeof(Solver));
     if (s == NULL)
         return NULL;
@@ -627,8 +629,6 @@ void *cdcl_new(uint32_t seed, int64_t restart_base) {
     s->var_decay = 1.0 / 0.95;
     s->cla_inc = 1.0;
     s->cla_decay = 1.0 / 0.999;
-    s->restart_base = restart_base > 0 ? restart_base : 100;
-    s->rng = seed ? seed : 0x9e3779b9u;
     s->max_learnts = 2000.0;
     s->chunk_size = CHUNK_FIRST;
     return s;
@@ -850,7 +850,7 @@ int32_t cdcl_solve(void *handle, const int32_t *assumptions, int32_t num_assumpt
 
     double deadline = time_limit > 0 ? now_seconds() + time_limit : -1.0;
     int64_t budget = conflict_limit > 0 ? s->conflicts + conflict_limit : -1;
-    int64_t next_restart = s->conflicts + s->restart_base * luby(s->restarts);
+    int64_t next_restart = s->conflicts + RESTART_BASE * luby(s->restarts);
     double learnt_cap = s->max_learnts;
     if (learnt_cap < (double)s->num_clauses / 3.0)
         learnt_cap = (double)s->num_clauses / 3.0;
@@ -892,7 +892,7 @@ int32_t cdcl_solve(void *handle, const int32_t *assumptions, int32_t num_assumpt
 
         if (s->conflicts >= next_restart) {
             s->restarts++;
-            next_restart = s->conflicts + s->restart_base * luby(s->restarts);
+            next_restart = s->conflicts + RESTART_BASE * luby(s->restarts);
             cancel_until(s, 0);
             continue;
         }

@@ -8,16 +8,16 @@ surface, and a string-keyed registry maps picklable backend *specs* to
 implementations so the whole stack (solver → portfolio workers → service →
 CLI) can carry a backend across process boundaries as plain data:
 
-``"cdcl[:key=value,...]"``
+``"cdcl[:native=0|1,profile=0|1]"``
     The CDCL engine, with real conflict-analysis assumption cores.  Bare
     ``cdcl`` runs the C core (:class:`~repro.sat.native.NativeCdclSolver`)
     whenever it builds and loads on this host, and the pure-Python
     :class:`~repro.sat.solver.CdclSolver` otherwise; :func:`resolve_backend`
     names the one that runs (``cdcl:native=1`` / ``cdcl:native=0``) and
     :func:`backend_fallback_reason` says why the C core did not.
-    ``native=0``/``native=1`` pick an engine explicitly, and a key only
-    the Python engine honours (``cdcl:var_decay=0.9``, ``glue_max=3``, ...)
-    selects it; see :class:`CdclSpec` for the accepted keys.
+    ``native=0``/``native=1`` pick an engine explicitly, and ``profile=1``,
+    which only the Python engine keeps, selects it; the search parameters
+    of both engines are constants (see :class:`CdclSpec`).
 
 ``"dpll"``
     The reference :class:`~repro.sat.solver.DpllSolver` wrapped as a
@@ -152,7 +152,7 @@ class DpllBackend(IncrementalSatBackend):
 
     A debug/differential backend: obviously correct and conclusive within
     its budget (``time_limit`` is honoured cooperatively and answers
-    UNKNOWN on expiry — essential for racing this exponential oracle;
+    UNKNOWN on expiry, so a deadline bounds this exponential oracle;
     ``conflict_limit`` is ignored), usable on small instances.
     :meth:`failed_assumptions` is computed by deletion-based minimisation
     (one re-solve per assumption, the whole pass deadline-bounded), so its
@@ -306,8 +306,7 @@ class ExternalDimacsBackend(IncrementalSatBackend):
     assumptions (as unit clauses) to a fresh DIMACS file and invokes
     ``<command> <in.cnf> <out>``.  The process-spawn-per-call overhead
     makes this backend interesting for *hard* instances (where a fast
-    native binary amortises the spawn), for differential testing, and for
-    the racing portfolio.
+    native binary amortises the spawn) and for differential testing.
 
     ``conflict_limit`` is ignored; ``time_limit`` kills the subprocess and
     reports :attr:`~repro.sat.solver.Status.UNKNOWN`.
@@ -741,80 +740,38 @@ def register_backend(
 
 @dataclass(frozen=True)
 class CdclSpec:
-    """Parsed tuning options of a ``cdcl[:key=value,...]`` spec.
+    """Parsed options of a ``cdcl[:key=value,...]`` spec.
 
-    The spec argument is a comma-separated list of ``key=value`` pairs
-    mapping onto :class:`~repro.sat.solver.CdclSolver` constructor knobs,
-    so bench lanes and ``--race-backends`` can tune the engine from the
-    command line: ``cdcl:restart_base=200,var_decay=0.95,seed=7``.
-
-    ``native`` picks the engine: ``None`` (the key is absent) means the C
-    core when it loads and the Python engine otherwise.  The C core
-    honours only ``restart_base`` and ``seed``, so a spec that sets any
-    other key runs the Python engine, and setting one together with
-    ``native=1`` is an error rather than a silently dropped knob.
+    A spec names an engine and nothing else; the search parameters of
+    both engines are constants.  ``native`` picks the engine: ``None``
+    (the key is absent) means the C core when it loads and the Python
+    engine otherwise.  Only the Python engine profiles, so ``profile=1``
+    runs that engine, and setting it together with ``native=1`` is an
+    error rather than a silently dropped key.
     """
 
-    #: Luby restart unit (conflicts before the first restart).
-    restart_base: int = 100
-    #: VSIDS variable-activity decay, in (0, 1].
-    var_decay: float = 0.95
-    #: Learned-clause activity decay, in (0, 1].
-    clause_decay: float = 0.999
-    #: Seed of the solver's deterministic tie-breaking RNG.
-    seed: int = 2019
-    #: Minimum learned-clause count before a reduction may run.
-    reduce_min_learned: int = 50
-    #: Initial learned-clause limit (grows geometrically).
-    learned_limit_base: int = 1000
-    #: LBD at or below which learned clauses are kept forever.
-    glue_max: int = 2
     #: Engine: 1 = the ctypes-loaded C core, 0 = the Python engine,
     #: absent = the C core when it loads.
     native: bool | None = None
     #: Record per-phase time splits in ``stats.phase_times``.
     profile: bool = False
 
-    _INT_KEYS = ("restart_base", "seed", "reduce_min_learned",
-                 "learned_limit_base", "glue_max")
-    _FLOAT_KEYS = ("var_decay", "clause_decay")
     #: ``native`` last, so a rendered spec ends by naming its engine.
-    _BOOL_KEYS = ("profile", "native")
-    #: Keys the C core honours; every other key tunes the Python engine.
-    _NATIVE_KEYS = ("restart_base", "seed", "native")
+    _KEYS = ("profile", "native")
 
     def __post_init__(self) -> None:
-        tuned = [
-            key for key in self._keys()
-            if getattr(self, key) != getattr(type(self), key)
-        ]
-        object.__setattr__(self, "native", self._engine(self.native, tuned))
-
-    @classmethod
-    def _keys(cls) -> tuple[str, ...]:
-        return cls._INT_KEYS + cls._FLOAT_KEYS + cls._BOOL_KEYS
-
-    @classmethod
-    def _engine(cls, native: bool | None, tuned: Iterable[str]) -> bool | None:
-        """``native`` settled against the keys a spec sets.
-
-        A key only the Python engine honours selects that engine, and
-        is an error together with ``native=1``.  A parsed spec sets the
-        keys it names; a constructed one the fields off their default.
-        """
-        python_only = [key for key in tuned if key not in cls._NATIVE_KEYS]
-        if not python_only:
-            return native
-        if native:
+        if not self.profile:
+            return
+        if self.native:
             raise SolverError(
-                f"cdcl: the C core (native=1) does not honour "
-                f"{', '.join(python_only)}; drop native=1 to run the Python engine"
+                "cdcl: the C core (native=1) does not honour profile; "
+                "drop native=1 to run the Python engine"
             )
-        return False
+        object.__setattr__(self, "native", False)
 
     @classmethod
     def parse(cls, argument: str | None) -> "CdclSpec":
-        values: dict[str, object] = {}
+        values: dict[str, bool] = {}
         for raw in (argument or "").split(","):
             token = raw.strip()
             if not token:
@@ -824,57 +781,26 @@ class CdclSpec:
             if not equals:
                 raise SolverError(
                     f"cdcl: expected key=value, got {token!r}; valid keys: "
-                    f"{', '.join(cls._keys())}"
+                    f"{', '.join(cls._KEYS)}"
                 )
             if key in values:
                 raise SolverError(f"cdcl: {key!r} given twice in {argument!r}")
-            if key in cls._INT_KEYS:
-                try:
-                    parsed = int(value)
-                except ValueError:
-                    raise SolverError(
-                        f"cdcl: {key} wants an integer, got {value!r}"
-                    ) from None
-                if key in cls._NATIVE_KEYS:
-                    # Shared by both engines, so bounded by what the C
-                    # core can hold.
-                    from repro.sat.native import core_option_error
-
-                    problem = core_option_error(key, parsed)
-                    if problem is not None:
-                        raise SolverError(f"cdcl: {problem}")
-                elif parsed < 0:
-                    raise SolverError(f"cdcl: {key} must be >= 0, got {parsed}")
-                values[key] = parsed
-            elif key in cls._FLOAT_KEYS:
-                try:
-                    rate = float(value)
-                except ValueError:
-                    raise SolverError(
-                        f"cdcl: {key} wants a number, got {value!r}"
-                    ) from None
-                if not 0.0 < rate <= 1.0:
-                    raise SolverError(f"cdcl: {key} must be in (0, 1], got {rate}")
-                values[key] = rate
-            elif key in cls._BOOL_KEYS:
-                if value not in ("0", "1"):
-                    raise SolverError(f"cdcl: {key} wants 0 or 1, got {value!r}")
-                values[key] = value == "1"
-            else:
+            if key not in cls._KEYS:
                 raise SolverError(
-                    f"cdcl: unknown key {key!r}; valid keys: "
-                    f"{', '.join(cls._keys())}"
+                    f"cdcl: unknown key {key!r}; valid keys: {', '.join(cls._KEYS)}"
                 )
-        values["native"] = cls._engine(values.get("native"), values)
-        return cls(**values)  # type: ignore[arg-type]
+            if value not in ("0", "1"):
+                raise SolverError(f"cdcl: {key} wants 0 or 1, got {value!r}")
+            values[key] = value == "1"
+        return cls(**values)
 
     def render(self) -> str:
         """The canonical spec string (non-default options only)."""
-        parts = []
-        for key in self._keys():
-            value = getattr(self, key)
-            if value != getattr(type(self), key):
-                parts.append(f"{key}={int(value) if key in self._BOOL_KEYS else value}")
+        parts = [
+            f"{key}={int(getattr(self, key))}"
+            for key in self._KEYS
+            if getattr(self, key) != getattr(type(self), key)
+        ]
         return "cdcl:" + ",".join(parts) if parts else "cdcl"
 
     def resolved(self) -> "CdclSpec":
@@ -897,22 +823,8 @@ class CdclSpec:
         if self.resolved().native:
             from repro.sat.native import NativeCdclSolver
 
-            return NativeCdclSolver(
-                conflict_limit=conflict_limit,
-                restart_base=self.restart_base,
-                random_seed=self.seed,
-            )
-        return CdclSolver(
-            conflict_limit=conflict_limit,
-            restart_base=self.restart_base,
-            variable_decay=self.var_decay,
-            clause_decay=self.clause_decay,
-            random_seed=self.seed,
-            reduce_min_learned=self.reduce_min_learned,
-            learned_limit_base=self.learned_limit_base,
-            glue_max=self.glue_max,
-            profile=self.profile,
-        )
+            return NativeCdclSolver(conflict_limit=conflict_limit)
+        return CdclSolver(conflict_limit=conflict_limit, profile=self.profile)
 
 
 def _make_cdcl(argument: str | None, conflict_limit: int | None) -> IncrementalSatBackend:
@@ -943,8 +855,8 @@ register_backend(
     _make_cdcl,
     description=(
         "CDCL engine with assumption cores: the C core when it loads, else "
-        "the Python engine; 'cdcl:native=0' forces Python, Python-only "
-        "knobs ('cdcl:var_decay=F,glue_max=N,...') select it"
+        "the Python engine; 'cdcl:native=0' forces Python, and so does "
+        "'cdcl:profile=1' (per-phase time splits)"
     ),
     probe=_probe_cdcl,
 )

@@ -71,8 +71,8 @@ class DpllSolver:
 
         Conclusive unless ``time_limit`` (seconds) is given and expires,
         in which case the result status is :attr:`Status.UNKNOWN` — the
-        budget lets the backend protocol race this exponential oracle
-        against engines that would otherwise wait on it forever.
+        budget lets a search's deadline bound this exponential oracle,
+        which could otherwise run for as long as the formula takes.
         """
         stats = SolverStats()
         assignment: dict[int, bool] = {}

@@ -53,19 +53,6 @@ _COUNTER_NAMES = (
 )
 _CounterArray = ctypes.c_int64 * len(_COUNTER_NAMES)
 
-#: The values the core can hold for its two options: ``cdcl_new`` takes
-#: the seed as a uint32 and multiplies ``restart_base`` by Luby terms in
-#: int64.  ctypes would silently truncate anything wider.
-_OPTION_RANGES = {"restart_base": (1, 2**31 - 1), "seed": (0, 2**32 - 1)}
-
-
-def core_option_error(name: str, value: int) -> str | None:
-    """Why the core cannot hold ``value`` for option ``name``, or ``None``."""
-    low, high = _OPTION_RANGES[name]
-    if low <= value <= high:
-        return None
-    return f"{name} must be >= {low} and <= {high}, got {value}"
-
 _lock = Lock()
 _lib: ctypes.CDLL | None = None
 _load_error: str | None = None
@@ -74,7 +61,7 @@ _load_attempted = False
 
 def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.cdcl_new.restype = ctypes.c_void_p
-    lib.cdcl_new.argtypes = [ctypes.c_uint32, ctypes.c_int64]
+    lib.cdcl_new.argtypes = []
     lib.cdcl_free.restype = None
     lib.cdcl_free.argtypes = [ctypes.c_void_p]
     lib.cdcl_add_variable.restype = ctypes.c_int32
@@ -209,10 +196,9 @@ class NativeCdclSolver:
     What bare ``cdcl`` runs whenever the core loads (and what
     ``cdcl:native=1`` demands).  Supports incremental clause addition,
     assumptions with conflict-analysis cores, and conflict/time budgets;
-    ``restart_base`` and ``random_seed`` outside the ranges the core can
-    hold raise :class:`~repro.errors.SolverError` (see
-    :func:`core_option_error`).  ``library`` selects an already loaded
-    build (see :func:`build_library`); by default the shared one.
+    the core's search parameters are constants.  ``library`` selects an
+    already loaded build (see :func:`build_library`); by default the
+    shared one.
 
     Clauses arrive one per :meth:`add_clause` call, or many in one call
     into the core: :meth:`add_clause_buffer` takes a
@@ -234,14 +220,8 @@ class NativeCdclSolver:
         self,
         *,
         conflict_limit: int | None = None,
-        restart_base: int = 100,
-        random_seed: int = 0,
         library: ctypes.CDLL | None = None,
     ) -> None:
-        for name, value in (("restart_base", restart_base), ("seed", random_seed)):
-            problem = core_option_error(name, value)
-            if problem is not None:
-                raise SolverError(f"native core: {problem}")
         lib = library
         if lib is None:
             lib, reason = _ensure_loaded()
@@ -249,7 +229,7 @@ class NativeCdclSolver:
                 raise SolverError(f"native core unavailable: {reason}")
         self._lib = lib
         self.max_variable: int = lib.cdcl_max_variable()
-        self._handle = lib.cdcl_new(random_seed, restart_base)
+        self._handle = lib.cdcl_new()
         if not self._handle:
             raise SolverError("native core allocation failed")
         self.default_conflict_limit = conflict_limit

@@ -12,7 +12,7 @@ The solver implements the standard modern architecture:
   with lazy re-insertion on backtrack, plus phase saving,
 * Luby-sequence restarts,
 * glucose-style learned-clause database reduction: glue clauses
-  (LBD <= ``glue_max``) are kept forever, the rest are ranked by
+  (LBD <= ``_GLUE_MAX``) are kept forever, the rest are ranked by
   (LBD, activity) under a geometrically growing limit,
 * incremental solving under assumptions,
 * conflict and time budgets so callers can implement timeouts
@@ -184,6 +184,13 @@ _DEADLINE_CHECK_INTERVAL = 64
 #: Initial number of variable slots in the typed arenas.
 _INITIAL_VAR_CAPACITY = 64
 
+#: VSIDS variable-activity decay and learned-clause activity decay.
+_VARIABLE_DECAY = 0.95
+_CLAUSE_DECAY = 0.999
+
+#: Learned clauses with an LBD at or below this are kept forever.
+_GLUE_MAX = 2
+
 
 def _encode(literal: int) -> int:
     """DIMACS literal -> internal literal."""
@@ -232,9 +239,13 @@ class CdclSolver:
     core over the assumption literals), which is the backend surface the
     core-guided pebbling searches build on.
 
-    ``glue_max`` bounds the LBD below which learned clauses are kept
-    forever, and ``profile=True`` records per-phase wall-clock splits in
-    ``stats.phase_times``.
+    ``profile=True`` records per-phase wall-clock splits in
+    ``stats.phase_times``.  The search parameters are fixed: a backend
+    spec cannot set them.  ``restart_base`` (conflicts per Luby unit),
+    ``reduce_min_learned`` and ``learned_limit_base`` (when clause
+    reduction may run and its first limit) stay keyword arguments only
+    so that tests can pass small values and reach restarts and reduction
+    on small formulas.
     """
 
     #: Registry name under :mod:`repro.sat.backend` (``cdcl:native=0``).
@@ -247,12 +258,8 @@ class CdclSolver:
         conflict_limit: int | None = None,
         time_limit: float | None = None,
         restart_base: int = 100,
-        clause_decay: float = 0.999,
-        variable_decay: float = 0.95,
-        random_seed: int = 2019,
         reduce_min_learned: int = 50,
         learned_limit_base: int = 1000,
-        glue_max: int = 2,
         profile: bool = False,
     ) -> None:
         capacity = _INITIAL_VAR_CAPACITY
@@ -303,14 +310,11 @@ class CdclSolver:
         self._trail_limits: list[int] = []
         self._propagation_head = 0
         self._var_inc = 1.0
-        self._var_decay = variable_decay
         self._cla_inc = 1.0
-        self._cla_decay = clause_decay
         self._restart_base = restart_base
         self._reduce_min_learned = reduce_min_learned
         self._learned_limit_base = learned_limit_base
         self._learned_limit = 0
-        self._glue_max = glue_max
         self._glue_count = 0
         self._total_conflicts = 0
         self._profile = profile
@@ -319,7 +323,6 @@ class CdclSolver:
         self.default_conflict_limit = conflict_limit
         self.default_time_limit = time_limit
         self.stats = SolverStats()
-        self._rng_state = random_seed or 1
         self._failed_assumptions: list[int] | None = None
         if cnf is not None:
             self.add_cnf(cnf)
@@ -460,7 +463,7 @@ class CdclSolver:
         self._watch_clause(encoded_clause, slot)
         if learned:
             self._learned_slots.append(slot)
-            if lbd <= self._glue_max:
+            if lbd <= _GLUE_MAX:
                 self._glue_count += 1
         else:
             self._num_problem_clauses += 1
@@ -706,7 +709,7 @@ class CdclSolver:
             self._heap_up(self._heap_pos[variable])
 
     def _decay_variable_activity(self) -> None:
-        self._var_inc /= self._var_decay
+        self._var_inc /= _VARIABLE_DECAY
 
     def _bump_clause(self, slot: int) -> None:
         if not self._learned_flag[slot]:
@@ -719,7 +722,7 @@ class CdclSolver:
             self._cla_inc *= 1e-20
 
     def _decay_clause_activity(self) -> None:
-        self._cla_inc /= self._cla_decay
+        self._cla_inc /= _CLAUSE_DECAY
 
     def _analyze(self, conflict_slot: int) -> tuple[list[int], int, int]:
         """First-UIP conflict analysis.
@@ -802,7 +805,7 @@ class CdclSolver:
 
         # Literal-blocks-distance: the number of distinct decision levels
         # in the minimised clause (the asserting literal contributes the
-        # current level).  Glue clauses (lbd <= glue_max) are retained
+        # current level).  Glue clauses (lbd <= _GLUE_MAX) are retained
         # forever by ``_reduce_learned``.
         distinct_levels = {current_level}
         for other in learned[1:]:
@@ -892,15 +895,6 @@ class CdclSolver:
     # ------------------------------------------------------------------
     # decision heuristics
     # ------------------------------------------------------------------
-    def _random(self) -> float:
-        # xorshift32: deterministic, cheap, good enough for tie-breaking.
-        state = self._rng_state
-        state ^= (state << 13) & 0xFFFFFFFF
-        state ^= state >> 17
-        state ^= (state << 5) & 0xFFFFFFFF
-        self._rng_state = state & 0xFFFFFFFF
-        return self._rng_state / 0xFFFFFFFF
-
     def _pick_branch_variable(self) -> int:
         """Pop unassigned variables with the highest activity off the heap."""
         lit_values = self._lit_values
@@ -929,7 +923,7 @@ class CdclSolver:
     def _reduce_learned(self) -> None:
         """Glucose-style reduction: drop the worse half by (LBD, activity).
 
-        Glue clauses (LBD <= ``glue_max``), binary clauses and clauses
+        Glue clauses (LBD <= ``_GLUE_MAX``), binary clauses and clauses
         locked as reasons are never deleted.
         """
         learned_slots = self._learned_slots
@@ -938,12 +932,11 @@ class CdclSolver:
         arena = self._arena
         lbd = self._lbd
         clause_act = self._clause_act
-        glue_max = self._glue_max
         locked = self._locked_slots()
         candidates = [
             slot
             for slot in learned_slots
-            if lbd[slot] > glue_max and slot not in locked and len(arena[slot]) > 2
+            if lbd[slot] > _GLUE_MAX and slot not in locked and len(arena[slot]) > 2
         ]
         if len(candidates) < 2:
             return
@@ -972,7 +965,7 @@ class CdclSolver:
     def _free_slot(self, slot: int) -> None:
         """Release an (already detached) clause slot back to the free list."""
         if self._learned_flag[slot]:
-            if self._lbd[slot] <= self._glue_max:
+            if self._lbd[slot] <= _GLUE_MAX:
                 self._glue_count -= 1
             self._learned_flag[slot] = False
         else:

@@ -623,7 +623,12 @@ class PebblingService:
             ).observe(time.monotonic() - batch_started)
             for (request, future, _), outcome in zip(batch, outcomes):
                 if outcome.source == "cache":
+                    # Pebble and compile hits alike, counted once here.
                     self.stats.cache_hits += 1
+                    _metrics.counter(
+                        "repro_service_cache_hits_total",
+                        "Requests answered from the store",
+                    ).inc()
                 if outcome.ok:
                     self.stats.completed += 1
                 else:
@@ -741,16 +746,7 @@ class PebblingService:
         result = self.store.get_pebble(dag, **parameters)
         if result is None:
             return None
-        _metrics.counter(
-            "repro_service_cache_hits_total", "Requests answered from the store"
-        ).inc()
-        obs_trace.event(
-            "service.cache_hit",
-            kind=request.kind,
-            workload=request.workload,
-            budget=request.budget,
-            outcome=result.outcome.value,
-        )
+        _trace_cache_hit(request, result.outcome.value)
         payload = record_from_result(task, result).as_dict()
         return JobResult(request, "ok", "cache", payload=payload)
 
@@ -785,6 +781,7 @@ class PebblingService:
                 ),
             )
         if cached is not None:
+            _trace_cache_hit(request, cached.outcome)
             return JobResult(request, "ok", "cache", payload=cached.as_dict())
         report = compile_dag(
             dag,
@@ -806,6 +803,17 @@ class PebblingService:
             store=self.store,
         )
         return JobResult(request, "ok", "solver", payload=report.as_dict())
+
+
+def _trace_cache_hit(request: JobRequest, outcome: str) -> None:
+    """Record a store answer, pebble or compile, as a trace event."""
+    obs_trace.event(
+        "service.cache_hit",
+        kind=request.kind,
+        workload=request.workload,
+        budget=request.budget,
+        outcome=outcome,
+    )
 
 
 # ---------------------------------------------------------------------------

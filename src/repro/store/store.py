@@ -55,8 +55,9 @@ from repro.store.fingerprint import (
 #: cache may always be dropped).  v2: result payloads record the producing
 #: SAT backend (content addresses stay backend-invariant).  v3: pebbling
 #: payloads carry the anytime ``partial`` snapshot field.  v4: pebbling
-#: payloads carry ``proved_infeasible``.
-STORE_SCHEMA = 4
+#: payloads carry ``proved_infeasible``.  v5: drops the INFEASIBLE answers
+#: of the old budget floor, which counted nodes no output needs.
+STORE_SCHEMA = 5
 
 _LOG = logging.getLogger(__name__)
 

@@ -24,7 +24,7 @@ def _assert_sat_calls_attributed(trace) -> None:
     assert calls, "no sat.call spans recorded"
     for record in calls:
         assert "bound" in record["attrs"]
-        # Error spans (injected faults, cancellations) legitimately close
+        # Error spans (injected faults) legitimately close
         # before a verdict lands; everything else must carry one.
         if record.get("status") != "error":
             assert "verdict" in record["attrs"]

@@ -21,6 +21,8 @@ schedule but ``geometric``, whose probe grid keeps the ``4 n^2`` ceiling).
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -260,3 +262,43 @@ def test_random_games_match_the_oracle(game, schedule, cardinality, incremental)
     distance = bfs_min_steps(dag, budget, single_move=single_move, weighted=weighted)
     _check(dag, budget, schedule, cardinality, incremental=incremental,
            single_move=single_move, weighted=weighted, distance=distance)
+
+
+@st.composite
+def _games_with_spares(draw):
+    """A small random game plus nodes that no output needs.
+
+    :func:`layered_random_dag` gives every non-output a dependent, so the
+    spares come afterwards: each reads up to three earlier nodes (spares
+    included) and is read by nothing but a later spare.
+    """
+    num_nodes = draw(st.integers(min_value=1, max_value=6))
+    dag = layered_random_dag(
+        num_nodes,
+        draw(st.integers(min_value=1, max_value=max(1, num_nodes // 2))),
+        depth=draw(st.integers(min_value=1, max_value=3)),
+        seed=draw(st.integers(min_value=0, max_value=10_000)),
+    )
+    for index in range(draw(st.integers(min_value=1, max_value=3))):
+        reads = draw(st.lists(st.sampled_from(dag.nodes()), max_size=3, unique=True))
+        dag.add_node(f"spare{index}", reads)
+    weighted = draw(st.booleans())
+    if weighted:
+        for node in dag.nodes():
+            dag.node(node).weight = float(draw(st.integers(min_value=1, max_value=3)))
+    return dag, weighted
+
+
+@given(_games_with_spares())
+@settings(max_examples=60, deadline=None)
+def test_the_budget_floor_never_exceeds_the_smallest_feasible_budget(game):
+    dag, weighted = game
+    solver = ReversiblePebblingSolver(dag, options=EncodingOptions(weighted=weighted))
+    # A transition's moves can be made one at a time, removals first, so
+    # the single-move game is feasible at exactly the same budgets.
+    smallest = next(
+        budget
+        for budget in itertools.count(1)
+        if bfs_min_steps(dag, budget, single_move=True, weighted=weighted) is not None
+    )
+    assert solver.minimum_pebbles_lower_bound() <= smallest

@@ -140,8 +140,8 @@ class TestRunPortfolio:
                 return False
 
             def submit(self, function, *args):
-                # A real Future: run_portfolio absorbs results through
-                # as_completed, which needs the genuine wait machinery.
+                # A real, already finished Future: run_portfolio reads
+                # each result with Future.result().
                 future = concurrent.futures.Future()
                 future.set_result(function(*args))
                 return future
@@ -322,136 +322,26 @@ class TestBackendTasks:
         tasks = tasks_from_suite("smoke", backend="dpll")
         assert all(task.backend == "dpll" for task in tasks)
 
-
-class TestRaceBackends:
-    def test_race_merges_first_complete_result(self):
-        tasks = [PortfolioTask(workload="fig2", pebbles=4, time_limit=60.0)]
-        records = run_portfolio(tasks, race_backends=["cdcl", "dpll"])
-        assert len(records) == 1
-        record = records[0]
-        assert record.found and record.steps == 6 and record.complete
-        assert record.backend in ("cdcl", "dpll")
-        assert set(record.race) == {"cdcl", "dpll"}
-        # First-winner cancellation: the winning lane completes with the
-        # known answer; losing lanes either also finished (inline races
-        # run lanes one at a time, so the loser may observe the token
-        # before its first SAT call) or were cancelled mid-flight.
-        winner_lane = record.race[record.backend]
-        assert winner_lane["outcome"] == "solution"
-        assert winner_lane["steps"] == 6
-        for spec, lane in record.race.items():
-            assert lane["outcome"] in ("solution", "cancelled")
-            if lane["outcome"] == "cancelled":
-                assert spec in record.cancelled
-        assert record.as_dict()["cancelled"] == record.cancelled
-
-    def test_race_cancels_losing_lanes_after_first_complete_win(self):
-        # Inline execution runs lanes in submission order; the first lane
-        # completes, cancels the shared token, and every later lane must
-        # stop before paying for a single SAT call.
-        tasks = [PortfolioTask(workload="fig2", pebbles=4, time_limit=60.0)]
-        records = run_portfolio(tasks, race_backends=["cdcl", "dpll"])
-        record = records[0]
-        assert record.complete and record.steps == 6
-        cancelled = [
-            lane for lane in record.race.values() if lane["outcome"] == "cancelled"
-        ]
-        assert len(cancelled) == 1
-        assert all(lane["sat_calls"] == 0 for lane in cancelled)
-        assert record.cancelled == ["dpll"]
-
-    def test_race_merge_is_pure_function_of_lanes(self):
-        from repro.pebbling.portfolio import PortfolioRecord, _merge_race
-
-        task = PortfolioTask(workload="fig2", pebbles=4)
-        timeout_lane = PortfolioRecord(
-            task=task, outcome="timeout", runtime=0.1, complete=False
-        )
-        slow_complete = PortfolioRecord(
-            task=task, outcome="solution", steps=6, runtime=5.0, complete=True
-        )
-        merged = _merge_race(task, ["a", "b"], [timeout_lane, slow_complete])
-        assert merged.backend == "b"  # complete beats a faster timeout
-        assert merged.steps == 6
-        error_lane = PortfolioRecord(task=task, outcome="error", error="boom")
-        merged = _merge_race(task, ["a", "b"], [error_lane, timeout_lane])
-        assert merged.backend == "b"  # anything beats an error lane
-        tie_a = PortfolioRecord(
-            task=task, outcome="solution", steps=6, runtime=1.0, complete=True
-        )
-        tie_b = PortfolioRecord(
-            task=task, outcome="solution", steps=6, runtime=1.0, complete=True
-        )
-        merged = _merge_race(task, ["a", "b"], [tie_a, tie_b])
-        assert merged.backend == "a"  # exact ties break by list order
-
-    def test_race_losing_backend_error_does_not_poison(self):
-        tasks = [PortfolioTask(workload="fig2", pebbles=4)]
-        records = run_portfolio(tasks, race_backends=["bogus", "cdcl"])
-        record = records[0]
-        assert record.found and record.backend == "cdcl"
-        assert record.race["bogus"]["outcome"] == "error"
-
-    def test_race_preserves_task_order(self):
+    def test_mixed_backends_in_one_batch_keep_task_order(self):
         tasks = [
-            PortfolioTask(workload="fig2", pebbles=4),
-            PortfolioTask(workload="fig2", pebbles=2),
+            PortfolioTask(workload="fig2", pebbles=4, backend=backend)
+            for backend in ("cdcl", "dpll", "cdcl:native=0")
+        ] + [PortfolioTask(workload="fig2", pebbles=2, backend="dpll")]
+        records = run_portfolio(tasks, jobs=1)
+        assert [record.backend for record in records] == [
+            resolve_backend(task.backend) for task in tasks
         ]
-        records = run_portfolio(tasks, race_backends=["cdcl", "dpll"])
-        assert [record.task.pebbles for record in records] == [4, 2]
-        assert records[1].outcome == "infeasible"
+        assert [(record.outcome, record.steps) for record in records] == [
+            ("solution", 6), ("solution", 6), ("solution", 6), ("infeasible", None),
+        ]
 
-    def test_race_empty_backend_list_rejected(self):
-        with pytest.raises(PebblingError, match="at least one backend"):
-            run_portfolio(
-                [PortfolioTask(workload="fig2", pebbles=4)], race_backends=[]
-            )
-
-    def test_race_rows_report_backend(self):
-        tasks = [PortfolioTask(workload="fig2", pebbles=4)]
-        row = run_portfolio(tasks, race_backends=["cdcl"])[0].as_dict()
-        assert row["backend"] == "cdcl"
-        assert "race" in row
-
-    def test_race_lanes_bypass_the_store(self, tmp_path):
-        # The store's content addresses are backend-invariant, so raced
-        # lanes must not share it: a pre-warmed cache would answer every
-        # lane without solving and the "race" would compare SQLite reads.
-        from repro.store import ResultStore
-        from repro.workloads import load_workload
-        from repro.pebbling.solver import ReversiblePebblingSolver
-
-        db = str(tmp_path / "race.db")
-        with ResultStore(db) as store:
-            ReversiblePebblingSolver(load_workload("fig2")).solve(
-                4, time_limit=60, store=store
-            )
-        tasks = [PortfolioTask(workload="fig2", pebbles=4, time_limit=60.0)]
+    def test_a_bad_spec_fails_only_its_own_task(self):
         records = run_portfolio(
-            tasks, store_path=db, race_backends=["cdcl", "dpll"]
+            [PortfolioTask(workload="fig2", pebbles=4, backend="bogus"),
+             PortfolioTask(workload="fig2", pebbles=4)],
+            jobs=1,
         )
-        record = records[0]
-        ran = 0
-        for spec, lane in record.race.items():
-            if lane["outcome"] == "cancelled":
-                continue  # stopped by the winner before touching a solver
-            assert lane["produced_by"] == resolve_backend(spec), (
-                "lane answered from cache"
-            )
-            assert lane["sat_calls"] > 0, "lane never ran a solver"
-            ran += 1
-        assert ran >= 1
-
-    def test_race_prefers_partial_solution_over_empty_timeout(self):
-        from repro.pebbling.portfolio import PortfolioRecord, _merge_race
-
-        task = PortfolioTask(workload="fig2", pebbles=4)
-        empty_fast = PortfolioRecord(
-            task=task, outcome="timeout", runtime=1.0, complete=False
-        )
-        witness_slow = PortfolioRecord(
-            task=task, outcome="solution", steps=10, runtime=2.0, complete=False
-        )
-        merged = _merge_race(task, ["a", "b"], [empty_fast, witness_slow])
-        assert merged.backend == "b"
-        assert merged.outcome == "solution" and merged.steps == 10
+        assert records[0].outcome == "error"
+        assert "registered backends" in records[0].error
+        assert records[1].found and records[1].steps == 6
+        assert records[1].backend == resolve_backend("cdcl")

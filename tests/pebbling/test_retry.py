@@ -168,6 +168,16 @@ class TestPoolRebuild:
         assert records[0].steps == 6
         assert health.pool_rebuilds >= 1
 
+    def test_a_rebuilt_pool_returns_records_in_task_order(self):
+        # The middle task kills its worker; whatever had not finished by
+        # then is resubmitted, and each record still lines up with its task.
+        tasks = [_task(), _task("chaos:3,exit=1"), _task(pebbles=2), _task(workload="c17")]
+        records = run_portfolio(tasks, jobs=2, force_pool=True)
+        assert [record.task for record in records] == tasks
+        assert [(record.outcome, record.steps) for record in records] == [
+            ("solution", 6), ("solution", 6), ("infeasible", None), ("solution", 8),
+        ]
+
     def test_rebuild_limit_abandons_with_error_records(self):
         records = run_portfolio(
             [_task("chaos:3,exit=1")], jobs=2, force_pool=True,

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import PebblingError
 from repro.dag import Dag, linear_chain
 from repro.sat import backend as backend_registry
-from repro.sat.solver import CdclSolver
+from repro.sat.solver import CdclSolver, SolveResult, Status
 from repro.pebbling import (
     EncodingOptions,
     PebblingEncoder,
@@ -19,6 +19,7 @@ from repro.pebbling import (
 )
 from repro.pebbling.search import strategy_from_name
 from repro.pebbling.solver import completeness_threshold
+from repro.workloads import load_workload
 
 
 class TestProblemOne:
@@ -247,6 +248,171 @@ class TestBounds:
         result = solver.solve(5, strategy="linear")
         assert result.found and result.minimal
         assert result.num_steps == 2 * 5 - 1
+
+    def test_a_node_no_output_needs_does_not_raise_the_budget_floor(self):
+        # b reads a, but only a is an output: pebbling a alone is a
+        # one-pebble, one-step strategy.
+        dag = Dag("spare_reader")
+        dag.add_node("a", [])
+        dag.add_node("b", ["a"])
+        dag.set_outputs(["a"])
+        solver = ReversiblePebblingSolver(dag)
+        assert solver.minimum_pebbles_lower_bound() == 1
+        result = solver.solve(1)
+        assert result.found and result.minimal
+        assert (result.num_steps, result.strategy.max_pebbles) == (1, 1)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("workload", ["fig2", "c17", "and9"])
+    def test_a_spare_reading_every_node_leaves_both_floors_alone(self, workload, weighted):
+        # The spare's fan-in is |V| and, weighted, it outweighs the rest;
+        # no output needs it, so neither floor may move.
+        dag = load_workload(workload)
+        if weighted:
+            for index, node in enumerate(dag.nodes()):
+                dag.node(node).weight = float(1 + index % 3)
+        spared = dag.copy()
+        spared.set_outputs(dag.outputs())
+        spared.add_node("spare", dag.nodes())
+        spared.node("spare").weight = 10.0 if weighted else 1.0
+        for moves in (None, 1):
+            options = EncodingOptions(weighted=weighted, max_moves_per_step=moves)
+            plain = ReversiblePebblingSolver(dag, options=options)
+            extended = ReversiblePebblingSolver(spared, options=options)
+            assert (
+                extended.minimum_pebbles_lower_bound()
+                == plain.minimum_pebbles_lower_bound()
+            )
+            assert extended.default_initial_steps(max_pebbles=8) == (
+                plain.default_initial_steps(max_pebbles=8)
+            )
+
+
+#: ``incremental`` of the two Problem-1 oracles: one live backend across
+#: all bounds, or a fresh encoding and backend per bound.
+ORACLES = {"live": True, "fresh": False}
+
+
+@pytest.fixture
+def hooked_backend(monkeypatch):
+    """Register a backend whose every ``solve`` goes through a hook.
+
+    The backend is the Python engine; ``hook(time_limit, solve)`` decides
+    what each call returns, where ``solve()`` runs the real query.  The
+    registration lives in a private registry copy and ends with the test.
+    ``register(hook)`` returns the spec to search with and the list of
+    ``time_limit`` values the calls received.
+    """
+    monkeypatch.setattr(
+        backend_registry, "_REGISTRY", dict(backend_registry._REGISTRY)
+    )
+    calls = []
+
+    def register(hook=lambda time_limit, solve: solve()):
+        class Hooked(CdclSolver):
+            def solve(self, assumptions=(), *, time_limit=None, **kwargs):
+                calls.append(time_limit)
+                return hook(
+                    time_limit,
+                    lambda: CdclSolver.solve(
+                        self, assumptions, time_limit=time_limit, **kwargs
+                    ),
+                )
+
+        backend_registry.register_backend(
+            "hooked",
+            lambda argument, conflict_limit: Hooked(conflict_limit=conflict_limit),
+        )
+        return "hooked", calls
+
+    return register
+
+
+@pytest.mark.parametrize("incremental", ORACLES.values(), ids=list(ORACLES))
+class TestQueryLoop:
+    """Every step-bound query is one backend ``solve`` call, given whatever
+    is left of the search's time limit; an unanswered call ends the
+    search."""
+
+    @pytest.mark.parametrize("schedule", ["linear", "geometric", "geometric-refine"])
+    def test_every_query_is_one_solve_call(self, hooked_backend, incremental, schedule):
+        backend, calls = hooked_backend()
+        result = ReversiblePebblingSolver(
+            load_workload("c17"), incremental=incremental, backend=backend
+        ).solve(4, strategy=schedule)
+        assert result.found and result.complete
+        assert len(calls) == len(result.attempts)
+        # No time limit: every call runs until it answers.
+        assert calls == [None] * len(calls)
+
+    def test_each_query_gets_what_is_left_of_the_time_limit(
+        self, hooked_backend, incremental
+    ):
+        backend, calls = hooked_backend()
+        result = ReversiblePebblingSolver(
+            load_workload("c17"), incremental=incremental, backend=backend
+        ).solve(4, time_limit=30)
+        assert result.found and len(calls) == len(result.attempts) == 5
+        assert all(0 < limit <= 30 for limit in calls)
+        assert calls == sorted(calls, reverse=True)
+
+    def test_an_unanswered_query_ends_the_search(self, hooked_backend, incremental):
+        def expire_the_second_query(time_limit, solve):
+            return SolveResult(Status.UNKNOWN) if len(calls) == 2 else solve()
+
+        backend, calls = hooked_backend(expire_the_second_query)
+        result = ReversiblePebblingSolver(
+            load_workload("fig2"), incremental=incremental, backend=backend
+        ).solve(4)
+        assert result.outcome is PebblingOutcome.TIMEOUT
+        assert not (result.found or result.complete or result.minimal)
+        # The expired query is recorded once and never re-issued.
+        assert [(a.num_steps, a.status) for a in result.attempts] == [
+            (4, Status.UNSATISFIABLE),
+            (5, Status.UNKNOWN),
+        ]
+        assert len(calls) == 2
+        assert result.partial == {
+            "checkpoint": {"next_bound": 5, "refuted_through": 4, "known_sat": None},
+            "best_steps": None,
+            "sat_calls": 2,
+        }
+
+    def test_a_witness_found_before_a_timeout_is_kept(self, hooked_backend, incremental):
+        # geometric-refine overshoots to 9 steps on c17 at 4 pebbles and
+        # then refines; every query after the overshoot's witness expires.
+        witnessed = []
+
+        def expire_after_the_first_witness(time_limit, solve):
+            if witnessed:
+                return SolveResult(Status.UNKNOWN)
+            answer = solve()
+            if answer.is_sat:
+                witnessed.append(answer)
+            return answer
+
+        backend, calls = hooked_backend(expire_after_the_first_witness)
+        result = ReversiblePebblingSolver(
+            load_workload("c17"), incremental=incremental, backend=backend
+        ).solve(4, strategy="geometric-refine")
+        assert result.outcome is PebblingOutcome.SOLUTION
+        assert result.found and result.num_steps <= 9
+        assert result.strategy.max_pebbles <= 4
+        # Cut short in the refinement: not complete, not certified, and
+        # the checkpoint still brackets the minimum in (6, 9].
+        assert not result.complete and not result.minimal
+        assert [(a.num_steps, a.status) for a in result.attempts] == [
+            (4, Status.UNSATISFIABLE),
+            (6, Status.UNSATISFIABLE),
+            (9, Status.SATISFIABLE),
+            (8, Status.UNKNOWN),
+        ]
+        assert len(calls) == 4
+        assert result.partial == {
+            "checkpoint": {"next_bound": 8, "refuted_through": 6, "known_sat": 9},
+            "best_steps": result.num_steps,
+            "sat_calls": 4,
+        }
 
 
 class TestMinimizePebbles:

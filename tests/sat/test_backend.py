@@ -8,6 +8,7 @@ cross-checks the CDCL cores against the DPLL oracle on random CNFs.
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -93,21 +94,41 @@ class TestCdclSpec:
         assert spec == CdclSpec()
         assert spec.render() == "cdcl"
 
-    def test_parse_and_render_round_trip(self):
-        spec = CdclSpec.parse("restart_base=200, var_decay=0.9, seed=7")
-        assert spec.restart_base == 200
-        assert spec.var_decay == 0.9
-        assert spec.seed == 7
-        rendered = spec.render()
-        # var_decay tunes only the Python engine, so the spec selects it.
-        assert rendered == "cdcl:restart_base=200,seed=7,var_decay=0.9,native=0"
-        name, argument = split_backend_spec(rendered)
+    @pytest.mark.parametrize(
+        ("argument", "rendered"),
+        [
+            ("", "cdcl"),
+            ("native=0", "cdcl:native=0"),
+            ("native=1", "cdcl:native=1"),
+            # Only the Python engine profiles, so profile=1 selects it.
+            (" profile=1 ", "cdcl:profile=1,native=0"),
+            ("native=0,profile=1", "cdcl:profile=1,native=0"),
+            (" native = 1 , ", "cdcl:native=1"),
+        ],
+    )
+    def test_parse_and_render_round_trip(self, argument, rendered):
+        spec = CdclSpec.parse(argument)
+        assert spec.render() == rendered
+        name, rest = split_backend_spec(rendered)
         assert name == "cdcl"
-        assert CdclSpec.parse(argument) == spec
+        assert CdclSpec.parse(rest) == spec
+
+    def test_a_spec_names_only_an_engine(self):
+        assert [field.name for field in dataclasses.fields(CdclSpec)] == [
+            "native", "profile",
+        ]
+        # The search parameters are the constants the former keys
+        # defaulted to.
+        solver = CdclSpec(native=False).build()
+        assert (
+            solver._restart_base,
+            solver._reduce_min_learned,
+            solver._learned_limit_base,
+        ) == (100, 50, 1000)
 
     def test_profile_flag(self):
         assert CdclSpec.parse("profile=1").profile is True
-        assert CdclSpec.parse("profile=0").profile is False
+        assert CdclSpec.parse("profile=0") == CdclSpec()
         assert CdclSpec.parse("profile=1").render() == "cdcl:profile=1,native=0"
         with pytest.raises(SolverError, match="profile wants 0 or 1"):
             CdclSpec.parse("profile=2")
@@ -115,13 +136,13 @@ class TestCdclSpec:
     @pytest.mark.parametrize(
         ("argument", "message"),
         [
-            ("restart_base=0", "restart_base must be >= 1"),
-            ("glue_max=-1", "glue_max must be >= 0"),
-            ("var_decay=1.5", r"var_decay must be in \(0, 1\]"),
-            ("clause_decay=0", r"clause_decay must be in \(0, 1\]"),
-            ("seed=x", "seed wants an integer"),
-            ("var_decay=fast", "var_decay wants a number"),
-            ("seed=1,seed=2", "given twice"),
+            ("native=2", "native wants 0 or 1"),
+            ("profile=1,profile=0", "given twice"),
+            ("native=1,native=0", "given twice"),
+            ("native=yes", "native wants 0 or 1"),
+            ("profile=", "profile wants 0 or 1"),
+            ("native", "expected key=value"),
+            ("native=1,profile=1", "does not honour profile"),
             ("bogus=3", "unknown key"),
             # Keys of the techniques the Python engine no longer has.
             ("bve=0", "unknown key 'bve'"),
@@ -129,46 +150,39 @@ class TestCdclSpec:
             ("vivify=1", "unknown key 'vivify'"),
             ("chrono=0", "unknown key 'chrono'"),
             ("inprocess_interval=0", "unknown key 'inprocess_interval'"),
-            # Values the C core cannot hold, refused on either engine.
-            ("restart_base=2147483648", "restart_base must be >= 1 and <= 2147483647"),
-            ("restart_base=18446744073709551617", "restart_base must be"),
-            ("restart_base=18446744073709551616,native=0", "restart_base must be"),
-            ("seed=-1", "seed must be >= 0 and <= 4294967295"),
-            ("seed=4294967296", "seed must be >= 0 and <= 4294967295"),
+            # Tuning keys: the search parameters are constants.
+            ("seed=7", "unknown key 'seed'"),
+            ("restart_base=200", "unknown key 'restart_base'"),
+            ("var_decay=0.9", "unknown key 'var_decay'"),
+            ("clause_decay=0.99", "unknown key 'clause_decay'"),
+            ("reduce_min_learned=20", "unknown key 'reduce_min_learned'"),
+            ("learned_limit_base=500", "unknown key 'learned_limit_base'"),
+            ("glue_max=3", "unknown key 'glue_max'"),
         ],
     )
     def test_rejections(self, argument, message):
         with pytest.raises(SolverError, match=message):
             CdclSpec.parse(argument)
 
-    def test_range_edges_are_accepted(self):
-        spec = CdclSpec.parse("restart_base=2147483647,seed=4294967295")
-        assert (spec.restart_base, spec.seed) == (2**31 - 1, 2**32 - 1)
-        assert CdclSpec.parse("restart_base=1,seed=0").seed == 0
-
     def test_build_forwards_options(self):
-        solver = CdclSpec.parse(
-            "restart_base=50,seed=11,glue_max=3,var_decay=0.9"
-        ).build(conflict_limit=9)
+        solver = CdclSpec.parse("profile=1").build(conflict_limit=9)
         assert isinstance(solver, CdclSolver)
-        assert solver._restart_base == 50
-        assert solver._glue_max == 3
-        assert solver._var_decay == 0.9
+        assert solver._profile is True
         assert solver.default_conflict_limit == 9
 
-    def test_tuned_spec_solves_through_registry(self):
-        backend = create_backend(
-            "cdcl:restart_base=4,reduce_min_learned=8,learned_limit_base=8"
-        )
+    def test_profiled_spec_solves_through_registry(self):
+        backend = create_backend("cdcl:profile=1")
         for clause in ([1, 2], [-1, 2], [-2, 3]):
             backend.add_clause(clause)
-        assert backend.solve().is_sat
+        result = backend.solve()
+        assert result.is_sat
+        assert set(result.stats.phase_times) == {"propagate", "analyze", "reduce"}
 
     def test_probe_reports_bad_specs(self):
         reason = backend_unavailable_reason("cdcl:bogus=1")
         assert reason is not None and "unknown key" in reason
-        assert backend_unavailable_reason("cdcl:glue_max=3") is None
-        require_backend("cdcl:glue_max=3")
+        assert backend_unavailable_reason("cdcl:profile=1") is None
+        require_backend("cdcl:profile=1")
 
 
 def _load_simple(backend: IncrementalSatBackend) -> None:

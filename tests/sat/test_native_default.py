@@ -52,47 +52,64 @@ class TestSpecRules:
         assert backend_fallback_reason("cdcl") is None
         assert isinstance(create_backend("cdcl"), native.NativeCdclSolver)
 
-    @needs_native
-    def test_shared_knobs_keep_the_native_core(self):
-        assert resolve_backend("cdcl:restart_base=200,seed=3") == (
-            "cdcl:restart_base=200,seed=3,native=1"
-        )
-
-    @pytest.mark.parametrize(
-        "argument", ["glue_max=3", "reduce_min_learned=20", "clause_decay=0.99",
-                     "var_decay=0.9", "profile=1", "learned_limit_base=500"],
-    )
-    def test_python_only_keys_select_the_python_engine(self, argument):
-        spec = f"cdcl:{argument}"
+    def test_profile_selects_the_python_engine(self):
+        spec = "cdcl:profile=1"
         assert resolve_backend(spec).endswith("native=0")
         assert isinstance(create_backend(spec), CdclSolver)
         assert backend_fallback_reason(spec) is None
 
-    @pytest.mark.parametrize("argument", ["glue_max=3", "var_decay=0.95", "profile=0"])
-    def test_python_only_keys_with_native_1_are_rejected(self, argument):
+    def test_profile_with_native_1_is_rejected(self):
         with pytest.raises(SolverError, match="does not honour"):
-            CdclSpec.parse(f"native=1,{argument}")
+            CdclSpec.parse("native=1,profile=1")
         assert "does not honour" in backend_unavailable_reason(
-            f"cdcl:{argument},native=1"
+            "cdcl:profile=1,native=1"
         )
 
     def test_direct_construction_is_checked_too(self):
-        with pytest.raises(SolverError, match="does not honour glue_max"):
-            CdclSpec(native=True, glue_max=3)
+        with pytest.raises(SolverError, match="does not honour profile"):
+            CdclSpec(native=True, profile=True)
 
     def test_direct_construction_follows_the_parse_rules(self):
-        spec = CdclSpec(glue_max=3)
+        spec = CdclSpec(profile=True)
         assert spec.native is False and spec.resolved().native is False
         assert isinstance(spec.build(), CdclSolver)
-        assert spec == CdclSpec.parse("glue_max=3")
+        assert spec == CdclSpec.parse("profile=1")
         assert CdclSpec.parse(spec.render().partition(":")[2]) == spec
 
     def test_resolution_is_idempotent_and_leaves_other_backends_alone(self):
-        for spec in ("cdcl", "cdcl:native=0", "cdcl:glue_max=3", "cdcl:seed=4"):
+        for spec in ("cdcl", "cdcl:native=0", "cdcl:profile=1", "cdcl:native=1"):
             once = resolve_backend(spec)
             assert resolve_backend(once) == once
         assert resolve_backend("dpll") == "dpll"
         assert resolve_backend("chaos:3,flaky=1") == "chaos:3,flaky=1"
+
+
+#: Lifetime (conflicts, decisions, propagations) of each engine on
+#: pigeonhole instances, recorded at 482ba9d, when ``seed``,
+#: ``restart_base``, ``var_decay``, ``clause_decay``, ``reduce_min_learned``,
+#: ``learned_limit_base`` and ``glue_max`` were spec keys left at their
+#: defaults.  Both instances restart; 8/7 also reduces its learned clauses.
+CONSTANT_SEARCHES = [
+    pytest.param("cdcl:native=1", 7, (827, 1038, 10933), marks=needs_native,
+                 id="native-7-6"),
+    pytest.param("cdcl:native=1", 8, (5044, 6126, 70277), marks=needs_native,
+                 id="native-8-7"),
+    pytest.param("cdcl:native=0", 7, (827, 995, 10825), id="python-7-6"),
+    pytest.param("cdcl:native=0", 8, (4721, 5639, 62383), id="python-8-7"),
+]
+
+
+@pytest.mark.parametrize(("spec", "pigeons", "counts"), CONSTANT_SEARCHES)
+def test_the_constant_search_parameters_take_the_former_default_search(
+    spec, pigeons, counts
+):
+    engine = create_backend(spec)
+    engine.add_cnf(pigeonhole(pigeons, pigeons - 1))
+    assert engine.solve().is_unsat
+    totals = engine.counters()
+    assert (totals["conflicts"], totals["decisions"], totals["propagations"]) == counts
+    assert totals["restarts"] > 0
+    assert (totals["deleted_clauses"] > 0) == (pigeons == 8)
 
 
 class TestFallback:
@@ -102,7 +119,7 @@ class TestFallback:
         assert isinstance(create_backend("cdcl"), CdclSolver)
         # An explicit engine choice is not a fallback.
         assert backend_fallback_reason("cdcl:native=0") is None
-        assert backend_fallback_reason("cdcl:glue_max=3") is None
+        assert backend_fallback_reason("cdcl:profile=1") is None
 
     def test_native_1_still_refuses(self, no_native):
         from repro.pebbling.solver import ReversiblePebblingSolver

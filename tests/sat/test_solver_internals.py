@@ -6,7 +6,7 @@ public API when it works, and silently unsound when it does not.  These
 tests audit the invariants directly:
 
 * ``_reduce_learned`` never deletes a clause that is locked as a reason
-  on the trail or whose LBD is at most ``glue_max``;
+  on the trail or whose LBD is at most ``_GLUE_MAX``;
 * after every reduction and every ``_detach`` the watcher lists are
   exactly consistent (every live clause watched twice, on the negations
   of its first two literals, with no stale slot references);
@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sat.dpll import DpllSolver
 from repro.sat.instances import pigeonhole
-from repro.sat.solver import CdclSolver
+from repro.sat.solver import _GLUE_MAX, CdclSolver
 
 MAX_VARIABLES = 12
 
@@ -56,7 +56,7 @@ class AuditingSolver(CdclSolver):
         glue_before = {
             slot
             for slot in self._learned_slots
-            if self._lbd[slot] <= self._glue_max
+            if self._lbd[slot] <= _GLUE_MAX
         }
         super()._reduce_learned()
         survivors = set(self._learned_slots)
@@ -161,14 +161,14 @@ def test_detach_is_consistent_and_repeatable():
 
 
 def test_glue_clauses_survive_many_solves():
-    solver = _aggressive(glue_max=2)
+    solver = _aggressive()
     for clause in pigeonhole(6, 5).clauses:
         solver.add_clause(clause)
     assert not solver.solve().is_sat
     glue = {
         slot
         for slot in solver._learned_slots
-        if solver._lbd[slot] <= solver._glue_max
+        if solver._lbd[slot] <= _GLUE_MAX
     }
     assert glue == {
         slot for slot in glue if solver._arena[slot] is not None
@@ -176,7 +176,7 @@ def test_glue_clauses_survive_many_solves():
     assert solver._glue_count == sum(
         1
         for slot in solver._learned_slots
-        if solver._lbd[slot] <= solver._glue_max
+        if solver._lbd[slot] <= _GLUE_MAX
     )
 
 

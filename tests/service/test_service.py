@@ -5,6 +5,10 @@ import json
 
 import pytest
 
+from repro.obs import metrics as obs_metrics
+from repro.obs.analyze import load_trace
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import tracer
 from repro.service import (
     JobRequest,
     PebblingService,
@@ -170,6 +174,66 @@ class TestService:
         assert first.payload["verified"] is True
         assert second.source == "cache"
         assert second.payload == first.payload
+
+    @pytest.mark.parametrize(
+        ("kinds", "hits"),
+        [
+            (("pebble", "pebble", "pebble"), 2),
+            (("compile", "compile", "compile"), 2),
+            (("pebble", "compile", "pebble", "compile", "compile"), 3),
+        ],
+        ids=["pebble", "compile", "mixed"],
+    )
+    def test_registry_counts_each_cache_hit_once(self, tmp_path, kinds, hits):
+        # Pebble and compile repeats alike: on a fresh registry the hit
+        # counter agrees with the service's own count.
+        async def scenario():
+            async with PebblingService(
+                store=str(tmp_path / "cache.db"), batch_window=0.0
+            ) as service:
+                for kind in kinds:
+                    await service.submit(
+                        JobRequest(kind=kind, workload="c17", budget=4, time_limit=30)
+                    )
+                return service.stats.cache_hits
+
+        registry = MetricsRegistry(enabled=True)
+        previous = obs_metrics.set_registry(registry)
+        try:
+            cache_hits = _run(scenario())
+        finally:
+            obs_metrics.set_registry(previous)
+        assert cache_hits == hits
+        assert registry.snapshot()["repro_service_cache_hits_total"] == cache_hits
+
+    def test_every_cache_answer_is_a_trace_event(self, tmp_path):
+        kinds = ("pebble", "compile", "pebble", "compile", "compile")
+
+        async def scenario():
+            async with PebblingService(
+                store=str(tmp_path / "cache.db"), batch_window=0.0
+            ) as service:
+                sources = [
+                    (await service.submit(
+                        JobRequest(kind=kind, workload="c17", budget=4, time_limit=30)
+                    )).source
+                    for kind in kinds
+                ]
+                return sources, service.stats.cache_hits
+
+        path = tmp_path / "trace.jsonl"
+        with tracer(path):
+            sources, cache_hits = _run(scenario())
+        assert sources == ["solver", "solver", "cache", "cache", "cache"]
+        events = [
+            event for event in load_trace(path).events
+            if event["name"] == "service.cache_hit"
+        ]
+        assert len(events) == cache_hits == 3
+        assert [event["attrs"]["kind"] for event in events] == [
+            "pebble", "compile", "compile",
+        ]
+        assert all(event["attrs"]["outcome"] == "solution" for event in events)
 
     def test_compile_request_parses_a_bench_file_once(self, tmp_path, counted_c17_bench):
         path, parsed = counted_c17_bench

@@ -5,6 +5,7 @@ import sqlite3
 
 import pytest
 
+from repro.dag import Dag
 from repro.pebbling.encoding import EncodingOptions
 from repro.pebbling.portfolio import task_solve_parameters, tasks_from_suite
 from repro.pebbling.search import LinearSearch
@@ -163,6 +164,33 @@ class TestOlderPayloads:
             _CUBE_ERA_PAYLOAD["strategy"]["configurations"]
         )
         assert not {"cubes", "shared_bound_hits"} & set(hit.to_json())
+
+    def test_a_schema_4_store_is_rebuilt(self, tmp_path, monkeypatch):
+        # Schema 4 may hold INFEASIBLE answers of the old budget floor,
+        # which counted nodes no output needs: with b reading a and only a
+        # an output, it refused budget 1.
+        dag = Dag("spare_reader")
+        dag.add_node("a", [])
+        dag.add_node("b", ["a"])
+        dag.set_outputs(["a"])
+        path = tmp_path / "store.db"
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                ReversiblePebblingSolver, "minimum_pebbles_lower_bound", lambda self: 2
+            )
+            with ResultStore(path) as store:
+                stale = _solve(dag, 1, store=store)
+        assert (stale.outcome, stale.complete) == (PebblingOutcome.INFEASIBLE, True)
+        connection = sqlite3.connect(path)
+        with connection:
+            connection.execute("UPDATE meta SET value = '4' WHERE key = 'schema'")
+        connection.close()
+        with ResultStore(path) as store:
+            assert store.stats().entries == 0
+            fresh = _solve(dag, 1, store=store)
+            assert store.session["hits"] == 0
+        assert fresh.found and not fresh.from_cache
+        assert (fresh.num_steps, fresh.strategy.max_pebbles) == (1, 1)
 
 
 class TestWarmStart:

@@ -447,15 +447,24 @@ class TestBackendCli:
         summary = json.loads(capsys.readouterr().out)
         assert summary["steps"] == 8
 
-    def test_batch_race_backends(self, capsys):
-        assert main(["pebble-batch", "--suite", "smoke", "--timeout", "20",
-                     "--race-backends", "cdcl,dpll", "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert len(data["results"]) == 2
-        for row in data["results"]:
-            assert row["outcome"] == "solution"
-            assert set(row["race"]) == {"cdcl", "dpll"}
-            assert row["backend"] in ("cdcl", "dpll")
+    def test_batch_race_backends_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["pebble-batch", "--suite", "smoke", "--race-backends", "cdcl,dpll"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --race-backends" in capsys.readouterr().err
+
+    def test_a_tuning_key_is_unknown(self, capsys):
+        assert main(["pebble", "fig2", "--pebbles", "4",
+                     "--backend", "cdcl:seed=7"]) == 1
+        assert "unknown key 'seed'" in capsys.readouterr().err
+
+    def test_a_profiled_spec_runs_and_names_the_python_engine(self, capsys):
+        assert main(["pebble", "fig2", "--pebbles", "4", "--timeout", "60",
+                     "--backend", "cdcl:profile=1", "--stats"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "engine: cdcl:profile=1,native=0" in lines
+        stats = next(line for line in lines if line.startswith("stats: "))
+        assert "time_propagate=" in stats and "time_analyze=" in stats
 
     def test_compile_with_backend(self, capsys):
         assert main(["compile", "fig2", "--pebbles", "4", "--timeout", "60",
