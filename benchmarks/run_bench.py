@@ -681,9 +681,10 @@ CHAOS_RETRY = RetryPolicy(max_attempts=6, base_delay=0.005, max_delay=0.05)
 def _deadline_probe() -> dict[str, object]:
     """One deadline-preempted service request, as a structured gate.
 
-    ``edwards_add_p9`` needs ~0.75 s of search on the C core, most of it
-    SAT solving, so a faster encoder barely moves it; a 0.2 s deadline
-    preempts it mid-search.  The gate requires the graceful degradation the
+    ``kummer_double_p13`` takes 7.6 s of search on the C core when nothing
+    interrupts it (2-core x86-64 host, Python 3.11), 38x the 0.2 s
+    deadline, so the deadline preempts it mid-search however fast the
+    engine gets.  The gate requires the graceful degradation the
     service promises: status ``ok`` (not an error), ``complete`` false, a
     non-empty anytime ``partial`` snapshot, and the preemption visible in
     the health counters.
@@ -691,9 +692,9 @@ def _deadline_probe() -> dict[str, object]:
     from repro.service import JobRequest, PebblingService
 
     async def _run():
-        async with PebblingService(workers=1, batch_window=0.0) as service:
+        async with PebblingService(workers=1) as service:
             request = JobRequest(
-                kind="pebble", workload="edwards-add", budget=9,
+                kind="pebble", workload="kummer-double", budget=13,
                 time_limit=60.0, deadline=0.2,
             )
             result = await service.submit(request)
@@ -709,7 +710,7 @@ def _deadline_probe() -> dict[str, object]:
         and health["stats"]["partial_answers"] >= 1
     )
     return {
-        "request": "edwards_add_p9",
+        "request": "kummer_double_p13",
         "deadline": 0.2,
         "status": result.status,
         "outcome": payload.get("outcome"),

@@ -337,9 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="attach the result store at this SQLite path")
     serve.add_argument("--workers", type=int, default=1,
                        help="portfolio width for batched misses (default 1)")
-    serve.add_argument("--batch-window", type=float, default=0.01,
-                       help="seconds the dispatcher waits for a batch to "
-                            "fill (default 0.01)")
     serve.add_argument("--backend", default=None, metavar="SPEC",
                        help="default SAT backend for requests that do not "
                             "name their own (see 'repro-pebble backends')")
@@ -631,7 +628,6 @@ def _run_serve(arguments: argparse.Namespace) -> int:
         arguments.requests,
         store=arguments.db,
         workers=arguments.workers,
-        batch_window=arguments.batch_window,
         default_backend=arguments.backend,
         retry=_retry_policy(arguments.retries),
         deadline=arguments.deadline,

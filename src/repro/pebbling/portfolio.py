@@ -32,7 +32,7 @@ import traceback as traceback_module
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import PebblingError
 from repro.fields import check_fields
@@ -51,6 +51,9 @@ from repro.workloads.registry import (
     load_workload_or_path,
     suite_entries,
 )
+
+if TYPE_CHECKING:
+    from repro.store import ResultStore
 
 
 @dataclass(frozen=True)
@@ -555,6 +558,7 @@ def run_portfolio(
     *,
     jobs: int = 1,
     store_path: str | None = None,
+    store: "ResultStore | None" = None,
     force_pool: bool = False,
     retry: "RetryPolicy | None" = None,
     health: "PortfolioHealth | None" = None,
@@ -575,7 +579,10 @@ def run_portfolio(
     :class:`~repro.store.ResultStore` at that database path; each worker
     process opens its own connection (SQLite WAL handles the concurrency),
     answers exact repeats from the cache and warm-starts neighbouring
-    budgets.
+    budgets.  ``store`` passes an open store instead: inline tasks use it
+    directly, so its owner holds the process's only connection and closes
+    it, and pool workers open their own to its file (an in-memory store is
+    invisible to them, so they run uncached).
 
     ``retry`` applies a :class:`RetryPolicy` inside every worker (transient
     faults heal without resubmission traffic); ``health`` collects
@@ -591,6 +598,8 @@ def run_portfolio(
         raise PebblingError("jobs must be >= 1")
     if pool_rebuild_limit < 0:
         raise PebblingError("pool_rebuild_limit must be >= 0")
+    if store is not None and store_path is not None:
+        raise PebblingError("pass an open store or a store_path, not both")
     if not task_list:
         return []
     with obs_trace.span("portfolio.run", tasks=len(task_list), jobs=jobs) as run_span:
@@ -598,6 +607,7 @@ def run_portfolio(
             task_list,
             jobs=jobs,
             store_path=store_path,
+            store=store,
             force_pool=force_pool,
             retry=retry,
             health=health,
@@ -623,6 +633,7 @@ def _run_portfolio_tasks(
     *,
     jobs: int,
     store_path: str | None,
+    store: "ResultStore | None",
     force_pool: bool,
     retry: "RetryPolicy | None",
     health: "PortfolioHealth | None",
@@ -641,10 +652,13 @@ def _run_portfolio_tasks(
         ]
     inline = jobs == 1 or len(task_list) <= 1 or _usable_cores() <= 1
     if inline and not force_pool:
-        records = [_execute_task(task, store_path, retry, 0) for task in task_list]
+        local = store if store is not None else store_path
+        records = [_execute_task(task, local, retry, 0) for task in task_list]
         if health is not None:
             health.absorb_records(records)
         return records
+    if store is not None and store.path != ":memory:":
+        store_path = store.path
     results: dict[int, PortfolioRecord] = {}
     pending = list(enumerate(task_list))
     epoch = 0

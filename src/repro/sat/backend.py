@@ -726,7 +726,8 @@ def register_backend(
 
     ``factory(argument, conflict_limit)`` builds a fresh backend instance;
     ``probe(argument)`` returns ``None`` when the backend is usable on
-    this host and a human-readable reason otherwise.
+    this host and a human-readable reason otherwise, and raises
+    :class:`~repro.errors.SolverError` when ``argument`` does not parse.
     """
     if not name or ":" in name:
         raise SolverError(f"invalid backend name {name!r}")
@@ -832,10 +833,7 @@ def _make_cdcl(argument: str | None, conflict_limit: int | None) -> IncrementalS
 
 
 def _probe_cdcl(argument: str | None) -> str | None:
-    try:
-        spec = CdclSpec.parse(argument)
-    except SolverError as exc:
-        return str(exc)
+    spec = CdclSpec.parse(argument)
     if spec.native:
         from repro.sat.native import native_unavailable_reason
 
@@ -870,11 +868,7 @@ def _make_chaos(argument: str | None, conflict_limit: int | None) -> Incremental
 
 
 def _probe_chaos(argument: str | None) -> str | None:
-    try:
-        spec = ChaosSpec.parse(argument)
-    except SolverError as exc:
-        return str(exc)
-    return backend_unavailable_reason(spec.inner)
+    return backend_unavailable_reason(ChaosSpec.parse(argument).inner)
 
 
 register_backend(
@@ -920,17 +914,25 @@ def split_backend_spec(spec: str) -> tuple[str, str | None]:
 
 
 def backend_unavailable_reason(spec: str) -> str | None:
-    """``None`` when ``spec`` is usable on this host, else the reason."""
+    """``None`` when ``spec`` is usable on this host, else the reason.
+
+    A spec that does not parse is no fact about the host: it raises
+    :class:`~repro.errors.SolverError` as an invalid spec instead.
+    """
     name, argument = split_backend_spec(spec)
-    return _REGISTRY[name].probe(argument)
+    try:
+        return _REGISTRY[name].probe(argument)
+    except SolverError as exc:
+        raise SolverError(f"invalid SAT backend spec {spec!r}: {exc}") from exc
 
 
 def require_backend(spec: str) -> str:
     """Validate ``spec`` and its host availability; return it unchanged.
 
-    Raises :class:`~repro.errors.SolverError` with the probe's reason when
-    the backend cannot run here — callers fail fast instead of falling
-    back to a different engine mid-search.
+    Raises :class:`~repro.errors.SolverError` for a spec that does not
+    parse, and with the probe's reason when a well-formed spec cannot run
+    here — callers fail fast instead of falling back to a different
+    engine mid-search.
     """
     reason = backend_unavailable_reason(spec)
     if reason is not None:

@@ -10,10 +10,13 @@ amortisation tricks stacked on top of each other:
 * **cache-first answering** — with a :class:`~repro.store.ResultStore`
   attached, an exact repeat of a previously *completed* request is
   answered straight from the database without touching a SAT solver;
-* **request batching** — queued misses are drained into one batch per
-  dispatch round and fanned out over the portfolio pool
-  (:func:`repro.pebbling.portfolio.run_portfolio`), so concurrent traffic
-  shares worker processes instead of racing for them.
+* **request batching** — when the dispatcher wakes it takes everything
+  already queued as one batch, without waiting for more, and fans its
+  misses out over the portfolio pool
+  (:func:`repro.pebbling.portfolio.run_portfolio`); requests that arrive
+  while a batch runs form the next one, so concurrent traffic shares
+  worker processes instead of racing for them and a lone request never
+  waits on a timer.
 
 Requests are plain frozen dataclasses (:class:`JobRequest`), so the whole
 service is drivable from JSON: :func:`run_request_file` powers the CLI's
@@ -45,7 +48,6 @@ from repro.pebbling.portfolio import (
     record_from_result,
     run_portfolio,
     task_solve_parameters,
-    _execute_task,
 )
 from repro.pebbling.encoding import DEFAULT_CARDINALITY
 from repro.pebbling.solver import ReversiblePebblingSolver
@@ -268,9 +270,9 @@ class PebblingService:
     ``store`` may be ``None`` (no caching), a database path, or an open
     :class:`~repro.store.ResultStore`.  ``workers`` is the portfolio width
     for batched misses (the portfolio's single-core inline fallback
-    applies).  ``batch_window`` is how long the dispatcher waits after the
-    first queued miss for stragglers to join the batch; ``0`` batches only
-    what is already queued.  ``max_queue`` bounds the dispatch queue —
+    applies).  Each dispatch round batches what is queued when it starts;
+    requests submitted while it runs wait for the next round, never for a
+    timer.  ``max_queue`` bounds the dispatch queue —
     admission control sheds excess submissions with
     :class:`ServiceOverloadError` instead of queueing them to time out.
     ``retry`` applies a :class:`~repro.pebbling.portfolio.RetryPolicy`
@@ -289,7 +291,6 @@ class PebblingService:
         *,
         store: "ResultStore | str | None" = None,
         workers: int = 1,
-        batch_window: float = 0.01,
         max_queue: int | None = None,
         retry: "RetryPolicy | None" = None,
     ) -> None:
@@ -303,14 +304,7 @@ class PebblingService:
         else:
             self._owns_store = False
         self.store = store
-        #: Path shipped to portfolio worker processes; in-memory stores are
-        #: process-local, so pool workers then run uncached and the
-        #: service's own (in-process) cache checks still apply.
-        self.store_path = (
-            store.path if store is not None and store.path != ":memory:" else None
-        )
         self.workers = workers
-        self.batch_window = batch_window
         self.max_queue = max_queue
         self.retry = retry
         self.stats = ServiceStats()
@@ -594,11 +588,7 @@ class PebblingService:
     # ------------------------------------------------------------------
     async def _dispatch_loop(self) -> None:
         while True:
-            first = await self._queue.get()
-            if self.batch_window > 0:
-                # Let concurrently submitted requests join this round.
-                await asyncio.sleep(self.batch_window)
-            batch = [first]
+            batch = [await self._queue.get()]
             while not self._queue.empty():
                 batch.append(self._queue.get_nowait())
             self.stats.batches += 1
@@ -686,21 +676,15 @@ class PebblingService:
             _metrics.counter(
                 "repro_service_solver_jobs_total", "Batched misses sent to solvers"
             ).inc(len(tasks))
-            if self.store is not None and self.store_path is None:
-                # In-memory store: pool workers could not see it, so run the
-                # batch inline against the live store object instead.
-                records = [
-                    _execute_task(task, self.store, self.retry) for task in tasks
-                ]
-                self._health.absorb_records(records)
-            else:
-                records = run_portfolio(
-                    tasks,
-                    jobs=self.workers,
-                    store_path=self.store_path,
-                    retry=self.retry,
-                    health=self._health,
-                )
+            in_memory = self.store is not None and self.store.path == ":memory:"
+            records = run_portfolio(
+                tasks,
+                # Pool workers could not see an in-memory store.
+                jobs=1 if in_memory else self.workers,
+                store=self.store,
+                retry=self.retry,
+                health=self._health,
+            )
             self.stats.retries = self._health.retry_attempts
             self.stats.pool_rebuilds = self._health.pool_rebuilds
             for (index, request, _), record in zip(pebble_misses, records):
@@ -886,7 +870,6 @@ def run_request_file(
     *,
     store: "ResultStore | str | None" = None,
     workers: int = 1,
-    batch_window: float = 0.01,
     default_backend: str | None = None,
     retry: "RetryPolicy | None" = None,
     deadline: float | None = None,
@@ -930,7 +913,6 @@ def run_request_file(
         async with PebblingService(
             store=store,
             workers=workers,
-            batch_window=batch_window,
             max_queue=max_queue,
             retry=retry,
         ) as service:

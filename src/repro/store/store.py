@@ -142,7 +142,10 @@ class ResultStore:
             raise StoreError("max_entries must be >= 1 (or None for unbounded)")
         self.path = str(path)
         self.max_entries = max_entries
-        self._fingerprints: "weakref.WeakKeyDictionary[Dag, tuple[str, str]]" = (
+        self._exact_digests: "weakref.WeakKeyDictionary[Dag, str]" = (
+            weakref.WeakKeyDictionary()
+        )
+        self._fingerprints: "weakref.WeakKeyDictionary[Dag, str]" = (
             weakref.WeakKeyDictionary()
         )
         self.session = {
@@ -205,36 +208,31 @@ class ResultStore:
     # ------------------------------------------------------------------
     # fingerprints (memoised per DAG object)
     # ------------------------------------------------------------------
-    def _dag_keys(self, dag: Dag) -> tuple[str, str]:
-        """(canonical fingerprint, exact digest) of ``dag``, memoised.
+    def _exact_digest(self, dag: Dag) -> str:
+        """The label-sensitive digest that every row's ``key`` starts from."""
+        return _memoised(self._exact_digests, dag, exact_dag_digest)
 
-        Memoisation is keyed by the DAG object through a weak reference
-        (``Dag`` hashes by identity), so a freed graph's slot disappears
-        with it — a raw ``id()`` key could be recycled by a *different*
-        DAG and serve it another graph's digests.  Identity keying is
-        sound because both digests are pure functions of the graph, and a
-        mutated DAG object must not be reused across solves anyway (the
-        solver validates and caches topological order the same way).
+    def _fingerprint(self, dag: Dag) -> str:
+        """The isomorphism-invariant fingerprint in the ``canonical`` column.
+
+        Only the calls that write that column or query it (``put_*`` and
+        :meth:`warm_start`) compute it: an exact lookup needs the key
+        alone, and the 1-WL refinement costs more than the digest.
         """
-        keys = self._fingerprints.get(dag)
-        if keys is None:
-            keys = (dag_fingerprint(dag), exact_dag_digest(dag))
-            self._fingerprints[dag] = keys
-        return keys
+        return _memoised(self._fingerprints, dag, dag_fingerprint)
 
     # ------------------------------------------------------------------
     # exact pebbling results
     # ------------------------------------------------------------------
-    def _pebble_key(self, dag: Dag, **request: object) -> tuple[str, str, str]:
-        canonical, exact = self._dag_keys(dag)
+    def _pebble_key(self, dag: Dag, **request: object) -> str:
         options = request["options"]
         if not isinstance(options, EncodingOptions):
             raise StoreError("options must be an EncodingOptions instance")
         search = request["search"]
         if not isinstance(search, SearchStrategy):
             raise StoreError("search must be a resolved SearchStrategy object")
-        key = pebble_request_key(
-            exact_digest=exact,
+        return pebble_request_key(
+            exact_digest=self._exact_digest(dag),
             budget=int(request["budget"]),  # type: ignore[arg-type]
             options=options,
             search=search,
@@ -243,7 +241,6 @@ class ResultStore:
             max_steps=request.get("max_steps"),  # type: ignore[arg-type]
             step_floor=request.get("step_floor"),  # type: ignore[arg-type]
         )
-        return key, canonical, options_key(options)
 
     def get_pebble(self, dag: Dag, **request: object) -> "PebblingResult | None":
         """Return the cached result of an exact pebbling request, if any.
@@ -253,7 +250,7 @@ class ResultStore:
         ``max_steps``, ``step_floor``); see
         :meth:`repro.pebbling.solver.ReversiblePebblingSolver.solve`.
         """
-        key, _, _ = self._pebble_key(dag, **request)
+        key = self._pebble_key(dag, **request)
         payload = self._fetch(key)
         if payload is None:
             return None
@@ -267,11 +264,11 @@ class ResultStore:
         """
         if not result.complete:
             return False
-        key, canonical, options = self._pebble_key(dag, **request)
+        key = self._pebble_key(dag, **request)
         self._insert(
             key=key,
-            canonical=canonical,
-            options=options,
+            canonical=self._fingerprint(dag),
+            options=options_key(request["options"]),  # type: ignore[arg-type]
             kind="pebble",
             dag_name=dag.name,
             budget=int(request["budget"]),  # type: ignore[arg-type]
@@ -302,7 +299,7 @@ class ResultStore:
         ``None`` when no cached neighbour constrains this budget.
         """
         self.session["warm_queries"] += 1
-        canonical, _ = self._dag_keys(dag)
+        canonical = self._fingerprint(dag)
         connection = self._require()
         rows = connection.execute(
             "SELECT key, budget, steps, minimal FROM results "
@@ -371,11 +368,9 @@ class ResultStore:
         """Store a compilation report; only complete searches are kept."""
         if not report.search_complete:
             return False
-        key = self._compile_key(dag, network, request)
-        canonical, _ = self._dag_keys(dag)
         self._insert(
-            key=key,
-            canonical=canonical,
+            key=self._compile_key(dag, network, request),
+            canonical=self._fingerprint(dag),
             options="-",  # compile rows never feed warm starts
             kind="compile",
             dag_name=dag.name,
@@ -391,8 +386,9 @@ class ResultStore:
     def _compile_key(
         self, dag: Dag, network: "LogicNetwork | None", request: dict[str, object]
     ) -> str:
-        _, exact = self._dag_keys(dag)
-        return compile_request_key(exact_digest=exact, network=network, **request)  # type: ignore[arg-type]
+        return compile_request_key(
+            exact_digest=self._exact_digest(dag), network=network, **request  # type: ignore[arg-type]
+        )
 
     # ------------------------------------------------------------------
     # row plumbing
@@ -532,3 +528,24 @@ class ResultStore:
             size_bytes=size,
             session=dict(self.session),
         )
+
+
+def _memoised(
+    memo: "weakref.WeakKeyDictionary[Dag, str]", dag: Dag, digest
+) -> str:
+    """``digest(dag)``, computed once per DAG object.
+
+    The memo is keyed by the DAG object through a weak reference (``Dag``
+    hashes by identity), so a freed graph's slot disappears with it — a
+    raw ``id()`` key could be recycled by a *different* DAG and serve it
+    another graph's digest.  Identity keying is sound because both digests
+    are pure functions of the graph, and a mutated DAG object must not be
+    reused across solves anyway (the solver validates and caches
+    topological order the same way).  ``digest`` is looked up by the
+    caller at call time, so a wrapper installed on the module's name
+    (a profiler's, say) sees every computation.
+    """
+    value = memo.get(dag)
+    if value is None:
+        value = memo[dag] = digest(dag)
+    return value

@@ -166,6 +166,20 @@ class TestRunPortfolio:
         with ResultStore(db) as store:
             assert store.stats().total_hits == len(tasks)
 
+    def test_an_open_store_serves_inline_tasks(self, tmp_path):
+        from repro.store import ResultStore
+
+        tasks = tasks_from_suite("smoke", time_limit=30)
+        with ResultStore(":memory:") as store:
+            cold = run_portfolio(tasks, jobs=1, store=store)
+            warm = run_portfolio(tasks, jobs=1, store=store)
+            assert store.session["hits"] == len(tasks)
+        assert [(r.outcome, r.steps) for r in warm] == [
+            (r.outcome, r.steps) for r in cold
+        ]
+        with pytest.raises(PebblingError, match="not both"):
+            run_portfolio(tasks, store=store, store_path=str(tmp_path / "cache.db"))
+
     def test_meaningless_schedule_parameters_become_error_records(self):
         # The validation of the search layer reaches portfolio tasks too:
         # a non-linear schedule with a step increment is an error record,

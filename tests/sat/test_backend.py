@@ -179,10 +179,33 @@ class TestCdclSpec:
         assert set(result.stats.phase_times) == {"propagate", "analyze", "reduce"}
 
     def test_probe_reports_bad_specs(self):
-        reason = backend_unavailable_reason("cdcl:bogus=1")
-        assert reason is not None and "unknown key" in reason
+        with pytest.raises(SolverError, match="invalid SAT backend spec.*unknown key"):
+            backend_unavailable_reason("cdcl:bogus=1")
         assert backend_unavailable_reason("cdcl:profile=1") is None
         require_backend("cdcl:profile=1")
+
+    def test_a_bad_spec_is_invalid_not_unusable(self):
+        with pytest.raises(SolverError) as error:
+            require_backend("cdcl:seed=7")
+        message = str(error.value)
+        assert message.startswith("invalid SAT backend spec 'cdcl:seed=7': ")
+        assert "unknown key 'seed'" in message
+        assert "not usable on this host" not in message
+
+    def test_a_spec_that_parses_but_cannot_run_is_unusable(self, monkeypatch):
+        import repro.sat.native as native
+
+        monkeypatch.setattr(
+            native, "native_unavailable_reason", lambda: "no C compiler (faked)"
+        )
+        with pytest.raises(SolverError) as error:
+            require_backend("cdcl:native=1")
+        message = str(error.value)
+        assert message.startswith(
+            "SAT backend 'cdcl:native=1' is not usable on this host: "
+        )
+        assert "no C compiler (faked)" in message
+        assert "invalid" not in message
 
 
 def _load_simple(backend: IncrementalSatBackend) -> None:

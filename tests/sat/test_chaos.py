@@ -106,7 +106,8 @@ class TestRegistry:
         assert reason is not None  # the inner external backend is unusable
 
     def test_probe_reports_bad_spec(self):
-        assert backend_unavailable_reason("chaos:explode=1") is not None
+        with pytest.raises(SolverError, match="invalid SAT backend spec.*unknown key"):
+            backend_unavailable_reason("chaos:explode=1")
 
     def test_create_rejects_nested_chaos(self):
         with pytest.raises(SolverError, match="cannot itself be chaos"):

@@ -43,7 +43,7 @@ class TestAdmissionControl:
 
     def test_overload_sheds_excess_submissions(self):
         async def scenario():
-            async with PebblingService(max_queue=2, batch_window=0.0) as service:
+            async with PebblingService(max_queue=2) as service:
                 requests = [_pebble(budget) for budget in (4, 5, 6, 7)]
                 results = await service.run(requests)
                 return results, service.stats
@@ -59,7 +59,7 @@ class TestAdmissionControl:
 
     def test_submit_raises_overload_directly(self):
         async def scenario():
-            async with PebblingService(max_queue=1, batch_window=0.0) as service:
+            async with PebblingService(max_queue=1) as service:
                 first = asyncio.ensure_future(service.submit(_pebble(4)))
                 await asyncio.sleep(0)  # let the first submission enqueue
                 with pytest.raises(ServiceOverloadError):
@@ -71,7 +71,7 @@ class TestAdmissionControl:
 
     def test_deduplicated_requests_are_never_shed(self):
         async def scenario():
-            async with PebblingService(max_queue=1, batch_window=0.05) as service:
+            async with PebblingService(max_queue=1) as service:
                 # Four copies of one request: one occupies the whole queue,
                 # the rest piggyback on it instead of being shed.
                 results = await service.run([_pebble(4)] * 4)
@@ -90,11 +90,12 @@ class TestDeadlines:
 
     def test_preempted_request_returns_anytime_partial(self):
         async def scenario():
-            async with PebblingService(batch_window=0.0) as service:
-                # ~0.75 s of mostly-solve search (on the C core) against a
-                # 0.2 s deadline, so the encoder's speed barely moves it.
+            async with PebblingService() as service:
+                # Uninterrupted, this search takes 7.6 s on the C core (2-core
+                # x86-64 host, Python 3.11), 38x the 0.2 s deadline, so a
+                # faster engine cannot finish it in time.
                 request = JobRequest(
-                    kind="pebble", workload="edwards-add", budget=9,
+                    kind="pebble", workload="kummer-double", budget=13,
                     time_limit=60.0, deadline=0.2,
                 )
                 result = await service.submit(request)
@@ -112,7 +113,7 @@ class TestDeadlines:
 
     def test_fast_request_beats_its_deadline_untouched(self):
         async def scenario():
-            async with PebblingService(batch_window=0.0) as service:
+            async with PebblingService() as service:
                 result = await service.submit(_pebble(4, deadline=30.0))
                 return result, service.stats
 
@@ -144,7 +145,7 @@ class TestHealthAndRetries:
     def test_retry_policy_heals_chaos_faults_in_solver_jobs(self):
         async def scenario():
             retry = RetryPolicy(max_attempts=3, base_delay=0.0)
-            async with PebblingService(batch_window=0.0, retry=retry) as service:
+            async with PebblingService(retry=retry) as service:
                 result = await service.submit(
                     _pebble(4, backend="chaos:3,flaky=1")
                 )
@@ -171,7 +172,7 @@ class TestRequestFileLeniency:
         path = self._write(
             tmp_path, [self.BAD_FIELD, self.GOOD, self.BAD_SHAPE]
         )
-        report = run_request_file(path, batch_window=0.0)
+        report = run_request_file(path)
         results = report["results"]
         assert len(results) == 3
         assert results[0]["source"] == "request-file"
@@ -254,7 +255,7 @@ class TestRequestFileLeniency:
             {"kind": "pebble", "workload": "c17", "budget": 4},
             {"kind": "pebble", "workload": "fig2", "budget": 3, "scale": "big"},
         ])
-        results = run_request_file(path, batch_window=0.0)["results"]
+        results = run_request_file(path)["results"]
         assert [result["status"] for result in results] == ["ok", "ok", "error"]
         assert results[2]["source"] == "request-file"
         assert "scale" in results[2]["error"]
@@ -272,12 +273,12 @@ class TestRequestFileLeniency:
 
     def test_report_carries_health_and_default_deadline(self, tmp_path):
         path = self._write(tmp_path, [self.GOOD])
-        report = run_request_file(path, batch_window=0.0, deadline=30.0)
+        report = run_request_file(path, deadline=30.0)
         assert report["results"][0]["request"]["deadline"] == 30.0
         assert report["health"]["stats"]["completed"] == 1
 
     def test_explicit_deadline_wins_over_default(self, tmp_path):
         entry = dict(self.GOOD, deadline=15.0)
         path = self._write(tmp_path, [entry])
-        report = run_request_file(path, batch_window=0.0, deadline=30.0)
+        report = run_request_file(path, deadline=30.0)
         assert report["results"][0]["request"]["deadline"] == 15.0

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import threading
 
 import pytest
 
@@ -56,7 +57,7 @@ class TestJobRequest:
 class TestService:
     def test_single_pebble_request(self):
         async def scenario():
-            async with PebblingService(batch_window=0.0) as service:
+            async with PebblingService() as service:
                 result = await service.submit(
                     JobRequest(kind="pebble", workload="fig2", budget=4,
                                time_limit=30)
@@ -74,7 +75,7 @@ class TestService:
                              time_limit=30)
 
         async def scenario():
-            async with PebblingService(batch_window=0.05) as service:
+            async with PebblingService() as service:
                 results = await service.run([request, request, request])
                 return service, results
 
@@ -93,7 +94,7 @@ class TestService:
         ]
 
         async def scenario():
-            async with PebblingService(batch_window=0.1) as service:
+            async with PebblingService() as service:
                 results = await service.run(requests)
                 return service, results
 
@@ -102,13 +103,68 @@ class TestService:
         assert service.stats.batches == 1
         assert service.stats.solver_jobs == 3
 
+    def test_a_request_submitted_during_a_batch_joins_the_next(self):
+        started, release = threading.Event(), threading.Event()
+        batches = []
+
+        async def scenario():
+            async with PebblingService() as service:
+                process = service._process_batch
+
+                def held(items):
+                    batches.append([request.budget for request, _ in items])
+                    if len(batches) == 1:
+                        started.set()
+                        assert release.wait(30)
+                    return process(items)
+
+                service._process_batch = held
+                first = asyncio.ensure_future(service.submit(
+                    JobRequest(kind="pebble", workload="fig2", budget=4,
+                               time_limit=30)
+                ))
+                try:
+                    loop = asyncio.get_running_loop()
+                    assert await loop.run_in_executor(None, started.wait, 30)
+                    second = asyncio.ensure_future(service.submit(
+                        JobRequest(kind="pebble", workload="fig2", budget=5,
+                                   time_limit=30)
+                    ))
+                    await asyncio.sleep(0)  # let the second request enqueue
+                finally:
+                    release.set()
+                return service, await asyncio.gather(first, second)
+
+        service, results = _run(scenario())
+        assert [r.payload["steps"] for r in results] == [6, 5]
+        assert batches == [[4], [5]]
+        assert service.stats.batches == 2
+
+    def test_a_closed_service_leaves_no_store_connection(self, tmp_path):
+        db = tmp_path / "cache.db"
+
+        async def scenario():
+            async with PebblingService(store=str(db)) as service:
+                result = await service.submit(
+                    JobRequest(kind="pebble", workload="fig2", budget=4,
+                               time_limit=30)
+                )
+                return service, result
+
+        service, result = _run(scenario())
+        assert result.source == "solver" and service.stats.solver_jobs == 1
+        # SQLite removes the write-ahead log when its last connection closes.
+        assert db.exists()
+        assert not (tmp_path / "cache.db-wal").exists()
+        assert not (tmp_path / "cache.db-shm").exists()
+
     def test_cache_hits_skip_the_solver(self, tmp_path):
         db = str(tmp_path / "cache.db")
         request = JobRequest(kind="pebble", workload="fig2", budget=4,
                              time_limit=30)
 
         async def scenario():
-            async with PebblingService(store=db, batch_window=0.0) as service:
+            async with PebblingService(store=db) as service:
                 first = await service.submit(request)
                 second = await service.submit(request)
                 return service, first, second
@@ -126,7 +182,7 @@ class TestService:
 
         async def scenario():
             with ResultStore(":memory:") as store:
-                async with PebblingService(store=store, batch_window=0.0) as service:
+                async with PebblingService(store=store) as service:
                     first = await service.submit(request)
                     second = await service.submit(request)
                     return first.source, second.source
@@ -139,7 +195,7 @@ class TestService:
                            max_budget=6, time_limit=30)
 
         async def scenario():
-            async with PebblingService(store=db, batch_window=0.05) as service:
+            async with PebblingService(store=db) as service:
                 overlapping = JobRequest(kind="pebble", workload="fig2",
                                          budget=4, time_limit=30)
                 sweep_result, single = await asyncio.gather(
@@ -164,7 +220,7 @@ class TestService:
                              decompose=True, time_limit=30)
 
         async def scenario():
-            async with PebblingService(store=db, batch_window=0.0) as service:
+            async with PebblingService(store=db) as service:
                 first = await service.submit(request)
                 second = await service.submit(request)
                 return first, second
@@ -188,9 +244,7 @@ class TestService:
         # Pebble and compile repeats alike: on a fresh registry the hit
         # counter agrees with the service's own count.
         async def scenario():
-            async with PebblingService(
-                store=str(tmp_path / "cache.db"), batch_window=0.0
-            ) as service:
+            async with PebblingService(store=str(tmp_path / "cache.db")) as service:
                 for kind in kinds:
                     await service.submit(
                         JobRequest(kind=kind, workload="c17", budget=4, time_limit=30)
@@ -210,9 +264,7 @@ class TestService:
         kinds = ("pebble", "compile", "pebble", "compile", "compile")
 
         async def scenario():
-            async with PebblingService(
-                store=str(tmp_path / "cache.db"), batch_window=0.0
-            ) as service:
+            async with PebblingService(store=str(tmp_path / "cache.db")) as service:
                 sources = [
                     (await service.submit(
                         JobRequest(kind=kind, workload="c17", budget=4, time_limit=30)
@@ -241,9 +293,7 @@ class TestService:
                              time_limit=60)
 
         async def scenario():
-            async with PebblingService(
-                store=str(tmp_path / "cache.db"), batch_window=0.0
-            ) as service:
+            async with PebblingService(store=str(tmp_path / "cache.db")) as service:
                 miss = await service.submit(request)
                 after_miss = len(parsed)
                 hit = await service.submit(request)
@@ -257,7 +307,7 @@ class TestService:
 
     def test_errors_are_contained_results(self):
         async def scenario():
-            async with PebblingService(batch_window=0.0) as service:
+            async with PebblingService() as service:
                 bad, good = await service.run([
                     JobRequest(kind="pebble", workload="no-such", budget=4),
                     JobRequest(kind="pebble", workload="fig2", budget=4,
@@ -272,7 +322,7 @@ class TestService:
 
     def test_sweep_with_failing_children_reports_error(self):
         async def scenario():
-            async with PebblingService(batch_window=0.0) as service:
+            async with PebblingService() as service:
                 return await service.submit(
                     JobRequest(kind="sweep", workload="missing_dag.json",
                                min_budget=3, max_budget=4)
@@ -298,7 +348,7 @@ class TestService:
                             lambda tasks, **kwargs: [_boom(t) for t in tasks])
 
         async def scenario():
-            async with PebblingService(batch_window=0.0) as service:
+            async with PebblingService() as service:
                 return await service.submit(
                     JobRequest(kind="sweep", workload="fig2", min_budget=3,
                                max_budget=4, time_limit=10)
@@ -310,7 +360,7 @@ class TestService:
 
     def test_close_fails_pending_futures(self):
         async def scenario():
-            service = PebblingService(batch_window=0.0)
+            service = PebblingService()
             pending = asyncio.create_task(service.submit(
                 JobRequest(kind="pebble", workload="and9", budget=4,
                            time_limit=5)  # an UNSAT sweep: ~1 s of work
@@ -365,12 +415,12 @@ class TestRequestFile:
                  "time_limit": 30},
             ]
         }))
-        report = run_request_file(path, store=db, workers=2, batch_window=0.05)
+        report = run_request_file(path, store=db, workers=2)
         assert [r["status"] for r in report["results"]] == ["ok"] * 3
         assert report["stats"]["deduplicated"] == 1
         assert report["store"]["entries"] >= 2
         # A second run of the same file is answered entirely from cache.
-        again = run_request_file(path, store=db, workers=2, batch_window=0.05)
+        again = run_request_file(path, store=db, workers=2)
         assert again["stats"]["cache_hits"] >= 1
         assert again["stats"]["solver_jobs"] == 0
 
@@ -391,7 +441,7 @@ class TestBackendRequests:
 
     def test_request_backend_reaches_the_solver(self):
         async def scenario():
-            async with PebblingService(batch_window=0.0) as service:
+            async with PebblingService() as service:
                 result = await service.submit(
                     JobRequest(
                         kind="pebble", workload="fig2", budget=4,
@@ -407,7 +457,7 @@ class TestBackendRequests:
 
     def test_unknown_backend_is_error_result_not_exception(self):
         async def scenario():
-            async with PebblingService(batch_window=0.0) as service:
+            async with PebblingService() as service:
                 return await service.submit(
                     JobRequest(
                         kind="pebble", workload="fig2", budget=4, backend="bogus"
@@ -420,9 +470,7 @@ class TestBackendRequests:
 
     def test_cache_transfers_across_backends(self):
         async def scenario():
-            async with PebblingService(
-                store=ResultStore(":memory:"), batch_window=0.0
-            ) as service:
+            async with PebblingService(store=ResultStore(":memory:")) as service:
                 first = await service.submit(
                     JobRequest(kind="pebble", workload="fig2", budget=4,
                                backend="dpll", time_limit=30)

@@ -258,6 +258,76 @@ class TestWarmStart:
             assert warm is None or warm.step_floor is None
 
 
+class TestFingerprintWork:
+    """A lookup keys rows by the exact digest alone; only the calls that
+    write or query the ``canonical`` column (``put_*``, ``warm_start``)
+    run the isomorphism-invariant fingerprint, once per DAG object."""
+
+    @pytest.fixture
+    def fingerprinted(self, monkeypatch):
+        import repro.store.store as store_module
+
+        seen = []
+        original = store_module.dag_fingerprint
+
+        def counted(dag):
+            seen.append(dag)
+            return original(dag)
+
+        monkeypatch.setattr(store_module, "dag_fingerprint", counted)
+        return seen
+
+    def test_pebble_gets_compute_none(self, fingerprinted):
+        request = dict(
+            budget=4, options=EncodingOptions(), search=LinearSearch(),
+            incremental=True,
+        )
+        with ResultStore(":memory:") as store:
+            assert store.get_pebble(example_dag(), **request) is None
+            assert fingerprinted == []
+            written = example_dag()
+            store.put_pebble(written, _solve(written, 4), **request)
+            assert fingerprinted == [written]
+            assert store.get_pebble(example_dag(), **request) is not None
+            assert fingerprinted == [written]
+
+    def test_compile_gets_compute_none(self, fingerprinted):
+        from repro.circuits.pipeline import compile_cache_request, compile_dag
+        from repro.workloads.registry import load_workload_network
+
+        network = load_workload_network("fig2")
+        request = compile_cache_request(pebbles=4, workload="fig2")
+
+        def fresh():
+            return load_workload_or_path("fig2", network=network)
+
+        with ResultStore(":memory:") as store:
+            assert store.get_compile(fresh(), network=network, **request) is None
+            assert fingerprinted == []
+            # A miss: get_compile, then the search's get_pebble, warm_start
+            # and put_pebble, then put_compile, all on one DAG object.
+            compiled = fresh()
+            compile_dag(
+                compiled, pebbles=4, network=network, workload="fig2", store=store
+            )
+            assert store.session["puts"] == 2
+            assert fingerprinted == [compiled]
+            assert store.get_compile(fresh(), network=network, **request) is not None
+            assert fingerprinted == [compiled]
+
+    def test_writes_and_warm_starts_share_one_per_dag(self, fingerprinted):
+        with ResultStore(":memory:") as store:
+            first = example_dag()
+            _solve(first, 4, store=store)  # get (miss), warm_start, put
+            _solve(first, 5, store=store)
+            assert store.session["puts"] == 2
+            assert fingerprinted == [first]
+            second = example_dag()
+            assert store.warm_start(second, budget=6, options=EncodingOptions())
+            store.warm_start(second, budget=3, options=EncodingOptions())
+            assert fingerprinted == [first, second]
+
+
 class TestMaintenance:
     def test_eviction_keeps_most_recent(self, fig2_dag):
         with ResultStore(":memory:", max_entries=2) as store:

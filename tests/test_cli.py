@@ -453,10 +453,20 @@ class TestBackendCli:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --race-backends" in capsys.readouterr().err
 
+    def test_serve_batch_window_is_a_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--json", str(tmp_path / "requests.json"),
+                  "--batch-window", "0.01"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --batch-window" in capsys.readouterr().err
+
     def test_a_tuning_key_is_unknown(self, capsys):
         assert main(["pebble", "fig2", "--pebbles", "4",
                      "--backend", "cdcl:seed=7"]) == 1
-        assert "unknown key 'seed'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "invalid SAT backend spec 'cdcl:seed=7'" in err
+        assert "unknown key 'seed'" in err
+        assert "not usable on this host" not in err
 
     def test_a_profiled_spec_runs_and_names_the_python_engine(self, capsys):
         assert main(["pebble", "fig2", "--pebbles", "4", "--timeout", "60",
