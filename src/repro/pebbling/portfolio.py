@@ -471,7 +471,12 @@ def _execute_task(
     when more than one attempt ran.
     """
     with obs_trace.activated(task.trace):
-        return _execute_attempts(task, store, retry, epoch)
+        record = _execute_attempts(task, store, retry, epoch)
+    if isinstance(store, str):
+        # A worker's store stays open for the process's life, so the uses
+        # its reads noted are written before the task hands back.
+        _resolve_store(store).write_uses()
+    return record
 
 
 def _execute_attempts(

@@ -678,7 +678,6 @@ class ReversiblePebblingSolver:
             cached = store.get_pebble(self.dag, **request)
             if cached is not None:
                 return self._cache_answer(cached)
-            _metrics.counter("repro_store_misses_total").inc()
             # Warm bounds are only safe for schedules whose answer is
             # invariant under a sound floor/ceiling: unit-increment linear
             # scans and geometric-refine converge to the same minimum from
@@ -818,7 +817,6 @@ class ReversiblePebblingSolver:
     def _cache_answer(self, cached: PebblingResult) -> PebblingResult:
         """Flag and report a store hit; the payload itself is untouched."""
         cached.from_cache = True
-        _metrics.counter("repro_store_hits_total").inc()
         if _trace.active():
             _trace.event(
                 "store.hit",

@@ -24,21 +24,35 @@ Rows are keyed by content, so the store is safe to share between processes
 handles the concurrency) and survives across runs.  Only searches that ran
 to their natural end are stored — a timeout is not a fact about the
 instance, just about the deadline.
+
+A read writes nothing.  Each row counts its ``hits`` and keeps its
+``last_used`` time for LRU eviction, but a hit, or a warm start that uses
+a row as an anchor, only notes that use in memory.  The noted uses are
+written inside the next write transaction the connection makes anyway (a
+put, an eviction, the deletion of a corrupt row), and :meth:`ResultStore.stats`
+and :meth:`ResultStore.close` write them first, so a cache hit costs no
+commit.  Every put still commits before it returns: answers are durable.
+What a crash loses is bookkeeping only: a process that dies without
+closing its store drops the hit counts and recency of the reads it made
+since its last write.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import sqlite3
 import time
 import weakref
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.dag.graph import Dag
 from repro.errors import ReproError
 from repro.logic.network import LogicNetwork
+from repro.obs import metrics as _metrics
 from repro.pebbling.encoding import EncodingOptions
 from repro.pebbling.search import SearchStrategy
 from repro.pebbling.solver import PebblingResult
@@ -60,6 +74,9 @@ from repro.store.fingerprint import (
 STORE_SCHEMA = 5
 
 _LOG = logging.getLogger(__name__)
+
+#: How long a connection waits for another one's lock before it fails.
+_BUSY_TIMEOUT_MS = 10_000
 
 
 class StoreError(ReproError):
@@ -133,8 +150,13 @@ class ResultStore:
     """Content-addressed cache of pebbling/compile results (see module doc).
 
     ``max_entries`` bounds the table size: every insertion beyond it
-    evicts the least-recently-used rows (reads refresh recency).  The
-    store is a context manager; :meth:`close` is idempotent.
+    evicts the least-recently-used rows, in the same transaction as the
+    row it inserts.  Reads refresh recency, but only in memory until the
+    next write, which applies their uses before it evicts anything.  The
+    store is a context manager; :meth:`close` writes the pending uses and
+    is idempotent.  A process that exits without closing its store keeps
+    every answer it put but loses the hit counts and recency of the reads
+    made since its last write.
     """
 
     def __init__(self, path: "str | Path" = ":memory:", *, max_entries: int | None = None):
@@ -158,10 +180,13 @@ class ResultStore:
             "evictions": 0,
             "corrupt": 0,
         }
+        #: Uses that reads noted and no write has carried yet:
+        #: key -> (hits to add, latest use time).
+        self._uses: dict[str, tuple[int, float]] = {}
         self._connection = sqlite3.connect(self.path, check_same_thread=False)
-        self._connection.execute("PRAGMA busy_timeout = 10000")
+        self._connection.execute(f"PRAGMA busy_timeout = {_BUSY_TIMEOUT_MS}")
         if self.path != ":memory:":
-            self._connection.execute("PRAGMA journal_mode = WAL")
+            _enable_wal(self._connection)
         self._initialise()
 
     # ------------------------------------------------------------------
@@ -189,10 +214,13 @@ class ResultStore:
             )
 
     def close(self) -> None:
-        """Close the underlying connection (idempotent)."""
+        """Write the pending uses and close the connection (idempotent)."""
         if self._connection is not None:
-            self._connection.close()
-            self._connection = None  # type: ignore[assignment]
+            try:
+                self.write_uses()
+            finally:
+                self._connection.close()
+                self._connection = None  # type: ignore[assignment]
 
     def __enter__(self) -> "ResultStore":
         return self
@@ -250,11 +278,10 @@ class ResultStore:
         ``max_steps``, ``step_floor``); see
         :meth:`repro.pebbling.solver.ReversiblePebblingSolver.solve`.
         """
-        key = self._pebble_key(dag, **request)
-        payload = self._fetch(key)
-        if payload is None:
-            return None
-        return self._decode(key, payload, lambda data: PebblingResult.from_json(data, dag))
+        return self._lookup(
+            self._pebble_key(dag, **request),
+            lambda data: PebblingResult.from_json(data, dag),
+        )
 
     def put_pebble(self, dag: Dag, result: PebblingResult, **request: object) -> bool:
         """Store a pebbling result under its request's content address.
@@ -323,12 +350,8 @@ class ResultStore:
         # A warm read is a use: refresh the anchor rows' recency so LRU
         # eviction does not drop the store's most valuable neighbours just
         # because they are never re-fetched exactly.
-        anchors = {source[2] for source in (floor, ceiling) if source is not None}
-        with connection:
-            connection.executemany(
-                "UPDATE results SET last_used = ? WHERE key = ?",
-                [(time.time(), key) for key in anchors],
-            )
+        for key in {source[2] for source in (floor, ceiling) if source is not None}:
+            self._note_use(key, hits=0)
         self.session["warm_hits"] += 1
         return WarmStart(
             step_floor=floor[0] if floor else None,
@@ -351,11 +374,10 @@ class ResultStore:
         """
         from repro.circuits.pipeline import CompilationReport
 
-        key = self._compile_key(dag, network, request)
-        payload = self._fetch(key)
-        if payload is None:
-            return None
-        return self._decode(key, payload, lambda data: CompilationReport.from_json(data, dag))
+        return self._lookup(
+            self._compile_key(dag, network, request),
+            lambda data: CompilationReport.from_json(data, dag),
+        )
 
     def put_compile(
         self,
@@ -393,6 +415,32 @@ class ResultStore:
     # ------------------------------------------------------------------
     # row plumbing
     # ------------------------------------------------------------------
+    def _lookup(self, key: str, decoder):
+        """The decoded row at ``key``, or ``None`` when there is none.
+
+        Every lookup, from any layer, is counted here: in :attr:`session`
+        and in the process's ``repro_store_*`` metrics.  A corrupt row
+        counts as a miss.  A hit writes nothing; its use waits for the
+        next write (:meth:`_writing`).
+        """
+        self.session["gets"] += 1
+        row = self._require().execute(
+            "SELECT payload FROM results WHERE key = ?", (key,)
+        ).fetchone()
+        value = None if row is None else self._decode(key, row[0], decoder)
+        if value is None:
+            self.session["misses"] += 1
+            _metrics.counter(
+                "repro_store_misses_total", "Result-store lookups without a usable row"
+            ).inc()
+            return None
+        self.session["hits"] += 1
+        _metrics.counter(
+            "repro_store_hits_total", "Result-store lookups answered from a row"
+        ).inc()
+        self._note_use(key, hits=1)
+        return value
+
     def _decode(self, key: str, payload: str, decoder):
         """Deserialise a fetched payload, quarantining poison on failure.
 
@@ -410,36 +458,53 @@ class ResultStore:
                 key[:16],
                 error,
             )
-            connection = self._require()
-            with connection:
+            self._uses.pop(key, None)
+            with self._writing() as connection:
                 connection.execute("DELETE FROM results WHERE key = ?", (key,))
-            # _fetch already booked this lookup as a hit; it was not one.
-            self.session["hits"] -= 1
-            self.session["misses"] += 1
             self.session["corrupt"] += 1
             return None
 
-    def _fetch(self, key: str) -> "str | None":
-        self.session["gets"] += 1
+    def _note_use(self, key: str, *, hits: int) -> None:
+        """Remember a read of ``key`` for the next write to record."""
+        pending = self._uses.get(key)
+        self._uses[key] = (hits + (pending[0] if pending else 0), time.time())
+
+    @contextlib.contextmanager
+    def _writing(self) -> Iterator[sqlite3.Connection]:
+        """One write transaction that first records the pending uses.
+
+        Adding a use's hits and taking the later of the two use times
+        keeps every count, whichever connection's write lands first.  The
+        map empties only once the transaction commits: a write that rolls
+        back leaves its uses pending.
+        """
         connection = self._require()
-        row = connection.execute(
-            "SELECT payload FROM results WHERE key = ?", (key,)
-        ).fetchone()
-        if row is None:
-            self.session["misses"] += 1
-            return None
         with connection:
-            connection.execute(
-                "UPDATE results SET hits = hits + 1, last_used = ? WHERE key = ?",
-                (time.time(), key),
-            )
-        self.session["hits"] += 1
-        return row[0]
+            if self._uses:
+                connection.executemany(
+                    "UPDATE results SET hits = hits + ?, "
+                    "last_used = MAX(last_used, ?) WHERE key = ?",
+                    [(hits, used, key) for key, (hits, used) in self._uses.items()],
+                )
+            yield connection
+        self._uses.clear()
+
+    def write_uses(self) -> None:
+        """Write the hits and recency of reads since the last write.
+
+        Runs no transaction when none are pending.  :meth:`stats` and
+        :meth:`close` call it first; so does a pool worker after each
+        task, because its store stays open for the worker's life.
+        """
+        if self._uses:
+            with self._writing():
+                pass
 
     def _insert(self, **row: object) -> None:
-        connection = self._require()
+        """Upsert one row, evicting past ``max_entries``: one commit."""
         now = time.time()
-        with connection:
+        evicted = 0
+        with self._writing() as connection:
             # Upsert, not INSERT OR REPLACE: two workers racing on the same
             # uncached request both put on miss, and a blind replace would
             # zero the row's accumulated ``hits`` (which `cache stats` and
@@ -469,9 +534,10 @@ class ResultStore:
                     now,
                 ),
             )
+            if self.max_entries is not None:
+                evicted = _evict_rows(connection, self.max_entries)
         self.session["puts"] += 1
-        if self.max_entries is not None:
-            self.evict(self.max_entries)
+        self.session["evictions"] += evicted
 
     # ------------------------------------------------------------------
     # maintenance
@@ -483,15 +549,8 @@ class ResultStore:
         """
         if keep < 0:
             raise StoreError("keep must be >= 0")
-        connection = self._require()
-        with connection:
-            cursor = connection.execute(
-                "DELETE FROM results WHERE key IN ("
-                "SELECT key FROM results ORDER BY last_used DESC, key "
-                "LIMIT -1 OFFSET ?)",
-                (keep,),
-            )
-        evicted = cursor.rowcount if cursor.rowcount > 0 else 0
+        with self._writing() as connection:
+            evicted = _evict_rows(connection, keep)
         self.session["evictions"] += evicted
         return evicted
 
@@ -500,10 +559,17 @@ class ResultStore:
         connection = self._require()
         with connection:
             cursor = connection.execute("DELETE FROM results")
+        self._uses.clear()
         return cursor.rowcount if cursor.rowcount > 0 else 0
 
     def stats(self) -> StoreStats:
-        """Snapshot of contents (row counts, hit totals) + session traffic."""
+        """Snapshot of contents (row counts, hit totals) + session traffic.
+
+        ``size_bytes`` is the database's page count times its page size:
+        in WAL mode new pages sit in the ``-wal`` file until a checkpoint,
+        so the main file's size lags behind.
+        """
+        self.write_uses()
         connection = self._require()
         entries, total_hits = connection.execute(
             "SELECT COUNT(*), COALESCE(SUM(hits), 0) FROM results"
@@ -513,21 +579,47 @@ class ResultStore:
                 "SELECT kind, COUNT(*) FROM results GROUP BY kind"
             ).fetchall()
         )
-        size = 0
-        if self.path != ":memory:":
-            try:
-                size = Path(self.path).stat().st_size
-            except OSError:
-                size = 0
+        (page_count,) = connection.execute("PRAGMA page_count").fetchone()
+        (page_size,) = connection.execute("PRAGMA page_size").fetchone()
         return StoreStats(
             path=self.path,
             entries=entries,
             pebble_entries=by_kind.get("pebble", 0),
             compile_entries=by_kind.get("compile", 0),
             total_hits=total_hits,
-            size_bytes=size,
+            size_bytes=page_count * page_size,
             session=dict(self.session),
         )
+
+
+def _enable_wal(connection: sqlite3.Connection) -> None:
+    """Switch a file database to WAL journalling.
+
+    The switch takes an exclusive lock without calling the busy handler,
+    so two processes that open a new file at once (two pool workers, say)
+    can fail it with "database is locked".  It is retried for as long as
+    any other lock would be waited for.
+    """
+    deadline = time.monotonic() + _BUSY_TIMEOUT_MS / 1000
+    while True:
+        try:
+            connection.execute("PRAGMA journal_mode = WAL")
+            return
+        except sqlite3.OperationalError as error:
+            if "locked" not in str(error) or time.monotonic() > deadline:
+                raise
+            time.sleep(0.01)
+
+
+def _evict_rows(connection: sqlite3.Connection, keep: int) -> int:
+    """Inside an open transaction: delete all but the ``keep`` most recent rows."""
+    cursor = connection.execute(
+        "DELETE FROM results WHERE key IN ("
+        "SELECT key FROM results ORDER BY last_used DESC, key "
+        "LIMIT -1 OFFSET ?)",
+        (keep,),
+    )
+    return cursor.rowcount if cursor.rowcount > 0 else 0
 
 
 def _memoised(

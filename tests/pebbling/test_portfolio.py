@@ -166,6 +166,19 @@ class TestRunPortfolio:
         with ResultStore(db) as store:
             assert store.stats().total_hits == len(tasks)
 
+    def test_pool_workers_write_their_hits(self, tmp_path):
+        # A worker's store is never closed; each task writes its hits.
+        db = str(tmp_path / "cache.db")
+        tasks = tasks_from_suite("default", time_limit=60)
+        for _ in range(2):
+            records = run_portfolio(tasks, jobs=2, store_path=db, force_pool=True)
+            assert all(record.complete for record in records)
+        from repro.store import ResultStore
+
+        with ResultStore(db) as store:
+            stats = store.stats()
+        assert (stats.entries, stats.total_hits) == (len(tasks), len(tasks))
+
     def test_an_open_store_serves_inline_tasks(self, tmp_path):
         from repro.store import ResultStore
 

@@ -260,6 +260,33 @@ class TestService:
         assert cache_hits == hits
         assert registry.snapshot()["repro_service_cache_hits_total"] == cache_hits
 
+    def test_store_lookup_counters_match_the_session(self, tmp_path):
+        # The service's own probes count as lookups too, not only the
+        # solver's: the registry agrees with the store's session.
+        kinds = ("pebble", "pebble", "compile", "compile")
+
+        async def scenario():
+            async with PebblingService(store=str(tmp_path / "cache.db")) as service:
+                sources = [
+                    (await service.submit(
+                        JobRequest(kind=kind, workload="c17", budget=4, time_limit=30)
+                    )).source
+                    for kind in kinds
+                ]
+                return sources, dict(service.store.session)
+
+        registry = MetricsRegistry(enabled=True)
+        previous = obs_metrics.set_registry(registry)
+        try:
+            sources, session = _run(scenario())
+        finally:
+            obs_metrics.set_registry(previous)
+        assert sources == ["solver", "cache", "solver", "cache"]
+        assert session["hits"] >= 2 and session["misses"] >= 2
+        snapshot = registry.snapshot()
+        assert snapshot["repro_store_hits_total"] == session["hits"]
+        assert snapshot["repro_store_misses_total"] == session["misses"]
+
     def test_every_cache_answer_is_a_trace_event(self, tmp_path):
         kinds = ("pebble", "compile", "pebble", "compile", "compile")
 

@@ -1,10 +1,16 @@
 """Tests for the SQLite result store: round trips, warm starts, eviction."""
 
 import json
+import multiprocessing
+import os
 import sqlite3
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.dag import Dag
 from repro.pebbling.encoding import EncodingOptions
 from repro.pebbling.portfolio import task_solve_parameters, tasks_from_suite
@@ -371,6 +377,14 @@ class TestMaintenance:
             assert store.clear() == 1
             assert store.stats().entries == 0
 
+    def test_size_counts_pages_still_in_the_wal(self, fig2_dag, tmp_path):
+        path = tmp_path / "cache.db"
+        with ResultStore(path) as store:
+            for budget in (4, 5, 6, 7):
+                _solve(fig2_dag, budget, store=store)
+            size = store.stats().size_bytes
+        assert size == path.stat().st_size
+
     def test_persistence_across_connections(self, fig2_dag, tmp_path):
         path = tmp_path / "cache.db"
         with ResultStore(path) as store:
@@ -409,6 +423,196 @@ class TestMaintenance:
     def test_bad_max_entries_rejected(self):
         with pytest.raises(StoreError):
             ResultStore(":memory:", max_entries=0)
+
+
+def _statements(store):
+    """Every SQL statement the store's connection runs from now on."""
+    seen: list[str] = []
+    store._require().set_trace_callback(seen.append)
+    return seen
+
+
+def _verbs(statements):
+    return [statement.split(None, 1)[0].upper() for statement in statements]
+
+
+def _request(budget):
+    return dict(
+        budget=budget,
+        options=EncodingOptions(),
+        search=LinearSearch(),
+        incremental=True,
+        initial_steps=None,
+        max_steps=None,
+        step_floor=None,
+    )
+
+
+#: Opens a store, puts fig2 p4, reads it twice and dies without closing.
+_CRASH_AFTER_HITS = """
+import os, sys
+from repro.pebbling.solver import ReversiblePebblingSolver
+from repro.store import ResultStore
+from repro.workloads import example_dag
+
+store = ResultStore(sys.argv[1])
+for _ in range(3):
+    ReversiblePebblingSolver(example_dag()).solve(
+        4, strategy="linear", time_limit=60, store=store
+    )
+assert store.session["puts"] == 1 and store.session["hits"] == 2
+os._exit(0)
+"""
+
+
+class TestUsesRideOnWrites:
+    """A read writes nothing; its hit and recency ride on the next write."""
+
+    def test_hits_and_warm_starts_only_select(self):
+        from repro.circuits.pipeline import compile_cache_request, compile_dag
+        from repro.workloads.registry import load_workload_network
+
+        network = load_workload_network("fig2")
+        dag = load_workload_or_path("fig2", network=network)
+        compile_request = compile_cache_request(pebbles=4, workload="fig2")
+        with ResultStore(":memory:") as store:
+            _solve(dag, 4, store=store)
+            compile_dag(dag, pebbles=4, network=network, workload="fig2", store=store)
+            hits = store.session["hits"]
+            statements = _statements(store)
+            assert store.get_pebble(dag, **_request(4)) is not None
+            assert store.get_compile(dag, network=network, **compile_request) is not None
+            warm = store.warm_start(dag, budget=5, options=EncodingOptions())
+            assert warm is not None and warm.ceiling_budget == 4
+            assert store.session["hits"] == hits + 2
+            assert set(_verbs(statements)) == {"SELECT"}, statements
+
+    def test_the_next_put_writes_the_hits_with_its_row(self, fig2_dag, tmp_path):
+        path = tmp_path / "cache.db"
+        with ResultStore(path) as store:
+            _solve(fig2_dag, 4, store=store)
+            for _ in range(3):
+                _solve(fig2_dag, 4, store=store)
+            statements = _statements(store)
+            _solve(fig2_dag, 6, store=store)  # a miss: get, warm start, put
+            verbs = _verbs(statements)
+            assert verbs.count("BEGIN") == verbs.count("COMMIT") == 1
+            # The uses go in first, inside the put's own transaction.
+            write = verbs[verbs.index("BEGIN"):]
+            assert write == ["BEGIN", "UPDATE", "INSERT", "COMMIT"], statements
+            # Another connection sees the hits and the row before any
+            # stats() or close() of the first.
+            other = sqlite3.connect(path)
+            try:
+                assert other.execute(
+                    "SELECT COUNT(*), SUM(hits) FROM results"
+                ).fetchone() == (2, 3)
+            finally:
+                other.close()
+            assert store.stats().total_hits == 3
+
+    def test_close_writes_the_hits(self, fig2_dag, tmp_path):
+        path = tmp_path / "cache.db"
+        with ResultStore(path) as store:
+            _solve(fig2_dag, 4, store=store)
+            for _ in range(4):
+                _solve(fig2_dag, 4, store=store)
+        with ResultStore(path) as reopened:
+            assert reopened.stats().total_hits == 4
+
+    def test_a_put_that_evicts_commits_once(self, fig2_dag, chain_dag, and9_dag):
+        with ResultStore(":memory:", max_entries=2) as store:
+            _solve(fig2_dag, 4, store=store)  # A
+            _solve(chain_dag, 5, store=store)  # B
+            _solve(fig2_dag, 4, store=store)  # hit A: B is now the LRU row
+            statements = _statements(store)
+            _solve(and9_dag, 5, store=store)  # C evicts B in its own commit
+            verbs = _verbs(statements)
+            assert verbs.count("COMMIT") == 1
+            assert verbs[verbs.index("BEGIN"):] == [
+                "BEGIN", "UPDATE", "INSERT", "DELETE", "COMMIT"
+            ], statements
+            assert store.session["evictions"] == 1
+            _solve(fig2_dag, 4, store=store)
+            assert store.session["hits"] == 2, "the hit row A was evicted"
+            _solve(chain_dag, 5, store=store)
+            assert store.session["hits"] == 2, "the LRU row B survived"
+
+    def test_clear_drops_pending_uses(self, fig2_dag):
+        with ResultStore(":memory:") as store:
+            _solve(fig2_dag, 4, store=store)
+            _solve(fig2_dag, 4, store=store)
+            assert store.clear() == 1
+            statements = _statements(store)
+            _solve(fig2_dag, 4, store=store)
+            assert "UPDATE" not in _verbs(statements), statements
+            assert store.stats().total_hits == 0
+
+    def test_a_corrupt_row_leaves_no_pending_use(self, fig2_dag):
+        with ResultStore(":memory:") as store:
+            _solve(fig2_dag, 4, store=store)
+            _solve(fig2_dag, 4, store=store)  # a use of the row, pending
+            connection = store._require()
+            connection.execute("UPDATE results SET payload = '!'")
+            connection.commit()
+            statements = _statements(store)
+            assert store.get_pebble(fig2_dag, **_request(4)) is None
+            assert _verbs(statements) == ["SELECT", "BEGIN", "DELETE", "COMMIT"]
+            assert store.session["corrupt"] == 1
+            _solve(fig2_dag, 4, store=store)  # re-stored fresh
+            assert store.stats().total_hits == 0
+
+    def test_a_crash_loses_hits_not_answers(self, fig2_dag, tmp_path):
+        path = tmp_path / "cache.db"
+        source = Path(repro.__file__).resolve().parents[1]
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(
+                filter(None, [str(source), os.environ.get("PYTHONPATH")])
+            ),
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", _CRASH_AFTER_HITS, str(path)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        expected = _solve(fig2_dag, 4)
+        with ResultStore(path) as reopened:
+            stats = reopened.stats()
+            assert (stats.entries, stats.total_hits) == (1, 0)
+            stored = reopened.get_pebble(fig2_dag, **_request(4))
+        assert stored is not None
+        assert stored.outcome is expected.outcome
+        assert stored.num_steps == expected.num_steps
+        assert stored.strategy.configurations == expected.strategy.configurations
+
+
+def _open_at_once(path, barrier):
+    barrier.wait(timeout=30)
+    store = ResultStore(path)
+    # Hold the connection until every opener has one, as pool workers do.
+    barrier.wait(timeout=5)
+    store.close()
+
+
+class TestConcurrentOpen:
+    def test_processes_creating_one_file_at_once_all_open_it(self, tmp_path):
+        # The switch of a new file to WAL takes an exclusive lock without
+        # the busy handler; unretried, an opener here and there failed
+        # with "database is locked".
+        context = multiprocessing.get_context("fork")
+        for round_ in range(40):
+            path = str(tmp_path / f"race-{round_}.db")
+            barrier = context.Barrier(3)
+            openers = [
+                context.Process(target=_open_at_once, args=(path, barrier))
+                for _ in range(3)
+            ]
+            for opener in openers:
+                opener.start()
+            for opener in openers:
+                opener.join(timeout=60)
+            assert [opener.exitcode for opener in openers] == [0, 0, 0]
 
 
 class TestCacheParity:
