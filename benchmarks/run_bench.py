@@ -86,6 +86,12 @@ profile scenario's ``inprocess``/``bve``/``vivify`` phases, because the
 Python engine no longer has inprocessing, variable elimination,
 vivification or chronological backtracking: every ablation measured at
 noise (EXPERIMENTS.md, "The Python engine as a deterministic reference").
+
+Within schema v12 the ``chaos`` scenario no longer reports
+``pool_rebuilds``: its runs are inline, so no pool can break, and
+``PortfolioHealth``, which carried the count, is gone.  Its
+``retry_attempts`` and ``retried_tasks`` are now summed from the chaos
+records (EXPERIMENTS.md, "The service without a pool").
 """
 
 from __future__ import annotations
@@ -115,7 +121,6 @@ from repro.circuits.pipeline import compile_workload  # noqa: E402
 from repro.errors import SolverError  # noqa: E402
 from repro.pebbling.encoding import EncodingOptions  # noqa: E402
 from repro.pebbling.portfolio import (  # noqa: E402
-    PortfolioHealth,
     RetryPolicy,
     run_portfolio,
     tasks_from_suite,
@@ -692,7 +697,7 @@ def _deadline_probe() -> dict[str, object]:
     from repro.service import JobRequest, PebblingService
 
     async def _run():
-        async with PebblingService(workers=1) as service:
+        async with PebblingService() as service:
             request = JobRequest(
                 kind="pebble", workload="kummer-double", budget=13,
                 time_limit=60.0, deadline=0.2,
@@ -740,10 +745,10 @@ def run_chaos_bench(*, quick: bool = False) -> dict[str, object]:
     baseline = run_portfolio(baseline_tasks)
     baseline_seconds = time.perf_counter() - started
     chaos_tasks = tasks_from_suite(suite, time_limit=60.0, backend=CHAOS_SPEC)
-    health = PortfolioHealth()
     started = time.perf_counter()
-    chaos = run_portfolio(chaos_tasks, retry=CHAOS_RETRY, health=health)
+    chaos = run_portfolio(chaos_tasks, retry=CHAOS_RETRY)
     chaos_seconds = time.perf_counter() - started
+    retry_attempts = sum(record.retries for record in chaos)
     rows: list[dict[str, object]] = []
     parity = True
     for base, record in zip(baseline, chaos):
@@ -787,14 +792,14 @@ def run_chaos_bench(*, quick: bool = False) -> dict[str, object]:
           f"{'partial answer' if probe['ok'] else 'FAILED'}")
     chaos_ok = (
         parity
-        and health.retry_attempts >= 1
+        and retry_attempts >= 1
         and overhead_ok
         and unknown_ok
         and bool(probe["ok"])
     )
     print(f"chaos suite={suite}: baseline {baseline_seconds:.3f}s  "
           f"chaos {chaos_seconds:.3f}s (x{overhead:.2f})  "
-          f"retries={health.retry_attempts}  "
+          f"retries={retry_attempts}  "
           f"{'ok' if chaos_ok else 'FAILED'}")
     return {
         "suite": suite,
@@ -809,9 +814,8 @@ def run_chaos_bench(*, quick: bool = False) -> dict[str, object]:
         "baseline_seconds": round(baseline_seconds, 3),
         "chaos_seconds": round(chaos_seconds, 3),
         "overhead": round(overhead, 3),
-        "retry_attempts": health.retry_attempts,
-        "retried_tasks": health.retried_tasks,
-        "pool_rebuilds": health.pool_rebuilds,
+        "retry_attempts": retry_attempts,
+        "retried_tasks": sum(1 for record in chaos if record.retries),
         "spurious_timeouts_certified": unknown_ok,
         "deadline_probe": probe,
         "chaos_ok": chaos_ok,

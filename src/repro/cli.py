@@ -53,11 +53,11 @@ Sub-commands
     (``warm`` runs a batch suite through the portfolio with the store
     attached, so later requests hit).
 
-``serve --json requests.json [--db PATH] [--workers N]``
+``serve --json requests.json [--db PATH]``
     Drive a JSON request file through the async scheduler
     (:mod:`repro.service`): identical requests deduplicate, cached
-    requests are answered without a solver, and misses batch into the
-    portfolio pool.
+    requests are answered without a solver, and each batch's misses run
+    inline, in the service's batch thread.
 
 ``trace {summarize,phases,critical-path} FILE``
     Inspect a JSONL trace written with ``--trace`` (accepted by
@@ -335,8 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
                             '"workload": "fig2", "budget": 4}, ...]}')
     serve.add_argument("--db", default=None, metavar="PATH",
                        help="attach the result store at this SQLite path")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="portfolio width for batched misses (default 1)")
     serve.add_argument("--backend", default=None, metavar="SPEC",
                        help="default SAT backend for requests that do not "
                             "name their own (see 'repro-pebble backends')")
@@ -352,9 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "N are already queued (default: unbounded)")
     serve.add_argument("--health-json", default=None, metavar="FILE",
                        help="write the service health snapshot (queue depth, "
-                            "sheds, preemptions, retries, pool rebuilds, and "
-                            "the cross-layer metrics registry) to this file "
-                            "after the run")
+                            "sheds, preemptions, retries, and the cross-layer "
+                            "metrics registry) to this file after the run")
     _add_trace_argument(serve)
 
     trace_parser = subparsers.add_parser(
@@ -627,7 +624,6 @@ def _run_serve(arguments: argparse.Namespace) -> int:
     report = run_request_file(
         arguments.requests,
         store=arguments.db,
-        workers=arguments.workers,
         default_backend=arguments.backend,
         retry=_retry_policy(arguments.retries),
         deadline=arguments.deadline,

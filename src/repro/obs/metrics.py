@@ -1,12 +1,13 @@
 """Named counters/gauges/histograms with a no-op disabled mode.
 
-One process-wide :class:`MetricsRegistry` supersedes the disjoint
-``SolverStats`` / ``PortfolioHealth`` / ``ServiceStats`` snapshots: every
-layer records into the same flat namespace and a single :func:`snapshot`
-(or Prometheus-style :func:`exposition`) reads it all back.  The registry
-is disabled by default; a disabled registry hands out shared null
-instruments whose methods are empty, so instrumented library code costs
-one attribute call when observability is off.
+One process-wide :class:`MetricsRegistry` holds every layer's counters
+in one flat namespace, and a single :func:`snapshot` (or Prometheus-style
+:func:`exposition`) reads them all back.  The service keeps its own
+per-instance ``ServiceStats`` beside it, written at the same site as the
+matching ``repro_service_*`` counter.  The registry is disabled by
+default; a disabled registry hands out shared null instruments whose
+methods are empty, so instrumented library code costs one attribute
+call when observability is off.
 
 Naming follows Prometheus conventions: ``repro_<layer>_<what>_total`` for
 counters, ``repro_<layer>_<what>`` for gauges, ``repro_<what>_seconds``

@@ -24,7 +24,6 @@ from repro.pebbling.bennett import bennett_strategy, eager_bennett_strategy
 from repro.pebbling.encoding import EncodingOptions, PebblingEncoder
 from repro.pebbling.heuristic import greedy_pebbling_strategy
 from repro.pebbling.portfolio import (
-    PortfolioHealth,
     PortfolioRecord,
     PortfolioTask,
     RetryPolicy,
@@ -58,7 +57,6 @@ __all__ = [
     "PebblingOutcome",
     "PebblingResult",
     "PebblingStrategy",
-    "PortfolioHealth",
     "PortfolioRecord",
     "PortfolioTask",
     "RetryPolicy",

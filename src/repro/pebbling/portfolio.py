@@ -186,34 +186,6 @@ class RetryPolicy:
 
 
 @dataclass
-class PortfolioHealth:
-    """Mutable fault-tolerance counters of one :func:`run_portfolio` call.
-
-    Pass an instance via ``run_portfolio(..., health=...)`` to collect how
-    hard the run had to fight: how often the process pool broke and was
-    rebuilt, how many tasks needed retries, and the total retry attempts
-    spent.  The service layer aggregates these into its health snapshot.
-    """
-
-    pool_rebuilds: int = 0
-    retried_tasks: int = 0
-    retry_attempts: int = 0
-
-    def absorb_records(self, records: "Sequence[PortfolioRecord]") -> None:
-        for record in records:
-            if record.retries:
-                self.retried_tasks += 1
-                self.retry_attempts += record.retries
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "pool_rebuilds": self.pool_rebuilds,
-            "retried_tasks": self.retried_tasks,
-            "retry_attempts": self.retry_attempts,
-        }
-
-
-@dataclass
 class PortfolioRecord:
     """The merged result of one portfolio task.
 
@@ -500,7 +472,6 @@ def _execute_attempts(
             obs_trace.event(
                 "task.retry", task=task.name, attempt=attempt, delay=round(delay, 4)
             )
-            _metrics.counter("repro_retries_total").inc()
             time.sleep(delay)
         time_limit = task.time_limit
         if policy.attempt_time_limit is not None:
@@ -566,7 +537,6 @@ def run_portfolio(
     store: "ResultStore | None" = None,
     force_pool: bool = False,
     retry: "RetryPolicy | None" = None,
-    health: "PortfolioHealth | None" = None,
     pool_rebuild_limit: int = 2,
 ) -> list[PortfolioRecord]:
     """Run every task, ``jobs`` at a time, and merge deterministically.
@@ -590,8 +560,9 @@ def run_portfolio(
     invisible to them, so they run uncached).
 
     ``retry`` applies a :class:`RetryPolicy` inside every worker (transient
-    faults heal without resubmission traffic); ``health`` collects
-    fault-tolerance counters into a caller-owned :class:`PortfolioHealth`.
+    faults heal without resubmission traffic); each record's retries are
+    counted in the calling process, as ``repro_retries_total``, whichever
+    process ran its task.
     A worker process dying outright (OOM-kill, segfault, a chaos ``exit``
     fault) breaks the *whole* pool — every unfinished task is resubmitted
     to a fresh pool, at most ``pool_rebuild_limit`` times, before the
@@ -615,7 +586,6 @@ def run_portfolio(
             store=store,
             force_pool=force_pool,
             retry=retry,
-            health=health,
             pool_rebuild_limit=pool_rebuild_limit,
         )
         run_span.set(
@@ -628,6 +598,7 @@ def run_portfolio(
             _metrics.counter("repro_portfolio_errors_total").inc()
         if record.retries:
             _metrics.counter("repro_portfolio_retried_tasks_total").inc()
+            _metrics.counter("repro_retries_total").inc(record.retries)
         _metrics.counter("repro_portfolio_sat_calls_total").inc(record.sat_calls)
         _metrics.registry().absorb_counters(record.counters)
     return records
@@ -641,7 +612,6 @@ def _run_portfolio_tasks(
     store: "ResultStore | None",
     force_pool: bool,
     retry: "RetryPolicy | None",
-    health: "PortfolioHealth | None",
     pool_rebuild_limit: int,
 ) -> list[PortfolioRecord]:
     """Validated body of :func:`run_portfolio` (runs inside its span)."""
@@ -658,10 +628,7 @@ def _run_portfolio_tasks(
     inline = jobs == 1 or len(task_list) <= 1 or _usable_cores() <= 1
     if inline and not force_pool:
         local = store if store is not None else store_path
-        records = [_execute_task(task, local, retry, 0) for task in task_list]
-        if health is not None:
-            health.absorb_records(records)
-        return records
+        return [_execute_task(task, local, retry, 0) for task in task_list]
     if store is not None and store.path != ":memory:":
         store_path = store.path
     results: dict[int, PortfolioRecord] = {}
@@ -709,13 +676,8 @@ def _run_portfolio_tasks(
                     "pool.rebuild", epoch=epoch, resubmitted=len(unfinished)
                 )
                 _metrics.counter("repro_pool_rebuilds_total").inc()
-                if health is not None:
-                    health.pool_rebuilds += 1
         pending = unfinished
-    records = [results[index] for index in range(len(task_list))]
-    if health is not None:
-        health.absorb_records(records)
-    return records
+    return [results[index] for index in range(len(task_list))]
 
 
 def tasks_from_suite(

@@ -303,13 +303,14 @@ class _FreshOracle:
     def __init__(self, owner: "ReversiblePebblingSolver", max_pebbles: int) -> None:
         self._owner = owner
         self._max_pebbles = max_pebbles
+        self._encoder = PebblingEncoder(owner.dag, options=owner.options)
         self._encoding = None
         self.backend: IncrementalSatBackend | None = None
 
     def pose(self, ladder: list[int]) -> list[int]:
         """Encode the query for ``ladder``; return the bounds it settles."""
         bound = ladder[0]
-        self._encoding = self._owner._encoder.encode(
+        self._encoding = self._encoder.encode(
             max_pebbles=self._max_pebbles, num_steps=bound
         )
         self.backend = self._owner._make_solver(self._encoding.cnf)
@@ -454,7 +455,6 @@ class ReversiblePebblingSolver:
         self.backend = resolve_backend(require_backend(
             backend or self.options.backend or DEFAULT_BACKEND
         ))
-        self._encoder = PebblingEncoder(dag, options=self.options)
 
     def _make_solver(self, cnf=None) -> IncrementalSatBackend:
         """A fresh engine of the resolved spec, optionally preloaded with a CNF.

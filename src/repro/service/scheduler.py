@@ -11,12 +11,11 @@ amortisation tricks stacked on top of each other:
   attached, an exact repeat of a previously *completed* request is
   answered straight from the database without touching a SAT solver;
 * **request batching** — when the dispatcher wakes it takes everything
-  already queued as one batch, without waiting for more, and fans its
-  misses out over the portfolio pool
+  already queued as one batch, without waiting for more, answers its
+  hits from the store and runs its misses inline, in the batch thread
   (:func:`repro.pebbling.portfolio.run_portfolio`); requests that arrive
-  while a batch runs form the next one, so concurrent traffic shares
-  worker processes instead of racing for them and a lone request never
-  waits on a timer.
+  while a batch runs form the next one, so a lone request never waits
+  on a timer.
 
 Requests are plain frozen dataclasses (:class:`JobRequest`), so the whole
 service is drivable from JSON: :func:`run_request_file` powers the CLI's
@@ -42,7 +41,6 @@ from repro.obs import metrics as _metrics
 from repro.obs import trace as obs_trace
 from repro.obs.trace import TraceContext
 from repro.pebbling.portfolio import (
-    PortfolioHealth,
     PortfolioTask,
     RetryPolicy,
     record_from_result,
@@ -125,7 +123,7 @@ class JobRequest:
     #: instance).
     deadline: float | None = None
     #: Trace context stamped by :meth:`PebblingService.submit` when tracing
-    #: is active, so solver spans from pool workers parent under this
+    #: is active, so solver spans from the batch thread parent under this
     #: request's ``service.request`` span.  Excluded from equality/hash
     #: (dedup ignores it), from :meth:`as_dict` and from the JSON fields
     #: :meth:`from_dict` accepts — it is runtime plumbing, not request data.
@@ -238,12 +236,11 @@ class JobResult:
 class ServiceStats:
     """Traffic counters of one service instance.
 
-    Mirrored into the process-wide :mod:`repro.obs.metrics` registry as
-    ``repro_service_*`` instruments; prefer reading those (or the
-    ``metrics`` key of :meth:`PebblingService.health`) — this per-instance
-    dataclass stays for exact request accounting, and
-    :meth:`PebblingService.health` reports it under ``stats`` only (its
-    former top-level copies are gone).
+    :meth:`PebblingService._count` is the only writer: it adds to a field
+    and to the field's process-wide counter in :data:`SERVICE_COUNTERS`
+    at once.  The fields stay per service because the registry is per
+    process: a second service in the same process starts from zero here
+    while the registry keeps counting.
     """
 
     submitted: int = 0
@@ -257,27 +254,48 @@ class ServiceStats:
     sheds: int = 0  # requests rejected by admission control
     preempted: int = 0  # deadline cut a search short (anytime answer)
     partial_answers: int = 0  # answers carrying an anytime partial snapshot
-    retries: int = 0  # worker retry attempts spent (via RetryPolicy)
-    pool_rebuilds: int = 0  # broken process pools rebuilt
+    retries: int = 0  # retry attempts its misses spent (via RetryPolicy)
 
     def as_dict(self) -> dict[str, int]:
         return dict(asdict(self))
+
+
+#: The process-wide counter, and its help text, of each
+#: :class:`ServiceStats` field.  ``retries`` has none of its own:
+#: ``run_portfolio`` counts every retry as ``repro_retries_total``.
+SERVICE_COUNTERS: dict[str, tuple[str, str]] = {
+    "submitted": ("repro_service_requests_total", "Requests submitted to the service"),
+    "completed": ("repro_service_completed_total", "Requests answered ok"),
+    "errors": ("repro_service_errors_total", "Requests answered with an error"),
+    "deduplicated": ("repro_service_dedup_total", "Requests served by in-flight dedup"),
+    "cache_hits": ("repro_service_cache_hits_total", "Requests answered from the store"),
+    "solver_jobs": ("repro_service_solver_jobs_total", "Batched misses sent to solvers"),
+    "batches": ("repro_service_batches_total", "Dispatch rounds executed"),
+    "expanded": ("repro_service_expanded_total", "Sweep sub-requests spawned"),
+    "sheds": ("repro_service_sheds_total", "Requests shed by admission control"),
+    "preempted": (
+        "repro_service_preempted_total", "Searches cut short by a request deadline"
+    ),
+    "partial_answers": (
+        "repro_service_partial_answers_total",
+        "Answers carrying an anytime partial snapshot",
+    ),
+}
 
 
 class PebblingService:
     """Async scheduler over the pebbling/compile stack (see module doc).
 
     ``store`` may be ``None`` (no caching), a database path, or an open
-    :class:`~repro.store.ResultStore`.  ``workers`` is the portfolio width
-    for batched misses (the portfolio's single-core inline fallback
-    applies).  Each dispatch round batches what is queued when it starts;
-    requests submitted while it runs wait for the next round, never for a
-    timer.  ``max_queue`` bounds the dispatch queue —
+    :class:`~repro.store.ResultStore`.  Each dispatch round batches what
+    is queued when it starts and runs the batch's misses inline, in its
+    batch thread, so a crash in native solver code takes the service down
+    with it; requests submitted while a round runs wait for the next
+    round, never for a timer.  ``max_queue`` bounds the dispatch queue —
     admission control sheds excess submissions with
     :class:`ServiceOverloadError` instead of queueing them to time out.
     ``retry`` applies a :class:`~repro.pebbling.portfolio.RetryPolicy`
-    inside every solver job; :meth:`health` reports the resulting
-    fault-tolerance counters.
+    inside every solver job; ``stats.retries`` sums the retries spent.
 
     Use as an async context manager, or call :meth:`close` when done —
     results are awaited through :meth:`submit`.  The service itself is
@@ -290,12 +308,9 @@ class PebblingService:
         self,
         *,
         store: "ResultStore | str | None" = None,
-        workers: int = 1,
         max_queue: int | None = None,
         retry: "RetryPolicy | None" = None,
     ) -> None:
-        if workers < 1:
-            raise ServiceError("workers must be >= 1")
         if max_queue is not None and max_queue < 1:
             raise ServiceError("max_queue must be >= 1 (or None for unbounded)")
         if isinstance(store, str):
@@ -304,11 +319,9 @@ class PebblingService:
         else:
             self._owns_store = False
         self.store = store
-        self.workers = workers
         self.max_queue = max_queue
         self.retry = retry
         self.stats = ServiceStats()
-        self._health = PortfolioHealth()
         # Settled once, here (it may build the C core), so health() stays
         # cheap; the engine cannot change within one process.
         self._engine = {
@@ -327,14 +340,12 @@ class PebblingService:
         # snapshot would defeat it.  Enabling is idempotent and sticky.
         _metrics.enable()
 
-    def _saturation_gauges(self) -> None:
-        """Refresh the queue-depth / in-flight gauges (cheap, lock-free)."""
-        _metrics.gauge(
-            "repro_service_queue_depth", "Requests waiting for a dispatch round"
-        ).set(self._queue.qsize())
-        _metrics.gauge(
-            "repro_service_in_flight", "Admitted requests not yet answered"
-        ).set(len(self._inflight))
+    def _count(self, name: str, amount: int = 1) -> None:
+        """Add ``amount`` to one ``stats`` field and to its counter."""
+        setattr(self.stats, name, getattr(self.stats, name) + amount)
+        counter = SERVICE_COUNTERS.get(name)
+        if counter is not None:
+            _metrics.counter(*counter).inc(amount)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -388,23 +399,17 @@ class PebblingService:
         """
         if self._closed:
             raise ServiceError("the service is closed")
-        self.stats.submitted += 1
-        _metrics.counter(
-            "repro_service_requests_total", "Requests submitted to the service"
-        ).inc()
+        self._count("submitted")
         try:
             request.validate()
         except ServiceError as error:
-            self.stats.errors += 1
+            self._count("errors")
             return JobResult(request, "error", "aggregate", error=str(error))
         if request.kind == "sweep":
             return await self._submit_sweep(request)
         shared = self._inflight.get(request)
         if shared is not None:
-            self.stats.deduplicated += 1
-            _metrics.counter(
-                "repro_service_dedup_total", "Requests served by in-flight dedup"
-            ).inc()
+            self._count("deduplicated")
             obs_trace.event(
                 "service.dedup",
                 kind=request.kind,
@@ -413,10 +418,7 @@ class PebblingService:
             )
             return await shared
         if self.max_queue is not None and self._queue.qsize() >= self.max_queue:
-            self.stats.sheds += 1
-            _metrics.counter(
-                "repro_service_sheds_total", "Requests shed by admission control"
-            ).inc()
+            self._count("sheds")
             obs_trace.event(
                 "service.shed",
                 kind=request.kind,
@@ -430,11 +432,11 @@ class PebblingService:
             )
         # One span per admitted request, covering queueing + solving.  The
         # trace context snapshotted *inside* the span is stamped onto the
-        # request, so solver spans from pool workers (or the inline path)
-        # parent under it.  Concurrent submits interleave save/restore of
-        # the tracer's current-span slot; that can momentarily misattribute
-        # parentage of records emitted between switches, but every parent
-        # id still resolves because parent span records are always written.
+        # request, so solver spans from the batch thread parent under it.
+        # Concurrent submits interleave save/restore of the tracer's
+        # current-span slot; that can momentarily misattribute parentage of
+        # records emitted between switches, but every parent id still
+        # resolves because parent span records are always written.
         with obs_trace.span(
             "service.request",
             kind=request.kind,
@@ -449,7 +451,6 @@ class PebblingService:
             future: asyncio.Future = asyncio.get_running_loop().create_future()
             self._inflight[request] = future
             self._queue.put_nowait((request, future, time.monotonic()))
-            self._saturation_gauges()
             if self._dispatcher is None:
                 self._dispatcher = asyncio.create_task(self._dispatch_loop())
             result = await future
@@ -475,26 +476,18 @@ class PebblingService:
     def health(self) -> dict[str, object]:
         """Structured liveness/saturation snapshot of this service.
 
-        Cheap to call at any time (no locks, no solver work): current
-        queue depth and in-flight count, the admission/retry configuration,
-        the cumulative fault-tolerance counters (under ``stats``), and —
-        under ``metrics`` — the process-wide :mod:`repro.obs.metrics`
-        snapshot covering every layer (``repro_service_*``,
-        ``repro_portfolio_*``, ``repro_sat_*``, ``repro_solver_*``).
-
-        The top-level duplicates of individual ``stats`` counters
-        (``sheds``/``preempted``/``partial_answers``/``retries``/
-        ``pool_rebuilds``) were deprecated for one release and are gone:
-        ``stats`` holds the exact service counters and ``metrics`` the
-        cross-layer registry.  ``engine`` names the SAT engine a request
-        without its own backend runs (``resolves_to``) and, when that is
-        the Python fallback, why (``fallback``).
+        Cheap to call at any time (no locks, no solver work): the queue
+        depth and in-flight count, read at the same moment, the admission
+        bound, this service's counters (under ``stats``), and — under
+        ``metrics`` — the process-wide :mod:`repro.obs.metrics` snapshot
+        covering every layer (``repro_service_*``, ``repro_portfolio_*``,
+        ``repro_sat_*``, ``repro_solver_*``).  ``engine`` names the SAT
+        engine a request without its own backend runs (``resolves_to``)
+        and, when that is the Python fallback, why (``fallback``).
         """
-        self._saturation_gauges()
         return {
             "queue_depth": self._queue.qsize(),
             "in_flight": len(self._inflight),
-            "workers": self.workers,
             "max_queue": self.max_queue,
             "engine": dict(self._engine),
             "stats": self.stats.as_dict(),
@@ -510,7 +503,7 @@ class PebblingService:
                 None, self._sweep_bounds, request
             )
         except Exception as error:  # noqa: BLE001 — unknown workload and friends
-            self.stats.errors += 1
+            self._count("errors")
             return JobResult(request, "error", "aggregate", error=str(error))
         obs_trace.event(
             "service.sweep",
@@ -537,7 +530,7 @@ class PebblingService:
             )
             for budget in range(low, high + 1)
         ]
-        self.stats.expanded += len(children)
+        self._count("expanded", len(children))
         results = await self.run(children)
         minimum = None
         for child, result in zip(children, results):
@@ -555,7 +548,7 @@ class PebblingService:
             # Infeasible budgets are ordinary sweep points; a child that
             # *errored* (crashed worker, bad workload) is a failed sweep —
             # mirror pebble-batch, whose exit code flags any error record.
-            self.stats.errors += 1
+            self._count("errors")
             return JobResult(
                 request,
                 "error",
@@ -563,7 +556,7 @@ class PebblingService:
                 payload=payload,
                 error=f"{failed} of {len(results)} budget searches failed",
             )
-        self.stats.completed += 1
+        self._count("completed")
         return JobResult(request, "ok", "aggregate", payload=payload)
 
     def _sweep_bounds(self, request: JobRequest) -> tuple[int, int]:
@@ -591,11 +584,7 @@ class PebblingService:
             batch = [await self._queue.get()]
             while not self._queue.empty():
                 batch.append(self._queue.get_nowait())
-            self.stats.batches += 1
-            _metrics.counter(
-                "repro_service_batches_total", "Dispatch rounds executed"
-            ).inc()
-            self._saturation_gauges()
+            self._count("batches")
             batch_started = time.monotonic()
             try:
                 outcomes = await asyncio.get_running_loop().run_in_executor(
@@ -614,19 +603,11 @@ class PebblingService:
             for (request, future, _), outcome in zip(batch, outcomes):
                 if outcome.source == "cache":
                     # Pebble and compile hits alike, counted once here.
-                    self.stats.cache_hits += 1
-                    _metrics.counter(
-                        "repro_service_cache_hits_total",
-                        "Requests answered from the store",
-                    ).inc()
-                if outcome.ok:
-                    self.stats.completed += 1
-                else:
-                    self.stats.errors += 1
+                    self._count("cache_hits")
+                self._count("completed" if outcome.ok else "errors")
                 self._inflight.pop(request, None)
                 if not future.cancelled():
                     future.set_result(outcome)
-            self._saturation_gauges()
 
     # -- blocking section (runs in the default executor) -------------------
     def _deadline_task(
@@ -652,7 +633,7 @@ class PebblingService:
     def _process_batch(
         self, items: Sequence[tuple[JobRequest, float]]
     ) -> list[JobResult]:
-        """Answer a batch: cache first, then one portfolio fan-out."""
+        """Answer a batch: cache first, then its misses inline."""
         outcomes: dict[int, JobResult] = {}
         pebble_misses: list[tuple[int, JobRequest, float]] = []
         for index, (request, enqueued) in enumerate(items):
@@ -672,38 +653,18 @@ class PebblingService:
                 self._deadline_task(request, enqueued)
                 for _, request, enqueued in pebble_misses
             ]
-            self.stats.solver_jobs += len(tasks)
-            _metrics.counter(
-                "repro_service_solver_jobs_total", "Batched misses sent to solvers"
-            ).inc(len(tasks))
-            in_memory = self.store is not None and self.store.path == ":memory:"
-            records = run_portfolio(
-                tasks,
-                # Pool workers could not see an in-memory store.
-                jobs=1 if in_memory else self.workers,
-                store=self.store,
-                retry=self.retry,
-                health=self._health,
-            )
-            self.stats.retries = self._health.retry_attempts
-            self.stats.pool_rebuilds = self._health.pool_rebuilds
+            self._count("solver_jobs", len(tasks))
+            records = run_portfolio(tasks, store=self.store, retry=self.retry)
+            self._count("retries", sum(record.retries for record in records))
             for (index, request, _), record in zip(pebble_misses, records):
                 if record.partial is not None:
-                    self.stats.partial_answers += 1
-                    _metrics.counter(
-                        "repro_service_partial_answers_total",
-                        "Answers carrying an anytime partial snapshot",
-                    ).inc()
+                    self._count("partial_answers")
                 if (
                     request.deadline is not None
                     and record.outcome != "error"
                     and not record.complete
                 ):
-                    self.stats.preempted += 1
-                    _metrics.counter(
-                        "repro_service_preempted_total",
-                        "Searches cut short by a request deadline",
-                    ).inc()
+                    self._count("preempted")
                     obs_trace.event(
                         "service.preempt",
                         workload=request.workload,
@@ -869,7 +830,6 @@ def run_request_file(
     path: "str | Path",
     *,
     store: "ResultStore | str | None" = None,
-    workers: int = 1,
     default_backend: str | None = None,
     retry: "RetryPolicy | None" = None,
     deadline: float | None = None,
@@ -912,7 +872,6 @@ def run_request_file(
     async def _run() -> dict[str, object]:
         async with PebblingService(
             store=store,
-            workers=workers,
             max_queue=max_queue,
             retry=retry,
         ) as service:

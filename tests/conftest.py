@@ -6,7 +6,21 @@ import pytest
 
 from repro.dag import Dag
 from repro.logic import LogicNetwork
+from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.workloads import and_tree_dag, example_dag
+
+
+@pytest.fixture
+def fresh_registry():
+    """A clean enabled registry installed as the global, restored after."""
+
+    registry = MetricsRegistry(enabled=True)
+    previous = obs_metrics.set_registry(registry)
+    try:
+        yield registry
+    finally:
+        obs_metrics.set_registry(previous)
 
 
 @pytest.fixture

@@ -4,7 +4,9 @@ The metrics registry and the tracer are deliberately module-global (so
 library code can instrument unconditionally), which means tests must
 swap them out rather than mutate the shared instances: the service layer
 enables the global registry as a side effect, and a leaked enablement
-would silently change what other tests measure.
+would silently change what other tests measure.  ``fresh_registry``,
+the enabled twin of ``disabled_registry``, lives in the suite's root
+``conftest.py`` because the portfolio and service tests use it too.
 """
 
 from __future__ import annotations
@@ -13,18 +15,6 @@ import pytest
 
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
-
-
-@pytest.fixture
-def fresh_registry():
-    """A clean enabled registry installed as the global, restored after."""
-
-    registry = MetricsRegistry(enabled=True)
-    previous = obs_metrics.set_registry(registry)
-    try:
-        yield registry
-    finally:
-        obs_metrics.set_registry(previous)
 
 
 @pytest.fixture

@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import PebblingError
 from repro.pebbling.portfolio import (
-    PortfolioHealth,
     PortfolioTask,
     RetryPolicy,
     _execute_task,
@@ -125,16 +124,33 @@ class TestRetryExecution:
         assert record.outcome == "solution"
         assert record.retries == 0
 
-    def test_health_counters_absorb_retries(self):
-        health = PortfolioHealth()
+    def test_health_counters_absorb_retries(self, fresh_registry):
         policy = RetryPolicy(max_attempts=3, base_delay=0.0)
-        records = run_portfolio(
-            [_task("chaos:3,flaky=1"), _task()], retry=policy, health=health
-        )
+        records = run_portfolio([_task("chaos:3,flaky=1"), _task()], retry=policy)
         assert [record.retries for record in records] == [1, 0]
-        assert health.retried_tasks == 1
-        assert health.retry_attempts == 1
-        assert health.pool_rebuilds == 0
+        snapshot = fresh_registry.snapshot()
+        assert snapshot["repro_portfolio_retried_tasks_total"] == 1
+        assert snapshot["repro_retries_total"] == 1
+        assert "repro_pool_rebuilds_total" not in snapshot
+
+    def test_pool_retries_are_counted_like_inline_ones(self, fresh_registry):
+        # A retry spent in a pool worker must reach the caller's registry:
+        # the records are merged, and counted, in the calling process.
+        policy = RetryPolicy(max_attempts=3, base_delay=0.0)
+        tasks = [_task("chaos:3,flaky=1"), _task("chaos:3,flaky=1", workload="c17")]
+        counts = []
+        for jobs in (1, 2):
+            fresh_registry.reset()
+            records = run_portfolio(
+                tasks, jobs=jobs, force_pool=jobs > 1, retry=policy
+            )
+            assert [record.retries for record in records] == [1, 1]
+            snapshot = fresh_registry.snapshot()
+            counts.append((
+                snapshot.get("repro_retries_total"),
+                snapshot.get("repro_portfolio_retried_tasks_total"),
+            ))
+        assert counts == [(2, 2), (2, 2)]
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -157,16 +173,13 @@ class TestRetryExecution:
 
 
 class TestPoolRebuild:
-    def test_broken_pool_is_rebuilt_and_work_resubmitted(self):
+    def test_broken_pool_is_rebuilt_and_work_resubmitted(self, fresh_registry):
         # exit=1 hard-kills the worker on its first solve call of epoch 0;
         # the resubmission runs at epoch 1, where the fault is silent.
-        health = PortfolioHealth()
-        records = run_portfolio(
-            [_task("chaos:3,exit=1")], jobs=2, force_pool=True, health=health
-        )
+        records = run_portfolio([_task("chaos:3,exit=1")], jobs=2, force_pool=True)
         assert [record.outcome for record in records] == ["solution"]
         assert records[0].steps == 6
-        assert health.pool_rebuilds >= 1
+        assert fresh_registry.snapshot()["repro_pool_rebuilds_total"] >= 1
 
     def test_a_rebuilt_pool_returns_records_in_task_order(self):
         # The middle task kills its worker; whatever had not finished by

@@ -17,6 +17,7 @@ from repro.pebbling import (
     minimize_pebbles,
     pebble_dag,
 )
+from repro.pebbling import solver as solver_module
 from repro.pebbling.search import strategy_from_name
 from repro.pebbling.solver import completeness_threshold
 from repro.workloads import load_workload
@@ -183,6 +184,23 @@ class TestSolverInjection:
         assert calls
         for time_limit, called in calls:
             assert time_limit <= limit - (called - started) + slack
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_a_solve_builds_one_encoder(self, fig2_dag, monkeypatch, incremental):
+        # Each oracle builds the encoder it reads; the solver builds none.
+        built = []
+
+        class Counted(PebblingEncoder):
+            def __init__(self, *args, **kwargs):
+                built.append(incremental)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "PebblingEncoder", Counted)
+        result = ReversiblePebblingSolver(fig2_dag, incremental=incremental).solve(
+            4, time_limit=30
+        )
+        assert result.found
+        assert built == [incremental]
 
     def test_attempts_carry_solver_stats(self, fig2_dag):
         result = ReversiblePebblingSolver(fig2_dag).solve(4, time_limit=30)

@@ -127,18 +127,17 @@ class TestDeadlines:
 class TestHealthAndRetries:
     def test_health_snapshot_shape(self):
         async def scenario():
-            async with PebblingService(max_queue=9, workers=2) as service:
+            async with PebblingService(max_queue=9) as service:
                 await service.submit(_pebble(4))
                 return service.health()
 
         health = _drive(scenario())
         assert set(health) == {
-            "queue_depth", "in_flight", "workers", "max_queue",
+            "queue_depth", "in_flight", "max_queue",
             "engine", "stats", "metrics",
         }
         assert health["queue_depth"] == 0
         assert health["in_flight"] == 0
-        assert health["workers"] == 2
         assert health["max_queue"] == 9
         assert health["stats"]["completed"] == 1
 

@@ -17,6 +17,7 @@ from repro.service import (
     parse_request_file,
     run_request_file,
 )
+from repro.service.scheduler import SERVICE_COUNTERS
 from repro.store import ResultStore
 
 
@@ -287,6 +288,32 @@ class TestService:
         assert snapshot["repro_store_hits_total"] == session["hits"]
         assert snapshot["repro_store_misses_total"] == session["misses"]
 
+    def test_every_stats_field_matches_its_counter(self, tmp_path, fresh_registry):
+        # One site writes each field and its counter, so on a fresh
+        # registry the two agree: dedup, a sweep, an error and a hit.
+        c17 = JobRequest(kind="pebble", workload="c17", budget=4, time_limit=30)
+
+        async def scenario():
+            async with PebblingService(store=str(tmp_path / "cache.db")) as service:
+                await service.run([
+                    c17,
+                    c17,
+                    JobRequest(kind="sweep", workload="fig2", min_budget=3,
+                               max_budget=4, time_limit=30),
+                    JobRequest(kind="pebble", workload="no-such-workload", budget=4),
+                ])
+                await service.submit(c17)
+                return service.stats.as_dict()
+
+        stats = _run(scenario())
+        snapshot = fresh_registry.snapshot()
+        assert set(SERVICE_COUNTERS) == set(stats) - {"retries"}
+        for field, (name, _) in SERVICE_COUNTERS.items():
+            assert snapshot.get(name, 0) == stats[field], field
+        assert (stats["deduplicated"], stats["expanded"], stats["errors"]) == (1, 2, 1)
+        assert stats["cache_hits"] == 1
+        assert not {"repro_service_queue_depth", "repro_service_in_flight"} & set(snapshot)
+
     def test_every_cache_answer_is_a_trace_event(self, tmp_path):
         kinds = ("pebble", "compile", "pebble", "compile", "compile")
 
@@ -442,12 +469,12 @@ class TestRequestFile:
                  "time_limit": 30},
             ]
         }))
-        report = run_request_file(path, store=db, workers=2)
+        report = run_request_file(path, store=db)
         assert [r["status"] for r in report["results"]] == ["ok"] * 3
         assert report["stats"]["deduplicated"] == 1
         assert report["store"]["entries"] >= 2
         # A second run of the same file is answered entirely from cache.
-        again = run_request_file(path, store=db, workers=2)
+        again = run_request_file(path, store=db)
         assert again["stats"]["cache_hits"] >= 1
         assert again["stats"]["solver_jobs"] == 0
 

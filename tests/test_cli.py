@@ -460,6 +460,13 @@ class TestBackendCli:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --batch-window" in capsys.readouterr().err
 
+    def test_serve_workers_is_a_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--json", str(tmp_path / "requests.json"),
+                  "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
     def test_a_tuning_key_is_unknown(self, capsys):
         assert main(["pebble", "fig2", "--pebbles", "4",
                      "--backend", "cdcl:seed=7"]) == 1
