@@ -98,6 +98,10 @@ class CompilationReport:
     circuit: ReversibleCircuit | None = field(
         default=None, repr=False, compare=False
     )
+    #: ``True`` when :func:`compile_dag` answered from the result store.
+    #: Never serialised, like
+    #: :attr:`~repro.pebbling.solver.PebblingResult.from_cache`.
+    from_cache: bool = field(default=False, repr=False, compare=False)
 
     @property
     def found(self) -> bool:
@@ -309,7 +313,8 @@ def compile_dag(
     ``store`` (an opt-in :class:`~repro.store.ResultStore`) caches at both
     granularities: the whole report is answered from the store when the
     identical compilation was seen before (no SAT call, no simulation —
-    the cached report carries its strategy but no circuit object), and a
+    the cached report carries its strategy but no circuit object, and
+    :attr:`CompilationReport.from_cache` set), and a
     fresh run's inner SAT search still gets exact/warm cache service.
     Reports are only cached under the default cost model (a custom
     ``cost_model`` is not part of the content address).
@@ -343,6 +348,7 @@ def compile_dag(
         )
         cached = store.get_compile(dag, network=network, **compile_request)
         if cached is not None:
+            cached.from_cache = True
             return cached
     options = EncodingOptions(
         cardinality=CardinalityEncoding.from_name(cardinality),
@@ -529,7 +535,7 @@ def pareto_sweep(
     single_move: bool = False,
     max_steps: int | None = None,
     cost_model: CostModel | None = None,
-    store_path: str | None = None,
+    store=None,
     backend: str = DEFAULT_BACKEND,
 ) -> SweepReport:
     """Compile one workload at every budget and tabulate space vs. time.
@@ -541,9 +547,11 @@ def pareto_sweep(
     strategies happen in-process (they are microseconds next to the SAT
     calls).  Points are marked Pareto-optimal over (qubits, gates).
 
-    ``store_path`` opts the SAT searches into a shared result store: a
-    re-run of the sweep answers every point from the cache, and a widened
-    budget range warm-starts its new interior points from the old ones.
+    ``store`` (a database path or an open
+    :class:`~repro.store.ResultStore`, as :func:`run_portfolio` takes it)
+    opts the SAT searches into a shared result store: a re-run of the
+    sweep answers every point from the cache, and a widened budget range
+    warm-starts its new interior points from the old ones.
     """
     network = load_workload_network(workload, scale=scale)
     dag = load_workload_or_path(workload, scale=scale, network=network)
@@ -553,15 +561,8 @@ def pareto_sweep(
         weighted=weighted,
     )
     if budgets is None:
-        probe = ReversiblePebblingSolver(dag, options=options)
-        from repro.pebbling.bennett import eager_bennett_strategy
-
-        baseline = eager_bennett_strategy(dag)
-        upper = (
-            int(baseline.max_weight) if weighted else baseline.max_pebbles
-        )
-        lower = probe.minimum_pebbles_lower_bound()
-        budgets = list(range(lower, max(lower, upper) + 1))
+        lower, upper = ReversiblePebblingSolver(dag, options=options).budget_bounds()
+        budgets = list(range(lower, upper + 1))
         # The Bennett baseline is a free witness for the top budget, but the
         # sweep still runs the SAT search there: the table's gate axis needs
         # the *step-minimal* circuit per budget, which the baseline is not.
@@ -581,7 +582,7 @@ def pareto_sweep(
         )
         for budget in budgets
     ]
-    records = run_portfolio(tasks, jobs=jobs, store_path=store_path)
+    records = run_portfolio(tasks, jobs=jobs, store=store)
     provider = (
         network_controls(network) if network is not None else dag_controls(dag)
     )

@@ -84,6 +84,7 @@ from repro.circuits.pipeline import compile_workload, pareto_sweep
 from repro.circuits.simulator import check_pattern_count
 from repro.dag.graph import Dag
 from repro.errors import CircuitError, ReproError
+from repro.obs.metrics import merge_counters
 from repro.pebbling import (
     EncodingOptions,
     PebblingEncoder,
@@ -299,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_argument(batch)
     batch.add_argument("--retries", type=int, default=0, metavar="N",
                        help="retry each failed task up to N extra times with "
-                            "exponential backoff (default 0 = no retries)")
+                            "exponential backoff, all within its --timeout "
+                            "(default 0 = no retries)")
     batch.add_argument("--json", action="store_true", dest="as_json",
                        help="emit the result table as JSON")
     batch.add_argument("--list-suites", action="store_true",
@@ -340,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "name their own (see 'repro-pebble backends')")
     serve.add_argument("--retries", type=int, default=0, metavar="N",
                        help="retry each failed solver task up to N extra "
-                            "times with exponential backoff (default 0)")
+                            "times with exponential backoff, all within the "
+                            "request's time limit and deadline (default 0)")
     serve.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
                        help="default per-request deadline: requests still "
                             "unfinished after this many seconds are preempted "
@@ -385,18 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _aggregate_solver_stats(attempts) -> dict[str, float]:
-    """Sum the SAT-engine counters over every attempt of a search."""
-    totals: dict[str, float] = {}
-    for record in attempts:
-        for key, value in record.solver_stats.items():
-            if key == "max_decision_level":
-                totals[key] = max(totals.get(key, 0), value)
-            else:
-                totals[key] = totals.get(key, 0) + value
-    return totals
-
-
 def _format_stats_line(attempts) -> str:
     """Aggregated solver-counter line for ``pebble --stats``.
 
@@ -405,7 +396,9 @@ def _format_stats_line(attempts) -> str:
     backend without CDCL internals must not have its missing counters
     padded with zeros-as-lies.
     """
-    totals = _aggregate_solver_stats(attempts)
+    totals: dict[str, float] = {}
+    for record in attempts:
+        merge_counters(totals, record.solver_stats)
     ordered = [
         "decisions", "propagations", "conflicts", "restarts",
         "learned_clauses", "deleted_clauses", "max_decision_level",
@@ -461,7 +454,7 @@ def _run_batch(arguments: argparse.Namespace) -> int:
         backend=arguments.backend,
     )
     records = run_portfolio(
-        tasks, jobs=arguments.jobs, store_path=arguments.db,
+        tasks, jobs=arguments.jobs, store=arguments.db,
         retry=_retry_policy(arguments.retries),
     )
     rows = [record.as_dict() for record in records]
@@ -550,7 +543,7 @@ def _run_sweep(arguments: argparse.Namespace) -> int:
         schedule=arguments.schedule,
         cardinality=arguments.cardinality,
         step_increment=arguments.step_increment,
-        store_path=arguments.db,
+        store=arguments.db,
         backend=arguments.backend,
     )
     front = report.pareto_front()
@@ -590,9 +583,7 @@ def _run_cache(arguments: argparse.Namespace) -> int:
                 schedule=arguments.schedule,
                 backend=arguments.backend,
             )
-            records = run_portfolio(
-                tasks, jobs=arguments.jobs, store_path=arguments.db
-            )
+            records = run_portfolio(tasks, jobs=arguments.jobs, store=store)
             solved = sum(1 for record in records if record.found)
             errors = sum(1 for record in records if record.outcome == "error")
             stats = store.stats().as_dict()

@@ -27,7 +27,6 @@ from repro.pebbling.portfolio import (
     PortfolioRecord,
     PortfolioTask,
     RetryPolicy,
-    minimize_pebbles_portfolio,
     run_portfolio,
     tasks_from_suite,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "eager_bennett_strategy",
     "greedy_pebbling_strategy",
     "minimize_pebbles",
-    "minimize_pebbles_portfolio",
     "pebble_dag",
     "run_portfolio",
     "strategy_from_name",

@@ -14,9 +14,10 @@ Design rules:
   picklable description (workload *name*, not a DAG object); each worker
   rebuilds its DAG from the registry, which keeps inter-process traffic to
   a few hundred bytes per task.
-* **Per-worker time budgets.**  Every task carries its own ``time_limit``
-  which bounds the SAT search inside the worker, mirroring the paper's
-  per-instance 2-minute budget.
+* **One time budget per task.**  Every task carries its own
+  ``time_limit``, mirroring the paper's per-instance 2-minute budget; it
+  bounds the task's whole run inside the worker, retries and the backoff
+  sleeps between them included.
 * **Deterministic merging.**  Results are returned in task-submission
   order regardless of completion order, and a worker crash is captured as
   an ``error`` record instead of poisoning the whole sweep, so ``--jobs 1``
@@ -74,10 +75,8 @@ class PortfolioTask:
     cardinality: str = DEFAULT_CARDINALITY.value
     schedule: str = "linear"
     step_increment: int = 1
-    incremental: bool = True
     time_limit: float | None = 60.0
     max_steps: int | None = None
-    initial_steps: int | None = None
     weighted: bool = False
     backend: str = DEFAULT_BACKEND
     #: Trace context shipped into the worker (see :mod:`repro.obs.trace`):
@@ -103,10 +102,10 @@ class PortfolioTask:
         check_fields(
             self, PebblingError, "a portfolio task's",
             strings=("workload", "cardinality", "schedule"),
-            flags=("single_move", "incremental", "weighted"),
-            counts=("pebbles", "step_increment", "max_steps", "initial_steps"),
+            flags=("single_move", "weighted"),
+            counts=("pebbles", "step_increment", "max_steps"),
             amounts=("scale", "time_limit"),
-            nullable=("time_limit", "max_steps", "initial_steps"),
+            nullable=("time_limit", "max_steps"),
         )
 
     @property
@@ -124,44 +123,43 @@ class PortfolioTask:
         )
 
 
+#: Growth of the backoff delay from one retry to the next.
+BACKOFF_FACTOR = 2.0
+#: The largest share of a delay that its keyed jitter draw adds.
+JITTER = 0.1
+#: Times a broken process pool is rebuilt for the unfinished tasks of one
+#: :func:`run_portfolio` call before they are abandoned as errors.
+POOL_REBUILD_LIMIT = 2
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """How a portfolio worker retries one failing task.
 
+    A task gets up to ``max_attempts`` attempts, all within its own
+    ``time_limit``: each attempt is given what is left of it, and retrying
+    stops when the next backoff sleep would not fit in what is left.  A
+    failed attempt (an error) or a preempted one (a spurious UNKNOWN) is
+    retried; a search that used its whole time limit is not, since a
+    retry would start with no time left.  The best record across attempts
+    is kept, so a partial answer is never *lost* to a later failed attempt.
+
     Attempts are numbered from 0; before retry attempt ``n >= 1`` the
-    worker sleeps :meth:`delay_before` seconds — exponential backoff with
-    *deterministic* jitter (seeded by the task name and attempt number, so
-    two runs of the same sweep replay the same delays and the test-suite
-    can assert on them).  ``attempt_time_limit`` clamps each attempt's SAT
-    budget; ``total_time_limit`` bounds the whole attempt sequence
-    including backoff sleeps.  With ``retry_incomplete`` (default) a
-    preempted search (timeout / spurious UNKNOWN) is retried too, not just
-    hard errors — the best record across attempts is kept either way, so a
-    partial answer is never *lost* to a later failed attempt.
+    worker sleeps :meth:`delay_before` seconds — exponential backoff from
+    ``base_delay``, capped at ``max_delay``, with *deterministic* jitter
+    (seeded by the task name and attempt number, so two runs of the same
+    sweep replay the same delays and the test-suite can assert on them).
     """
 
     max_attempts: int = 3
     base_delay: float = 0.05
-    backoff_factor: float = 2.0
     max_delay: float = 2.0
-    jitter: float = 0.1
-    attempt_time_limit: float | None = None
-    total_time_limit: float | None = None
-    retry_incomplete: bool = True
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise PebblingError("max_attempts must be >= 1")
         if self.base_delay < 0 or self.max_delay < 0:
             raise PebblingError("backoff delays must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise PebblingError("backoff_factor must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise PebblingError("jitter must be in [0, 1]")
-        for name in ("attempt_time_limit", "total_time_limit"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise PebblingError(f"{name} must be > 0 (or None)")
 
     def delay_before(self, attempt: int, key: str = "") -> float:
         """Backoff sleep (seconds) before retry ``attempt`` (``>= 1``).
@@ -176,12 +174,9 @@ class RetryPolicy:
             return 0.0
         delay = 0.0
         for step in range(1, attempt + 1):
-            raw = min(
-                self.max_delay,
-                self.base_delay * self.backoff_factor ** (step - 1),
-            )
+            raw = min(self.max_delay, self.base_delay * BACKOFF_FACTOR ** (step - 1))
             draw = random.Random(f"retry|{key}|{step}").random()
-            delay = max(delay, raw * (1.0 + self.jitter * draw))
+            delay = max(delay, raw * (1.0 + JITTER * draw))
         return delay
 
 
@@ -224,6 +219,10 @@ class PortfolioRecord:
     #: Per-attempt breakdown ``[{attempt, outcome, sat_calls, counters},
     #: ...]`` preserved when a task needed more than one attempt.
     attempt_stats: list[dict[str, object]] | None = None
+    #: ``True`` when the result store answered the task.  ``sat_calls`` and
+    #: ``counters`` then repeat the stored run's work, which this run did
+    #: not do; left out of :meth:`as_dict`, so a hit's row is unchanged.
+    from_cache: bool = False
 
     @property
     def name(self) -> str:
@@ -308,7 +307,8 @@ def task_solve_parameters(task: PortfolioTask) -> dict[str, object]:
     """The exact keyword surface a task hands to ``solve`` (minus store).
 
     Shared with the async service layer so a service-side cache probe for
-    a task builds the *same* content address the worker would.
+    a task builds the *same* content address the worker would.  A task
+    always runs the incremental oracle from the structural step floor.
     """
     options = EncodingOptions(
         cardinality=CardinalityEncoding.from_name(task.cardinality),
@@ -323,8 +323,8 @@ def task_solve_parameters(task: PortfolioTask) -> dict[str, object]:
         "budget": task.pebbles,
         "options": options,
         "search": search,
-        "incremental": task.incremental,
-        "initial_steps": task.initial_steps,
+        "incremental": True,
+        "initial_steps": None,
         "max_steps": task.max_steps,
         "step_floor": None,
     }
@@ -365,6 +365,7 @@ def record_from_result(task: PortfolioTask, result) -> PortfolioRecord:
         partial=result.partial,
         proved_infeasible=result.proved_infeasible,
         counters=counters or None,
+        from_cache=result.from_cache,
     )
     if result.strategy is not None:
         record.pebbles_used = result.strategy.max_pebbles
@@ -389,17 +390,13 @@ def _attempt_task(
         dag = load_workload_or_path(task.workload, scale=task.scale)
         parameters = task_solve_parameters(task)
         solver = ReversiblePebblingSolver(
-            dag,
-            options=parameters["options"],
-            incremental=task.incremental,
-            backend=task.backend,
+            dag, options=parameters["options"], backend=task.backend
         )
         result = solver.solve(
             task.pebbles,
             strategy=parameters["search"],
             time_limit=time_limit,
             max_steps=task.max_steps,
-            initial_steps=task.initial_steps,
             store=_resolve_store(store),
         )
     except Exception as error:  # noqa: BLE001 — a crashed task must not kill the sweep
@@ -434,10 +431,12 @@ def _execute_task(
     counts pool rebuilds; it feeds the chaos scope so resubmitted work does
     not replay the fault that killed its first pool.
 
-    The *best* record across attempts wins (complete beats incomplete
-    beats error, latest on ties), and it reports the retries consumed —
-    a transient failure is healed invisibly, a persistent one still ends
-    as an ``error`` record with the last traceback attached.  Counters of
+    Every attempt, and every backoff sleep between two, comes out of the
+    task's one ``time_limit`` (see :class:`RetryPolicy`).  The *best*
+    record across attempts wins (complete beats incomplete beats error,
+    latest on ties), and it reports the retries consumed — a transient
+    failure is healed invisibly, a persistent one still ends as an
+    ``error`` record with the last traceback attached.  Counters of
     *every* attempt (not just the winning one) are merged into the
     returned record, with the per-attempt breakdown in ``attempt_stats``
     when more than one attempt ran.
@@ -459,32 +458,20 @@ def _execute_attempts(
 ) -> PortfolioRecord:
     policy = retry if retry is not None else RetryPolicy(max_attempts=1)
     started = time.monotonic()
-    best: PortfolioRecord | None = None
     attempted: list[PortfolioRecord] = []
-    attempts_used = 0
     for attempt in range(policy.max_attempts):
+        time_limit = task.time_limit
         if attempt:
             delay = policy.delay_before(attempt, key=task.name)
-            if policy.total_time_limit is not None:
-                budget_left = policy.total_time_limit - (time.monotonic() - started)
-                if budget_left <= delay:
-                    break  # the sleep alone would blow the total budget
+            if time_limit is not None:
+                # What the task's limit leaves once the sleep is over.
+                time_limit -= time.monotonic() - started + delay
+                if time_limit <= 0:
+                    break
             obs_trace.event(
                 "task.retry", task=task.name, attempt=attempt, delay=round(delay, 4)
             )
             time.sleep(delay)
-        time_limit = task.time_limit
-        if policy.attempt_time_limit is not None:
-            time_limit = (
-                policy.attempt_time_limit
-                if time_limit is None
-                else min(time_limit, policy.attempt_time_limit)
-            )
-        if policy.total_time_limit is not None:
-            remaining = policy.total_time_limit - (time.monotonic() - started)
-            if remaining <= 0:
-                break
-            time_limit = remaining if time_limit is None else min(time_limit, remaining)
         with obs_trace.span(
             "task.attempt",
             task=task.name,
@@ -495,28 +482,14 @@ def _execute_attempts(
             record = _attempt_task(task, store, attempt, epoch, time_limit)
             attempt_span.set(outcome=record.outcome, sat_calls=record.sat_calls)
         attempted.append(record)
-        attempts_used = attempt + 1
-        if best is None or _record_rank(record) <= _record_rank(best):
-            best = record
-        if record.outcome != "error" and (
-            record.complete or not policy.retry_incomplete
-        ):
+        if record.outcome != "error" and record.complete:
             break
-    if best is None:  # total_time_limit left no room for even one attempt
-        best = PortfolioRecord(
-            task=task,
-            outcome="error",
-            error="retry policy's total_time_limit expired before any attempt",
-        )
-    best.retries = max(0, attempts_used - 1)
+    # The latest of the best-ranked attempts wins.
+    best = min(reversed(attempted), key=_record_rank)
+    best.retries = len(attempted) - 1
     if len(attempted) > 1:
-        # The losing attempts' solver work used to vanish with their
-        # records; fold every attempt's counters into the survivor and
-        # keep the per-attempt breakdown alongside.
-        merged: dict[str, float] = {}
-        for record in attempted:
-            merge_counters(merged, record.counters)
-        best.counters = merged or None
+        # Keep each attempt's own counters in the breakdown, then fold
+        # every attempt's work into the survivor's.
         best.attempt_stats = [
             {
                 "attempt": index,
@@ -526,6 +499,10 @@ def _execute_attempts(
             }
             for index, record in enumerate(attempted)
         ]
+        merged: dict[str, float] = {}
+        for record in attempted:
+            merge_counters(merged, record.counters)
+        best.counters = merged or None
     return best
 
 
@@ -533,11 +510,9 @@ def run_portfolio(
     tasks: Iterable[PortfolioTask],
     *,
     jobs: int = 1,
-    store_path: str | None = None,
-    store: "ResultStore | None" = None,
+    store: "ResultStore | str | None" = None,
     force_pool: bool = False,
     retry: "RetryPolicy | None" = None,
-    pool_rebuild_limit: int = 2,
 ) -> list[PortfolioRecord]:
     """Run every task, ``jobs`` at a time, and merge deterministically.
 
@@ -550,43 +525,35 @@ def run_portfolio(
     pool-overhead measurements.  Either way the returned list is ordered
     like ``tasks``.
 
-    ``store_path`` opts every task into a shared
-    :class:`~repro.store.ResultStore` at that database path; each worker
-    process opens its own connection (SQLite WAL handles the concurrency),
-    answers exact repeats from the cache and warm-starts neighbouring
-    budgets.  ``store`` passes an open store instead: inline tasks use it
+    ``store`` opts every task into a shared
+    :class:`~repro.store.ResultStore`: ``None`` (no caching), a database
+    path, or an open store.  Tasks answer exact repeats from the cache and
+    warm-start neighbouring budgets.  Inline tasks use an open store
     directly, so its owner holds the process's only connection and closes
-    it, and pool workers open their own to its file (an in-memory store is
-    invisible to them, so they run uncached).
+    it; pool workers open their own connection to the store's file (SQLite
+    WAL handles the concurrency; an in-memory store is invisible to them,
+    so they run uncached).
 
     ``retry`` applies a :class:`RetryPolicy` inside every worker (transient
-    faults heal without resubmission traffic); each record's retries are
-    counted in the calling process, as ``repro_retries_total``, whichever
-    process ran its task.
+    faults heal without resubmission traffic), within each task's own
+    ``time_limit``; each record's retries are counted in the calling
+    process, as ``repro_retries_total``, whichever process ran its task.
+    A task the store answered adds nothing to the SAT-call and solver
+    counters: its record repeats the stored run's work.
     A worker process dying outright (OOM-kill, segfault, a chaos ``exit``
     fault) breaks the *whole* pool — every unfinished task is resubmitted
-    to a fresh pool, at most ``pool_rebuild_limit`` times, before the
+    to a fresh pool, at most :data:`POOL_REBUILD_LIMIT` times, before the
     remainder degrades to ``error`` records; finished results are never
     recomputed.
     """
     task_list = list(tasks)
     if jobs < 1:
         raise PebblingError("jobs must be >= 1")
-    if pool_rebuild_limit < 0:
-        raise PebblingError("pool_rebuild_limit must be >= 0")
-    if store is not None and store_path is not None:
-        raise PebblingError("pass an open store or a store_path, not both")
     if not task_list:
         return []
     with obs_trace.span("portfolio.run", tasks=len(task_list), jobs=jobs) as run_span:
         records = _run_portfolio_tasks(
-            task_list,
-            jobs=jobs,
-            store_path=store_path,
-            store=store,
-            force_pool=force_pool,
-            retry=retry,
-            pool_rebuild_limit=pool_rebuild_limit,
+            task_list, jobs=jobs, store=store, force_pool=force_pool, retry=retry
         )
         run_span.set(
             solved=sum(1 for record in records if record.found),
@@ -599,8 +566,9 @@ def run_portfolio(
         if record.retries:
             _metrics.counter("repro_portfolio_retried_tasks_total").inc()
             _metrics.counter("repro_retries_total").inc(record.retries)
-        _metrics.counter("repro_portfolio_sat_calls_total").inc(record.sat_calls)
-        _metrics.registry().absorb_counters(record.counters)
+        if not record.from_cache:
+            _metrics.counter("repro_portfolio_sat_calls_total").inc(record.sat_calls)
+            _metrics.registry().absorb_counters(record.counters)
     return records
 
 
@@ -608,11 +576,9 @@ def _run_portfolio_tasks(
     task_list: list[PortfolioTask],
     *,
     jobs: int,
-    store_path: str | None,
-    store: "ResultStore | None",
+    store: "ResultStore | str | None",
     force_pool: bool,
     retry: "RetryPolicy | None",
-    pool_rebuild_limit: int,
 ) -> list[PortfolioRecord]:
     """Validated body of :func:`run_portfolio` (runs inside its span)."""
     ctx = obs_trace.current_context()
@@ -627,10 +593,10 @@ def _run_portfolio_tasks(
         ]
     inline = jobs == 1 or len(task_list) <= 1 or _usable_cores() <= 1
     if inline and not force_pool:
-        local = store if store is not None else store_path
-        return [_execute_task(task, local, retry, 0) for task in task_list]
-    if store is not None and store.path != ":memory:":
-        store_path = store.path
+        return [_execute_task(task, store, retry, 0) for task in task_list]
+    store_path = store if store is None or isinstance(store, str) else store.path
+    if store_path == ":memory:":
+        store_path = None  # pool workers cannot see an in-memory store
     results: dict[int, PortfolioRecord] = {}
     pending = list(enumerate(task_list))
     epoch = 0
@@ -658,7 +624,7 @@ def _run_portfolio_tasks(
                         traceback=traceback_module.format_exc(),
                     )
         if pool_broke:
-            if epoch >= pool_rebuild_limit:
+            if epoch >= POOL_REBUILD_LIMIT:
                 for index, task in unfinished:
                     results[index] = PortfolioRecord(
                         task=task,
@@ -666,7 +632,7 @@ def _run_portfolio_tasks(
                         error=(
                             "worker process pool broke "
                             f"{epoch + 1} times (rebuild limit "
-                            f"{pool_rebuild_limit}); task abandoned"
+                            f"{POOL_REBUILD_LIMIT}); task abandoned"
                         ),
                     )
                 unfinished = []
@@ -687,7 +653,6 @@ def tasks_from_suite(
     schedule: str = "linear",
     cardinality: str = DEFAULT_CARDINALITY.value,
     step_increment: int = 1,
-    incremental: bool = True,
     backend: str = DEFAULT_BACKEND,
 ) -> list[PortfolioTask]:
     """Turn a named batch suite (or explicit entries) into portfolio tasks."""
@@ -702,93 +667,7 @@ def tasks_from_suite(
             schedule=schedule,
             cardinality=cardinality,
             step_increment=step_increment,
-            incremental=incremental,
             backend=backend,
         )
         for entry in entries
     ]
-
-
-def budget_sweep_tasks(
-    workload: str,
-    budgets: Iterable[int],
-    *,
-    scale: float = 1.0,
-    time_limit: float | None = 120.0,
-    schedule: str = "linear",
-    **task_kwargs,
-) -> list[PortfolioTask]:
-    """Tasks for a Table-I style budget sweep over one workload."""
-    return [
-        PortfolioTask(
-            workload=workload,
-            pebbles=budget,
-            scale=scale,
-            time_limit=time_limit,
-            schedule=schedule,
-            **task_kwargs,
-        )
-        for budget in budgets
-    ]
-
-
-@dataclass
-class SweepResult:
-    """Outcome of a parallel Table-I budget sweep."""
-
-    workload: str
-    best: PortfolioRecord | None
-    records: list[PortfolioRecord] = field(default_factory=list)
-
-    @property
-    def minimum_pebbles(self) -> int | None:
-        return self.best.task.pebbles if self.best is not None else None
-
-
-def minimize_pebbles_portfolio(
-    workload: str,
-    *,
-    scale: float = 1.0,
-    jobs: int = 1,
-    timeout_per_budget: float | None = 120.0,
-    lower_bound: int | None = None,
-    upper_bound: int | None = None,
-    schedule: str = "linear",
-    store_path: str | None = None,
-    **task_kwargs,
-) -> SweepResult:
-    """Parallel version of the Table-I outer loop.
-
-    Instead of scanning budgets one at a time (stopping after the first
-    failure), every budget of ``[lower_bound, upper_bound]`` (inclusive —
-    the eager-Bennett upper bound is the guaranteed-feasible anchor) becomes
-    an independent task with its own per-budget timeout, the tasks run
-    ``jobs``-wide, and the smallest budget with a solution wins.  The
-    sequential scan's early-exit saves *work*; the portfolio saves
-    *wall-clock* — the right trade once cores are available.
-    """
-    dag = load_workload_or_path(workload, scale=scale)
-    probe = ReversiblePebblingSolver(dag)
-    if lower_bound is None:
-        lower_bound = probe.minimum_pebbles_lower_bound()
-    if upper_bound is None:
-        from repro.pebbling.bennett import eager_bennett_strategy
-
-        upper_bound = eager_bennett_strategy(dag).max_pebbles
-    if upper_bound < lower_bound:
-        upper_bound = lower_bound
-    tasks = budget_sweep_tasks(
-        workload,
-        range(lower_bound, upper_bound + 1),
-        scale=scale,
-        time_limit=timeout_per_budget,
-        schedule=schedule,
-        **task_kwargs,
-    )
-    records = run_portfolio(tasks, jobs=jobs, store_path=store_path)
-    best = None
-    for record in records:  # ascending budgets: first solution is minimal
-        if record.found:
-            best = record
-            break
-    return SweepResult(workload=workload, best=best, records=records)

@@ -527,6 +527,18 @@ class ReversiblePebblingSolver:
             bound = max(bound, closure, final)
         return bound
 
+    def budget_bounds(self) -> tuple[int, int]:
+        """``(lower, upper)``: the budgets a sweep over this game scans.
+
+        ``lower`` is :meth:`minimum_pebbles_lower_bound`; ``upper`` is what
+        the eager Bennett strategy consumes (its pebble count, or its peak
+        weight in weighted mode), so it is always feasible.  ``upper`` is
+        at least ``lower``.
+        """
+        lower = self.minimum_pebbles_lower_bound()
+        upper = self._strategy_budget(eager_bennett_strategy(self.dag))
+        return lower, max(lower, upper)
+
     def default_initial_steps(self, *, max_pebbles: int) -> int:
         """A safe lower bound on the number of transitions.
 

@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 
 from repro.errors import ReproError
 from repro.fields import check_fields
-from repro.circuits.pipeline import compile_cache_request, compile_dag
+from repro.circuits.pipeline import compile_dag
 from repro.obs import metrics as _metrics
 from repro.obs import trace as obs_trace
 from repro.obs.trace import TraceContext
@@ -47,7 +47,7 @@ from repro.pebbling.portfolio import (
     run_portfolio,
     task_solve_parameters,
 )
-from repro.pebbling.encoding import DEFAULT_CARDINALITY
+from repro.pebbling.encoding import DEFAULT_CARDINALITY, EncodingOptions
 from repro.pebbling.solver import ReversiblePebblingSolver
 from repro.sat.backend import DEFAULT_BACKEND, backend_fallback_reason, resolve_backend
 from repro.store.store import ResultStore
@@ -563,17 +563,11 @@ class PebblingService:
         if request.min_budget is not None and request.max_budget is not None:
             return request.min_budget, request.max_budget
         dag = load_workload_or_path(request.workload, scale=request.scale)
-        low = request.min_budget
-        high = request.max_budget
-        if low is None:
-            low = ReversiblePebblingSolver(dag).minimum_pebbles_lower_bound()
-        if high is None:
-            from repro.pebbling.bennett import eager_bennett_strategy
-
-            baseline = eager_bennett_strategy(dag)
-            high = (
-                int(baseline.max_weight) if request.weighted else baseline.max_pebbles
-            )
+        lower, upper = ReversiblePebblingSolver(
+            dag, options=EncodingOptions(weighted=request.weighted)
+        ).budget_bounds()
+        low = lower if request.min_budget is None else request.min_budget
+        high = upper if request.max_budget is None else request.max_budget
         return low, max(low, high)
 
     # ------------------------------------------------------------------
@@ -698,36 +692,14 @@ class PebblingService:
     def _run_compile(self, request: JobRequest) -> JobResult:
         """Run (or cache-answer) one compile request in the batch thread.
 
-        ``compile_dag`` does its own store lookup with the same content
-        address, so a repeat compiles nothing and solves nothing; the
-        source is attributed by probing the cache first.  The workload is
-        loaded once, for the probe and the compile alike.
+        ``compile_dag`` looks the request up in the store first, so a
+        repeat compiles nothing and solves nothing, and the report's
+        ``from_cache`` flag attributes the answer's source.
         """
         network = load_workload_network(request.workload, scale=request.scale)
         dag = load_workload_or_path(
             request.workload, scale=request.scale, network=network
         )
-        cached = None
-        if self.store is not None:
-            cached = self.store.get_compile(
-                dag,
-                network=network,
-                **compile_cache_request(
-                    pebbles=request.budget,
-                    weighted=request.weighted,
-                    decompose=request.decompose,
-                    single_move=request.single_move,
-                    cardinality=request.cardinality,
-                    schedule=request.schedule,
-                    step_increment=request.step_increment,
-                    max_steps=request.max_steps,
-                    verify=request.verify,
-                    workload=request.workload,
-                ),
-            )
-        if cached is not None:
-            _trace_cache_hit(request, cached.outcome)
-            return JobResult(request, "ok", "cache", payload=cached.as_dict())
         report = compile_dag(
             dag,
             pebbles=request.budget,
@@ -747,7 +719,10 @@ class PebblingService:
             backend=request.backend,
             store=self.store,
         )
-        return JobResult(request, "ok", "solver", payload=report.as_dict())
+        if report.from_cache:
+            _trace_cache_hit(request, report.outcome)
+        source = "cache" if report.from_cache else "solver"
+        return JobResult(request, "ok", source, payload=report.as_dict())
 
 
 def _trace_cache_hit(request: JobRequest, outcome: str) -> None:

@@ -176,6 +176,17 @@ class TestParetoSweep:
         assert [point.budget for point in report.points] == [4, 5]
         assert all(point.found for point in report.points)
 
+    def test_a_store_answers_a_repeated_sweep(self, tmp_path):
+        from repro.store import ResultStore
+
+        with ResultStore(str(tmp_path / "cache.db")) as store:
+            first = pareto_sweep("fig2", budgets=[4, 5], time_limit=30, store=store)
+            second = pareto_sweep("fig2", budgets=[4, 5], time_limit=30, store=store)
+            assert store.session["hits"] == 2
+        assert [point.as_dict() | {"runtime": 0} for point in second.points] == [
+            point.as_dict() | {"runtime": 0} for point in first.points
+        ]
+
     def test_weighted_sweep_reports_weight(self):
         report = pareto_sweep("fig2", budgets=[4], weighted=True,
                               time_limit=30)

@@ -9,12 +9,9 @@ from repro.errors import PebblingError, WorkloadError
 from repro.pebbling import (
     PebblingStrategy,
     PortfolioTask,
-    minimize_pebbles,
-    minimize_pebbles_portfolio,
     run_portfolio,
     tasks_from_suite,
 )
-from repro.pebbling.portfolio import budget_sweep_tasks
 from repro.sat.backend import resolve_backend
 from repro.workloads import load_workload, suite_entries
 
@@ -42,11 +39,6 @@ class TestTasks:
         with pytest.raises(WorkloadError):
             tasks_from_suite("no-such-suite")
 
-    def test_budget_sweep_tasks(self):
-        tasks = budget_sweep_tasks("fig2", range(3, 6), time_limit=10)
-        assert [task.pebbles for task in tasks] == [3, 4, 5]
-        assert all(task.workload == "fig2" for task in tasks)
-
     def test_task_names_encode_parameters(self):
         assert PortfolioTask("and9", 4, single_move=True).name == "and9_p4_sm"
         assert PortfolioTask("c432", 8, scale=0.25).name == "c432_p8_s0.25"
@@ -63,10 +55,8 @@ class TestTasks:
         "cardinality-none": ("cardinality", {"cardinality": None}),
         "schedule-list": ("schedule", {"schedule": ["linear"]}),
         "step-increment-zero": ("step_increment", {"step_increment": 0}),
-        "incremental-int": ("incremental", {"incremental": 1}),
         "time-limit-negative": ("time_limit", {"time_limit": -1}),
         "max-steps-string": ("max_steps", {"max_steps": "40"}),
-        "initial-steps-float": ("initial_steps", {"initial_steps": 2.5}),
         "weighted-none": ("weighted", {"weighted": None}),
     }
 
@@ -156,8 +146,8 @@ class TestRunPortfolio:
     def test_store_path_threads_the_cache_through_tasks(self, tmp_path):
         db = str(tmp_path / "cache.db")
         tasks = tasks_from_suite("smoke", time_limit=30)
-        cold = run_portfolio(tasks, jobs=1, store_path=db)
-        warm = run_portfolio(tasks, jobs=1, store_path=db)
+        cold = run_portfolio(tasks, jobs=1, store=db)
+        warm = run_portfolio(tasks, jobs=1, store=db)
         for one, two in zip(cold, warm):
             assert one.outcome == two.outcome
             assert one.steps == two.steps
@@ -171,7 +161,7 @@ class TestRunPortfolio:
         db = str(tmp_path / "cache.db")
         tasks = tasks_from_suite("default", time_limit=60)
         for _ in range(2):
-            records = run_portfolio(tasks, jobs=2, store_path=db, force_pool=True)
+            records = run_portfolio(tasks, jobs=2, store=db, force_pool=True)
             assert all(record.complete for record in records)
         from repro.store import ResultStore
 
@@ -179,7 +169,7 @@ class TestRunPortfolio:
             stats = store.stats()
         assert (stats.entries, stats.total_hits) == (len(tasks), len(tasks))
 
-    def test_an_open_store_serves_inline_tasks(self, tmp_path):
+    def test_an_open_store_serves_inline_tasks(self):
         from repro.store import ResultStore
 
         tasks = tasks_from_suite("smoke", time_limit=30)
@@ -190,8 +180,36 @@ class TestRunPortfolio:
         assert [(r.outcome, r.steps) for r in warm] == [
             (r.outcome, r.steps) for r in cold
         ]
-        with pytest.raises(PebblingError, match="not both"):
-            run_portfolio(tasks, store=store, store_path=str(tmp_path / "cache.db"))
+
+    def test_pool_workers_open_the_file_of_an_open_store(self, tmp_path):
+        from repro.store import ResultStore
+
+        tasks = tasks_from_suite("smoke", time_limit=30)
+        with ResultStore(str(tmp_path / "cache.db")) as store:
+            run_portfolio(tasks, jobs=1, store=store)
+            records = run_portfolio(tasks, jobs=2, store=store, force_pool=True)
+            assert all(record.from_cache for record in records)
+            assert store.stats().total_hits == len(tasks)
+
+    def test_store_answers_add_no_solver_work(self, tmp_path, fresh_registry):
+        db = str(tmp_path / "cache.db")
+        tasks = tasks_from_suite("smoke", time_limit=30)
+        cold = run_portfolio(tasks, store=db)
+        fresh_registry.reset()
+        warm = run_portfolio(tasks, store=db)
+        counted = fresh_registry.snapshot()
+        assert counted["repro_store_hits_total"] == len(tasks)
+        for name in (
+            "repro_sat_calls_total",
+            "repro_portfolio_sat_calls_total",
+            "repro_solver_conflicts_total",
+        ):
+            assert name not in counted, (name, counted[name])
+        # The rows still report the stored run's work, byte for byte.
+        assert [record.from_cache for record in warm] == [True, True]
+        assert [record.as_dict() | {"runtime": 0} for record in warm] == [
+            record.as_dict() | {"runtime": 0} for record in cold
+        ]
 
     def test_meaningless_schedule_parameters_become_error_records(self):
         # The validation of the search layer reaches portfolio tasks too:
@@ -224,19 +242,7 @@ class TestRunPortfolio:
         assert records[1].outcome == "error"
 
 
-class TestBudgetSweep:
-    def test_parallel_sweep_matches_sequential_minimum(self, fig2_dag):
-        sequential, _ = minimize_pebbles(fig2_dag, timeout_per_budget=30)
-        sweep = minimize_pebbles_portfolio(
-            "fig2", jobs=2, timeout_per_budget=30, schedule="geometric-refine"
-        )
-        assert sweep.best is not None
-        assert sweep.minimum_pebbles == sequential.strategy.max_pebbles == 4
-        # Budgets below the minimum must all have failed.
-        for record in sweep.records:
-            if record.task.pebbles < sweep.minimum_pebbles:
-                assert not record.found
-
+class TestSuites:
     def test_default_suite_entries_are_well_formed(self):
         for entry in suite_entries("default"):
             load_workload(entry.workload, scale=entry.scale).validate()

@@ -2,21 +2,26 @@
 
 Covers :class:`RetryPolicy` validation and its deterministic, monotone
 backoff schedule (including a hypothesis property over the policy knobs),
-the retry loop in ``_execute_task`` healing chaos-injected faults, the
-``traceback`` field on error records, byte-identical determinism of
-(task, chaos seed, policy) triples, and the ``BrokenProcessPool``
-rebuild/abandon paths driven by the chaos ``exit`` fault.
+the retry loop in ``_execute_task`` healing chaos-injected faults within
+the task's one time limit, the ``traceback`` field on error records,
+byte-identical determinism of (task, chaos seed, policy) triples, and the
+``BrokenProcessPool`` rebuild/abandon paths driven by the chaos ``exit``
+fault.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import PebblingError
+from repro.pebbling import portfolio
 from repro.pebbling.portfolio import (
+    PortfolioRecord,
     PortfolioTask,
     RetryPolicy,
     _execute_task,
@@ -43,11 +48,7 @@ class TestRetryPolicy:
     @pytest.mark.parametrize("kwargs", [
         {"max_attempts": 0},
         {"base_delay": -0.1},
-        {"backoff_factor": 0.5},
-        {"jitter": 1.5},
-        {"jitter": -0.1},
-        {"attempt_time_limit": 0.0},
-        {"total_time_limit": -1.0},
+        {"max_delay": -0.1},
     ])
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(PebblingError):
@@ -57,7 +58,7 @@ class TestRetryPolicy:
         assert RetryPolicy().delay_before(0) == 0.0
 
     def test_delays_are_deterministic_per_key(self):
-        policy = RetryPolicy(max_attempts=5, jitter=0.5)
+        policy = RetryPolicy(max_attempts=5)
         first = [policy.delay_before(n, key="task-a") for n in range(1, 5)]
         second = [policy.delay_before(n, key="task-a") for n in range(1, 5)]
         assert first == second
@@ -65,30 +66,23 @@ class TestRetryPolicy:
         assert first != other  # jitter is keyed, not shared
 
     def test_delays_grow_exponentially_up_to_the_cap(self):
-        policy = RetryPolicy(
-            max_attempts=10, base_delay=0.1, backoff_factor=2.0,
-            max_delay=0.4, jitter=0.0,
-        )
-        assert policy.delay_before(1) == pytest.approx(0.1)
-        assert policy.delay_before(2) == pytest.approx(0.2)
-        assert policy.delay_before(3) == pytest.approx(0.4)
-        assert policy.delay_before(4) == pytest.approx(0.4)  # clamped
+        policy = RetryPolicy(max_attempts=10, base_delay=0.1, max_delay=0.4)
+        raw = [0.1, 0.2, 0.4, 0.4]  # doubling, clamped at the cap
+        draws = [random.Random(f"retry||{step}").random() for step in range(1, 5)]
+        jittered = [
+            delay * (1.0 + portfolio.JITTER * draw) for delay, draw in zip(raw, draws)
+        ]
+        expected = list(itertools.accumulate(jittered, max))
+        assert [policy.delay_before(n) for n in range(1, 5)] == pytest.approx(expected)
 
     @given(
         base_delay=st.floats(0.0, 1.0),
-        backoff_factor=st.floats(1.0, 4.0),
         max_delay=st.floats(0.0, 2.0),
-        jitter=st.floats(0.0, 1.0),
         key=st.text(max_size=8),
     )
     @settings(max_examples=60, deadline=None)
-    def test_backoff_is_monotone_non_decreasing(
-        self, base_delay, backoff_factor, max_delay, jitter, key
-    ):
-        policy = RetryPolicy(
-            max_attempts=8, base_delay=base_delay,
-            backoff_factor=backoff_factor, max_delay=max_delay, jitter=jitter,
-        )
+    def test_backoff_is_monotone_non_decreasing(self, base_delay, max_delay, key):
+        policy = RetryPolicy(max_attempts=8, base_delay=base_delay, max_delay=max_delay)
         delays = [policy.delay_before(n, key=key) for n in range(9)]
         assert all(late >= early for early, late in zip(delays, delays[1:]))
 
@@ -172,6 +166,85 @@ class TestRetryExecution:
         assert normalised() == normalised()
 
 
+class _FakeClock:
+    """Stands in for the ``time`` module inside the portfolio."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.now += seconds
+
+
+def _failing_attempts(monkeypatch, seconds_each: float) -> list:
+    """Make every attempt fail after ``seconds_each`` of fake time.
+
+    Returns the list that collects the time limit each attempt was given.
+    """
+    clock = _FakeClock()
+    limits: list = []
+
+    def attempt(task, store, number, epoch, time_limit):
+        limits.append(time_limit)
+        clock.now += seconds_each
+        return PortfolioRecord(task=task, outcome="error", error="injected")
+
+    monkeypatch.setattr(portfolio, "time", clock)
+    monkeypatch.setattr(portfolio, "_attempt_task", attempt)
+    return limits
+
+
+class TestOneTimeLimit:
+    """A task's ``time_limit`` covers all its attempts and backoff sleeps."""
+
+    def test_each_attempt_gets_what_is_left_of_the_limit(self, monkeypatch):
+        limits = _failing_attempts(monkeypatch, 0.3)
+        policy = RetryPolicy(max_attempts=10, base_delay=0.1, max_delay=0.1)
+        record = _execute_task(_task(time_limit=1.0), None, policy)
+        first, second = (policy.delay_before(n, key=record.name) for n in (1, 2))
+        assert limits == pytest.approx([1.0, 0.7 - first, 0.4 - first - second])
+        # The limit is spent before a fourth attempt could start.
+        assert record.retries == 2
+        assert record.outcome == "error"
+
+    def test_without_a_limit_every_attempt_runs_unbounded(self, monkeypatch):
+        limits = _failing_attempts(monkeypatch, 100.0)
+        policy = RetryPolicy(max_attempts=3, base_delay=0.0)
+        record = _execute_task(_task(time_limit=None), None, policy)
+        assert (limits, record.retries) == ([None, None, None], 2)
+
+    def test_a_search_that_used_its_limit_is_not_retried(self):
+        # Uninterrupted, kummer-double p13 takes 7.6 s on the C core, so
+        # the first attempt spends the whole 0.3 s and leaves no time for
+        # a second one.
+        task = PortfolioTask("kummer-double", 13, time_limit=0.3)
+        record = _execute_task(task, None, RetryPolicy(max_attempts=3))
+        assert (record.outcome, record.complete, record.retries) == (
+            "timeout", False, 0,
+        )
+        assert record.partial is not None
+
+    def test_a_spurious_unknown_is_retried_to_a_certified_answer(self):
+        # 30% of SAT calls answer UNKNOWN at once, so the attempts they cut
+        # short leave almost all of the limit for the next one.
+        policy = RetryPolicy(max_attempts=6, base_delay=0.0)
+        record = _execute_task(_task("chaos:19,unknown=0.3"), None, policy)
+        assert (record.outcome, record.steps, record.complete) == ("solution", 6, True)
+        assert record.retries >= 1
+
+    def test_the_winning_attempt_keeps_its_own_counters(self):
+        policy = RetryPolicy(max_attempts=6, base_delay=0.0)
+        record = _execute_task(_task("chaos:19,unknown=0.3"), None, policy)
+        own = [entry["counters"] or {} for entry in record.attempt_stats]
+        assert record.counters["propagations"] == sum(
+            counters.get("propagations", 0) for counters in own
+        )
+        assert own[-1]["propagations"] < record.counters["propagations"]
+
+
 class TestPoolRebuild:
     def test_broken_pool_is_rebuilt_and_work_resubmitted(self, fresh_registry):
         # exit=1 hard-kills the worker on its first solve call of epoch 0;
@@ -191,14 +264,8 @@ class TestPoolRebuild:
             ("solution", 6), ("solution", 6), ("infeasible", None), ("solution", 8),
         ]
 
-    def test_rebuild_limit_abandons_with_error_records(self):
-        records = run_portfolio(
-            [_task("chaos:3,exit=1")], jobs=2, force_pool=True,
-            pool_rebuild_limit=0,
-        )
+    def test_rebuild_limit_abandons_with_error_records(self, monkeypatch):
+        monkeypatch.setattr(portfolio, "POOL_REBUILD_LIMIT", 0)
+        records = run_portfolio([_task("chaos:3,exit=1")], jobs=2, force_pool=True)
         assert records[0].outcome == "error"
         assert "rebuild limit" in records[0].error
-
-    def test_negative_rebuild_limit_rejected(self):
-        with pytest.raises(PebblingError):
-            run_portfolio([_task()], pool_rebuild_limit=-1)

@@ -517,6 +517,18 @@ class TestWeightedPebbling:
         assert result.weight_used <= 6.0
         assert max(result.strategy.weight_profile()) <= 6.0
 
+    def test_budget_bounds_follow_the_game(self, fig2_dag):
+        # Weight 3 on A, C and D: no weight budget below 7 pebbles fig2,
+        # and the eager Bennett strategy peaks at weight 12; the pebble
+        # game keeps its own bounds.
+        for name in ("A", "C", "D"):
+            fig2_dag.node(name).weight = 3.0
+        weighted = ReversiblePebblingSolver(
+            fig2_dag, options=EncodingOptions(weighted=True)
+        )
+        assert weighted.budget_bounds() == (7, 12)
+        assert ReversiblePebblingSolver(fig2_dag).budget_bounds() == (3, 6)
+
     def test_unit_weights_weighted_matches_unweighted_search(self, fig2_dag):
         weighted = ReversiblePebblingSolver(
             fig2_dag, options=EncodingOptions(weighted=True)

@@ -111,6 +111,27 @@ class TestDeadlines:
         assert stats.preempted == 1
         assert stats.partial_answers == 1
 
+    def test_a_deadline_bounds_the_retries_too(self):
+        async def scenario():
+            retry = RetryPolicy(max_attempts=3)
+            async with PebblingService(retry=retry) as service:
+                # The deadline clamps the task's time limit, which covers
+                # every attempt: the first one spends it all, so none is
+                # retried.
+                request = JobRequest(
+                    kind="pebble", workload="kummer-double", budget=13,
+                    time_limit=60.0, deadline=0.3,
+                )
+                result = await service.submit(request)
+                return result, service.stats
+
+        result, stats = _drive(scenario())
+        assert result.ok
+        assert result.payload["complete"] is False
+        assert result.payload["partial"]
+        assert result.payload["retries"] == 0
+        assert (stats.retries, stats.preempted) == (0, 1)
+
     def test_fast_request_beats_its_deadline_untouched(self):
         async def scenario():
             async with PebblingService() as service:

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.dag.io import dag_to_dict
 from repro.obs import metrics as obs_metrics
 from repro.obs.analyze import load_trace
 from repro.obs.metrics import MetricsRegistry
@@ -19,6 +20,7 @@ from repro.service import (
 )
 from repro.service.scheduler import SERVICE_COUNTERS
 from repro.store import ResultStore
+from repro.workloads import example_dag
 
 
 def _run(coroutine):
@@ -215,6 +217,29 @@ class TestService:
         # way or the other (dedup if concurrent, cache if sequenced).
         assert service.stats.deduplicated + service.stats.cache_hits >= 1
 
+    def test_a_weighted_sweep_starts_at_the_weighted_floor(self, tmp_path):
+        # fig2 with weight 3 on A, C and D: no weight budget below 7 can
+        # pebble it, and the eager Bennett strategy peaks at weight 12.
+        data = dag_to_dict(example_dag())
+        for entry in data["nodes"]:
+            if entry["id"] in ("A", "C", "D"):
+                entry["weight"] = 3
+        path = tmp_path / "fig2_weighted.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        sweep = JobRequest(kind="sweep", workload=str(path), weighted=True,
+                           time_limit=30)
+
+        async def scenario():
+            async with PebblingService() as service:
+                return await service.submit(sweep), service.stats
+
+        result, stats = _run(scenario())
+        assert result.ok
+        payload = result.payload
+        assert (payload["min_budget"], payload["max_budget"]) == (7, 12)
+        assert payload["minimum_feasible_budget"] == 8
+        assert stats.expanded == stats.solver_jobs == 6
+
     def test_compile_requests_and_cache(self, tmp_path):
         db = str(tmp_path / "cache.db")
         request = JobRequest(kind="compile", workload="fig2", budget=4,
@@ -231,6 +256,25 @@ class TestService:
         assert first.payload["verified"] is True
         assert second.source == "cache"
         assert second.payload == first.payload
+
+    def test_a_compile_request_looks_the_store_up_once(self, tmp_path, monkeypatch):
+        lookups = []
+        original = ResultStore.get_compile
+
+        def counted(store, *args, **kwargs):
+            report = original(store, *args, **kwargs)
+            lookups.append(report is not None)
+            return report
+
+        monkeypatch.setattr(ResultStore, "get_compile", counted)
+        request = JobRequest(kind="compile", workload="c17", budget=4, time_limit=30)
+
+        async def scenario():
+            async with PebblingService(store=str(tmp_path / "cache.db")) as service:
+                return [(await service.submit(request)).source for _ in range(2)]
+
+        assert _run(scenario()) == ["solver", "cache"]
+        assert lookups == [False, True]
 
     @pytest.mark.parametrize(
         ("kinds", "hits"),

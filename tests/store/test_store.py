@@ -625,9 +625,7 @@ class TestCacheParity:
         dag = load_workload_or_path(task.workload, scale=task.scale)
         parameters = task_solve_parameters(task)
         with ResultStore(":memory:") as store:
-            solver = ReversiblePebblingSolver(
-                dag, options=parameters["options"], incremental=task.incremental
-            )
+            solver = ReversiblePebblingSolver(dag, options=parameters["options"])
             cold = solver.solve(
                 task.pebbles,
                 strategy=parameters["search"],
@@ -646,9 +644,7 @@ class TestCacheParity:
         )
         # And the store never changed what gets computed: a store-free
         # solve agrees on every semantic field (runtimes aside).
-        bare = ReversiblePebblingSolver(
-            dag, options=parameters["options"], incremental=task.incremental
-        ).solve(
+        bare = ReversiblePebblingSolver(dag, options=parameters["options"]).solve(
             task.pebbles,
             strategy=parameters["search"],
             time_limit=task.time_limit,
