@@ -39,6 +39,10 @@ def _node_key(node: object) -> str:
 
 def dag_from_dict(data: Mapping) -> Dag:
     """Rebuild a :class:`Dag` from :func:`dag_to_dict` output."""
+    if not isinstance(data, Mapping):
+        raise DagError(
+            f"malformed DAG description: expected an object, got {type(data).__name__}"
+        )
     try:
         dag = Dag(name=data.get("name", "dag"))
         for entry in data["nodes"]:
@@ -72,9 +76,14 @@ def dag_from_json(source: str | Path) -> Dag:
         text = source
     else:
         text = Path(source).read_text(encoding="utf-8")
+    return parse_dag_json(text)
+
+
+def parse_dag_json(text: str) -> Dag:
+    """Parse DAG-JSON content (as a string) into a :class:`Dag`."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or nesting too deep
         raise DagError(f"invalid JSON: {exc}") from exc
     return dag_from_dict(data)
 

@@ -52,10 +52,15 @@ def check_fields(
         value = getattr(record, name)
         if value is None and name in nullable:
             continue
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, (int, float))
-            or not math.isfinite(value)
-            or value <= 0
-        ):
+        if not is_amount(value):
             raise error(f"{owner} {name} must be a number > 0, got {value!r}")
+
+
+def is_amount(value: object) -> bool:
+    """Whether ``value`` is a finite ``int`` or ``float`` (not a ``bool``) above 0."""
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, (int, float))
+        and math.isfinite(value)
+        and value > 0
+    )

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+import threading
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import WorkloadError
 from repro.dag.graph import Dag
-from repro.dag.io import dag_from_json
+from repro.dag.io import parse_dag_json
+from repro.fields import is_amount
 from repro.logic.iscas import ISCAS_PROFILES, iscas_like_network
 from repro.logic.network import LogicNetwork
 from repro.slp.crypto import (
@@ -287,16 +292,22 @@ def _scaled_hadamard_parameters(row: Table1Row, scale: float) -> tuple[int, int]
     return bits, modulus
 
 
+def _check_scale(scale: float) -> None:
+    """The one scale check of every workload spec, registry name or file."""
+    if not is_amount(scale):
+        raise WorkloadError(f"scale must be positive and finite, got {scale!r}")
+
+
 def load_workload(name: str, *, scale: float = 1.0) -> Dag:
     """Load a workload DAG by name.
 
     ``scale`` only affects the ISCAS stand-ins and the Hadamard gate-level
     designs: values below 1 shrink the instance (smaller bit width /
     fewer gates) so the pure-Python SAT solver can handle it; 1.0 builds the
-    paper-sized instance.
+    paper-sized instance.  Every call builds a fresh DAG, which the caller
+    may modify (set node weights, say).
     """
-    if scale <= 0:
-        raise WorkloadError("scale must be positive")
+    _check_scale(scale)
     key = name.lower()
     if key == "fig2":
         return example_dag()
@@ -321,46 +332,167 @@ def load_workload(name: str, *, scale: float = 1.0) -> Dag:
     raise WorkloadError(f"unknown workload {name!r}; valid names: {list_workloads()}")
 
 
+# ---------------------------------------------------------------------------
+# workload files
+# ---------------------------------------------------------------------------
+#: Source bytes of the workload files whose parse the process keeps (about
+#: 180 perfbench ``service-mix`` files); past it the least recently used
+#: leave first.
+FILE_CACHE_BYTES = 96 * 1024
+
+#: Contents loaded once that the cache remembers, so that a second load
+#: admits them; the oldest are forgotten first.
+_SEEN_ONCE_LIMIT = 1024
+
+
+@dataclass(frozen=True)
+class _ParsedFile:
+    """One parse of a workload file: its network (``.bench`` only) and DAG."""
+
+    network: LogicNetwork | None
+    dag: Dag
+    size: int
+
+
+class _ParsedFiles:
+    """The parse of each workload file's bytes, shared by repeated loads.
+
+    An entry is keyed by the path and the SHA-256 of the bytes read, so a
+    rewritten file is parsed again whatever its size or mtime, and one
+    content under two paths gives two graphs, each named after its own
+    file.  A content is kept only from its second load (a file the process
+    reads once costs no memory, as with TinyLFU's doorkeeper), and entries
+    leave least recently used once the kept contents exceed
+    :data:`FILE_CACHE_BYTES`.  Parsing runs outside the lock; when two
+    threads admit one content at once, the first to finish wins and both
+    get its objects.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[tuple[str, bytes], _ParsedFile] = OrderedDict()
+        self._bytes = 0
+        self._seen_once: OrderedDict[tuple[str, bytes], None] = OrderedDict()
+        #: The DAG parsed with each ``.bench`` network still alive, kept or not.
+        self._dags: weakref.WeakKeyDictionary[LogicNetwork, Dag] = (
+            weakref.WeakKeyDictionary()
+        )
+
+    def load(self, path: Path) -> _ParsedFile:
+        """Read ``path`` once and return the parse of exactly those bytes."""
+        data = _read_workload_file(path)
+        key = (str(path), hashlib.sha256(data).digest())
+        with self._lock:
+            parsed = self._entries.get(key)
+            if parsed is not None:
+                self._entries.move_to_end(key)
+                return parsed
+            admit = key in self._seen_once and len(data) <= FILE_CACHE_BYTES
+            if admit:
+                del self._seen_once[key]
+            else:
+                self._seen_once[key] = None
+                if len(self._seen_once) > _SEEN_ONCE_LIMIT:
+                    self._seen_once.popitem(last=False)
+        parsed = _parse_workload_file(path, data)
+        with self._lock:
+            if parsed.network is not None:
+                self._dags[parsed.network] = parsed.dag
+            if not admit:
+                return parsed
+            kept = self._entries.setdefault(key, parsed)
+            if kept is parsed:
+                self._bytes += parsed.size
+                while self._bytes > FILE_CACHE_BYTES:
+                    self._bytes -= self._entries.popitem(last=False)[1].size
+        return kept
+
+    def dag_of(self, network: LogicNetwork) -> Dag:
+        """The DAG parsed with ``network``, or a new one for a network built elsewhere."""
+        with self._lock:
+            dag = self._dags.get(network)
+        return network.to_dag() if dag is None else dag
+
+    def clear(self) -> None:
+        """Forget every kept and every once-seen content."""
+        with self._lock:
+            self._entries.clear()
+            self._bytes = 0
+            self._seen_once.clear()
+
+
+_PARSED_FILES = _ParsedFiles()
+
+
+def _workload_file(spec: str) -> Path | None:
+    """The path a ``.bench`` or DAG-JSON spec names, or None for a registry name."""
+    path = Path(spec)
+    return path if path.suffix in (".bench", ".json") else None
+
+
+def _read_workload_file(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        raise WorkloadError(
+            f"workload file {str(path)!r} does not exist; a spec ending in "
+            ".bench or .json must name an existing file "
+            f"(registry workloads: {list_workloads()})"
+        ) from None
+    except OSError as exc:
+        raise WorkloadError(f"cannot read workload file {str(path)!r}: {exc}") from exc
+
+
+def _parse_workload_file(path: Path, data: bytes) -> _ParsedFile:
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise WorkloadError(f"workload file {str(path)!r} is not UTF-8 text: {exc}") from exc
+    if path.suffix == ".bench":
+        from repro.logic.bench import parse_bench
+
+        network = parse_bench(text, name=path.stem)
+        return _ParsedFile(network, network.to_dag(), len(data))
+    return _ParsedFile(None, parse_dag_json(text), len(data))
+
+
 def load_workload_or_path(
     spec: str, *, scale: float = 1.0, network: LogicNetwork | None = None
 ) -> Dag:
     """Load a workload by registry name, ``.bench`` path or DAG-JSON path.
 
     This is the resolution rule shared by the CLI, the portfolio workers
-    and the serving layer: a ``.bench`` or ``.json`` suffix naming an
-    existing file wins; anything else is looked up in the registry.  A
-    path-looking spec whose file is missing raises a targeted error (the
-    historical behaviour fell through to the registry and reported the
-    file name as an unknown workload), and an unknown registry name lists
-    every valid workload and batch suite.
+    and the serving layer: a ``.bench`` or ``.json`` suffix names a file,
+    and anything else is looked up in the registry.  A path-looking spec
+    whose file is missing raises a targeted error (the historical
+    behaviour fell through to the registry and reported the file name as
+    an unknown workload), and an unknown registry name lists every valid
+    workload and batch suite.  A malformed file, or a ``scale`` that is
+    not a finite number above 0, raises a :class:`~repro.errors.ReproError`
+    subclass for every spec.
+
+    A file is read once per call and parsed once per content: from its
+    second load in the process, the same bytes under the same path return
+    the same :class:`Dag` object (see :data:`FILE_CACHE_BYTES`), so the
+    graph a file spec returns is shared and must be treated as read-only.
+    Registry names build a fresh DAG on every call.
 
     ``network`` is what :func:`load_workload_network` already returned for
-    the same ``spec``: a ``.bench`` path then takes its DAG from it
-    instead of parsing the file a second time.
+    the same ``spec``: a ``.bench`` path then takes its DAG from it instead
+    of reading the file again.
     """
-    path = Path(spec)
-    if path.suffix in (".bench", ".json"):
-        if not path.exists():
+    _check_scale(scale)
+    path = _workload_file(spec)
+    if path is None:
+        try:
+            return load_workload(spec, scale=scale)
+        except WorkloadError as exc:  # an unknown name: the scale is checked
             raise WorkloadError(
-                f"workload file {spec!r} does not exist; a spec ending in "
-                ".bench or .json must name an existing file "
-                f"(registry workloads: {list_workloads()})"
-            )
-        if path.suffix == ".bench":
-            if network is None:
-                from repro.logic.bench import network_from_bench
-
-                network = network_from_bench(path)
-            return network.to_dag()
-        return dag_from_json(path)
-    try:
-        return load_workload(spec, scale=scale)
-    except WorkloadError as exc:
-        if "unknown workload" not in str(exc):
-            raise  # e.g. a bad scale: already a precise message
-        raise WorkloadError(
-            f"{exc} (batch suites for pebble-batch/cache warm: {list_suites()})"
-        ) from exc
+                f"{exc} (batch suites for pebble-batch/cache warm: {list_suites()})"
+            ) from exc
+    if network is not None and path.suffix == ".bench":
+        return _PARSED_FILES.dag_of(network)
+    return _PARSED_FILES.load(path).dag
 
 
 def load_workload_network(spec: str, *, scale: float = 1.0) -> LogicNetwork | None:
@@ -376,17 +508,17 @@ def load_workload_network(spec: str, *, scale: float = 1.0) -> LogicNetwork | No
 
     The returned network is always the one whose ``to_dag()`` (restricted
     to the output cones, where :func:`load_workload` does the same sweep)
-    produced the DAG of ``load_workload_or_path(spec, scale=scale)``.
+    produced the DAG of ``load_workload_or_path(spec, scale=scale)``.  A
+    ``.bench`` file is parsed as :func:`load_workload_or_path` parses it,
+    once per content, so its network is shared and read-only; registry
+    names build a fresh one on every call.
     """
-    if scale <= 0:
-        raise WorkloadError("scale must be positive")
-    path = Path(spec)
-    if path.suffix == ".bench" and path.exists():
-        from repro.logic.bench import network_from_bench
-
-        return network_from_bench(path)
-    if path.suffix == ".json" and path.exists():
-        return None
+    _check_scale(scale)
+    path = _workload_file(spec)
+    if path is not None:
+        if path.suffix == ".json":
+            return None
+        return _PARSED_FILES.load(path).network
     key = spec.lower()
     if key == "fig2":
         return example_network()

@@ -71,19 +71,31 @@ def half_adder_network() -> LogicNetwork:
 
 
 @pytest.fixture
-def counted_c17_bench(tmp_path, monkeypatch):
-    """A ``.bench`` file of c17 and the list of times it has been parsed."""
+def bench_parses(monkeypatch):
+    """Names of the networks ``parse_bench`` builds during the test.
+
+    The workload loaders parse a file's bytes with ``parse_bench``, so that
+    is the function counted.
+    """
     from repro.logic import bench
+
+    names: list[object] = []
+    original = bench.parse_bench
+
+    def counting(text, **kwargs):
+        names.append(kwargs.get("name"))
+        return original(text, **kwargs)
+
+    monkeypatch.setattr(bench, "parse_bench", counting)
+    return names
+
+
+@pytest.fixture
+def counted_c17_bench(tmp_path, bench_parses):
+    """A ``.bench`` file of c17 and the names of the networks parsed since."""
+    from repro.logic.bench import write_bench
     from repro.logic.iscas import c17_network
 
     path = tmp_path / "c17.bench"
-    bench.write_bench(c17_network(), path)
-    parses: list[object] = []
-    original = bench.network_from_bench
-
-    def counting(*args, **kwargs):
-        parses.append(args[0])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(bench, "network_from_bench", counting)
-    return path, parses
+    write_bench(c17_network(), path)
+    return path, bench_parses

@@ -166,6 +166,28 @@ class TestCommands:
         assert main(["info", "does-not-exist"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["pebble", "c432", "--scale", "nan", "--pebbles", "5"],
+        ["compile", "c432", "--scale", "inf", "--pebbles", "5"],
+    ])
+    def test_a_scale_that_is_not_finite_reports_error(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: scale must be positive and finite" in err
+        assert "Traceback" not in err
+
+    def test_a_workload_file_that_is_not_utf8_reports_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.bench"
+        path.write_bytes(b"INPUT(caf\xe9)\n")
+        assert main(["pebble", str(path), "--pebbles", "3"]) == 1
+        assert "is not UTF-8 text" in capsys.readouterr().err
+
+    def test_a_dag_json_list_reports_error(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        assert main(["pebble", str(path), "--pebbles", "3"]) == 1
+        assert "error: malformed DAG description" in capsys.readouterr().err
+
     def test_bench_file_input(self, tmp_path, capsys):
         path = tmp_path / "c17.bench"
         write_bench(c17_network(), path)

@@ -172,6 +172,55 @@ class TestLoadWorkloadOrPathErrors:
             load_workload_or_path("fig2", scale=0.0)
         assert "smoke" not in str(caught.value)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -1.0, 0.0])
+    @pytest.mark.parametrize("spec", ["c432", "b2_m3", "fig2", "c17.bench", "fig2.json"])
+    def test_every_spec_refuses_a_scale_that_is_not_finite_and_positive(
+        self, tmp_path, monkeypatch, spec, scale
+    ):
+        from repro.dag.io import dag_to_json
+        from repro.errors import WorkloadError
+        from repro.logic.bench import write_bench
+        from repro.logic.iscas import c17_network
+        from repro.workloads import example_dag
+        from repro.workloads.registry import (
+            load_workload,
+            load_workload_network,
+            load_workload_or_path,
+        )
+
+        monkeypatch.chdir(tmp_path)
+        write_bench(c17_network(), "c17.bench")
+        dag_to_json(example_dag(), "fig2.json")
+        loaders = [load_workload_or_path, load_workload_network]
+        if "." not in spec:
+            loaders.append(load_workload)
+        for load in loaders:
+            with pytest.raises(WorkloadError, match="scale must be positive and finite"):
+                load(spec, scale=scale)
+
+    @pytest.mark.parametrize("suffix", [".bench", ".json"])
+    def test_a_file_that_is_not_utf8_is_a_workload_error(self, tmp_path, suffix):
+        from repro.errors import WorkloadError
+        from repro.workloads.registry import load_workload_network, load_workload_or_path
+
+        path = tmp_path / f"latin1{suffix}"
+        path.write_bytes("INPUT(caf\xe9)\n".encode("latin-1"))
+        with pytest.raises(WorkloadError, match="is not UTF-8 text"):
+            load_workload_or_path(str(path))
+        if suffix == ".bench":
+            with pytest.raises(WorkloadError, match="is not UTF-8 text"):
+                load_workload_network(str(path))
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"fig2"', "null", "[" * 100_000])
+    def test_a_dag_json_that_is_not_an_object_is_a_dag_error(self, tmp_path, text):
+        from repro.errors import DagError
+        from repro.workloads.registry import load_workload_or_path
+
+        path = tmp_path / "graph.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DagError, match="expected an object|invalid JSON"):
+            load_workload_or_path(str(path))
+
     def test_existing_paths_still_resolve(self, tmp_path):
         from repro.dag.io import dag_to_json
         from repro.workloads import example_dag
