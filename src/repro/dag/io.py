@@ -8,6 +8,7 @@ DAGs in the paper's figures.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Mapping
 
@@ -37,6 +38,24 @@ def _node_key(node: object) -> str:
     return node if isinstance(node, str) else str(node)
 
 
+def _node_weight(entry: Mapping) -> float:
+    """A node entry's weight: a finite real number, 1.0 when absent.
+
+    Whether it is a positive integer is the weighted game's own check.
+    """
+    weight = entry.get("weight", 1.0)
+    if (
+        isinstance(weight, bool)
+        or not isinstance(weight, (int, float))
+        or (isinstance(weight, float) and not math.isfinite(weight))
+    ):
+        raise DagError(
+            f"malformed DAG description: node {entry['id']!r} has weight "
+            f"{weight!r}; a weight must be a finite number"
+        )
+    return weight
+
+
 def dag_from_dict(data: Mapping) -> Dag:
     """Rebuild a :class:`Dag` from :func:`dag_to_dict` output."""
     if not isinstance(data, Mapping):
@@ -50,7 +69,7 @@ def dag_from_dict(data: Mapping) -> Dag:
                 entry["id"],
                 entry.get("dependencies", []),
                 operation=entry.get("operation", "op"),
-                weight=entry.get("weight", 1.0),
+                weight=_node_weight(entry),
             )
         if data.get("outputs"):
             dag.set_outputs(data["outputs"])

@@ -26,6 +26,11 @@ from repro.errors import WorkloadError
 from repro.logic.bench import parse_bench
 from repro.logic.network import LogicNetwork
 
+#: The most gates a scaled stand-in may have: about eight times c5315, the
+#: largest circuit of Table I.  A larger scale is refused before anything
+#: is generated.
+MAX_GENERATED_GATES = 10_000
+
 #: The genuine ISCAS-85 c17 netlist (six NAND gates).
 C17_BENCH = """
 # c17 (ISCAS-85)
@@ -105,9 +110,15 @@ def iscas_like_network(
     if name == "c17":
         return c17_network()
     profile = ISCAS_PROFILES[name]
-    if scale <= 0:
+    if not scale > 0:  # NaN too
         raise WorkloadError("scale must be positive")
-    target_gates = max(2, int(round(profile.nodes * scale)))
+    gates = profile.nodes * scale
+    if gates > MAX_GENERATED_GATES:
+        raise WorkloadError(
+            f"scale {scale:g} would generate {gates:.0f} gates for {name}; "
+            f"a stand-in has at most {MAX_GENERATED_GATES}"
+        )
+    target_gates = max(2, int(round(gates)))
     # Primary inputs and outputs shrink along with the logic so that scaled
     # instances keep the original circuit's shape (a 20-gate cone with 32
     # primary outputs would be trivially un-pebbleable in any interesting way).

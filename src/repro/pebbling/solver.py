@@ -33,6 +33,7 @@ picklable backend spec from the registry (see :mod:`repro.sat.backend`).
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
 from dataclasses import dataclass, field
@@ -350,7 +351,8 @@ class _LiveOracle:
         self.conflict_limit = owner.conflict_limit
         self._guards: dict[int, int] = {}
         self._bounds: dict[int, int] = {}
-        self._retired: set[int] = set()
+        #: Min-heap of the steps whose guards are not retired yet.
+        self._live: list[int] = []
         self._assumptions: list[int] = []
 
     def pose(self, ladder: list[int]) -> list[int]:
@@ -365,6 +367,7 @@ class _LiveOracle:
                 guard = self.encoder.final_guard(step)
                 self._guards[step] = guard
                 self._bounds[guard] = step
+                heapq.heappush(self._live, step)
         # Highest bound first: the solver places assumptions in order, so
         # the refutation tends to bind at the *loosest* infeasible guard
         # it meets — and a core whose lowest bound is m > bound proves
@@ -419,12 +422,12 @@ class _LiveOracle:
 
         Those guards will never be assumed again; as units they let the
         solver simplify the stale final-configuration clauses away at level
-        0 instead of dragging them through every later propagation.
+        0 instead of dragging them through every later propagation.  Each
+        guard's unit goes over once, in ascending order of its step.
         """
-        for step in sorted(self._guards):
-            if step <= refuted and step not in self._retired:
-                self.backend.add_clause([-self._guards[step]])
-                self._retired.add(step)
+        live = self._live
+        while live and live[0] <= refuted:
+            self.backend.add_clause([-self._guards[heapq.heappop(live)]])
 
     def decode(self, model: dict[int, bool], bound: int) -> list[set]:
         return self.encoder.configurations_from_model(model, num_steps=bound)

@@ -22,7 +22,13 @@ among them:
     Bailleux–Boufkhad totalizer.  ``O(n \\log n)`` variables, ``O(n k)``
     clauses, good unit-propagation behaviour.  The default of the pebbling
     encoder (:data:`repro.pebbling.encoding.DEFAULT_CARDINALITY`): it emits
-    fewer clauses per frame than the sequential counter.
+    fewer clauses per frame than the sequential counter.  Where the
+    :math:`\\binom{n}{k+1}` binomial clauses are no more than the tree's
+    clauses plus its registers, it emits the binomial clauses instead:
+    every constraint over at most 7 literals and, wider, a bound of 1 up
+    to 12 literals or a bound of ``n - 3`` and above (``n - 4`` up to 9
+    literals).  The choice depends on ``(n, k)`` alone and is memoised, so
+    a wide constraint pays one lookup for it.
 
 The weighted pebbling game (Section V of the paper) needs the
 pseudo-Boolean generalisation
@@ -49,7 +55,9 @@ register.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -140,6 +148,11 @@ def at_most_k(
 ) -> None:
     """Add clauses stating that at most ``bound`` of ``literals`` are true.
 
+    ``encoding`` picks the compilation.  ``totalizer`` builds the tree
+    unless the :math:`\\binom{n}{k+1}` binomial clauses are no more than
+    its clauses plus its registers (:func:`_binomial_undercuts_tree`); then
+    it emits exactly what ``pairwise`` does, with no auxiliaries.
+
     ``name_prefix`` names every auxiliary variable deterministically
     (``<prefix>.r[i,j]`` for sequential-counter registers,
     ``<prefix>.t[lo:hi,j]`` for totalizer outputs).  Encoders that need
@@ -158,10 +171,12 @@ def at_most_k(
     if bound >= len(literals):
         return  # trivially satisfied
     strategy = CardinalityEncoding.from_name(encoding)
-    if strategy is CardinalityEncoding.PAIRWISE:
-        _pairwise(cnf, literals, bound)
-    elif strategy is CardinalityEncoding.SEQUENTIAL:
+    if strategy is CardinalityEncoding.SEQUENTIAL:
         _sequential_counter(cnf, literals, bound, name_prefix)
+    elif strategy is CardinalityEncoding.PAIRWISE or _binomial_undercuts_tree(
+        len(literals), bound
+    ):
+        _pairwise(cnf, literals, bound)
     else:
         _totalizer(cnf, literals, bound, name_prefix)
 
@@ -288,8 +303,6 @@ def _register_rows(
 def _pairwise(cnf: Cnf, literals: Sequence[int], bound: int) -> None:
     # Guard against clause-count explosions: the binomial encoding emits
     # C(n, k+1) clauses which is only reasonable for small instances.
-    import math
-
     clause_count = math.comb(len(literals), bound + 1)
     if clause_count > 2_000_000:
         raise CnfError(
@@ -345,6 +358,42 @@ def _totalizer(
     if len(output) > bound:
         flat += (-output[bound], 0)
     cnf.add_generated(flat)
+
+
+@lru_cache(maxsize=4096)
+def _binomial_undercuts_tree(count: int, bound: int) -> bool:
+    """Whether ``pairwise`` is the smaller at-most-``bound`` of ``count``.
+
+    True when its C(count, bound+1) clauses are no more than the
+    totalizer's clauses plus its registers, counted by
+    :func:`_totalizer_size` without building the tree.  ``0 < bound <
+    count``.
+    """
+    clauses, registers = _totalizer_size(count, bound)
+    # The tree's clauses and the unit forbidding its (bound+1)-th output.
+    return math.comb(count, bound + 1) <= clauses + 1 + registers
+
+
+@lru_cache(maxsize=4096)
+def _totalizer_size(count: int, bound: int) -> tuple[int, int]:
+    """(clauses, registers) :func:`_totalizer_tree` emits over ``count`` literals.
+
+    The tree halves its span as the emitter does, so only O(log count)
+    distinct subtree sizes occur and each is counted once.
+    """
+    if count == 1:
+        return 0, 0
+    middle = count // 2
+    left_clauses, left_registers = _totalizer_size(middle, bound)
+    right_clauses, right_registers = _totalizer_size(count - middle, bound)
+    left, right = min(middle, bound + 1), min(count - middle, bound + 1)
+    width = min(left + right, bound + 1)
+    # One clause per (alpha, beta) with 1 <= alpha + beta <= width.
+    clauses = sum(min(right, width - alpha) + 1 for alpha in range(left + 1)) - 1
+    return (
+        left_clauses + right_clauses + clauses,
+        left_registers + right_registers + width,
+    )
 
 
 def _totalizer_tree(

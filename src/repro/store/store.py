@@ -70,8 +70,12 @@ from repro.store.fingerprint import (
 #: SAT backend (content addresses stay backend-invariant).  v3: pebbling
 #: payloads carry the anytime ``partial`` snapshot field.  v4: pebbling
 #: payloads carry ``proved_infeasible``.  v5: drops the INFEASIBLE answers
-#: of the old budget floor, which counted nodes no output needs.
-STORE_SCHEMA = 5
+#: of the old budget floor, which counted nodes no output needs.  v6: the
+#: ``totalizer`` encoding, which the keys name, emits the binomial clauses
+#: on narrow frames, so a stored search's SAT calls, conflicts and
+#: uncertified ``geometric`` witness may differ from what the key now
+#: computes.
+STORE_SCHEMA = 6
 
 _LOG = logging.getLogger(__name__)
 

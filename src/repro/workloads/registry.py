@@ -278,6 +278,12 @@ def list_workloads() -> list[str]:
     return names
 
 
+#: The widest operand a scaled Hadamard row may have: at 128 bits the
+#: ``H`` operator already has about 7,000 gates.  A wider one is refused
+#: before anything is generated.
+MAX_HADAMARD_BITS = 128
+
+
 def _scaled_hadamard_parameters(row: Table1Row, scale: float) -> tuple[int, int]:
     """(bits, modulus) of a scaled Hadamard Table I row.
 
@@ -287,6 +293,11 @@ def _scaled_hadamard_parameters(row: Table1Row, scale: float) -> tuple[int, int]
     different sizes.
     """
     assert row.bits is not None and row.modulus is not None
+    if row.bits * scale > MAX_HADAMARD_BITS:
+        raise WorkloadError(
+            f"scale {scale:g} would give {row.name} {row.bits * scale:.0f}-bit "
+            f"operands; a scaled row has at most {MAX_HADAMARD_BITS}"
+        )
     bits = max(1, int(round(row.bits * scale)))
     modulus = min(row.modulus, 1 << bits)
     return bits, modulus
@@ -486,7 +497,10 @@ def load_workload_or_path(
     if path is None:
         try:
             return load_workload(spec, scale=scale)
-        except WorkloadError as exc:  # an unknown name: the scale is checked
+        except WorkloadError as exc:
+            key = spec.lower()
+            if key in list_workloads() or key in ISCAS_PROFILES:
+                raise  # a known name at a scale too large to build
             raise WorkloadError(
                 f"{exc} (batch suites for pebble-batch/cache warm: {list_suites()})"
             ) from exc

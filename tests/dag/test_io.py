@@ -47,6 +47,25 @@ class TestJsonRoundTrip:
         with pytest.raises(DagError):
             dag_from_dict({"nodes": [{"dependencies": []}]})
 
+    @pytest.mark.parametrize(
+        "weight", ["x", "2", True, None, [1], {"w": 1}, float("nan"), float("inf")]
+    )
+    def test_a_weight_that_is_not_a_finite_number_raises(self, weight):
+        data = {"nodes": [{"id": "a", "weight": weight}], "outputs": ["a"]}
+        with pytest.raises(DagError, match="weight"):
+            dag_from_dict(data)
+
+    @pytest.mark.parametrize("weight", [0, -2, 2.5, 10**400])
+    def test_any_finite_weight_loads(self, weight):
+        # Whether a weight is a positive integer is the weighted game's
+        # check, not the loader's.
+        data = {"nodes": [{"id": "a", "weight": weight}], "outputs": ["a"]}
+        assert dag_from_dict(data).node("a").weight == weight
+
+    def test_a_weight_past_the_float_range_in_a_json_file_raises(self):
+        with pytest.raises(DagError, match="weight"):
+            dag_from_json('{"nodes": [{"id": "a", "weight": 1e400}], "outputs": ["a"]}')
+
     def test_invalid_json_raises(self):
         with pytest.raises(DagError):
             dag_from_json('{"nodes": not-json}')

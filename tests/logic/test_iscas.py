@@ -5,6 +5,7 @@ import pytest
 from repro.errors import WorkloadError
 from repro.logic.iscas import (
     ISCAS_PROFILES,
+    MAX_GENERATED_GATES,
     c17_network,
     iscas_like_network,
     list_iscas_names,
@@ -75,3 +76,13 @@ class TestSyntheticStandIns:
     def test_non_positive_scale_rejected(self):
         with pytest.raises(WorkloadError):
             iscas_like_network("c432", scale=0)
+
+    @pytest.mark.parametrize("scale", [-1.0, float("nan")])
+    def test_a_negative_or_nan_scale_is_rejected(self, scale):
+        with pytest.raises(WorkloadError, match="scale must be positive"):
+            iscas_like_network("c432", scale=scale)
+
+    @pytest.mark.parametrize("scale", [1e9, float("inf")])
+    def test_a_stand_in_past_the_gate_cap_is_refused(self, scale):
+        with pytest.raises(WorkloadError, match=f"at most {MAX_GENERATED_GATES}"):
+            iscas_like_network("c432", scale=scale)

@@ -30,7 +30,7 @@ from repro.dag import Dag
 from repro.dag.generators import layered_random_dag
 from repro.pebbling import EncodingOptions, ReversiblePebblingSolver
 from repro.pebbling.solver import PebblingOutcome
-from repro.sat.cards import CardinalityEncoding
+from repro.sat.cards import CardinalityEncoding, _binomial_undercuts_tree
 from repro.workloads import load_workload
 
 SCHEDULES = ("linear", "geometric", "geometric-refine", "linear-core", "core-refine")
@@ -230,6 +230,30 @@ def test_weighted_searches_match_the_oracle_at_every_budget(fig2_dag, single_mov
             for cardinality in ENCODINGS:
                 _check(dag, budget, schedule, cardinality, single_move=single_move,
                        weighted=True, distance=distance)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["pebbles", "unit-weights"])
+@pytest.mark.parametrize("single_move", [False, True], ids=["any-moves", "single-move"])
+def test_the_default_counter_matches_the_oracle_on_both_sides_of_its_rule(
+    single_move, weighted
+):
+    # The bundled DAGs have at most 8 nodes, where the totalizer takes the
+    # binomial clauses at almost every budget.  On these ten nodes it
+    # keeps its tree at budgets 4 (infeasible), 5 and 6, and takes the
+    # binomial clauses at 7 to 9 and for the single-move bound.  Unit
+    # weights go through the weighted entry point to the same rule.
+    dag = layered_random_dag(10, 2, depth=4, seed=3)
+    budgets = _budgets(dag, weighted)
+    assert {
+        _binomial_undercuts_tree(dag.num_nodes, budget)
+        for budget in budgets
+        if budget < dag.num_nodes
+    } == {False, True}
+    for budget in budgets:
+        distance = bfs_min_steps(dag, budget, single_move=single_move, weighted=weighted)
+        for schedule in SCHEDULES:
+            _check(dag, budget, schedule, "totalizer", single_move=single_move,
+                   weighted=weighted, distance=distance)
 
 
 @st.composite

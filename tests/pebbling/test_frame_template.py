@@ -259,17 +259,34 @@ def test_a_frame_past_the_largest_variable_is_refused_before_stamping():
     assert encoder.cnf.num_variables == MAX_VARIABLE - 5
 
 
-def test_template_refuses_a_literal_outside_its_two_blocks(monkeypatch):
-    # Frame 1 may mention configuration 0's pebbles and its own block;
-    # configuration 0's counter registers are neither.
-    dag = load_workload("fig2")
+def _plant(monkeypatch, stray):
+    """Make frame 1's emitter add the unit clause ``stray(cnf, before)``."""
     emit = PebblingEncoder._emit_transition
 
     def stray_emit(self, cnf, step, before, after):
         emit(self, cnf, step, before, after)
-        cnf.add_generated([before + dag.num_nodes, 0])
+        cnf.add_generated([stray(cnf, before), 0])
 
     monkeypatch.setattr(PebblingEncoder, "_emit_transition", stray_emit)
-    encoder = PebblingEncoder(dag, max_pebbles=3)
+
+
+def test_template_refuses_a_literal_outside_its_two_blocks(monkeypatch):
+    # Frame 1 may mention configuration 0's pebbles and its own block,
+    # and nothing else: here the first variable past that block.
+    _plant(monkeypatch, lambda cnf, before: cnf.num_variables + 1)
+    encoder = PebblingEncoder(load_workload("fig2"), max_pebbles=3)
+    with pytest.raises(PebblingError, match="outside"):
+        encoder.extend_to(1)
+
+
+def test_template_refuses_a_register_of_configuration_0(monkeypatch):
+    # The sequential counter gives configuration 0 registers right after
+    # its pebbles.  (The default totalizer takes the binomial clauses on
+    # fig2 at 3 pebbles, so ``before + n`` would be frame 1's first
+    # pebble.)
+    dag = load_workload("fig2")
+    _plant(monkeypatch, lambda cnf, before: before + dag.num_nodes)
+    options = EncodingOptions(cardinality=CardinalityEncoding.SEQUENTIAL)
+    encoder = PebblingEncoder(dag, max_pebbles=3, options=options)
     with pytest.raises(PebblingError, match="outside"):
         encoder.extend_to(1)

@@ -433,6 +433,75 @@ class TestQueryLoop:
         }
 
 
+class _Recording:
+    """A backend proxy that keeps every clause handed to ``add_clause``."""
+
+    def __init__(self, inner, clauses):
+        self._inner = inner
+        self._clauses = clauses
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def add_clause(self, literals):
+        self._clauses.append(list(literals))
+        return self._inner.add_clause(literals)
+
+
+class TestGuardRetirement:
+    """Every refuted bound's guard goes over as one negated unit, once, in
+    ascending order of its step, exactly as a scan of the sorted guards
+    would hand them over."""
+
+    class _SortedScan(solver_module._LiveOracle):
+        """The retirement the heap replaced: scan every guard, sorted."""
+
+        def __init__(self, owner, max_pebbles):
+            super().__init__(owner, max_pebbles)
+            self.retired = set()
+
+        def retire(self, refuted):
+            for step in sorted(self._guards):
+                if step <= refuted and step not in self.retired:
+                    self.backend.add_clause([-self._guards[step]])
+                    self.retired.add(step)
+
+    @staticmethod
+    def _units(monkeypatch, oracle_class, workload, budget, schedule):
+        oracles, clauses = [], []
+
+        class Recorded(oracle_class):
+            def __init__(self, owner, max_pebbles):
+                super().__init__(owner, max_pebbles)
+                self.backend = _Recording(self.backend, clauses)
+                oracles.append(self)
+
+        monkeypatch.setattr(solver_module, "_LiveOracle", Recorded)
+        result = ReversiblePebblingSolver(load_workload(workload)).solve(
+            budget, strategy=schedule
+        )
+        (oracle,) = oracles
+        steps = {-guard: step for step, guard in oracle._guards.items()}
+        assert all(len(clause) == 1 and clause[0] in steps for clause in clauses)
+        return [steps[clause[0]] for clause in clauses], result
+
+    @pytest.mark.parametrize("schedule", ["linear", "geometric-refine", "core-refine"])
+    @pytest.mark.parametrize(("workload", "budget"), [("fig2", 3), ("c17", 4), ("and9", 5)])
+    def test_each_guard_is_retired_once_in_step_order(
+        self, monkeypatch, schedule, workload, budget
+    ):
+        retired, result = self._units(
+            monkeypatch, solver_module._LiveOracle, workload, budget, schedule
+        )
+        assert retired and retired == sorted(set(retired))
+        refuted = [a.num_steps for a in result.attempts if a.status is Status.UNSATISFIABLE]
+        assert max(retired) >= max(refuted)
+        if result.found:
+            assert max(retired) < result.num_steps
+        reference, _ = self._units(monkeypatch, self._SortedScan, workload, budget, schedule)
+        assert retired == reference
+
+
 class TestMinimizePebbles:
     def test_fig2_minimum_is_four(self, fig2_dag):
         best, attempts = minimize_pebbles(fig2_dag, timeout_per_budget=30)

@@ -8,6 +8,10 @@ import pytest
 from repro.errors import CnfError
 from repro.sat.cards import (
     CardinalityEncoding,
+    _binomial_undercuts_tree,
+    _pairwise,
+    _totalizer,
+    _totalizer_size,
     at_least_k,
     at_most_k,
     at_most_k_weighted,
@@ -137,6 +141,75 @@ class TestAtLeastAndExactly:
         assert _count_satisfying_patterns(cnf, literals) == 5
 
 
+def _emitted(encoding, count, bound):
+    """(literal stream, clauses, auxiliaries) of one constraint over 1..count."""
+    cnf = Cnf()
+    literals = cnf.new_variables(count)
+    if callable(encoding):
+        encoding(cnf, literals, bound)
+    else:
+        at_most_k(cnf, literals, bound, encoding=encoding)
+    return list(cnf.literals), cnf.num_clauses, cnf.num_variables - count
+
+
+class TestTotalizerTakesTheSmallerSide:
+    """``totalizer`` emits the binomial clauses where they are no more
+    than its tree's clauses plus registers, and the tree elsewhere."""
+
+    @pytest.mark.parametrize(
+        ("case", "count", "bound", "clauses", "registers"),
+        [
+            # Binomial side: C(n, P+1) clauses, no registers.
+            ("fig2 p3", 6, 3, 15, 0),
+            ("and9 p4", 8, 4, 56, 0),
+            ("hadamard p5", 8, 5, 28, 0),
+            ("single-move bound, n=8", 8, 1, 28, 0),
+            # Tree side.
+            ("and9 p2", 8, 2, 36, 17),
+            ("edwards-add p11", 20, 11, 243, 80),
+            ("kummer-double p16", 32, 16, 537, 145),
+            ("single-move bound, n=20", 20, 1, 76, 38),
+        ],
+    )
+    def test_each_side_of_the_rule(self, case, count, bound, clauses, registers):
+        stream, emitted, auxiliaries = _emitted(CardinalityEncoding.TOTALIZER, count, bound)
+        assert (emitted, auxiliaries) == (clauses, registers), case
+        side = _pairwise if registers == 0 else _totalizer
+        assert stream == _emitted(side, count, bound)[0], case
+        assert _binomial_undercuts_tree(count, bound) is (registers == 0), case
+
+    def test_the_rule_compares_binomial_clauses_with_the_built_tree(self):
+        for count in range(2, 41):
+            for bound in range(1, count):
+                _, clauses, registers = _emitted(_totalizer, count, bound)
+                assert _totalizer_size(count, bound) == (clauses - 1, registers)
+                assert _binomial_undercuts_tree(count, bound) is (
+                    math.comb(count, bound + 1) <= clauses + registers
+                ), (count, bound)
+
+    def test_sequential_and_pairwise_keep_their_encodings(self):
+        assert _emitted(CardinalityEncoding.SEQUENTIAL, 20, 11)[2] == 20 * 11
+        assert _emitted(CardinalityEncoding.PAIRWISE, 20, 11)[1] == math.comb(20, 12)
+
+    @pytest.mark.parametrize("count", range(2, 7))
+    def test_the_tree_itself_is_exact(self, count):
+        # at_most_k no longer builds the tree over so few literals, so
+        # check the tree on its own: every pattern over the inputs.
+        literals = list(range(1, count + 1))
+        for bound in range(1, count):
+            cnf = Cnf()
+            cnf.new_variables(count)
+            _totalizer(cnf, literals, bound)
+            for bits in itertools.product([False, True], repeat=count):
+                solver = CdclSolver()
+                solver.add_cnf(cnf)
+                assumptions = [
+                    literal if value else -literal
+                    for literal, value in zip(literals, bits)
+                ]
+                assert solver.solve(assumptions).is_sat is (sum(bits) <= bound)
+
+
 class TestPairwiseGuard:
     def test_explosion_is_rejected(self):
         cnf = Cnf()
@@ -209,9 +282,12 @@ class TestAuxiliaryNaming:
         [CardinalityEncoding.SEQUENTIAL, CardinalityEncoding.TOTALIZER],
     )
     def test_name_prefix_names_every_auxiliary(self, encoding):
+        # Ten inputs at bound 2: wide enough that the totalizer keeps its
+        # tree and has registers to name.
         cnf = Cnf()
-        inputs = cnf.new_variables(6, prefix="x")
+        inputs = cnf.new_variables(10, prefix="x")
         at_most_k(cnf, inputs, 2, encoding=encoding, name_prefix="card[test]")
+        assert cnf.num_variables > len(inputs)
         for variable in range(1, cnf.num_variables + 1):
             name = cnf.pool.name_of(variable)
             assert name is not None

@@ -176,6 +176,25 @@ class TestCommands:
         assert "error: scale must be positive and finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("spec", ["c432", "b16_m23"])
+    def test_a_scale_too_large_to_build_reports_error(self, spec, capsys):
+        assert main(["info", spec, "--scale", "1e9"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scale 1e+09 would")
+        assert "Traceback" not in err
+
+    def test_a_non_numeric_node_weight_reports_error(self, tmp_path, capsys):
+        path = tmp_path / "w.json"
+        path.write_text(
+            '{"nodes": [{"id": "a", "weight": "x"}, {"id": "b", "dependencies": ["a"]}],'
+            ' "outputs": ["b"]}',
+            encoding="utf-8",
+        )
+        assert main(["pebble", str(path), "--pebbles", "2", "--weighted"]) == 1
+        err = capsys.readouterr().err
+        assert "error: malformed DAG description: node 'a' has weight 'x'" in err
+        assert "Traceback" not in err
+
     def test_a_workload_file_that_is_not_utf8_reports_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.bench"
         path.write_bytes(b"INPUT(caf\xe9)\n")

@@ -198,6 +198,32 @@ class TestLoadWorkloadOrPathErrors:
             with pytest.raises(WorkloadError, match="scale must be positive and finite"):
                 load(spec, scale=scale)
 
+    @pytest.mark.parametrize("scale", [1e9, 1e308])
+    @pytest.mark.parametrize("spec", ["c432", "b16_m23"])
+    def test_a_scale_too_large_to_build_fails_at_once(self, spec, scale):
+        import time
+
+        from repro.errors import WorkloadError
+        from repro.workloads.registry import (
+            load_workload,
+            load_workload_network,
+            load_workload_or_path,
+        )
+
+        for load in (load_workload, load_workload_network, load_workload_or_path):
+            started = time.perf_counter()
+            with pytest.raises(WorkloadError, match="at most") as caught:
+                load(spec, scale=scale)
+            assert time.perf_counter() - started < 1.0
+            assert "batch suites" not in str(caught.value)
+
+    @pytest.mark.parametrize("spec", ["c432", "b16_m23", "c7552"])
+    def test_scale_one_still_loads(self, spec):
+        from repro.workloads.registry import load_workload, load_workload_network
+
+        assert load_workload(spec, scale=1.0).num_nodes > 100
+        assert load_workload_network(spec, scale=1.0) is not None
+
     @pytest.mark.parametrize("suffix", [".bench", ".json"])
     def test_a_file_that_is_not_utf8_is_a_workload_error(self, tmp_path, suffix):
         from repro.errors import WorkloadError
