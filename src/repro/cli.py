@@ -84,7 +84,6 @@ from repro.circuits.pipeline import compile_workload, pareto_sweep
 from repro.circuits.simulator import check_pattern_count
 from repro.dag.graph import Dag
 from repro.errors import CircuitError, ReproError
-from repro.obs.metrics import merge_counters
 from repro.pebbling import (
     EncodingOptions,
     PebblingEncoder,
@@ -388,17 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _format_stats_line(attempts) -> str:
-    """Aggregated solver-counter line for ``pebble --stats``.
+def _format_stats_line(totals) -> str:
+    """The solver-counter line of ``pebble --stats`` for a search's counters.
 
     Only the counters the backend actually reported are printed (in the
     canonical CDCL order first, then any extras alphabetically): a
     backend without CDCL internals must not have its missing counters
     padded with zeros-as-lies.
     """
-    totals: dict[str, float] = {}
-    for record in attempts:
-        merge_counters(totals, record.solver_stats)
     ordered = [
         "decisions", "propagations", "conflicts", "restarts",
         "learned_clauses", "deleted_clauses", "max_decision_level",
@@ -797,7 +793,7 @@ def _dispatch(arguments: argparse.Namespace) -> int:
         print(json.dumps(result.summary(), indent=2))
         if arguments.stats:
             print(_format_engine_line(arguments.backend, result.backend))
-            print(_format_stats_line(result.attempts))
+            print(_format_stats_line(result.counters))
         if result.found and arguments.grid:
             print()
             print(strategy_report(result.strategy))

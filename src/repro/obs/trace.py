@@ -3,9 +3,11 @@
 The tracer writes *span* and *event* records as JSON lines.  Every record
 carries a trace id (one per top-level request), a span id, the parent span
 id, a monotonic timestamp, and the emitting pid plus a per-process sequence
-number.  Processes never share a file handle: each pid appends to its own
-``part-<pid>.jsonl`` inside a spool directory, and the owning process merges
-the parts into one file at the end, sorted by ``(ts, pid, seq)``.  On Linux
+number.  Processes never share a file handle: each worker pid appends to
+its own ``part-<pid>.jsonl`` inside a spool directory, and the owning
+process merges the parts with its own records, which it keeps in memory,
+into one file at the end, sorted by ``(ts, pid, seq)``.  Records stay
+dicts until they are written, and each is encoded once.  On Linux
 ``time.monotonic`` is ``CLOCK_MONOTONIC``, which is system-wide, so
 timestamps from pool workers are directly comparable and the
 merge order is causal on a single host.
@@ -25,7 +27,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 __all__ = [
     "TRACE_SCHEMA",
@@ -37,6 +39,7 @@ __all__ = [
     "current_context",
     "activated",
     "span",
+    "finished",
     "event",
 ]
 
@@ -54,21 +57,26 @@ class TraceContext:
 
 
 class _Sink:
-    """Per-process buffered writer appending to one part file in the spool."""
+    """Per-process buffer of records, appended to one part file in the spool.
+
+    Records are kept as dicts and encoded only when :meth:`flush` writes
+    them; the owner's sink is never flushed, its records go to
+    :meth:`Tracer.close` as they are.
+    """
 
     def __init__(self, spool: str) -> None:
         self.spool = spool
         self.pid = os.getpid()
         self.seq = 0
         self._ids = 0
-        self._buffer: list[str] = []
+        self.records: list[dict[str, Any]] = []
         self._path = Path(spool) / f"part-{self.pid}.jsonl"
 
     def write(self, record: dict[str, Any]) -> None:
         record["pid"] = self.pid
         record["seq"] = self.seq
         self.seq += 1
-        self._buffer.append(json.dumps(record, sort_keys=True))
+        self.records.append(record)
 
     def next_id(self, kind: str) -> str:
         ident = f"{kind}{self.pid:x}.{self._ids}"
@@ -76,13 +84,14 @@ class _Sink:
         return ident
 
     def flush(self) -> None:
-        if not self._buffer:
+        if not self.records:
             return
         # One appending write per flush; the file is owned by this pid so
         # lines never interleave with another process.
+        lines = [json.dumps(record, sort_keys=True) for record in self.records]
         with self._path.open("a", encoding="utf-8") as handle:
-            handle.write("\n".join(self._buffer) + "\n")
-        self._buffer.clear()
+            handle.write("\n".join(lines) + "\n")
+        self.records.clear()
 
 
 # Process-local tracing state.  Sinks are cached per ``(pid, spool)`` so a
@@ -218,6 +227,39 @@ def span(name: str, **attrs: Any) -> Iterator[Span | _NullSpan]:
         )
 
 
+def finished(name: str, spans: Iterable[tuple[float, float, str, dict[str, Any]]]) -> None:
+    """Record spans that already ran, as children of the current span.
+
+    Each item is ``(ts, dur, status, attrs)``: the monotonic start, the
+    duration in seconds, ``"ok"`` or ``"error"``, and the attributes.  A
+    search times its SAT calls itself and hands their spans over in one
+    batch when it ends, so a call opens no span while it runs.  A no-op
+    when tracing is off.
+    """
+
+    sink = _sink()
+    if sink is None:
+        return
+    if _CURRENT is None:
+        trace_id, parent = _new_trace_id(sink), None
+    else:
+        trace_id, parent = _CURRENT
+    for ts, dur, status, attrs in spans:
+        sink.write(
+            {
+                "type": "span",
+                "name": name,
+                "trace": trace_id,
+                "span": sink.next_id("s"),
+                "parent": parent,
+                "ts": ts,
+                "dur": dur,
+                "status": status,
+                "attrs": attrs,
+            }
+        )
+
+
 def event(name: str, **attrs: Any) -> None:
     """Emit a point event attached to the current span (no-op when off)."""
 
@@ -276,33 +318,42 @@ class Tracer:
         self._t0_monotonic = time.monotonic()
         self._t0_wall = time.time()
 
-    def close(self) -> Path:
-        """Merge every part file into ``path`` and remove the spool."""
+    def close(self, records: Iterable[dict[str, Any]] = ()) -> Path:
+        """Merge ``records`` and every part file into ``path``; remove the spool.
 
-        records: list[dict[str, Any]] = []
+        ``records`` are the owner's own, handed over in memory.  A part
+        file's lines are decoded only to be sorted and are written back
+        as they were read, so no record is encoded twice.
+        """
+
+        merged: list[tuple[tuple[float, int, int], dict[str, Any] | str]] = [
+            (_merge_key(record), record) for record in records
+        ]
         for part in sorted(self.spool.glob("part-*.jsonl")):
             for line in part.read_text(encoding="utf-8").splitlines():
                 if not line.strip():
                     continue
                 try:
-                    records.append(json.loads(line))
+                    merged.append((_merge_key(json.loads(line)), line))
                 except json.JSONDecodeError:
                     # A worker killed mid-write can truncate its last line;
                     # drop it rather than lose the whole trace.
                     continue
-        records.sort(key=lambda r: (r.get("ts", 0.0), r.get("pid", 0), r.get("seq", 0)))
+        merged.sort(key=lambda item: item[0])
         meta = {
             "type": "meta",
             "schema": TRACE_SCHEMA,
             "monotonic_origin": self._t0_monotonic,
             "wall_origin": self._t0_wall,
-            "records": len(records),
+            "records": len(merged),
         }
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("w", encoding="utf-8") as handle:
             handle.write(json.dumps(meta, sort_keys=True) + "\n")
-            for record in records:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+            for _, record in merged:
+                if not isinstance(record, str):
+                    record = json.dumps(record, sort_keys=True)
+                handle.write(record + "\n")
         for part in self.spool.glob("part-*.jsonl"):
             part.unlink(missing_ok=True)
         try:
@@ -310,6 +361,10 @@ class Tracer:
         except OSError:  # pragma: no cover - leftover foreign file
             pass
         return self.path
+
+
+def _merge_key(record: dict[str, Any]) -> tuple[float, int, int]:
+    return (record.get("ts", 0.0), record.get("pid", 0), record.get("seq", 0))
 
 
 @contextmanager
@@ -335,9 +390,6 @@ def tracer(path: str | os.PathLike[str] | None) -> Iterator[Tracer | None]:
     try:
         yield owner
     finally:
-        sink = _sink()
-        if sink is not None:
-            sink.flush()
-        _SINKS.pop((os.getpid(), str(owner.spool)), None)
+        sink = _SINKS.pop((os.getpid(), str(owner.spool)), None)
         _ACTIVE_SPOOL, _OWNER_PID, _CURRENT = prev
-        owner.close()
+        owner.close(sink.records if sink is not None else ())

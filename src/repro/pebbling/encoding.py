@@ -55,27 +55,18 @@ DEFAULT_CARDINALITY = CardinalityEncoding.TOTALIZER
 class EncodingOptions:
     """Tuning knobs of the pebbling encoding.
 
-    ``backend`` is a default incremental-SAT backend spec for searches run
-    with these options (see :mod:`repro.sat.backend`); it never changes
-    the emitted CNF or the game semantics, so the result store's content
-    addresses deliberately ignore it.  An explicit ``backend=`` on the
-    solver wins over it; ``None`` means the default (``cdcl``).
+    The SAT engine is no option of the encoding: a solver names it (see
+    :class:`~repro.pebbling.solver.ReversiblePebblingSolver`).
     """
 
     cardinality: CardinalityEncoding = DEFAULT_CARDINALITY
     max_moves_per_step: int | None = None
     forbid_idle_steps: bool = False
     weighted: bool = False
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.max_moves_per_step is not None and self.max_moves_per_step < 1:
             raise PebblingError("max_moves_per_step must be >= 1 (or None)")
-        if self.backend is not None and not isinstance(self.backend, str):
-            raise PebblingError(
-                "EncodingOptions.backend must be a registry backend spec "
-                f"string or None, got {self.backend!r}"
-            )
 
 
 def validated_node_weights(dag: Dag) -> dict[NodeId, int]:

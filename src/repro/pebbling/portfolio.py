@@ -350,9 +350,7 @@ def _deterministic_counters(stats) -> dict[str, float]:
 
 def record_from_result(task: PortfolioTask, result) -> PortfolioRecord:
     """Fold a :class:`~repro.pebbling.solver.PebblingResult` into a record."""
-    counters: dict[str, float] = {}
-    for attempt in result.attempts:
-        merge_counters(counters, _deterministic_counters(attempt.solver_stats))
+    counters = _deterministic_counters(result.counters)
     record = PortfolioRecord(
         task=task,
         outcome=result.outcome.value,
@@ -538,6 +536,9 @@ def run_portfolio(
     faults heal without resubmission traffic), within each task's own
     ``time_limit``; each record's retries are counted in the calling
     process, as ``repro_retries_total``, whichever process ran its task.
+    So are a pool worker's SAT calls, as ``repro_sat_calls_total``, which
+    an inline search counts itself; ``repro_sat_call_seconds`` stays with
+    the process that made the calls.
     A task the store answered adds nothing to the SAT-call and solver
     counters: its record repeats the stored run's work.
     A worker process dying outright (OOM-kill, segfault, a chaos ``exit``
@@ -623,6 +624,10 @@ def _run_portfolio_tasks(
                         error=str(error),
                         traceback=traceback_module.format_exc(),
                     )
+                else:
+                    _metrics.counter("repro_sat_calls_total").inc(
+                        _worker_sat_calls(results[index])
+                    )
         if pool_broke:
             if epoch >= POOL_REBUILD_LIMIT:
                 for index, task in unfinished:
@@ -644,6 +649,18 @@ def _run_portfolio_tasks(
                 _metrics.counter("repro_pool_rebuilds_total").inc()
         pending = unfinished
     return [results[index] for index in range(len(task_list))]
+
+
+def _worker_sat_calls(record: PortfolioRecord) -> int:
+    """The SAT calls a pool worker made for ``record``, retries included.
+
+    A store answer made none.
+    """
+    if record.from_cache:
+        return 0
+    if record.attempt_stats is None:
+        return record.sat_calls
+    return sum(int(attempt["sat_calls"]) for attempt in record.attempt_stats)
 
 
 def tasks_from_suite(

@@ -43,6 +43,7 @@ from repro.errors import PebblingError
 from repro.dag.graph import Dag
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
+from repro.obs.metrics import merge_counters
 from repro.pebbling.bennett import eager_bennett_strategy
 from repro.pebbling.encoding import (
     EncodingOptions,
@@ -80,43 +81,98 @@ class PebblingOutcome(Enum):
     TIMEOUT = "timeout"
 
 
+_REQUIRED = object()
+_INTEGER = (int,)
+_NUMBER = (int, float)
+
+
+def _read(
+    data: object,
+    name: str,
+    kinds: tuple[type, ...],
+    owner: str,
+    default: object = _REQUIRED,
+):
+    """``data[name]`` when it is one of ``kinds``, else a :class:`PebblingError`.
+
+    ``bool`` passes only where ``kinds`` names it (JSON's ``true`` is no
+    count), and a missing key is an error unless it has a ``default``.
+    What :meth:`PebblingResult.from_json` decodes goes through here, so a
+    malformed payload fails with the field at fault named.
+    """
+    if not isinstance(data, dict):
+        raise PebblingError(f"{owner} must be a JSON object, got {data!r:.60}")
+    if name not in data:
+        if default is _REQUIRED:
+            raise PebblingError(f"{owner} has no {name!r} field")
+        return default
+    value = data[name]
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        names = " or ".join(
+            "null" if kind is type(None) else kind.__name__ for kind in kinds
+        )
+        raise PebblingError(f"{owner}'s {name!r} must be {names}, got {value!r:.60}")
+    return value
+
+
+def _member(enum: type[Enum], value: str, owner: str):
+    try:
+        return enum(value)
+    except ValueError:
+        raise PebblingError(f"{owner} names no {enum.__name__} {value!r:.60}") from None
+
+
 @dataclass
 class AttemptRecord:
-    """One SAT query issued during the search (for reporting/debugging).
+    """One SAT call of a search: the only record the call leaves behind.
 
-    ``solver_stats`` holds the full counter dictionary of the underlying
-    SAT call (see :meth:`repro.sat.solver.SolverStats.as_dict`) so callers
-    can aggregate propagation/decision counters across a whole search.
+    ``num_steps`` is the bound the call decided and ``ladder`` how many
+    bound guards it assumed.  ``core_size`` is the size of an UNSAT
+    answer's failed-assumption core, ``None`` without one.  ``at`` is when
+    the call started, in seconds since its search did, and ``runtime`` is
+    its wall time, core extraction included.  The search's ``sat.call``
+    spans and SAT-call metrics are written from these records when it
+    ends.  A payload stored before ``ladder``, ``core_size`` and ``at``
+    decodes each of them as ``None``.
     """
 
-    max_pebbles: int
     num_steps: int
     status: Status
-    runtime: float
     conflicts: int
-    solver_stats: dict[str, float] = field(default_factory=dict)
+    runtime: float
+    ladder: int | None = None
+    core_size: int | None = None
+    at: float | None = None
 
     def as_dict(self) -> dict[str, object]:
         """JSON-serialisable view (used by the result store)."""
         return {
-            "max_pebbles": self.max_pebbles,
             "num_steps": self.num_steps,
+            "ladder": self.ladder,
             "status": self.status.value,
-            "runtime": self.runtime,
+            "core_size": self.core_size,
             "conflicts": self.conflicts,
-            "solver_stats": dict(self.solver_stats),
+            "at": self.at,
+            "runtime": self.runtime,
         }
 
     @classmethod
     def from_dict(cls, data: dict[str, object]) -> "AttemptRecord":
-        """Rebuild a record from :meth:`as_dict` output."""
+        """Rebuild a record from :meth:`as_dict` output.
+
+        Raises :class:`~repro.errors.PebblingError` for a missing or
+        mistyped field.
+        """
+        owner = "a stored SAT call"
+        optional = (int, type(None))
         return cls(
-            max_pebbles=int(data["max_pebbles"]),
-            num_steps=int(data["num_steps"]),
-            status=Status(data["status"]),
-            runtime=float(data["runtime"]),
-            conflicts=int(data["conflicts"]),
-            solver_stats=dict(data.get("solver_stats") or {}),
+            num_steps=_read(data, "num_steps", _INTEGER, owner),
+            status=_member(Status, _read(data, "status", (str,), owner), owner),
+            conflicts=_read(data, "conflicts", _INTEGER, owner),
+            runtime=float(_read(data, "runtime", _NUMBER, owner)),
+            ladder=_read(data, "ladder", optional, owner, None),
+            core_size=_read(data, "core_size", optional, owner, None),
+            at=_read(data, "at", _NUMBER + (type(None),), owner, None),
         )
 
 
@@ -144,6 +200,10 @@ class PebblingResult:
     strategy: PebblingStrategy | None = None
     runtime: float = 0.0
     attempts: list[AttemptRecord] = field(default_factory=list)
+    #: The engines' counters over the whole search, read once from each
+    #: backend it built (see :meth:`IncrementalSatBackend.counters
+    #: <repro.sat.backend.IncrementalSatBackend.counters>`).
+    counters: dict[str, float] = field(default_factory=dict)
     complete: bool = False
     weighted: bool = False
     minimal: bool = False
@@ -226,7 +286,7 @@ class PebblingResult:
             strategy_payload(self.strategy) if self.strategy is not None else None
         )
         return {
-            "schema": 4,
+            "schema": 5,
             "dag": self.dag_name,
             "max_pebbles": self.max_pebbles,
             "outcome": self.outcome.value,
@@ -239,6 +299,7 @@ class PebblingResult:
             "proved_infeasible": self.proved_infeasible,
             "strategy": strategy,
             "attempts": [record.as_dict() for record in self.attempts],
+            "counters": dict(self.counters),
         }
 
     @classmethod
@@ -247,27 +308,35 @@ class PebblingResult:
 
         ``dag`` must be the graph the result was computed on (the strategy
         is revalidated against it, so a mismatched DAG raises instead of
-        producing a silently illegal strategy).
+        producing a silently illegal strategy).  A missing or mistyped
+        field raises :class:`~repro.errors.PebblingError`; a payload from
+        before ``counters`` decodes them as ``{}``.
         """
-        payload = data.get("strategy")
+        owner = "a stored result"
+        payload = _read(data, "strategy", (dict, type(None)), owner, None)
         strategy = (
             strategy_from_payload(payload, dag) if payload is not None else None
         )
+        counters = _read(data, "counters", (dict,), owner, {})
+        for name in counters:
+            _read(counters, name, _NUMBER, "a stored result's counters")
         return cls(
-            dag_name=str(data["dag"]),
-            max_pebbles=int(data["max_pebbles"]),
-            outcome=PebblingOutcome(data["outcome"]),
+            dag_name=_read(data, "dag", (str,), owner),
+            max_pebbles=_read(data, "max_pebbles", _INTEGER, owner),
+            outcome=_member(PebblingOutcome, _read(data, "outcome", (str,), owner), owner),
             strategy=strategy,
-            runtime=float(data["runtime"]),
+            runtime=float(_read(data, "runtime", _NUMBER, owner)),
             attempts=[
-                AttemptRecord.from_dict(record) for record in data.get("attempts", [])
+                AttemptRecord.from_dict(record)
+                for record in _read(data, "attempts", (list,), owner, [])
             ],
-            complete=bool(data["complete"]),
-            weighted=bool(data.get("weighted", False)),
-            minimal=bool(data.get("minimal", False)),
-            backend=str(data.get("backend", DEFAULT_BACKEND)),
-            partial=data.get("partial"),  # type: ignore[arg-type]
-            proved_infeasible=bool(data.get("proved_infeasible", False)),
+            counters=dict(counters),
+            complete=_read(data, "complete", (bool,), owner),
+            weighted=_read(data, "weighted", (bool,), owner, False),
+            minimal=_read(data, "minimal", (bool,), owner, False),
+            backend=_read(data, "backend", (str,), owner, DEFAULT_BACKEND),
+            partial=_read(data, "partial", (dict, type(None)), owner, None),
+            proved_infeasible=_read(data, "proved_infeasible", (bool,), owner, False),
         )
 
 
@@ -307,6 +376,8 @@ class _FreshOracle:
         self._encoder = PebblingEncoder(owner.dag, options=owner.options)
         self._encoding = None
         self.backend: IncrementalSatBackend | None = None
+        #: The counters of every backend this oracle built and let go.
+        self._spent: dict[str, float] = {}
 
     def pose(self, ladder: list[int]) -> list[int]:
         """Encode the query for ``ladder``; return the bounds it settles."""
@@ -314,8 +385,17 @@ class _FreshOracle:
         self._encoding = self._encoder.encode(
             max_pebbles=self._max_pebbles, num_steps=bound
         )
+        if self.backend is not None:
+            merge_counters(self._spent, self.backend.counters())
         self.backend = self._owner._make_solver(self._encoding.cnf)
         return [bound]
+
+    def counters(self) -> dict[str, float]:
+        """The counters of every backend built so far, each read once."""
+        totals = dict(self._spent)
+        if self.backend is not None:
+            merge_counters(totals, self.backend.counters())
+        return totals
 
     def solve(self, time_limit: float | None) -> SolveResult:
         return self.backend.solve(
@@ -432,6 +512,10 @@ class _LiveOracle:
     def decode(self, model: dict[int, bool], bound: int) -> list[set]:
         return self.encoder.configurations_from_model(model, num_steps=bound)
 
+    def counters(self) -> dict[str, float]:
+        """The one backend's counters over the whole search."""
+        return self.backend.counters()
+
 
 class ReversiblePebblingSolver:
     """Finds reversible pebbling strategies for one DAG via SAT."""
@@ -450,14 +534,11 @@ class ReversiblePebblingSolver:
         self.options = options or EncodingOptions()
         self.incremental = incremental
         self.conflict_limit = conflict_limit
-        # The oracle is named by a registry spec (picklable; an explicit
-        # argument wins over ``EncodingOptions.backend``), resolved once,
-        # here, to the engine that will run (bare ``cdcl`` becomes
+        # The oracle is named by a registry spec (picklable), resolved
+        # once, here, to the engine that will run (bare ``cdcl`` becomes
         # ``cdcl:native=1`` or ``cdcl:native=0``): every solver of the
         # search builds from it and every result records it.
-        self.backend = resolve_backend(require_backend(
-            backend or self.options.backend or DEFAULT_BACKEND
-        ))
+        self.backend = resolve_backend(require_backend(backend or DEFAULT_BACKEND))
 
     def _make_solver(self, cnf=None) -> IncrementalSatBackend:
         """A fresh engine of the resolved spec, optionally preloaded with a CNF.
@@ -784,9 +865,13 @@ class ReversiblePebblingSolver:
                 if self.incremental
                 else _FreshOracle(self, max_pebbles)
             )
-            result.outcome = self._query_loop(
-                result, cursor, oracle, max_steps, time_limit, started
-            )
+            try:
+                result.outcome = self._query_loop(
+                    result, cursor, oracle, max_steps, time_limit, started
+                )
+            finally:
+                self._record_calls(result, started)
+            result.counters = oracle.counters()
             solve_span.set(
                 outcome=result.outcome.value, sat_calls=len(result.attempts)
             )
@@ -874,36 +959,32 @@ class ReversiblePebblingSolver:
                 return PebblingOutcome.SOLUTION if best else PebblingOutcome.TIMEOUT
             call_started = time.monotonic()
             core: list[int] | None = None
-            with _trace.span(
-                "sat.call",
-                bound=bound,
-                budget=result.max_pebbles,
-                backend=self.backend,
-                ladder=len(ladder),
-            ) as call_span:
+            try:
                 answer = oracle.solve(remaining)
-                elapsed = time.monotonic() - call_started
                 if answer.is_unsat:
-                    # The span charges core extraction to the call that paid
-                    # for it (the minimising backend probes the solver here).
+                    # The call's runtime includes core extraction (the
+                    # minimising backend probes the solver here).
                     core = oracle.core()
-                    if core is not None:
-                        call_span.set(core_size=len(core))
-                call_span.set(
-                    verdict=answer.status.value, conflicts=answer.stats.conflicts
+            except BaseException:
+                attributes = {
+                    "bound": bound, "budget": result.max_pebbles,
+                    "backend": self.backend, "ladder": len(ladder),
+                }
+                _trace.finished("sat.call", [(
+                    call_started, time.monotonic() - call_started, "error", attributes,
+                )])
+                raise
+            result.attempts.append(
+                AttemptRecord(
+                    num_steps=bound,
+                    ladder=len(ladder),
+                    status=answer.status,
+                    core_size=None if core is None else len(core),
+                    conflicts=answer.stats.conflicts,
+                    at=call_started - started,
+                    runtime=time.monotonic() - call_started,
                 )
-                result.attempts.append(
-                    AttemptRecord(
-                        max_pebbles=result.max_pebbles,
-                        num_steps=bound,
-                        status=answer.status,
-                        runtime=elapsed,
-                        conflicts=answer.stats.conflicts,
-                        solver_stats=dict(oracle.backend.counters()),
-                    )
-                )
-            _metrics.counter("repro_sat_calls_total").inc()
-            _metrics.histogram("repro_sat_call_seconds").observe(elapsed)
+            )
             if answer.is_unknown:
                 result.strategy = best
                 return PebblingOutcome.SOLUTION if best else PebblingOutcome.TIMEOUT
@@ -924,6 +1005,35 @@ class ReversiblePebblingSolver:
         result.strategy = best
         result.complete = True
         return PebblingOutcome.SOLUTION if best else PebblingOutcome.STEP_LIMIT
+
+    def _record_calls(self, result: PebblingResult, started: float) -> None:
+        """Count a search's SAT calls and write one ``sat.call`` span each.
+
+        Called once, when the search ends, from its attempts: the spans
+        are children of the search's ``pebble.solve`` span, timed as the
+        calls were (``ts`` is the search's start plus ``at``).
+        """
+        attempts = result.attempts
+        if not attempts:
+            return
+        if _metrics.enabled():
+            _metrics.counter("repro_sat_calls_total").inc(len(attempts))
+            observe = _metrics.histogram("repro_sat_call_seconds").observe
+            for attempt in attempts:
+                observe(attempt.runtime)
+        if _trace.active():
+            budget, backend = result.max_pebbles, self.backend
+            spans = []
+            for attempt in attempts:
+                attributes = {
+                    "bound": attempt.num_steps, "budget": budget,
+                    "backend": backend, "ladder": attempt.ladder,
+                    "verdict": attempt.status.value, "conflicts": attempt.conflicts,
+                }
+                if attempt.core_size is not None:
+                    attributes["core_size"] = attempt.core_size
+                spans.append((started + attempt.at, attempt.runtime, "ok", attributes))
+            _trace.finished("sat.call", spans)
 
     @staticmethod
     def _keep_best(

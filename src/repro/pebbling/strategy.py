@@ -302,24 +302,41 @@ def strategy_from_payload(
 
     ``dag`` must be the graph the strategy was computed on; a payload
     serialised for a differently-labelled DAG raises a targeted error
-    instead of a bare ``KeyError``.
+    instead of a bare ``KeyError``.  A payload of the wrong shape raises
+    :class:`~repro.errors.InvalidStrategyError` too: the configurations
+    must be lists of node names, and the move cap ``null`` or a count.
     """
+    if not isinstance(payload, dict):
+        raise InvalidStrategyError(
+            f"a stored strategy must be a JSON object, got {payload!r:.80}"
+        )
+    configurations = payload.get("configurations")
+    if not isinstance(configurations, list) or not all(
+        isinstance(configuration, list)
+        and all(isinstance(name, str) for name in configuration)
+        for configuration in configurations
+    ):
+        raise InvalidStrategyError(
+            "a stored strategy's configurations must be lists of node names, "
+            f"got {configurations!r:.80}"
+        )
+    moves = payload.get("max_moves_per_step")
+    if moves is not None and (isinstance(moves, bool) or not isinstance(moves, int) or moves < 1):
+        raise InvalidStrategyError(
+            f"a stored strategy's move cap must be null or a count >= 1, got {moves!r:.20}"
+        )
     by_name = {str(node): node for node in dag.nodes()}
     try:
         configurations = [
             {by_name[name] for name in configuration}
-            for configuration in payload["configurations"]
+            for configuration in configurations
         ]
     except KeyError as exc:
         raise InvalidStrategyError(
             f"stored strategy references unknown node {exc.args[0]!r}; "
             "the result was serialised for a different DAG"
         ) from exc
-    return PebblingStrategy(
-        dag,
-        configurations,
-        max_moves_per_step=payload.get("max_moves_per_step"),
-    )
+    return PebblingStrategy(dag, configurations, max_moves_per_step=moves)
 
 
 def _pebbled_intervals(

@@ -5,7 +5,6 @@ provides an equivalent, self-contained substrate:
 
 * :mod:`repro.sat.literals` -- DIMACS-style literal helpers.
 * :mod:`repro.sat.cnf` -- CNF containers and DIMACS reading/writing.
-* :mod:`repro.sat.tseitin` -- Boolean expression to CNF conversion.
 * :mod:`repro.sat.cards` -- cardinality-constraint encodings (at-most-k).
 * :mod:`repro.sat.solver` -- a CDCL SAT solver with two-watched-literal
   propagation, first-UIP clause learning, VSIDS branching, Luby restarts,
@@ -54,10 +53,8 @@ from repro.sat.dimacs import parse_dimacs, write_dimacs
 from repro.sat.dpll import DpllSolver
 from repro.sat.literals import lit_is_positive, lit_to_var, negate, var_to_lit
 from repro.sat.solver import CdclSolver, SolveResult, SolverStats, Status
-from repro.sat.tseitin import BoolExpr, TseitinEncoder, and_, iff, implies, not_, or_, var, xor_
 
 __all__ = [
-    "BoolExpr",
     "CardinalityEncoding",
     "CdclSolver",
     "ChaosBackend",
@@ -72,9 +69,7 @@ __all__ = [
     "SolveResult",
     "SolverStats",
     "Status",
-    "TseitinEncoder",
     "VariablePool",
-    "and_",
     "backend_fallback_reason",
     "backend_names",
     "backend_unavailable_reason",
@@ -91,16 +86,10 @@ __all__ = [
     "at_most_one",
     "exactly_k",
     "exactly_one",
-    "iff",
-    "implies",
     "lit_is_positive",
     "lit_to_var",
     "negate",
-    "not_",
-    "or_",
     "parse_dimacs",
-    "var",
     "var_to_lit",
     "write_dimacs",
-    "xor_",
 ]

@@ -64,6 +64,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from repro.errors import ChaosInjectedError, SolverError
+from repro.obs.metrics import merge_counters
 from repro.sat.cnf import Cnf, split_clauses
 from repro.sat.dpll import DpllSolver
 from repro.sat.solver import CdclSolver, SolveResult, SolverStats, Status
@@ -132,11 +133,14 @@ class IncrementalSatBackend(ABC):
             self.add_clause(literals)
 
     def counters(self) -> dict[str, float]:
-        """Counters of the last solve, trimmed to what this backend tracks.
+        """This backend's work since it was built, summed over its solves.
 
         Backends report only the statistics they actually maintain, so the
         CLI's ``--stats`` line never pads missing CDCL counters with
-        zeros-as-lies.
+        zeros-as-lies.  ``max_decision_level`` is the highest of any solve;
+        every other counter, seconds included, adds up.  One solve's own
+        numbers are on its :attr:`SolveResult.stats
+        <repro.sat.solver.SolveResult.stats>`.
         """
         return {}
 
@@ -173,10 +177,10 @@ class DpllBackend(IncrementalSatBackend):
         self._solver = DpllSolver(max_variables=max_variables)
         self._declared = 0
         self._last_assumptions: list[int] | None = None
-        self._last_stats: SolverStats | None = None
         self._last_status: Status | None = None
         self._last_seconds = 0.0
         self._last_time_limit: float | None = None
+        self._totals: dict[str, float] = {}
         if cnf is not None:
             self.add_cnf(cnf)
 
@@ -205,8 +209,12 @@ class DpllBackend(IncrementalSatBackend):
         self._last_time_limit = time_limit
         result.stats.solve_time = self._last_seconds
         self._last_assumptions = list(assumptions)
-        self._last_stats = result.stats
         self._last_status = result.status
+        merge_counters(self._totals, {
+            "decisions": result.stats.decisions,
+            "propagations": result.stats.propagations,
+            "solve_time": result.stats.solve_time,
+        })
         return result
 
     def failed_assumptions(self) -> list[int]:
@@ -244,13 +252,7 @@ class DpllBackend(IncrementalSatBackend):
         return core
 
     def counters(self) -> dict[str, float]:
-        if self._last_stats is None:
-            return {}
-        return {
-            "decisions": self._last_stats.decisions,
-            "propagations": self._last_stats.propagations,
-            "solve_time": self._last_stats.solve_time,
-        }
+        return dict(self._totals)
 
 
 def _parse_external_output(text: str, returncode: int) -> tuple[Status, list[int]]:
@@ -335,7 +337,8 @@ class ExternalDimacsBackend(IncrementalSatBackend):
         self._num_vars = 0
         self._last_assumptions: list[int] | None = None
         self._last_status: Status | None = None
-        self._last_seconds = 0.0
+        #: Seconds of every answered solve (``None`` before the first).
+        self._solve_time: float | None = None
 
     @property
     def num_variables(self) -> int:
@@ -365,7 +368,6 @@ class ExternalDimacsBackend(IncrementalSatBackend):
     ) -> SolveResult:
         started = time.monotonic()
         self._last_status = None
-        self._last_seconds = 0.0
         self._last_assumptions = list(assumptions)
         for literal in assumptions:
             if abs(literal) > self._num_vars:
@@ -388,8 +390,7 @@ class ExternalDimacsBackend(IncrementalSatBackend):
                     timeout=time_limit,
                 )
             except subprocess.TimeoutExpired:
-                stats.solve_time = self._last_seconds = time.monotonic() - started
-                self._last_status = Status.UNKNOWN
+                self._answered(stats, Status.UNKNOWN, started)
                 return SolveResult(Status.UNKNOWN, None, stats)
             except OSError as exc:
                 raise SolverError(
@@ -401,8 +402,7 @@ class ExternalDimacsBackend(IncrementalSatBackend):
             if not text.strip():
                 text = process.stdout
             status, literals = _parse_external_output(text, process.returncode)
-        stats.solve_time = self._last_seconds = time.monotonic() - started
-        self._last_status = status
+        self._answered(stats, status, started)
         if status is not Status.SATISFIABLE:
             return SolveResult(status, None, stats)
         if not literals:
@@ -425,9 +425,15 @@ class ExternalDimacsBackend(IncrementalSatBackend):
         return list(dict.fromkeys(self._last_assumptions))
 
     def counters(self) -> dict[str, float]:
-        if self._last_status is None and not self._last_seconds:
+        if self._solve_time is None:
             return {}
-        return {"solve_time": self._last_seconds}
+        return {"solve_time": self._solve_time}
+
+    def _answered(self, stats: SolverStats, status: Status, started: float) -> None:
+        """Time an answered solve and add its seconds to the total."""
+        stats.solve_time = time.monotonic() - started
+        self._solve_time = (self._solve_time or 0.0) + stats.solve_time
+        self._last_status = status
 
 
 # ---------------------------------------------------------------------------
@@ -655,6 +661,7 @@ class ChaosBackend(IncrementalSatBackend):
         )
 
     def counters(self) -> dict[str, float]:
+        """The inner backend's totals plus this wrapper's call and fault counts."""
         merged = dict(self._inner.counters())
         merged["chaos_calls"] = float(self._calls)
         for fault, count in self._injected.items():

@@ -1,7 +1,7 @@
 """CNF formula containers.
 
 A :class:`Cnf` is a clause list over DIMACS literals together with a
-variable pool.  Encoders (Tseitin, cardinality constraints, the pebbling
+variable pool.  Encoders (cardinality constraints, the pebbling
 encoding) build a :class:`Cnf` incrementally through :meth:`Cnf.add_clause`
 and :meth:`Cnf.new_variable`, and hand the result to a solver.
 
@@ -107,8 +107,8 @@ Namer = Callable[[int], str]
 class VariablePool:
     """Allocates fresh DIMACS variables and optionally names them.
 
-    Encoders frequently need auxiliary variables (Tseitin outputs,
-    cardinality-counter bits).  The pool hands out consecutive integers and
+    Encoders frequently need auxiliary variables (cardinality-counter
+    bits, bound guards).  The pool hands out consecutive integers and
     remembers an optional human-readable name per variable, which makes
     debugging encodings and pretty-printing models considerably easier.
 

@@ -46,7 +46,7 @@ _UNKNOWN = 0
 _OUT_OF_MEMORY = -2
 
 #: Counter order of ``cdcl_counters``.  All but ``max_decision_level`` are
-#: lifetime totals of the handle; that one is the latest solve's maximum.
+#: totals since the handle was made; that one is the latest solve's maximum.
 _COUNTER_NAMES = (
     "decisions", "propagations", "conflicts", "restarts",
     "learned_clauses", "deleted_clauses", "max_decision_level",
@@ -236,9 +236,12 @@ class NativeCdclSolver:
         self._declared = 0
         self._last_status: Status | None = None
         self._last_seconds = 0.0
-        # Lifetime totals as of the previous solve, and that solve's share.
+        # The core's totals as of the last solve and that solve's share;
+        # the highest decision level and the seconds of every solve.
         self._totals = [0] * len(_COUNTER_NAMES)
         self._last_counts = dict.fromkeys(_COUNTER_NAMES, 0)
+        self._max_level = 0
+        self._seconds: float | None = None
 
     def __del__(self) -> None:  # pragma: no cover - interpreter shutdown
         handle = getattr(self, "_handle", None)
@@ -393,25 +396,17 @@ class NativeCdclSolver:
         return [buffer[i] for i in range(size)]
 
     def counters(self) -> dict[str, float]:
-        """Counters of the last solve: the work done since the one before.
+        """The handle's counters summed over its solves so far.
 
-        Like the Python engine's per-solve stats, so summing the counters
-        of every solve on one handle gives the handle's lifetime totals.
+        ``max_decision_level`` is the highest of any solve.  Empty before
+        the first solve.  Each solve's own share is its result's ``stats``.
         """
-        if self._last_status is None:
+        if self._seconds is None:
             return {}
-        values = {name: float(count) for name, count in self._last_counts.items()}
-        values["solve_time"] = self._last_seconds
+        values = {name: float(count) for name, count in zip(_COUNTER_NAMES, self._totals)}
+        values["max_decision_level"] = self._max_level
+        values["solve_time"] = self._seconds
         return values
-
-    def lifetime_counters(self) -> dict[str, int]:
-        """The handle's counters summed over its life so far.
-
-        ``max_decision_level`` is the exception: the latest solve's maximum.
-        """
-        totals = _CounterArray()
-        self._lib.cdcl_counters(self._handle, totals)
-        return dict(zip(_COUNTER_NAMES, totals))
 
     # -- helpers ----------------------------------------------------------
     def _valid(self, literal) -> bool:
@@ -442,6 +437,9 @@ class NativeCdclSolver:
             for name, now, before in zip(_COUNTER_NAMES, current, self._totals)
         }
         self._totals = current
+        level = float(self._last_counts["max_decision_level"])
+        self._max_level = max(self._max_level, level)
+        self._seconds = (self._seconds or 0.0) + self._last_seconds
 
     def _stats(self) -> SolverStats:
         stats = SolverStats(**self._last_counts)

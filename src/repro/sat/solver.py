@@ -76,6 +76,7 @@ from typing import Iterable, Sequence
 
 from repro.errors import SolverError
 from repro.obs import trace as _trace
+from repro.obs.metrics import merge_counters
 from repro.sat.cnf import Cnf, split_clauses
 
 
@@ -323,6 +324,8 @@ class CdclSolver:
         self.default_conflict_limit = conflict_limit
         self.default_time_limit = time_limit
         self.stats = SolverStats()
+        #: Every solve's counters added up (see :meth:`counters`).
+        self._totals: dict[str, float] = {}
         self._failed_assumptions: list[int] | None = None
         if cnf is not None:
             self.add_cnf(cnf)
@@ -1072,7 +1075,19 @@ class CdclSolver:
 
         ``conflict_limit`` and ``time_limit`` bound the search; when either
         budget is exhausted the result status is :attr:`Status.UNKNOWN`.
+        The result's ``stats`` are this call's; :meth:`counters` adds them
+        to the ones before.
         """
+        result = self._solve(assumptions, conflict_limit, time_limit)
+        merge_counters(self._totals, result.stats.as_dict())
+        return result
+
+    def _solve(
+        self,
+        assumptions: Sequence[int],
+        conflict_limit: int | None,
+        time_limit: float | None,
+    ) -> SolveResult:
         start_time = time.monotonic()
         stats = self.stats = SolverStats()
         conflict_limit = conflict_limit if conflict_limit is not None else self.default_conflict_limit
@@ -1312,8 +1327,13 @@ class CdclSolver:
         return list(self._failed_assumptions)
 
     def counters(self) -> dict[str, float]:
-        """Counters of the most recent solve (the full CDCL counter set)."""
-        return self.stats.as_dict()
+        """The full CDCL counter set, summed over every solve so far.
+
+        ``max_decision_level`` is the highest of any solve, and the
+        ``solve_time``/``time_<phase>`` seconds add up; empty before the
+        first solve.
+        """
+        return dict(self._totals)
 
     def _next_unassigned_assumption(self, encoded_assumptions: list[int]) -> int | None:
         for encoded in encoded_assumptions:

@@ -178,10 +178,9 @@ def pebble_request_key(
     solver statistics), the search schedule signature and seeds, and the
     engine mode.  The time limit is *excluded*: only searches that ran to
     their natural end are stored, and those are time-limit-independent.
-    The SAT *backend* is excluded too (``EncodingOptions.backend`` is
-    deliberately not hashed): every backend returns the same verdicts and
-    step counts, so results transfer across backends — the stored payload
-    records its producer as metadata instead.
+    The SAT *backend* is excluded too: every backend returns the same
+    verdicts and step counts, so results transfer across backends — the
+    stored payload records its producer as metadata instead.
     """
     return _digest(
         "pebble-request",

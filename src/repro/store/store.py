@@ -74,8 +74,10 @@ from repro.store.fingerprint import (
 #: ``totalizer`` encoding, which the keys name, emits the binomial clauses
 #: on narrow frames, so a stored search's SAT calls, conflicts and
 #: uncertified ``geometric`` witness may differ from what the key now
-#: computes.
-STORE_SCHEMA = 6
+#: computes.  v7: pebbling payloads (result schema 5) carry the search's
+#: engine counters once, and their SAT-call records no longer carry a
+#: counter copy each.
+STORE_SCHEMA = 7
 
 _LOG = logging.getLogger(__name__)
 

@@ -24,6 +24,34 @@ def fresh_registry():
 
 
 @pytest.fixture
+def call_stats(monkeypatch):
+    """The ``SolveResult.stats`` of every SAT call searches make in the test.
+
+    Each engine a :class:`~repro.pebbling.solver.ReversiblePebblingSolver`
+    builds appends its answers' own stats, in call order.
+    """
+    from repro.pebbling.solver import ReversiblePebblingSolver
+
+    calls: list[object] = []
+    original = ReversiblePebblingSolver._make_solver
+
+    def recording(self, cnf=None):
+        engine = original(self, cnf)
+        solve = engine.solve
+
+        def kept(*args, **kwargs):
+            answer = solve(*args, **kwargs)
+            calls.append(answer.stats)
+            return answer
+
+        engine.solve = kept
+        return engine
+
+    monkeypatch.setattr(ReversiblePebblingSolver, "_make_solver", recording)
+    return calls
+
+
+@pytest.fixture
 def fig2_dag() -> Dag:
     """The paper's Fig. 2 example DAG (6 nodes, outputs E and F)."""
     return example_dag()

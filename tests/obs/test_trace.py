@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 
 from repro.obs import trace as obs_trace
 from repro.obs.analyze import load_trace
@@ -179,3 +180,30 @@ class TestCrossProcess:
         ]
         stamps = [(r["ts"], r["pid"], r["seq"]) for r in records]
         assert stamps == sorted(stamps)
+
+    def test_each_record_is_encoded_once(self, tmp_path, monkeypatch):
+        # The owner's records reach the merge in memory and a worker's
+        # lines are written back as they were read: one encoding each.
+        encoded = []
+        dumps = json.dumps
+
+        def counting(record, **kwargs):
+            encoded.append((os.getpid(), record.get("name", record["type"])))
+            return dumps(record, **kwargs)
+
+        monkeypatch.setattr(obs_trace.json, "dumps", counting)
+        path = tmp_path / "trace.jsonl"
+        mp = multiprocessing.get_context("fork")
+        with tracer(path):
+            with obs_trace.span("root"):
+                obs_trace.event("owner.tick")
+                ctx = obs_trace.current_context()
+                worker = mp.Process(target=_worker_emit, args=(ctx, 3))
+                worker.start()
+                worker.join()
+                assert worker.exitcode == 0
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert sorted(name for _, name in encoded) == ["meta", "owner.tick", "root"]
+        assert {pid for pid, _ in encoded} == {os.getpid()}
+        names = sorted(json.loads(line).get("name", "meta") for line in lines)
+        assert names == ["meta", "owner.tick", "root", "worker.tick", "worker.unit"]

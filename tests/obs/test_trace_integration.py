@@ -55,3 +55,70 @@ def test_pool_traces_merge_complete(jobs: int) -> None:
         # merged file must show the owner plus at least one worker pid.
         pids = {record["pid"] for record in trace.spans + trace.events}
         assert len(pids) >= 2, pids
+
+
+def test_each_call_record_is_one_span_of_its_search(tmp_path):
+    from repro.pebbling import ReversiblePebblingSolver
+    from repro.workloads import load_workload
+
+    path = tmp_path / "trace.jsonl"
+    with tracer(path):
+        result = ReversiblePebblingSolver(load_workload("fig2")).solve(3)
+    trace = load_trace(path)
+    (solve,) = [record for record in trace.spans if record["name"] == "pebble.solve"]
+    calls = [record for record in trace.spans if record["name"] == "sat.call"]
+    assert len(calls) == len(result.attempts) > 10
+    for span, attempt in zip(sorted(calls, key=lambda r: r["ts"]), result.attempts):
+        assert span["parent"] == solve["span"] and span["status"] == "ok"
+        assert span["attrs"] == {
+            "bound": attempt.num_steps, "budget": 3, "backend": result.backend,
+            "ladder": attempt.ladder, "verdict": attempt.status.value,
+            "conflicts": attempt.conflicts,
+        }
+        assert span["dur"] == attempt.runtime
+        assert solve["ts"] <= span["ts"]
+        assert span["ts"] + span["dur"] <= solve["ts"] + solve["dur"]
+
+
+def test_a_search_that_raises_keeps_its_finished_calls(
+    tmp_path, monkeypatch, fresh_registry
+):
+    import pytest
+
+    from repro.errors import SolverError
+    from repro.pebbling import ReversiblePebblingSolver
+    from repro.sat import backend as registry
+    from repro.sat.solver import CdclSolver
+    from repro.workloads import load_workload
+
+    class Failing(CdclSolver):
+        """Answers two calls, then fails the third."""
+
+        calls = 0
+
+        def solve(self, assumptions=(), **limits):
+            Failing.calls += 1
+            if Failing.calls == 3:
+                raise SolverError("the engine failed")
+            return super().solve(assumptions, **limits)
+
+    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+    registry.register_backend("failing", lambda argument, limit: Failing())
+    path = tmp_path / "trace.jsonl"
+    with tracer(path), pytest.raises(SolverError, match="engine failed"):
+        ReversiblePebblingSolver(load_workload("fig2"), backend="failing").solve(3)
+    trace = load_trace(path)
+    assert trace.complete, trace.problems
+    (solve,) = [record for record in trace.spans if record["name"] == "pebble.solve"]
+    calls = sorted(
+        (record for record in trace.spans if record["name"] == "sat.call"),
+        key=lambda record: record["ts"],
+    )
+    assert solve["status"] == "error"
+    assert [record["status"] for record in calls] == ["ok", "ok", "error"]
+    assert all(record["parent"] == solve["span"] for record in calls)
+    assert calls[-1]["attrs"] == {
+        "bound": calls[1]["attrs"]["bound"] + 1, "budget": 3,
+        "backend": "failing", "ladder": 1,
+    }
+    assert fresh_registry.snapshot()["repro_sat_calls_total"] == 2

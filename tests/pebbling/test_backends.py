@@ -33,25 +33,11 @@ class TestBackendSelection:
         with pytest.raises(SolverError, match="not usable on this host"):
             ReversiblePebblingSolver(load_workload("fig2"), backend="external")
 
-    def test_options_backend_is_default(self):
-        solver = ReversiblePebblingSolver(
-            load_workload("fig2"), options=EncodingOptions(backend="dpll")
-        )
-        assert solver.backend == "dpll"
-
-    def test_explicit_backend_wins_over_options(self):
-        solver = ReversiblePebblingSolver(
-            load_workload("fig2"),
-            options=EncodingOptions(backend="dpll"),
-            backend="cdcl",
-        )
+    def test_the_solver_alone_names_the_backend(self):
+        solver = ReversiblePebblingSolver(load_workload("fig2"), backend="cdcl")
         assert solver.backend == resolve_backend("cdcl")
-
-    def test_options_backend_must_be_string(self):
-        from repro.sat.solver import CdclSolver
-
-        with pytest.raises(PebblingError, match="spec"):
-            EncodingOptions(backend=CdclSolver)  # type: ignore[arg-type]
+        with pytest.raises(TypeError, match="backend"):
+            EncodingOptions(backend="dpll")  # type: ignore[call-arg]
 
 
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
@@ -98,29 +84,46 @@ class TestBackendParity:
         assert result.strategy.max_pebbles <= 4
 
 
+def _fig2_p4(backend, calls):
+    """fig2 at 4 pebbles on ``backend``; ``calls`` collects each call's stats."""
+    result = ReversiblePebblingSolver(load_workload("fig2"), backend=backend).solve(
+        4, time_limit=120
+    )
+    assert len(calls) == len(result.attempts) > 1
+    return result
+
+
 class TestAttemptCounters:
-    def test_dpll_reports_only_tracked_counters(self):
-        result = ReversiblePebblingSolver(
-            load_workload("fig2"), backend="dpll"
-        ).solve(4, time_limit=120)
-        for record in result.attempts:
-            assert set(record.solver_stats) == {
-                "decisions", "propagations", "solve_time",
-            }
+    """Each engine reports what it tracks, summed over the search's calls."""
 
-    def test_external_reports_only_solve_time(self):
-        result = ReversiblePebblingSolver(
-            load_workload("fig2"), backend=STUB_SPEC
-        ).solve(4, time_limit=120)
-        for record in result.attempts:
-            assert set(record.solver_stats) == {"solve_time"}
+    def test_dpll_reports_only_tracked_counters(self, call_stats):
+        result = _fig2_p4("dpll", call_stats)
+        assert set(result.counters) == {"decisions", "propagations", "solve_time"}
+        assert result.counters["decisions"] == sum(stats.decisions for stats in call_stats)
+        assert result.counters["propagations"] == sum(
+            stats.propagations for stats in call_stats
+        )
+        assert result.counters["solve_time"] == pytest.approx(
+            sum(stats.solve_time for stats in call_stats)
+        )
 
-    def test_cdcl_reports_full_counter_set(self):
-        result = ReversiblePebblingSolver(
-            load_workload("fig2"), backend="cdcl:native=0"
-        ).solve(4, time_limit=120)
-        for record in result.attempts:
-            assert "blocker_hits" in record.solver_stats
+    def test_external_reports_only_solve_time(self, call_stats):
+        result = _fig2_p4(STUB_SPEC, call_stats)
+        assert set(result.counters) == {"solve_time"}
+        assert result.counters["solve_time"] == pytest.approx(
+            sum(stats.solve_time for stats in call_stats)
+        )
+
+    def test_cdcl_reports_full_counter_set(self, call_stats):
+        result = _fig2_p4("cdcl:native=0", call_stats)
+        assert "blocker_hits" in result.counters
+        for name in ("conflicts", "propagations", "blocker_hits", "lbd_sum"):
+            assert result.counters[name] == sum(
+                getattr(stats, name) for stats in call_stats
+            )
+        assert result.counters["max_decision_level"] == max(
+            stats.max_decision_level for stats in call_stats
+        )
 
 
 class TestBackendMetadata:

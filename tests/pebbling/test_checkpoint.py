@@ -74,9 +74,9 @@ class TestResultPartials:
 
 
 class TestPartialSerialisation:
-    def test_schema_version_is_4(self, fig2_dag):
+    def test_schema_version_is_5(self, fig2_dag):
         result = ReversiblePebblingSolver(fig2_dag).solve(4, time_limit=60)
-        assert result.to_json()["schema"] == 4
+        assert result.to_json()["schema"] == 5
 
     def test_partial_round_trips_through_json(self, and9_dag):
         result = ReversiblePebblingSolver(and9_dag, conflict_limit=20).solve(

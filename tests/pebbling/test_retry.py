@@ -146,6 +146,28 @@ class TestRetryExecution:
             ))
         assert counts == [(2, 2), (2, 2)]
 
+    def test_pool_sat_calls_are_counted_like_inline_ones(self, fresh_registry):
+        # A pool worker's SAT calls reach the caller's registry too, the
+        # retried attempts' included; their call times, a histogram, stay
+        # with the process that made the calls.
+        policy = RetryPolicy(max_attempts=3, base_delay=0.0)
+        tasks = [_task(), _task("chaos:3,flaky=1", workload="c17")]
+        counts = []
+        for jobs in (1, 2):
+            fresh_registry.reset()
+            records = run_portfolio(tasks, jobs=jobs, force_pool=jobs > 1, retry=policy)
+            assert [record.retries for record in records] == [0, 1]
+            snapshot = fresh_registry.snapshot()
+            calls = sum(record.sat_calls for record in records)
+            counts.append((
+                snapshot.get("repro_sat_calls_total"),
+                snapshot.get("repro_portfolio_sat_calls_total"),
+                calls,
+            ))
+            assert ("repro_sat_call_seconds" in snapshot) == (jobs == 1)
+        ((inline, *_), (pooled, *_)) = counts
+        assert counts[0] == counts[1] and inline == pooled == counts[0][2] > 0
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_identical_triples_are_byte_identical(self, seed):

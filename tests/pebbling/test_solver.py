@@ -23,6 +23,21 @@ from repro.pebbling.solver import completeness_threshold
 from repro.workloads import load_workload
 
 
+def assert_calls_add_up(per_call, totals):
+    """Per-call ``SolveResult.stats`` dicts add up to an engine's totals.
+
+    ``max_decision_level`` is the highest of any call; every other
+    counter, seconds included, is the sum.
+    """
+    assert per_call and {"conflicts", "solve_time"} <= set(totals)
+    for name, total in totals.items():
+        values = [stats[name] for stats in per_call]
+        if name == "max_decision_level":
+            assert total == max(values), name
+        else:
+            assert total == pytest.approx(sum(values)), name
+
+
 class TestProblemOne:
     def test_fig2_with_four_pebbles(self, fig2_dag):
         result = pebble_dag(fig2_dag, 4, time_limit=60)
@@ -82,8 +97,14 @@ class TestProblemOne:
 
     def test_attempt_records_are_kept(self, fig2_dag):
         result = pebble_dag(fig2_dag, 4, time_limit=60)
-        assert result.attempts
-        assert all(record.max_pebbles == 4 for record in result.attempts)
+        assert result.attempts and result.max_pebbles == 4
+        # One record per SAT call of this budget's search, in call order:
+        # each probed one bound under one guard, within the search's time.
+        starts = [record.at for record in result.attempts]
+        assert starts == sorted(starts) and starts[0] >= 0
+        for record in result.attempts:
+            assert record.ladder == 1 and record.core_size is None
+            assert 0 <= record.at + record.runtime <= result.runtime
         # The last attempt is the satisfiable one.
         assert result.attempts[-1].status.value == "sat"
 
@@ -145,10 +166,11 @@ class TestSolverInjection:
         result = solver.solve(4, time_limit=30)
         assert result.found and result.backend == "recording:tag"
         # One live engine per search, built from the spec's argument, and
-        # every attempt answered by it.
+        # every attempt answered by it: the search's counters are its own.
         assert [argument for argument, _ in created] == ["tag"]
         (_, engine), = created
-        assert result.attempts[-1].solver_stats == engine.counters()
+        assert result.counters == engine.counters()
+        assert result.counters["conflicts"] == sum(a.conflicts for a in result.attempts)
 
     def test_deadline_covers_encoding_time(self, fig2_dag, monkeypatch):
         # Every bound's encoding takes SLOW seconds; the SAT call that
@@ -202,12 +224,20 @@ class TestSolverInjection:
         assert result.found
         assert built == [incremental]
 
-    def test_attempts_carry_solver_stats(self, fig2_dag):
-        result = ReversiblePebblingSolver(fig2_dag).solve(4, time_limit=30)
-        assert result.attempts
-        for record in result.attempts:
-            assert record.solver_stats["propagations"] > 0
-            assert record.solver_stats["conflicts"] == record.conflicts
+    @pytest.mark.parametrize("engine", ["cdcl", "cdcl:native=0"])
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_the_counters_add_up_the_calls(
+        self, fig2_dag, call_stats, engine, incremental
+    ):
+        result = ReversiblePebblingSolver(
+            fig2_dag, backend=engine, incremental=incremental
+        ).solve(3, time_limit=30)
+        assert len(call_stats) == len(result.attempts) > 10
+        assert [stats.conflicts for stats in call_stats] == [
+            record.conflicts for record in result.attempts
+        ]
+        assert_calls_add_up([stats.as_dict() for stats in call_stats], result.counters)
+        assert result.counters["propagations"] > 0
 
     def test_incremental_sweep_disables_stale_guards(self, fig2_dag):
         # An all-UNSAT sweep asserts -guard after every bound; the solver

@@ -268,6 +268,24 @@ class TestProtocolConformance:
             resolve_backend(spec) == "cdcl:native=0"
         )
 
+    def test_counters_are_empty_before_any_solve(self, spec):
+        backend = create_backend(spec)
+        _load_simple(backend)
+        assert backend.counters() == {}
+
+    def test_counters_add_up_each_solves_stats(self, spec):
+        backend = create_backend(spec)
+        _load_simple(backend)
+        calls = [backend.solve().stats, backend.solve([-3]).stats]
+        backend.add_clause([-3])
+        calls.append(backend.solve().stats)
+        totals = backend.counters()
+        assert "solve_time" in totals
+        for name, total in totals.items():
+            shares = [stats.as_dict()[name] for stats in calls]
+            expected = max(shares) if name == "max_decision_level" else sum(shares)
+            assert total == pytest.approx(expected), name
+
 
 class TestDpllCores:
     def test_core_is_subset_minimal(self):

@@ -174,6 +174,43 @@ class TestFaultInjection:
         assert "chaos_crash" not in counters  # only nonzero faults reported
 
 
+class TestSearchCountsEachCallOnce:
+    """A search on chaos reads its counters once, so none is counted twice.
+
+    Summing a copy of the totals per call counted ``chaos_calls`` as
+    1 + 2 + ... + n, and an injected UNKNOWN repeated the inner engine's
+    counters of the call before it.
+    """
+
+    @pytest.mark.parametrize(
+        ("spec", "workload", "calls"),
+        [
+            ("chaos:1", "fig2", 38),
+            ("chaos:5,unknown=0.2", "fig2", 3),
+            ("chaos:5,unknown=0.2", "c17", 2),
+        ],
+    )
+    def test_the_record_counts_each_call_once(self, spec, workload, calls):
+        from repro.pebbling.portfolio import PortfolioTask, run_portfolio
+
+        (record,) = run_portfolio([PortfolioTask(workload, 3, backend=spec)])
+        assert record.sat_calls == calls
+        assert record.counters["chaos_calls"] == calls
+        if "unknown" in spec:
+            assert record.counters["chaos_unknown"] == 1
+
+    @pytest.mark.parametrize("spec", ["chaos:1", "chaos:5,unknown=0.2"])
+    @pytest.mark.parametrize("workload", ["fig2", "c17"])
+    def test_the_counters_add_up_the_calls(self, spec, workload):
+        from repro.pebbling import ReversiblePebblingSolver
+        from repro.workloads import load_workload
+
+        set_chaos_scope(f"{workload}_p3")
+        result = ReversiblePebblingSolver(load_workload(workload), backend=spec).solve(3)
+        assert result.counters["chaos_calls"] == len(result.attempts) > 1
+        assert result.counters["conflicts"] == sum(a.conflicts for a in result.attempts)
+
+
 class TestDeterminism:
     def _injection_trace(self, spec: str, calls: int = 40) -> list[str]:
         set_chaos_scope("trace-task", attempt=0, epoch=0)

@@ -137,8 +137,10 @@ class TestFallback:
         result = ReversiblePebblingSolver(load_workload("fig2")).solve(4)
         assert result.backend == "cdcl:native=0"
         assert result.num_steps == 6
-        # The Python engine's own counters come back with it.
-        assert "blocker_hits" in result.attempts[0].solver_stats
+        # The Python engine's own counters come back with it, summed over
+        # the search's calls.
+        assert "blocker_hits" in result.counters
+        assert result.counters["conflicts"] == sum(a.conflicts for a in result.attempts)
 
     def test_backends_table_names_engine_and_reason(self, no_native, capsys):
         from repro.cli import main
@@ -217,21 +219,27 @@ class TestReportedEngine:
 
 @needs_native
 class TestPerCallCounters:
-    def test_two_solves_report_deltas_that_sum_to_the_lifetime(self):
+    def test_two_solves_report_shares_that_sum_to_the_totals(self):
         engine = create_backend("cdcl:native=1", conflict_limit=200)
         engine.add_cnf(pigeonhole(8, 7))
+        assert engine.counters() == {}
         first = engine.solve()
         after_first = engine.counters()
         second = engine.solve()
         after_second = engine.counters()
         assert first.is_unknown  # the budget cut it
         assert first.stats.conflicts == after_first["conflicts"] == 200
-        lifetime = engine.lifetime_counters()
         for name in ("decisions", "propagations", "conflicts", "restarts",
                      "learned_clauses", "deleted_clauses"):
-            assert after_first[name] + after_second[name] == lifetime[name]
-        assert second.stats.conflicts == after_second["conflicts"]
-        assert after_second["max_decision_level"] == lifetime["max_decision_level"]
+            shares = getattr(first.stats, name) + getattr(second.stats, name)
+            assert shares == after_second[name]
+            assert getattr(first.stats, name) == after_first[name]
+        assert after_second["solve_time"] == pytest.approx(
+            first.stats.solve_time + second.stats.solve_time
+        )
+        assert after_second["max_decision_level"] == max(
+            first.stats.max_decision_level, second.stats.max_decision_level
+        )
 
     def test_pebbling_attempts_sum_to_the_live_solver_total(self, monkeypatch):
         from repro.pebbling.solver import ReversiblePebblingSolver
@@ -251,7 +259,8 @@ class TestPerCallCounters:
         (solver,) = made
         attempts = [record.conflicts for record in result.attempts]
         assert len(attempts) > 100
-        assert sum(attempts) == solver.lifetime_counters()["conflicts"]
+        assert sum(attempts) == solver.counters()["conflicts"]
+        assert result.counters == solver.counters()
 
 
 def _build_into(directory: str) -> tuple[str | None, str | None]:

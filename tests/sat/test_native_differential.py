@@ -356,8 +356,24 @@ def test_search_counts_repeat_the_recorded_ones(name):
     answers, engine = run()
     letters = {"sat": "S", "unsat": "U", "unknown": "?"}
     assert "".join(letters[answer] for answer in answers) == verdicts
-    totals = engine.lifetime_counters()
+    totals = engine.counters()
     assert (totals["decisions"], totals["propagations"], totals["conflicts"]) == counts
+    assert _core_totals(engine) == totals
+
+
+def _core_totals(engine) -> dict[str, float]:
+    """The core's own counters, read past the wrapper, in ``counters()`` form.
+
+    The core keeps only the latest solve's maximum decision level, so
+    that one is left to the wrapper's own ``counters()``.
+    """
+    raw = native._CounterArray()
+    engine._lib.cdcl_counters(engine._handle, raw)
+    totals = {name: float(value) for name, value in zip(native._COUNTER_NAMES, raw)}
+    reported = engine.counters()
+    totals["max_decision_level"] = reported["max_decision_level"]
+    totals["solve_time"] = reported["solve_time"]
+    return totals
 
 
 @given(incremental_sequences())
@@ -366,20 +382,20 @@ def test_per_call_counters_add_up_to_the_lifetime_totals(sequence):
     _, steps = sequence
     engine = _engine()
     summed: dict[str, float] = {}
-    lifetime: dict[str, int] = {}
+    levels: list[int] = []
     for kind, payload in steps:
         if kind == "add":
             engine.add_clauses(payload)
             continue
-        engine.solve(payload)
-        lifetime = engine.lifetime_counters()
+        stats = engine.solve(payload).stats.as_dict()
+        levels.append(stats["max_decision_level"])
         reported = engine.counters()
-        assert reported["max_decision_level"] == lifetime["max_decision_level"]
-        for name, value in reported.items():
-            if name not in ("max_decision_level", "solve_time"):
-                summed[name] = summed.get(name, 0) + value
-    lifetime.pop("max_decision_level", None)
-    assert summed == {name: float(value) for name, value in lifetime.items()}
+        assert reported == _core_totals(engine)
+        assert reported["max_decision_level"] == max(levels)
+        for name in reported:
+            if name != "max_decision_level":
+                summed[name] = summed.get(name, 0) + stats[name]
+        assert {name: reported[name] for name in summed} == pytest.approx(summed)
 
 
 def test_batch_is_validated_before_anything_is_added():

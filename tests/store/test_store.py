@@ -677,32 +677,6 @@ class TestBackendInvariance:
         assert served.backend == "dpll"
         assert served.num_steps == produced.num_steps
 
-    def test_request_key_ignores_options_backend(self, fig2_dag):
-        from repro.store.fingerprint import exact_dag_digest, pebble_request_key
-
-        digest = exact_dag_digest(fig2_dag)
-        keys = {
-            pebble_request_key(
-                exact_digest=digest,
-                budget=4,
-                options=EncodingOptions(backend=backend),
-                search=LinearSearch(),
-                incremental=True,
-                initial_steps=None,
-                max_steps=None,
-                step_floor=None,
-            )
-            for backend in (None, "cdcl", "dpll", "external:whatever")
-        }
-        assert len(keys) == 1
-
-    def test_options_key_ignores_backend(self):
-        from repro.store.fingerprint import options_key
-
-        assert options_key(EncodingOptions()) == options_key(
-            EncodingOptions(backend="dpll")
-        )
-
     def test_warm_start_transfers_across_backends(self, fig2_dag):
         with ResultStore(":memory:") as store:
             ReversiblePebblingSolver(fig2_dag, backend="dpll").solve(
